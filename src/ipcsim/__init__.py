@@ -13,15 +13,10 @@ from .control import (
     ControllerState,
     ControllerTuning,
     ExcitationGenerator,
-    LiftedModel,
     RepetitiveController,
     UnrestrictedExcitation,
-    assemble_lifted,
     build_basis,
-    generate_excitation,
-    pitch_command,
     project_output,
-    project_state_space,
     synthesize_gain,
     update_theta,
 )
@@ -63,9 +58,7 @@ from .sysid import (
     IdentificationEngine,
     MarkovEstimate,
     PeriodicBuffer,
-    build_regressor,
     identify_step,
-    periodic_difference,
 )
 
 __version__ = "0.1.0"

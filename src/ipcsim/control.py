@@ -1,10 +1,15 @@
 """Repetitive control synthesis on the identified per-blade model.
 
-Per rotation: the identified Markov rows are expanded into the lifted
-one-rotation predictor (block-Toeplitz response matrices corrected by the
-unit-triangular output recursion), projected onto the 1P/2P sine/cosine
-basis, and closed with a state-feedback gain from the Riccati recursion.
-The per-rotation coefficient update is
+The model has the structure the identification gives it: three decoupled
+SISO blade predictors. Per rotation, each blade's Markov row is correlated
+with the 1P/2P sine/cosine basis (two shifted copies of u_f: the previous
+rotation's inputs and the current rotation's), the p-tap output recursion
+is run on the 12 resulting columns, and the result is projected with
+pinv(u_f). That gives each blade's 4 x 4 blocks T_u, T_y and H_bar of the
+one-rotation predictor in coefficient space, without forming the lifted
+P x P response matrices. The blocks are scattered into the 36-state
+rotation-level pair (A_bar, B_bar) and closed with a state-feedback gain
+from the Riccati recursion. The per-rotation coefficient update is
 
     theta[j+1] = alpha * theta[j] - beta * K_f [Ybar[j]; dtheta[j]; dYbar[j]]
 
@@ -19,29 +24,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import DareNonConvergence, pinv, solve_dare
-from .sysid import IdentificationEngine, MarkovEstimate
+from .sysid import IdentificationEngine
 
 __all__ = [
     "BasisProjection",
     "build_basis",
-    "LiftedModel",
-    "assemble_lifted",
-    "markov_blocks_from_xi",
-    "predict_lifted",
-    "project_state_space",
+    "rotation_commands",
+    "project_output",
+    "shifted_bases",
+    "projected_blocks",
     "synthesize_gain",
     "ControllerState",
     "update_theta",
     "ExcitationGenerator",
-    "generate_excitation",
-    "pitch_command",
-    "project_output",
     "UnrestrictedExcitation",
     "ControllerTuning",
     "RepetitiveController",
 ]
 
 N_BLADES = 3
+N_COEFF = 4 * N_BLADES
 
 
 # ---------------------------------------------------------------------------
@@ -50,250 +52,118 @@ N_BLADES = 3
 
 @dataclass(frozen=True)
 class BasisProjection:
-    """1P/2P sine/cosine basis over one rotation and its pseudo-inverses.
+    """1P/2P sine/cosine basis over one rotation and its pseudo-inverse.
 
     u_f rows are [sin psi, cos psi, sin 2 psi, cos 2 psi] at
     psi_k = 2 pi k / P for k = 1..P (the final row sits exactly at 2 pi).
-    phi = u_f (x) I_r acts on input-side coefficient vectors; phi_out is the
-    output-side analogue with I_l. Coefficient layout is harmonic-major:
-    [1P-sin (r), 1P-cos (r), 2P-sin (r), 2P-cos (r)].
+    Coefficient vectors over the three blades are harmonic-major: entry
+    3 h + b holds harmonic h of blade b, i.e. [1P-sin (3), 1P-cos (3),
+    2P-sin (3), 2P-cos (3)].
     """
 
     u_f: np.ndarray
-    phi: np.ndarray
-    phi_pinv: np.ndarray
-    phi_out: np.ndarray
-    phi_out_pinv: np.ndarray
+    u_f_pinv: np.ndarray
     period: int
-    n_in: int
-    n_out: int
-
-    @property
-    def n_coeff(self) -> int:
-        return 4 * self.n_in
 
 
-def build_basis(period: int, n_in: int, n_out: int | None = None) -> BasisProjection:
+def build_basis(period: int) -> BasisProjection:
     if period < 8:
         raise ValueError("period must be >= 8 to resolve the 2P harmonic")
-    if n_out is None:
-        n_out = n_in
     psi = 2.0 * np.pi * np.arange(1, period + 1) / period
     u_f = np.column_stack([np.sin(psi), np.cos(psi), np.sin(2 * psi), np.cos(2 * psi)])
-    phi = np.kron(u_f, np.eye(n_in))
-    phi_pinv = pinv(phi)
-    if n_out == n_in:
-        phi_out, phi_out_pinv = phi, phi_pinv
-    else:
-        phi_out = np.kron(u_f, np.eye(n_out))
-        phi_out_pinv = pinv(phi_out)
-    return BasisProjection(
-        u_f=u_f, phi=phi, phi_pinv=phi_pinv,
-        phi_out=phi_out, phi_out_pinv=phi_out_pinv,
-        period=period, n_in=n_in, n_out=n_out,
-    )
-
-
-def pitch_command(basis: BasisProjection, theta: np.ndarray, eta: np.ndarray, k: int) -> np.ndarray:
-    """Per-sample command row_k(phi) (theta + eta); k indexes within the rotation."""
-    coeffs = (np.asarray(theta, dtype=float) + np.asarray(eta, dtype=float))
-    return basis.u_f[k % basis.period] @ coeffs.reshape(4, basis.n_in)
+    return BasisProjection(u_f=u_f, u_f_pinv=pinv(u_f), period=period)
 
 
 def rotation_commands(basis: BasisProjection, coeffs: np.ndarray) -> np.ndarray:
-    """(P, r) command block for one rotation from basis-space coefficients."""
-    return basis.u_f @ np.asarray(coeffs, dtype=float).reshape(4, basis.n_in)
+    """(P, 3) command block for one rotation from basis-space coefficients."""
+    return basis.u_f @ np.asarray(coeffs, dtype=float).reshape(4, N_BLADES)
 
 
 def project_output(y_period: np.ndarray, basis: BasisProjection) -> np.ndarray:
     """1P/2P sine/cosine coefficients of one rotation of outputs.
 
-    Accepts the stacked (P*l,) vector or a (P, l) block, sample-major.
+    Accepts the stacked (3P,) vector or a (P, 3) block, sample-major.
     """
     y = np.asarray(y_period, dtype=float)
-    flat = y.reshape(-1)
-    if flat.shape[0] != basis.period * basis.n_out:
+    if y.size != basis.period * N_BLADES:
         raise ValueError(
-            f"expected one full rotation of outputs ({basis.period * basis.n_out} values), "
-            f"got {flat.shape[0]}"
+            f"expected one full rotation of outputs ({basis.period * N_BLADES} values), "
+            f"got {y.size}"
         )
-    return basis.phi_out_pinv @ flat
+    return (basis.u_f_pinv @ y.reshape(basis.period, N_BLADES)).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
-# Lifted model assembly
+# Per-blade projected model and gain
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LiftedModel:
-    """One-rotation-ahead predictor in lifted form.
+def shifted_bases(u_f: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two (P, p, 4) copies of u_f aligned with an oldest-first Markov row.
 
-    dY[next rot] = gamma_ku dU[this rot] + gamma_ky dY[this rot]
-                 + h_hat dU[next rot]
-
-    h_hat is strictly block-lower-triangular (causality); the leading
-    (P - p) * r columns of gamma_ku are zero (finite predictor memory).
+    Row entry m of a p-tap predictor weighs the sample p - m steps back, so
+    at sample s of a rotation it reads sample s + m - p. Where that index
+    is negative the sample lies in the previous rotation: `prev[s, m]` holds
+    u_f at the wrapped index and `curr[s, m]` is zero. Otherwise `curr`
+    holds it and `prev` is zero. Needs 1 <= p < P.
     """
+    period = u_f.shape[0]
+    if not 1 <= p < period:
+        raise ValueError(f"predictor window must satisfy 1 <= p < P={period}, got {p}")
+    k = np.arange(period)[:, None] + np.arange(p)[None, :] - p
+    wrapped = u_f[k % period]
+    before = (k < 0)[..., None]
+    return np.where(before, wrapped, 0.0), np.where(before, 0.0, wrapped)
 
-    gamma_ku: np.ndarray
-    gamma_ky: np.ndarray
-    h_hat: np.ndarray
-    period: int
-    p: int
 
+def projected_blocks(rows: np.ndarray, shifts, basis: BasisProjection):
+    """Per-blade (3, 4, 4) blocks (T_u, T_y, H_bar) from (3, 2p) Markov rows.
 
-def markov_blocks_from_xi(xi: np.ndarray, p: int, n_in: int = N_BLADES,
-                          n_out: int = N_BLADES):
-    """Split an oracle-format Markov matrix into (p, l, r) / (p, l, l) blocks.
-
-    xi columns run oldest lag first: block m is C A~^(p-1-m) B, so block
-    index j (= lag - 1) reads from position p - 1 - j.
+    Blade b predicts the next rotation's output differences as
+    (I - G_b)^-1 (Gamma_u,b dU_prev + Gamma_y,b dY_prev + H_b dU_next), with
+    G_b the strictly causal output recursion. With inputs and outputs
+    restricted to the basis, the Gamma/H products are the rows correlated
+    with the shifted bases; the recursion runs forward over the rotation on
+    all 12 columns at once, batched over the blades, and pinv(u_f) projects
+    the result back to coefficients.
     """
-    xi = np.asarray(xi, dtype=float)
-    mu = np.empty((p, n_out, n_in))
-    my = np.empty((p, n_out, n_out))
-    for j in range(p):
-        m = p - 1 - j
-        mu[j] = xi[:, m * n_in:(m + 1) * n_in]
-        my[j] = xi[:, p * n_in + m * n_out: p * n_in + (m + 1) * n_out]
-    return mu, my
-
-
-def _resolve_blocks(est, p: int):
-    if isinstance(est, MarkovEstimate):
-        if est.p != p:
-            raise ValueError(f"estimate window p={est.p} does not match requested p={p}")
-        mu, my = est.markov_blocks()
-    else:
-        mu, my = est
-        mu = np.asarray(mu, dtype=float)
-        my = np.asarray(my, dtype=float)
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(my))):
-        raise ValueError("Markov blocks contain non-finite entries")
-    return mu, my
-
-
-def _band_matrix(blocks: np.ndarray, period: int, offsets) -> np.ndarray:
-    """Block matrix with blocks[j] on block-diagonal offset offsets[j]."""
-    p, l, r = blocks.shape
-    out = np.zeros((period * l, period * r))
-    view = out.reshape(period, l, period, r)
-    rows_all = np.arange(period)
-    for j, off in enumerate(offsets):
-        if off >= 0:
-            rows = rows_all[: period - off]
-            cols = rows + off
-        else:
-            rows = rows_all[-off:]
-            cols = rows + off
-        if rows.size:
-            view[rows, :, cols, :] = blocks[j]
-    return out
-
-
-def _toeplitz_parts(mu, my, period, p):
-    """(Gamma~ K_u, Gamma~ K_y, H~) from truncated Markov blocks."""
-    # Gamma~ K_u block (s, m) = C A~^(s + P - 1 - m) B: offset P - 1 - j for lag j.
-    gku = _band_matrix(mu, period, [period - 1 - j for j in range(p)])
-    gky = _band_matrix(my, period, [period - 1 - j for j in range(p)])
-    # H~ block (s, m) = C A~^(s - m - 1) B: strictly lower, offset -(j + 1).
-    h_t = _band_matrix(mu, period, [-(j + 1) for j in range(p)])
-    return gku, gky, h_t
-
-
-def _forward_substitute(my: np.ndarray, rhs: np.ndarray, period: int) -> np.ndarray:
-    """Solve (I - G~) X = rhs by block forward substitution.
-
-    G~ is strictly block-lower-triangular with band blocks my[d-1] at lag d,
-    so I - G~ is unit triangular and the substitution is exact: zero
-    patterns of rhs above the band propagate untouched into X.
-    """
-    p, l, _ = my.shape
-    # Wide row [my[p-1] ... my[0]] aligned with ascending history blocks.
-    wide = np.hstack(list(my[::-1]))
-    x = rhs.copy()
-    for s in range(1, period):
+    prev, curr = shifts
+    p = prev.shape[1]
+    row_u, row_y = rows[:, :p], rows[:, p:]
+    # x[s, b]: sample s, blade b, columns [T_u | T_y | H_bar] before projection.
+    x = np.concatenate([row_u @ prev, row_y @ prev, row_u @ curr], axis=2)
+    taps = row_y[:, None, :]
+    for s in range(1, basis.period):
         d = min(s, p)
-        x[s * l:(s + 1) * l] += wide[:, (p - d) * l:] @ x[(s - d) * l: s * l]
-    return x
+        x[s] += (taps[:, :, p - d:] @ x[s - d:s].transpose(1, 0, 2))[:, 0]
+    proj = basis.u_f_pinv @ x.reshape(basis.period, -1)
+    proj = proj.reshape(4, N_BLADES, 12).transpose(1, 0, 2)
+    return proj[..., :4], proj[..., 4:8], proj[..., 8:]
 
 
-def assemble_lifted(est, period: int, p: int) -> LiftedModel:
-    """Expand Markov parameters into the corrected lifted predictor.
+def _blade_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """(3, 4, 4) per-blade blocks as one harmonic-major (12, 12) matrix."""
+    out = np.zeros((4, N_BLADES, 4, N_BLADES))
+    blade = np.arange(N_BLADES)
+    out[:, blade, :, blade] = blocks
+    return out.reshape(N_COEFF, N_COEFF)
 
-    The output recursion correction (I - G~)^-1 is applied by solving the
-    unit-lower-triangular system rather than forming the inverse. est may be
-    a MarkovEstimate or a (mu, my) pair of (p, l, r)/(p, l, l) block arrays
-    (e.g. from markov_blocks_from_xi for oracle parameters).
+
+def _bar_matrices(t_u, t_y, h_bar):
+    """Rotation-level pair (A_bar, B_bar) on [Ybar; dtheta; dYbar].
+
+    A_bar is 36 x 36; its middle block row is zero and B_bar's middle block
+    is the identity. Cross-blade entries are exactly zero.
     """
-    mu, my = _resolve_blocks(est, p)
-    gku, gky, h_t = _toeplitz_parts(mu, my, period, p)
-    rhs = np.hstack([gku, gky, h_t])
-    sol = _forward_substitute(my, rhs, period)
-    if not np.all(np.isfinite(sol)):
-        raise ValueError("lifted-model triangular solve produced non-finite values")
-    n_u = gku.shape[1]
-    n_y = gky.shape[1]
-    return LiftedModel(
-        gamma_ku=sol[:, :n_u],
-        gamma_ky=sol[:, n_u:n_u + n_y],
-        h_hat=sol[:, n_u + n_y:],
-        period=period,
-        p=p,
-    )
-
-
-def predict_lifted(lifted: LiftedModel, du_prev: np.ndarray, dy_prev: np.ndarray,
-                   du_curr: np.ndarray) -> np.ndarray:
-    """One-rotation-ahead output prediction from rotation-aligned windows.
-
-    Windows are sample-major (P, channels) or already stacked; returns the
-    stacked (P * l,) prediction for the next rotation.
-    """
-    return (
-        lifted.gamma_ku @ np.asarray(du_prev, dtype=float).reshape(-1)
-        + lifted.gamma_ky @ np.asarray(dy_prev, dtype=float).reshape(-1)
-        + lifted.h_hat @ np.asarray(du_curr, dtype=float).reshape(-1)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Projected state space and gain
-# ---------------------------------------------------------------------------
-
-def _projected_blocks_from_parts(gku, gky, h_t, my, basis: BasisProjection):
-    """phi_out^+ (I - G~)^-1 [...] phi blocks via a reduced right-hand side."""
-    rhs = np.hstack([gku @ basis.phi, gky @ basis.phi_out, h_t @ basis.phi])
-    sol = _forward_substitute(my, rhs, basis.period)
-    proj = basis.phi_out_pinv @ sol
-    nc = basis.n_coeff
-    ncy = 4 * basis.n_out
-    return proj[:, :nc], proj[:, nc:nc + ncy], proj[:, nc + ncy:]
-
-
-def _bar_matrices(t_u, t_y, h_bar, basis: BasisProjection):
-    nc, ncy = basis.n_coeff, 4 * basis.n_out
-    dim = 2 * ncy + nc
-    a_bar = np.zeros((dim, dim))
-    a_bar[:ncy, :ncy] = np.eye(ncy)
-    a_bar[:ncy, ncy:ncy + nc] = t_u
-    a_bar[:ncy, ncy + nc:] = t_y
-    a_bar[ncy + nc:, ncy:ncy + nc] = t_u
-    a_bar[ncy + nc:, ncy + nc:] = t_y
-    b_bar = np.vstack([h_bar, np.eye(nc), h_bar])
+    t_u, t_y, h_bar = (_blade_diagonal(m) for m in (t_u, t_y, h_bar))
+    n = N_COEFF
+    a_bar = np.zeros((3 * n, 3 * n))
+    a_bar[:n, :n] = np.eye(n)
+    a_bar[:n, n:2 * n] = t_u
+    a_bar[:n, 2 * n:] = t_y
+    a_bar[2 * n:, n:2 * n] = t_u
+    a_bar[2 * n:, 2 * n:] = t_y
+    b_bar = np.vstack([h_bar, np.eye(n), h_bar])
     return a_bar, b_bar
-
-
-def project_state_space(lifted: LiftedModel, basis: BasisProjection):
-    """Rotation-level state-space pair (A_bar, B_bar) on [Ybar; dtheta; dYbar].
-
-    A_bar is (8l + 4r) square (36 x 36 for the three-blade case); the middle
-    block row is zero and B_bar's middle block is the identity.
-    """
-    t_u = basis.phi_out_pinv @ lifted.gamma_ku @ basis.phi
-    t_y = basis.phi_out_pinv @ lifted.gamma_ky @ basis.phi_out
-    h_bar = basis.phi_out_pinv @ lifted.h_hat @ basis.phi
-    return _bar_matrices(t_u, t_y, h_bar, basis)
 
 
 def synthesize_gain(a_bar: np.ndarray, b_bar: np.ndarray, q: np.ndarray, r: np.ndarray,
@@ -397,25 +267,22 @@ class ExcitationGenerator:
             seed = np.random.SeedSequence(seed)
         seqs = seed.spawn(n_coeff)
         self._rngs = [np.random.default_rng(s) for s in seqs]
-        self._values = np.zeros((0, n_coeff))
+        self._values: list[np.ndarray] = []  # filter output of rotation j at [j]
         self._filter_state = np.zeros(n_coeff)
 
     def _extend(self, upto: int) -> None:
-        have = self._values.shape[0]
-        if upto < have:
+        n_new = upto - len(self._values) + 1
+        if n_new <= 0:
             return
-        n_new = upto - have + 1
         bits = np.column_stack([
             2.0 * rng.integers(0, 2, size=n_new) - 1.0 for rng in self._rngs
         ])
-        out = np.empty((n_new, self.n_coeff))
         z = self._filter_state
         a = self.filter_pole
         for t in range(n_new):
             z = a * z + (1.0 - a) * bits[t]
-            out[t] = z
+            self._values.append(z)
         self._filter_state = z
-        self._values = np.vstack([self._values, out])
 
     def sample(self, j: int) -> np.ndarray:
         """Excitation vector for rotation j (random access, deterministic per seed)."""
@@ -423,10 +290,6 @@ class ExcitationGenerator:
             raise ValueError("rotation index must be non-negative")
         self._extend(j)
         return self.amplitude * self._values[j]
-
-
-def generate_excitation(gen: ExcitationGenerator, j: int) -> np.ndarray:
-    return gen.sample(j)
 
 
 class UnrestrictedExcitation:
@@ -517,23 +380,23 @@ class RepetitiveController:
         self.p = p
         self.period = period
         self.tuning = tuning
-        self.basis = build_basis(period, N_BLADES)
+        self.basis = build_basis(period)
+        self._shifts = shifted_bases(self.basis.u_f, p)
         self.engine = IdentificationEngine(p, period, lam=tuning.forgetting)
         self.excitation = ExcitationGenerator(
-            self.basis.n_coeff, tuning.excitation_amplitude, seed,
+            N_COEFF, tuning.excitation_amplitude, seed,
             filter_pole=tuning.excitation_filter_pole,
         )
         self.unrestricted = unrestricted
         self.state = ControllerState.fresh(
-            self.basis.n_coeff, alpha=tuning.alpha, beta=tuning.beta,
+            N_COEFF, alpha=tuning.alpha, beta=tuning.beta,
             theta_cap=tuning.theta_cap_deg,
         )
-        nc, ncy = self.basis.n_coeff, 4 * N_BLADES
         self.q = np.diag(
-            [tuning.q_y] * ncy + [tuning.q_dtheta] * nc + [tuning.q_dy] * ncy
+            [tuning.q_y] * N_COEFF + [tuning.q_dtheta] * N_COEFF + [tuning.q_dy] * N_COEFF
         )
-        self.r = tuning.r_scale * np.eye(nc)
-        self._y_bar_prev = np.zeros(ncy)
+        self.r = tuning.r_scale * np.eye(N_COEFF)
+        self._y_bar_prev = np.zeros(N_COEFF)
         self._have_prev = False
         self._p_warm = None
         self._last_residual = np.nan
@@ -562,10 +425,8 @@ class RepetitiveController:
         delta_y_bar = y_bar - self._y_bar_prev if self._have_prev else np.zeros_like(y_bar)
 
         if j + 1 > self.tuning.warmup_rotations:
-            mu, my = self.engine.estimate.markov_blocks()
-            parts = _toeplitz_parts(mu, my, self.period, self.p)
-            t_u, t_y, h_bar = _projected_blocks_from_parts(*parts, my, self.basis)
-            a_bar, b_bar = _bar_matrices(t_u, t_y, h_bar, self.basis)
+            blocks = projected_blocks(self.engine.estimate.rows, self._shifts, self.basis)
+            a_bar, b_bar = _bar_matrices(*blocks)
             gain, sol, failed = synthesize_gain(
                 a_bar, b_bar, self.q, self.r,
                 previous_gain=self.state.gain, p_warm=self._p_warm,

@@ -19,12 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .baselines import MbcIpcState, cpc_baseline, mbc_ipc_step
-from .control import (
-    ControllerTuning,
-    RepetitiveController,
-    UnrestrictedExcitation,
-    build_basis,
-)
+from .control import ControllerTuning, RepetitiveController, UnrestrictedExcitation
 from .metrics import (
     DEFAULT_RATE_LIMIT_DEG_S,
     WindowSpec,
@@ -66,6 +61,10 @@ class ConfigError(ValueError):
     """Invalid load-case or campaign configuration."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class LoadCaseConfig:
     """Everything one run depends on; runs are a pure function of this."""
@@ -102,6 +101,8 @@ class LoadCaseConfig:
             )
         if self.seed is None:
             raise ConfigError("seed is mandatory (no ambient randomness)")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not (0.0 < self.fault_onset_s < self.duration_s):
             raise ConfigError("fault onset must lie strictly inside the run duration")
         if not self.group:
@@ -116,6 +117,12 @@ class LoadCaseConfig:
         n = round(self.duration_s / plant.dt)
         if abs(n * plant.dt - self.duration_s) > 1e-9 or n % plant.period_samples != 0:
             raise ConfigError("duration must be a whole number of rotor periods")
+        p = self.predictor_window
+        if not _is_int(p) or not 1 <= p < plant.period_samples:
+            raise ConfigError(
+                f"predictor_window must be an integer with 1 <= p < "
+                f"{plant.period_samples} (samples per rotor period), got {p!r}"
+            )
 
     def make_plant(self) -> SurrogatePlant:
         return build_plant(**self.plant)

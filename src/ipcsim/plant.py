@@ -23,6 +23,7 @@ __all__ = [
     "SurrogatePlant",
     "DisturbanceModel",
     "FaultScenario",
+    "build_plant",
     "default_plant",
     "apply_actuator_fault",
     "apply_blade_fault",

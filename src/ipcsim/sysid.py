@@ -24,8 +24,6 @@ from .numerics import RlsState, rls_update, rls_update_batch
 __all__ = [
     "PeriodicBuffer",
     "MarkovEstimate",
-    "periodic_difference",
-    "build_regressor",
     "identify_step",
     "IdentificationEngine",
 ]
@@ -99,14 +97,6 @@ class PeriodicBuffer:
         return out
 
 
-def periodic_difference(buffer: PeriodicBuffer, channel: str, k: int) -> float:
-    return buffer.delta(channel, k)
-
-
-def build_regressor(buffer: PeriodicBuffer, blade: int, k: int) -> np.ndarray:
-    return buffer.regressor(blade, k)
-
-
 class MarkovEstimate:
     """Per-blade RLS states and the assembled Markov rows.
 
@@ -131,22 +121,6 @@ class MarkovEstimate:
 
     def blade_row(self, blade: int) -> np.ndarray:
         return self.states[blade - 1].estimate[0].copy()
-
-    def markov_blocks(self):
-        """Diagonal (p, 3, 3) block sequences (M_u[j] = C A~^j B, M_y[j] = C A~^j L).
-
-        Index j is the output lag minus one: M_u[0] = CB multiplies the most
-        recent input. Off-diagonal coupling is not modelled (per-blade SISO).
-        """
-        p = self.p
-        rows = self.rows
-        mu = np.zeros((p, N_BLADES, N_BLADES))
-        my = np.zeros((p, N_BLADES, N_BLADES))
-        for i in range(N_BLADES):
-            # Row layout is oldest-lag first: entry m holds C A~^(p-1-m) (.)
-            mu[:, i, i] = rows[i, :p][::-1]
-            my[:, i, i] = rows[i, p:][::-1]
-        return mu, my
 
 
 def identify_step(est: MarkovEstimate, regressors, dy, k: int) -> MarkovEstimate:

@@ -97,7 +97,7 @@ def closed_loop_run(controller, fault, n_rot, sigma_e=0.0, seed=0):
 
 
 def band_power_tail(ys, rotations=10):
-    u_f = build_basis(P, 3).u_f
+    u_f = build_basis(P).u_f
     power = per_rotation_band_power(ys, P, u_f)
     return power[-rotations:].mean(axis=0)
 
@@ -117,7 +117,7 @@ def test_mbc_reduces_1p_band_power_on_healthy_case():
 def test_mbc_pas_fault_degrades_a_healthy_blade():
     fault = FaultScenario(kind="pas", blade_index=3, onset_sample=40 * P, parameter=0.0)
     _, ys = closed_loop_run("mbc", fault, 120)
-    u_f = build_basis(P, 3).u_f
+    u_f = build_basis(P).u_f
     power = per_rotation_band_power(ys, P, u_f)
     pre = power[30:40].mean(axis=0)    # controlled, pre-fault
     post = power[-10:].mean(axis=0)    # long after the fault

@@ -7,27 +7,37 @@ import pytest
 
 from ipcsim.control import (
     ControllerState,
+    ControllerTuning,
     ExcitationGenerator,
+    RepetitiveController,
     UnrestrictedExcitation,
     _bar_matrices,
-    _projected_blocks_from_parts,
-    _toeplitz_parts,
-    assemble_lifted,
     build_basis,
-    generate_excitation,
-    markov_blocks_from_xi,
-    pitch_command,
-    predict_lifted,
     project_output,
-    project_state_space,
+    projected_blocks,
     rotation_commands,
+    shifted_bases,
     synthesize_gain,
     update_theta,
 )
-from ipcsim.numerics import spectral_radius, welch_psd
+from ipcsim.numerics import pinv, spectral_radius, welch_psd
 from ipcsim.metrics import band_energy_ratio
-from ipcsim.plant import DisturbanceModel, FaultScenario, default_plant, markov_oracle, step
+from ipcsim.plant import (
+    DisturbanceModel,
+    FaultScenario,
+    default_plant,
+    markov_oracle,
+    markov_oracle_siso,
+    step,
+)
 from ipcsim.sysid import MarkovEstimate
+from reference import (
+    assemble_lifted,
+    markov_blocks,
+    markov_blocks_from_xi,
+    predict_lifted,
+    project_state_space,
+)
 
 P, WINDOW = 100, 21
 
@@ -37,23 +47,24 @@ P, WINDOW = 100, 21
 # ---------------------------------------------------------------------------
 
 def test_basis_final_row_is_full_turn():
-    basis = build_basis(P, 3)
+    basis = build_basis(P)
     row = basis.u_f[-1]
     assert np.allclose(row, [0.0, 1.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_basis_pseudo_inverse_identity():
-    basis = build_basis(P, 3)
-    assert np.allclose(basis.phi_pinv @ basis.phi, np.eye(12), atol=1e-10)
+    basis = build_basis(P)
+    phi = np.kron(basis.u_f, np.eye(3))
+    assert np.allclose(pinv(phi) @ phi, np.eye(12), atol=1e-10)
 
 
 def test_basis_requires_period_for_2p():
     with pytest.raises(ValueError):
-        build_basis(6, 3)
+        build_basis(6)
 
 
 def test_unit_coefficient_gives_unit_sinusoid():
-    basis = build_basis(P, 3)
+    basis = build_basis(P)
     theta = np.zeros(12)
     theta[0] = 1.0  # 1P sine, blade 1
     u = rotation_commands(basis, theta)
@@ -63,19 +74,20 @@ def test_unit_coefficient_gives_unit_sinusoid():
 
 
 def test_pitch_command_single_2p_cosine_blade2():
-    basis = build_basis(P, 3)
+    basis = build_basis(P)
     theta = np.zeros(12)
     theta[3 * 3 + 1] = 1.0  # harmonic index 3 = 2P cosine, blade 2
+    rows = rotation_commands(basis, theta)
     for k in (0, 7, 50, 99):
-        u = pitch_command(basis, theta, np.zeros(12), k)
+        u = rows[k]
         psi = 2 * np.pi * (k % P + 1) / P
         assert u[1] == pytest.approx(np.cos(2 * psi), abs=1e-12)
         assert u[0] == 0.0 and u[2] == 0.0
 
 
 def test_pitch_command_zero_coefficients():
-    basis = build_basis(P, 3)
-    assert np.all(pitch_command(basis, np.zeros(12), np.zeros(12), 5) == 0.0)
+    basis = build_basis(P)
+    assert np.all(rotation_commands(basis, np.zeros(12))[5] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +95,7 @@ def test_pitch_command_zero_coefficients():
 # ---------------------------------------------------------------------------
 
 def test_project_output_recovers_pure_sine():
-    basis = build_basis(P, 3)
+    basis = build_basis(P)
     psi = 2 * np.pi * np.arange(1, P + 1) / P
     y = np.zeros((P, 3))
     y[:, 0] = 3.0 * np.sin(psi)
@@ -94,22 +106,23 @@ def test_project_output_recovers_pure_sine():
 
 
 def test_project_output_rejects_dc():
-    basis = build_basis(P, 3)
+    basis = build_basis(P)
     y = np.full((P, 3), 17.0)
     assert np.allclose(project_output(y, basis), 0.0, atol=1e-9)
 
 
 def test_project_output_residual_orthogonal_to_basis():
-    basis = build_basis(P, 3)
+    basis = build_basis(P)
     rng = np.random.default_rng(1)
     y = rng.normal(size=P * 3)
     y_bar = project_output(y, basis)
-    residual = y - basis.phi_out @ y_bar
-    assert np.max(np.abs(basis.phi_out.T @ residual)) < 1e-9
+    phi_out = np.kron(basis.u_f, np.eye(3))
+    residual = y - phi_out @ y_bar
+    assert np.max(np.abs(phi_out.T @ residual)) < 1e-9
 
 
 def test_project_output_dimension_check():
-    basis = build_basis(P, 3)
+    basis = build_basis(P)
     with pytest.raises(ValueError):
         project_output(np.zeros(10), basis)
 
@@ -177,7 +190,7 @@ def test_assemble_rejects_nonfinite():
 # ---------------------------------------------------------------------------
 
 def test_projected_shapes_and_zero_model_structure():
-    basis = build_basis(P, 3)
+    basis = build_basis(P)
     lifted = assemble_lifted(zero_estimate(), P, WINDOW)
     a_bar, b_bar = project_state_space(lifted, basis)
     assert a_bar.shape == (36, 36)
@@ -189,24 +202,100 @@ def test_projected_shapes_and_zero_model_structure():
     assert np.allclose(b_bar, expected_b, atol=1e-12)
 
 
-def test_fast_projection_matches_reference_path():
+def oracle_rows():
     plant = default_plant()
-    blocks = markov_blocks_from_xi(markov_oracle(plant, WINDOW), WINDOW)
-    basis = build_basis(P, 3)
-    lifted = assemble_lifted(blocks, P, WINDOW)
-    a_ref, b_ref = project_state_space(lifted, basis)
-    parts = _toeplitz_parts(*blocks, P, WINDOW)
-    t_u, t_y, h_bar = _projected_blocks_from_parts(*parts, blocks[1], basis)
-    a_fast, b_fast = _bar_matrices(t_u, t_y, h_bar, basis)
+    return np.vstack([markov_oracle_siso(plant, WINDOW, b) for b in (1, 2, 3)])
+
+
+def per_blade_model(rows):
+    basis = build_basis(P)
+    return _bar_matrices(*projected_blocks(rows, shifted_bases(basis.u_f, WINDOW), basis))
+
+
+def dense_model(rows):
+    lifted = assemble_lifted(markov_blocks(rows), P, WINDOW)
+    return project_state_space(lifted, build_basis(P))
+
+
+def cross_blade(m):
+    """Mask of the entries of a coefficient-space matrix that couple two blades."""
+    rows, cols = np.indices(m.shape)
+    return rows % 3 != cols % 3
+
+
+def test_fast_projection_matches_reference_path():
+    rows = oracle_rows()
+    a_ref, b_ref = dense_model(rows)
+    a_fast, b_fast = per_blade_model(rows)
     scale = max(1.0, np.abs(a_ref).max())
     assert np.allclose(a_fast, a_ref, atol=1e-9 * scale)
     assert np.allclose(b_fast, b_ref, atol=1e-9 * scale)
 
 
+def perturbed_rows():
+    rows = oracle_rows()
+    rng = np.random.default_rng(21)
+    return rows * (1.0 + 0.05 * rng.normal(size=rows.shape))
+
+
+@pytest.mark.parametrize("make_rows", [oracle_rows, perturbed_rows],
+                         ids=["oracle", "perturbed"])
+def test_per_blade_model_and_gain_match_dense_reference(make_rows):
+    rows = make_rows()
+    a_ref, b_ref = dense_model(rows)
+    a_bar, b_bar = per_blade_model(rows)
+    assert np.linalg.norm(a_bar - a_ref) <= 1e-12 * np.linalg.norm(a_ref)
+    assert np.linalg.norm(b_bar - b_ref) <= 1e-12 * np.linalg.norm(b_ref)
+    q = np.diag([1.0] * 12 + [0.0] * 12 + [1.0] * 12)
+    r = 5e-7 * np.eye(12)
+    gain_ref, _, failed_ref = synthesize_gain(a_ref, b_ref, q, r)
+    gain, _, failed = synthesize_gain(a_bar, b_bar, q, r)
+    assert not failed and not failed_ref
+    assert np.linalg.norm(gain - gain_ref) <= 1e-9 * np.linalg.norm(gain_ref)
+    for m in (a_bar, b_bar, gain):
+        assert np.all(m[cross_blade(m)] == 0.0)
+
+
+def test_shifted_bases_need_window_inside_period():
+    u_f = build_basis(P).u_f
+    for p in (0, P, P + 50):
+        with pytest.raises(ValueError):
+            shifted_bases(u_f, p)
+
+
+def test_nonfinite_projected_model_is_a_counted_dare_failure():
+    # A finite estimate whose output recursion explodes (a huge newest-lag
+    # y coefficient) overflows the projection to inf/nan. The rotation then
+    # counts a DARE failure and keeps the previous gain instead of raising.
+    ctl = RepetitiveController(WINDOW, P, ControllerTuning(warmup_rotations=2), seed=1)
+    rng = np.random.default_rng(0)
+    u = rng.normal(size=(3 * P, 3))
+    y = rng.normal(size=(3 * P, 3))
+    for j in range(3):
+        ctl.finish_rotation(j, u, y)
+    failures, gain = ctl.dare_failures, ctl.state.gain.copy()
+    est = ctl.engine.estimate
+    states = list(est.states)
+    row = states[1].estimate.copy()
+    row[0, -1] = 1e10
+    states[1] = type(states[1])(estimate=row, sqrt_inv_cov=states[1].sqrt_inv_cov,
+                                lam=states[1].lam)
+    ctl.engine.estimate = MarkovEstimate(WINDOW, P, lam=est.lam, states=states)
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = projected_blocks(ctl.engine.estimate.rows, ctl._shifts, ctl.basis)
+        assert not all(np.all(np.isfinite(b)) for b in blocks)
+        # Finishing the same rotation again ingests nothing new, so the
+        # estimate reaches the projection as set above.
+        ctl.finish_rotation(2, u, y)
+    assert ctl.dare_failures == failures + 1
+    assert np.array_equal(ctl.state.gain, gain)
+    assert np.all(np.isfinite(ctl.state.theta))
+
+
 def converged_model_matrices():
     plant = default_plant()
     blocks = markov_blocks_from_xi(markov_oracle(plant, WINDOW), WINDOW)
-    basis = build_basis(P, 3)
+    basis = build_basis(P)
     lifted = assemble_lifted(blocks, P, WINDOW)
     return project_state_space(lifted, basis)
 
@@ -225,7 +314,7 @@ def test_gain_fallback_on_degenerate_zero_model():
     # The zero-model pair has an uncontrollable eigenvalue exactly at 1, so
     # no stabilizing solution exists; the synthesizer keeps the previous
     # (zero) gain and reports the failure. Closed loop stays marginal.
-    basis = build_basis(P, 3)
+    basis = build_basis(P)
     lifted = assemble_lifted(zero_estimate(), P, WINDOW)
     a_bar, b_bar = project_state_space(lifted, basis)
     gain, sol, failed = synthesize_gain(a_bar, b_bar, np.eye(36), np.eye(12),
@@ -295,7 +384,7 @@ def test_controller_state_validation():
 def test_excitation_amplitude_cap():
     gen = ExcitationGenerator(12, amplitude=0.1, seed=5)
     for j in range(500):
-        assert np.all(np.abs(generate_excitation(gen, j)) <= 0.1 + 1e-15)
+        assert np.all(np.abs(gen.sample(j)) <= 0.1 + 1e-15)
 
 
 def test_excitation_streams_uncorrelated():
@@ -313,12 +402,18 @@ def test_excitation_deterministic_per_seed():
         assert np.array_equal(a.sample(j), b.sample(j))
     c = ExcitationGenerator(12, amplitude=0.1, seed=10)
     assert not np.array_equal(a.sample(0), c.sample(0))
+    # Drawing rotation by rotation and jumping straight ahead agree bitwise.
+    seq = ExcitationGenerator(12, amplitude=0.1, seed=9)
+    drawn = [seq.sample(j) for j in range(2000)]
+    jump = ExcitationGenerator(12, amplitude=0.1, seed=9)
+    assert np.array_equal(jump.sample(1999), drawn[-1])
+    assert all(np.array_equal(jump.sample(j), drawn[j]) for j in range(2000))
 
 
 def test_restricted_command_spectrum_concentrates_at_1p_2p():
     # Fixed theta + slowly varying excitation: commanded pitch energy sits
     # in narrow bands around 1P and 2P.
-    basis = build_basis(P, 3)
+    basis = build_basis(P)
     gen = ExcitationGenerator(12, amplitude=0.1, seed=2)
     theta = np.zeros(12)
     theta[0], theta[7] = 0.5, 0.3
@@ -347,7 +442,7 @@ def test_output_projection_scale_equivariance():
     # Scaling all outputs by c > 0 scales the projected coefficients by c
     # exactly (projection linearity), leaving the feedback law's argmin
     # structure intact for fixed Q.
-    basis = build_basis(P, 3)
+    basis = build_basis(P)
     rng = np.random.default_rng(4)
     y = rng.normal(size=P * 3)
     for c in (2.0, 0.25, 1e3):

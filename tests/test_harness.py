@@ -46,6 +46,12 @@ def test_config_validation_errors():
         short_cfg(fault_kind="pad", fault_parameter=0.0)
     with pytest.raises(ConfigError):
         LoadCaseConfig.from_dict({"id": "x", "controller": "cpc"})  # seed missing
+    for seed in (-1, 1.5, "7", True):
+        with pytest.raises(ConfigError):
+            short_cfg(seed=seed)
+    for window in (0, -3, 100, 150, 21.0):  # 1 <= p < P = 100 samples per rotation
+        with pytest.raises(ConfigError):
+            short_cfg(predictor_window=window)
 
 
 def test_config_json_round_trip(tmp_path):

