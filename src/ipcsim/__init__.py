@@ -39,7 +39,6 @@ from .numerics import (
     PsdEstimate,
     RlsState,
     pinv,
-    rls_update,
     solve_dare,
     welch_psd,
 )
@@ -52,13 +51,7 @@ from .plant import (
     build_plant,
     default_plant,
     markov_oracle,
-    step,
 )
-from .sysid import (
-    IdentificationEngine,
-    MarkovEstimate,
-    PeriodicBuffer,
-    identify_step,
-)
+from .sysid import IdentificationEngine
 
 __version__ = "0.1.0"

@@ -7,9 +7,11 @@ rotation's inputs and the current rotation's), the p-tap output recursion
 is run on the 12 resulting columns, and the result is projected with
 pinv(u_f). That gives each blade's 4 x 4 blocks T_u, T_y and H_bar of the
 one-rotation predictor in coefficient space, without forming the lifted
-P x P response matrices. The blocks are scattered into the 36-state
-rotation-level pair (A_bar, B_bar) and closed with a state-feedback gain
-from the Riccati recursion. The per-rotation coefficient update is
+P x P response matrices. Each blade's blocks make its own 12-state
+rotation-level pair (A_bar, B_bar) on [Ybar; dtheta; dYbar], and the three
+pairs are closed together by one stacked Riccati recursion with a (4 x 12)
+state-feedback gain per blade. The per-rotation coefficient update is, per
+blade,
 
     theta[j+1] = alpha * theta[j] - beta * K_f [Ybar[j]; dtheta[j]; dYbar[j]]
 
@@ -19,7 +21,8 @@ pitch only ever carries 1P and 2P content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,6 +36,7 @@ __all__ = [
     "project_output",
     "shifted_bases",
     "projected_blocks",
+    "bar_matrices",
     "synthesize_gain",
     "ControllerState",
     "update_theta",
@@ -43,7 +47,8 @@ __all__ = [
 ]
 
 N_BLADES = 3
-N_COEFF = 4 * N_BLADES
+N_HARM = 4  # 1P sin, 1P cos, 2P sin, 2P cos
+N_COEFF = N_HARM * N_BLADES
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +81,7 @@ def build_basis(period: int) -> BasisProjection:
 
 def rotation_commands(basis: BasisProjection, coeffs: np.ndarray) -> np.ndarray:
     """(P, 3) command block for one rotation from basis-space coefficients."""
-    return basis.u_f @ np.asarray(coeffs, dtype=float).reshape(4, N_BLADES)
+    return basis.u_f @ np.asarray(coeffs, dtype=float).reshape(N_HARM, N_BLADES)
 
 
 def project_output(y_period: np.ndarray, basis: BasisProjection) -> np.ndarray:
@@ -136,33 +141,24 @@ def projected_blocks(rows: np.ndarray, shifts, basis: BasisProjection):
         d = min(s, p)
         x[s] += (taps[:, :, p - d:] @ x[s - d:s].transpose(1, 0, 2))[:, 0]
     proj = basis.u_f_pinv @ x.reshape(basis.period, -1)
-    proj = proj.reshape(4, N_BLADES, 12).transpose(1, 0, 2)
+    proj = proj.reshape(N_HARM, N_BLADES, 3 * N_HARM).transpose(1, 0, 2)
     return proj[..., :4], proj[..., 4:8], proj[..., 8:]
 
 
-def _blade_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """(3, 4, 4) per-blade blocks as one harmonic-major (12, 12) matrix."""
-    out = np.zeros((4, N_BLADES, 4, N_BLADES))
-    blade = np.arange(N_BLADES)
-    out[:, blade, :, blade] = blocks
-    return out.reshape(N_COEFF, N_COEFF)
+def bar_matrices(t_u, t_y, h_bar):
+    """Per-blade rotation-level pairs (A_bar, B_bar) on [Ybar; dtheta; dYbar].
 
-
-def _bar_matrices(t_u, t_y, h_bar):
-    """Rotation-level pair (A_bar, B_bar) on [Ybar; dtheta; dYbar].
-
-    A_bar is 36 x 36; its middle block row is zero and B_bar's middle block
-    is the identity. Cross-blade entries are exactly zero.
+    From (..., 4, 4) blocks: A_bar is (..., 12, 12) with a zero middle block
+    row, and B_bar is (..., 12, 4) with the identity as its middle block.
     """
-    t_u, t_y, h_bar = (_blade_diagonal(m) for m in (t_u, t_y, h_bar))
-    n = N_COEFF
-    a_bar = np.zeros((3 * n, 3 * n))
-    a_bar[:n, :n] = np.eye(n)
-    a_bar[:n, n:2 * n] = t_u
-    a_bar[:n, 2 * n:] = t_y
-    a_bar[2 * n:, n:2 * n] = t_u
-    a_bar[2 * n:, 2 * n:] = t_y
-    b_bar = np.vstack([h_bar, np.eye(n), h_bar])
+    n = N_HARM
+    a_bar = np.zeros(t_u.shape[:-2] + (3 * n, 3 * n))
+    a_bar[..., :n, :n] = np.eye(n)
+    a_bar[..., :n, n:2 * n] = t_u
+    a_bar[..., :n, 2 * n:] = t_y
+    a_bar[..., 2 * n:, n:2 * n] = t_u
+    a_bar[..., 2 * n:, 2 * n:] = t_y
+    b_bar = np.concatenate([h_bar, np.broadcast_to(np.eye(n), h_bar.shape), h_bar], axis=-2)
     return a_bar, b_bar
 
 
@@ -172,16 +168,17 @@ def synthesize_gain(a_bar: np.ndarray, b_bar: np.ndarray, q: np.ndarray, r: np.n
                     tol: float = 1e-9, max_iter: int = 500):
     """State-feedback gain via the Riccati recursion.
 
-    Returns (gain, solution, failed). On non-convergence the previous gain
-    is retained (zero if none yet) and failed is True; the caller counts
-    failures and keeps running.
+    Accepts one pair or a stack of pairs (see solve_dare). Returns (gain,
+    solution, failed). On non-convergence the previous gain is retained
+    (zero if none yet) and failed is True; the caller counts failures and
+    keeps running.
     """
     try:
         sol = solve_dare(a_bar, b_bar, q, r, tol=tol, max_iter=max_iter, p0=p_warm)
         return sol.gain, sol, False
     except DareNonConvergence:
         if previous_gain is None:
-            previous_gain = np.zeros((b_bar.shape[1], a_bar.shape[0]))
+            previous_gain = np.zeros(b_bar.mT.shape)
         return previous_gain, None, True
 
 
@@ -221,15 +218,20 @@ def update_theta(cs: ControllerState, y_bar: np.ndarray, delta_theta: np.ndarray
                  delta_y_bar: np.ndarray) -> ControllerState:
     """theta[j+1] = alpha theta[j] - beta K_f [Ybar; dtheta; dYbar], clamped.
 
-    Called once per rotation. The infinity-norm clamp stands in for real
-    actuator limits; clamping is silent apart from the counted event.
+    Called once per rotation. Coefficient vectors are (4 harmonic x 3 blade)
+    arrays flattened in C order (harmonic-major); blade b's gain
+    cs.gain[b] (4 x 12) acts on [Ybar[:, b]; dtheta[:, b]; dYbar[:, b]].
+    The infinity-norm clamp stands in for real actuator limits; clamping is
+    silent apart from the counted event.
     """
-    state_vec = np.concatenate([
-        np.asarray(y_bar, dtype=float).reshape(-1),
-        np.asarray(delta_theta, dtype=float).reshape(-1),
-        np.asarray(delta_y_bar, dtype=float).reshape(-1),
-    ])
-    feedback = 0.0 if cs.gain is None else cs.gain @ state_vec
+    feedback = 0.0
+    if cs.gain is not None:
+        # Column b of `blade_states` is blade b's 12-state vector.
+        blade_states = np.concatenate([
+            np.asarray(v, dtype=float).reshape(N_HARM, N_BLADES)
+            for v in (y_bar, delta_theta, delta_y_bar)
+        ])
+        feedback = (cs.gain @ blade_states.T[:, :, None])[:, :, 0].T.reshape(-1)
     theta_next = cs.alpha * cs.theta - cs.beta * feedback
     clamped = np.clip(theta_next, -cs.theta_cap, cs.theta_cap)
     events = cs.clamp_events + int(np.any(clamped != theta_next))
@@ -336,9 +338,14 @@ class UnrestrictedExcitation:
 # Orchestrating controller
 # ---------------------------------------------------------------------------
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class ControllerTuning:
-    """Shipped defaults; overridable per load case."""
+    """Shipped defaults; overridable per load case. Every field is checked
+    at construction (finite, in range, an int where one is meant)."""
 
     alpha: float = 1.0
     beta: float = 0.3
@@ -353,6 +360,35 @@ class ControllerTuning:
     forgetting: float = 0.99999
     dare_tol: float = 1e-9
     dare_max_iter: int = 500
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                    or not np.isfinite(value)):
+                raise ValueError(f"tuning.{f.name} must be a finite number, got {value!r}")
+        for name in ("warmup_rotations", "dare_max_iter"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"tuning.{name} must be an integer, got {getattr(self, name)!r}")
+        rules = (
+            ("alpha", 0.0 <= self.alpha <= 1.0, "lie in [0, 1]"),
+            ("beta", 0.0 <= self.beta <= 1.0, "lie in [0, 1]"),
+            ("q_y", self.q_y >= 0.0, "be >= 0"),
+            ("q_dtheta", self.q_dtheta >= 0.0, "be >= 0"),
+            ("q_dy", self.q_dy >= 0.0, "be >= 0"),
+            ("r_scale", self.r_scale > 0.0, "be > 0"),
+            ("excitation_amplitude", self.excitation_amplitude >= 0.0, "be >= 0"),
+            ("excitation_filter_pole", 0.0 <= self.excitation_filter_pole < 1.0,
+             "lie in [0, 1)"),
+            ("warmup_rotations", self.warmup_rotations >= 0, "be >= 0"),
+            ("theta_cap_deg", self.theta_cap_deg > 0.0, "be > 0"),
+            ("forgetting", 0.9 < self.forgetting <= 1.0, "lie in (0.9, 1]"),
+            ("dare_tol", self.dare_tol > 0.0, "be > 0"),
+            ("dare_max_iter", self.dare_max_iter >= 1, "be >= 1"),
+        )
+        for name, ok, rule in rules:
+            if not ok:
+                raise ValueError(f"tuning.{name} must {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -392,10 +428,9 @@ class RepetitiveController:
             N_COEFF, alpha=tuning.alpha, beta=tuning.beta,
             theta_cap=tuning.theta_cap_deg,
         )
-        self.q = np.diag(
-            [tuning.q_y] * N_COEFF + [tuning.q_dtheta] * N_COEFF + [tuning.q_dy] * N_COEFF
-        )
-        self.r = tuning.r_scale * np.eye(N_COEFF)
+        q = np.diag([tuning.q_y] * N_HARM + [tuning.q_dtheta] * N_HARM + [tuning.q_dy] * N_HARM)
+        self.q = np.broadcast_to(q, (N_BLADES,) + q.shape)
+        self.r = np.broadcast_to(tuning.r_scale * np.eye(N_HARM), (N_BLADES, N_HARM, N_HARM))
         self._y_bar_prev = np.zeros(N_COEFF)
         self._have_prev = False
         self._p_warm = None
@@ -425,8 +460,8 @@ class RepetitiveController:
         delta_y_bar = y_bar - self._y_bar_prev if self._have_prev else np.zeros_like(y_bar)
 
         if j + 1 > self.tuning.warmup_rotations:
-            blocks = projected_blocks(self.engine.estimate.rows, self._shifts, self.basis)
-            a_bar, b_bar = _bar_matrices(*blocks)
+            blocks = projected_blocks(self.engine.rows, self._shifts, self.basis)
+            a_bar, b_bar = bar_matrices(*blocks)
             gain, sol, failed = synthesize_gain(
                 a_bar, b_bar, self.q, self.r,
                 previous_gain=self.state.gain, p_warm=self._p_warm,

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .baselines import MbcIpcState, cpc_baseline, mbc_ipc_step
-from .control import ControllerTuning, RepetitiveController, UnrestrictedExcitation
+from .control import ControllerTuning, RepetitiveController, UnrestrictedExcitation, _is_int
 from .metrics import (
     DEFAULT_RATE_LIMIT_DEG_S,
     WindowSpec,
@@ -59,10 +59,6 @@ BANDS_1P_2P = [[0.9 * ONE_P_HZ, 1.1 * ONE_P_HZ], [1.8 * ONE_P_HZ, 2.2 * ONE_P_HZ
 
 class ConfigError(ValueError):
     """Invalid load-case or campaign configuration."""
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -110,10 +106,17 @@ class LoadCaseConfig:
         # Validate the nested sub-configurations eagerly so campaign setup fails fast.
         try:
             plant = build_plant(**self.plant)
-            self.make_fault(plant.period_samples, plant.dt)
+            self.make_fault(plant.dt)
+            self.make_disturbance(0)
             ControllerTuning(**self.tuning)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
+        amplitude = self.uftipc_amplitude_deg
+        if not (np.isfinite(amplitude) and amplitude >= 0.0):
+            raise ConfigError(f"uftipc_amplitude_deg must be finite and >= 0, got {amplitude!r}")
+        if not all(np.isfinite(v) and v > 0.0
+                   for v in (self.uftipc_cutoff_hz, self.uftipc_bit_time_s)):
+            raise ConfigError("uftipc_cutoff_hz and uftipc_bit_time_s must be finite and > 0")
         n = round(self.duration_s / plant.dt)
         if abs(n * plant.dt - self.duration_s) > 1e-9 or n % plant.period_samples != 0:
             raise ConfigError("duration must be a whole number of rotor periods")
@@ -138,7 +141,7 @@ class LoadCaseConfig:
             period_jitter=self.period_jitter,
         )
 
-    def make_fault(self, period: int, dt: float = 0.01) -> FaultScenario:
+    def make_fault(self, dt: float) -> FaultScenario:
         return FaultScenario(
             kind=self.fault_kind,
             blade_index=self.fault_blade,
@@ -251,7 +254,7 @@ def run_load_case(cfg: LoadCaseConfig) -> RunResult:
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     dist = cfg.make_disturbance(seeds[0])
-    fault = cfg.make_fault(period, dt)
+    fault = cfg.make_fault(dt)
     tuning = cfg.make_tuning()
 
     u_cmd = np.empty((n, 3))

@@ -2,7 +2,9 @@
 
 Square-root (QR) recursive least squares with exponential forgetting,
 Moore-Penrose pseudo-inverse, a discrete algebraic Riccati solver based on
-the Riccati difference recursion, and Welch spectral estimation.
+the Riccati difference recursion, and Welch spectral estimation. The RLS
+fold and the Riccati solver accept stacks of independent problems along
+leading axes.
 
 All functions are pure or return fresh state; nothing here holds shared
 mutable state.
@@ -16,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "RlsState",
-    "rls_update",
     "rls_update_batch",
     "pinv",
     "DareSolution",
@@ -43,9 +44,12 @@ class RlsState:
     right-hand side accumulator is not stored: it is always recoverable as
     Z = R @ estimate.T.
 
+    Leading axes, if any, stack independent recursions that share lam (one
+    per blade in the identification engine); they are folded together.
+
     Attributes:
-        estimate: (n_out, n_reg) current weighted least-squares solution.
-        sqrt_inv_cov: (n_reg, n_reg) upper-triangular information square root.
+        estimate: (..., n_out, n_reg) current weighted least-squares solution.
+        sqrt_inv_cov: (..., n_reg, n_reg) upper-triangular information square root.
         lam: forgetting factor. Values at or below 0.9 are rejected; the
             recursion is meant for near-unity forgetting.
     """
@@ -66,86 +70,64 @@ class RlsState:
 
     @property
     def n_reg(self) -> int:
-        return self.sqrt_inv_cov.shape[0]
+        return self.sqrt_inv_cov.shape[-1]
 
     @property
     def n_out(self) -> int:
-        return self.estimate.shape[0]
+        return self.estimate.shape[-2]
 
     @staticmethod
-    def fresh(n_out: int, n_reg: int, lam: float, init_info: float = 1e-3) -> "RlsState":
-        """Zero estimate with information matrix init_info * I."""
+    def fresh(n_out: int, n_reg: int, lam: float, init_info: float = 1e-3,
+              stack: tuple = ()) -> "RlsState":
+        """Zero estimate with information matrix init_info * I, for each of
+        the independent recursions indexed by `stack`."""
         if init_info <= 0.0:
             raise ValueError("init_info must be positive")
+        eye = np.broadcast_to(np.eye(n_reg), stack + (n_reg, n_reg))
         return RlsState(
-            estimate=np.zeros((n_out, n_reg)),
-            sqrt_inv_cov=np.sqrt(init_info) * np.eye(n_reg),
+            estimate=np.zeros(stack + (n_out, n_reg)),
+            sqrt_inv_cov=np.sqrt(init_info) * eye,
             lam=float(lam),
         )
 
 
 def _rls_qr_step(state: RlsState, rows: np.ndarray, targets: np.ndarray,
                  weights: np.ndarray, prior_scale: float):
-    """Fold weighted rows into the triangular factor via one QR."""
+    """Fold weighted rows into the triangular factors via one (stacked) QR."""
     n_reg, n_out = state.n_reg, state.n_out
-    z = state.sqrt_inv_cov @ state.estimate.T
-    stacked = np.empty((n_reg + rows.shape[0], n_reg + n_out))
-    stacked[:n_reg, :n_reg] = prior_scale * state.sqrt_inv_cov
-    stacked[:n_reg, n_reg:] = prior_scale * z
-    stacked[n_reg:, :n_reg] = weights[:, None] * rows
-    stacked[n_reg:, n_reg:] = weights[:, None] * targets
+    z = state.sqrt_inv_cov @ state.estimate.mT
+    stacked = np.empty(rows.shape[:-2] + (n_reg + rows.shape[-2], n_reg + n_out))
+    stacked[..., :n_reg, :n_reg] = prior_scale * state.sqrt_inv_cov
+    stacked[..., :n_reg, n_reg:] = prior_scale * z
+    stacked[..., n_reg:, :n_reg] = weights[:, None] * rows
+    stacked[..., n_reg:, n_reg:] = weights[:, None] * targets
     r_aug = np.linalg.qr(stacked, mode="r")
-    r_new = np.ascontiguousarray(r_aug[:n_reg, :n_reg])
-    z_new = r_aug[:n_reg, n_reg:]
-    estimate = np.linalg.solve(r_new, z_new).T
+    r_new = np.ascontiguousarray(r_aug[..., :n_reg, :n_reg])
+    z_new = r_aug[..., :n_reg, n_reg:]
+    estimate = np.linalg.solve(r_new, z_new).mT
     return RlsState(estimate=estimate, sqrt_inv_cov=r_new, lam=state.lam)
-
-
-def rls_update(state: RlsState, regressor: np.ndarray, target: np.ndarray):
-    """One recursive least-squares step.
-
-    Returns the updated state together with its estimate. The estimate is
-    the exact exponentially weighted least-squares solution over all data
-    seen so far (including the init_info ridge decayed by lam^k); the
-    covariance matrix is never formed.
-    """
-    regressor = np.asarray(regressor, dtype=float).reshape(-1)
-    target = np.asarray(target, dtype=float).reshape(-1)
-    if regressor.shape[0] != state.n_reg:
-        raise ValueError(
-            f"regressor length {regressor.shape[0]} does not match n_reg {state.n_reg}"
-        )
-    if target.shape[0] != state.n_out:
-        raise ValueError(
-            f"target length {target.shape[0]} does not match n_out {state.n_out}"
-        )
-    if not np.all(np.isfinite(regressor)):
-        raise ValueError("regressor contains non-finite entries")
-    if not np.all(np.isfinite(target)):
-        raise ValueError("target contains non-finite entries")
-    new_state = _rls_qr_step(
-        state,
-        regressor[None, :],
-        target[None, :],
-        weights=np.ones(1),
-        prior_scale=np.sqrt(state.lam),
-    )
-    return new_state, new_state.estimate
 
 
 def rls_update_batch(state: RlsState, regressors: np.ndarray, targets: np.ndarray) -> RlsState:
     """Fold a block of consecutive samples in one QR.
 
-    Algebraically identical to calling rls_update row by row (QR stacking is
-    associative); used where per-sample calls would dominate the runtime.
-    Rows are ordered oldest first.
+    regressors (..., m, n_reg) and targets (..., m, n_out) carry the state's
+    leading axes; rows are ordered oldest first. The result is the exact
+    exponentially weighted least-squares solution over all data seen so far
+    (including the init_info ridge decayed by lam^k); folding the rows one
+    at a time or in any split gives the same solution (QR stacking is
+    associative), and the covariance matrix is never formed.
     """
-    regressors = np.atleast_2d(np.asarray(regressors, dtype=float))
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    m = regressors.shape[0]
-    if targets.shape[0] != m:
+    regressors = np.asarray(regressors, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    stack = state.sqrt_inv_cov.shape[:-2]
+    if regressors.ndim != len(stack) + 2 or targets.ndim != len(stack) + 2:
+        raise ValueError(f"regressors and targets need shape {stack} + (rows, columns)")
+    m = regressors.shape[-2]
+    if targets.shape[-2] != m:
         raise ValueError("regressors and targets disagree on the number of rows")
-    if regressors.shape[1] != state.n_reg or targets.shape[1] != state.n_out:
+    if (regressors.shape[:-2] != stack or targets.shape[:-2] != stack
+            or regressors.shape[-1] != state.n_reg or targets.shape[-1] != state.n_out):
         raise ValueError("batch dimensions do not match the RLS state")
     if m == 0:
         return state
@@ -215,10 +197,10 @@ class DareNonConvergence(RuntimeError):
 
 
 def _dare_rhs(a, b, q, r, p):
-    bpb = r + b.T @ p @ b
-    bpa = b.T @ p @ a
+    bpb = r + b.mT @ p @ b
+    bpa = b.mT @ p @ a
     gain = np.linalg.solve(bpb, bpa)
-    return q + a.T @ p @ a - a.T @ p @ b @ gain, gain
+    return q + a.mT @ p @ a - a.mT @ p @ b @ gain, gain
 
 
 def solve_dare(a, b, q, r, tol: float = 1e-9, max_iter: int = 500,
@@ -231,6 +213,11 @@ def solve_dare(a, b, q, r, tol: float = 1e-9, max_iter: int = 500,
     K = (R + B'PB)^-1 B'PA. Raises DareNonConvergence if the tolerance is
     not met within max_iter, which happens in particular when (A, B) is not
     stabilizable.
+
+    Inputs may stack independent problems along leading axes, (..., n, n)
+    etc. They iterate together under one Frobenius residual taken over the
+    whole stack, which is the residual of the block-diagonal system they
+    form; so the stack converges or fails as that one system would.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -240,9 +227,9 @@ def solve_dare(a, b, q, r, tol: float = 1e-9, max_iter: int = 500,
     residual = np.inf
     for it in range(1, max_iter + 1):
         p_next, gain = _dare_rhs(a, b, q, r, p)
-        p_next = 0.5 * (p_next + p_next.T)
-        denom = max(np.linalg.norm(p_next, "fro"), 1e-300)
-        residual = np.linalg.norm(p_next - p, "fro") / denom
+        p_next = 0.5 * (p_next + p_next.mT)
+        denom = max(np.linalg.norm(p_next), 1e-300)
+        residual = np.linalg.norm(p_next - p) / denom
         p = p_next
         if residual <= tol:
             # Recompute the gain at the fixed point itself.

@@ -16,6 +16,7 @@ abstract blade-load units; pitching up unloads the blade (negative DC gain).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,6 @@ __all__ = [
     "default_plant",
     "apply_actuator_fault",
     "apply_blade_fault",
-    "step",
     "markov_oracle",
     "markov_oracle_siso",
 ]
@@ -110,7 +110,7 @@ class DisturbanceModel:
     analogue with doubled blade offset (a rotating load pattern sampled at
     the three blades). The periodic table is computed once and indexed
     modulo P, so d[k] == d[k-P] holds bit-exactly. Innovations are drawn
-    sequentially from a generator seeded at construction.
+    sequentially from a generator spawned from `seed` at the first draw.
     """
 
     amp_1p: np.ndarray = field(default_factory=lambda: np.full(N_BLADES, 500.0))
@@ -124,21 +124,30 @@ class DisturbanceModel:
     def __post_init__(self):
         for name in ("amp_1p", "phase_1p", "amp_2p", "phase_2p"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float).reshape(N_BLADES))
+        arrays = (self.amp_1p, self.phase_1p, self.amp_2p, self.phase_2p)
+        if not (all(np.all(np.isfinite(v)) for v in arrays) and np.isfinite(self.sigma_e)):
+            raise ValueError("disturbance amplitudes, phases and sigma_e must be finite")
         if self.sigma_e < 0.0:
             raise ValueError("sigma_e must be non-negative")
         if not (0.0 <= self.period_jitter < 0.5):
             raise ValueError("period_jitter must lie in [0, 0.5)")
         self._table = None
         self._table_period = None
-        base = (self.seed if isinstance(self.seed, np.random.SeedSequence)
-                else np.random.SeedSequence(self.seed))
-        innov_seq, jitter_seq = base.spawn(2)
-        self._rng = np.random.default_rng(innov_seq)
-        self._jitter_rng = np.random.default_rng(jitter_seq)
         self._next_k = 0
         self._phase = 0.0
         self._phase_next_k = 0
         self._rate_scale = 1.0
+
+    @cached_property
+    def _generators(self):
+        """(innovation, jitter) generators, both spawned at the first draw.
+
+        Not at construction: numpy.random loads on first use (about 6 MB and
+        15 ms), and load-case validation builds a model for every case.
+        """
+        base = (self.seed if isinstance(self.seed, np.random.SeedSequence)
+                else np.random.SeedSequence(self.seed))
+        return tuple(np.random.default_rng(s) for s in base.spawn(2))
 
     def periodic_table(self, period: int) -> np.ndarray:
         """(P, 3) table of the deterministic component over one rotation."""
@@ -168,7 +177,7 @@ class DisturbanceModel:
         phases = np.empty(n)
         for t in range(n):
             if (k + t) % period == 0:
-                wobble = self._jitter_rng.uniform(-1.0, 1.0)
+                wobble = self._generators[1].uniform(-1.0, 1.0)
                 self._rate_scale = 1.0 + self.period_jitter * wobble
             phases[t] = self._phase
             self._phase += 2.0 * np.pi * self._rate_scale / period
@@ -187,7 +196,7 @@ class DisturbanceModel:
         self._next_k += n
         if self.sigma_e == 0.0:
             return np.zeros((n, N_BLADES))
-        return self._rng.normal(0.0, self.sigma_e, size=(n, N_BLADES))
+        return self._generators[0].normal(0.0, self.sigma_e, size=(n, N_BLADES))
 
 
 # ---------------------------------------------------------------------------
@@ -367,19 +376,6 @@ def _maybe_switch_blade_fault(plant: SurrogatePlant, fault: FaultScenario, k: in
         plant.a, plant.c, plant.l_obs = faulted.a, faulted.c, faulted.l_obs
         plant.dist_gain = faulted.dist_gain
         plant.nat_freq_hz = faulted.nat_freq_hz
-
-
-def step(plant: SurrogatePlant, u_cmd: np.ndarray, disturbance: DisturbanceModel,
-         fault: FaultScenario, k: int) -> np.ndarray:
-    """One sample of the closed plant: fault map, state update, output.
-
-    k must increment by one per call (the innovation stream is sequential).
-    """
-    _maybe_switch_blade_fault(plant, fault, k)
-    u_eff = apply_actuator_fault(np.asarray(u_cmd, dtype=float).reshape(N_BLADES), fault, k)
-    d = disturbance.periodic_block(k, 1, plant.period_samples)
-    e = disturbance.innovation_block(k, 1)
-    return plant.advance_block(u_eff[None, :], d, e)[0]
 
 
 # ---------------------------------------------------------------------------

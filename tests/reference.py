@@ -1,11 +1,19 @@
-"""Dense MIMO reference for the controller's model projection (test oracle).
+"""Reference implementations kept as test oracles.
 
-This is the lifted one-rotation predictor built as full P x P block
-matrices over all three blades, and its projection onto the Kronecker
-basis phi = u_f (x) I_3. The package projects per blade instead
-(`ipcsim.control.projected_blocks`); this path stays as the oracle for the
-predictor-fidelity criterion, whose true plant has cross-blade input
-coupling, and for the per-blade equivalence tests.
+Per-sample twins of the package's batched paths: a ring buffer serving
+rotor-period differences and per-blade regressors, one-sample RLS and
+identification steps, and a one-sample plant step. The package folds a
+whole rotation at once (`IdentificationEngine.ingest`,
+`SurrogatePlant.advance_block`); these stay the oracles for the
+equivalence tests and the acceptance criteria.
+
+The dense MIMO reference for the controller's model projection: the lifted
+one-rotation predictor built as full P x P block matrices over all three
+blades, and its projection onto the Kronecker basis phi = u_f (x) I_3. The
+package projects per blade instead (`ipcsim.control.projected_blocks`);
+this path stays as the oracle for the predictor-fidelity criterion, whose
+true plant has cross-blade input coupling, and for the per-blade
+equivalence tests.
 """
 
 from __future__ import annotations
@@ -15,10 +23,125 @@ from dataclasses import dataclass
 import numpy as np
 
 from ipcsim.control import BasisProjection
-from ipcsim.numerics import pinv
-from ipcsim.sysid import MarkovEstimate
+from ipcsim.numerics import RlsState, pinv, rls_update_batch
+from ipcsim.plant import _maybe_switch_blade_fault, apply_actuator_fault
 
 N_BLADES = 3
+
+_CHANNELS = {"u1": ("u", 0), "u2": ("u", 1), "u3": ("u", 2),
+             "y1": ("y", 0), "y2": ("y", 1), "y3": ("y", 2)}
+
+
+# ---------------------------------------------------------------------------
+# Per-sample twins
+# ---------------------------------------------------------------------------
+
+class PeriodicBuffer:
+    """Ring storage of the last P + p samples of (u, y), addressed by the
+    absolute sample index, serving rotor-period differences and regressors."""
+
+    def __init__(self, period: int, window: int):
+        if period < 1 or window < 1:
+            raise ValueError("period and window must be positive")
+        self.period = period
+        self.window = window
+        # One slot beyond P + p: the target sample k is pushed before the
+        # window ending at k-1 (reaching back to k - P - p) is served.
+        self.capacity = period + window + 1
+        self._u = np.zeros((self.capacity, N_BLADES))
+        self._y = np.zeros((self.capacity, N_BLADES))
+        self._count = 0  # total samples pushed; sample k lives at k % capacity
+
+    def push(self, u, y) -> int:
+        """Append one sample; returns its absolute index."""
+        k = self._count
+        slot = k % self.capacity
+        self._u[slot] = u
+        self._y[slot] = y
+        self._count += 1
+        return k
+
+    def _fetch(self, kind: str, blade0: int, k: int) -> float:
+        if k < 0 or k >= self._count or k < self._count - self.capacity:
+            raise ValueError(
+                f"sample {k} not buffered (held range "
+                f"[{max(0, self._count - self.capacity)}, {self._count - 1}])"
+            )
+        arr = self._u if kind == "u" else self._y
+        return arr[k % self.capacity, blade0]
+
+    def delta(self, channel: str, k: int) -> float:
+        """s[k] - s[k-P] for the named channel ('u1'..'u3', 'y1'..'y3')."""
+        if channel not in _CHANNELS:
+            raise ValueError(f"unknown channel {channel!r}")
+        if k < self.period:
+            raise ValueError(
+                f"periodic difference needs k >= {self.period} (one full rotation of warm-up)"
+            )
+        kind, blade0 = _CHANNELS[channel]
+        return self._fetch(kind, blade0, k) - self._fetch(kind, blade0, k - self.period)
+
+    def regressor(self, blade: int, k: int) -> np.ndarray:
+        """[du_i over (k-p, k] | dy_i over (k-p, k]], oldest first (length 2p)."""
+        if blade not in (1, 2, 3):
+            raise ValueError("blade must be 1, 2 or 3")
+        p = self.window
+        if k - p + 1 < self.period:
+            raise ValueError(
+                f"regressor at k={k} needs history back to sample {k - p + 1 - self.period}; "
+                f"first valid k is {self.period + p - 1}"
+            )
+        u_chan, y_chan = f"u{blade}", f"y{blade}"
+        out = np.empty(2 * p)
+        for s in range(p):
+            out[s] = self.delta(u_chan, k - p + 1 + s)
+            out[p + s] = self.delta(y_chan, k - p + 1 + s)
+        return out
+
+
+def rls_update(state: RlsState, regressor, target):
+    """One recursive least-squares step, as a one-row rls_update_batch.
+
+    Returns the updated state together with its estimate.
+    """
+    new_state = rls_update_batch(state, np.reshape(regressor, (1, -1)),
+                                 np.reshape(target, (1, -1)))
+    return new_state, new_state.estimate
+
+
+def identify_step(state: RlsState, regressors, dy) -> RlsState:
+    """One identification step on a blade-stacked RLS state (as held by
+    IdentificationEngine): one separate rls_update per blade.
+
+    regressors: three 2p-vectors (windows ending at k-1); dy: the three
+    periodic output differences at sample k.
+    """
+    dy = np.asarray(dy, dtype=float).reshape(N_BLADES)
+    blades = [
+        rls_update(RlsState(state.estimate[i], state.sqrt_inv_cov[i], state.lam),
+                   regressors[i], dy[i: i + 1])[0]
+        for i in range(N_BLADES)
+    ]
+    return RlsState(estimate=np.stack([b.estimate for b in blades]),
+                    sqrt_inv_cov=np.stack([b.sqrt_inv_cov for b in blades]),
+                    lam=state.lam)
+
+
+def step(plant, u_cmd, disturbance, fault, k: int) -> np.ndarray:
+    """One sample of the closed plant: fault map, state update, output.
+
+    k must increment by one per call (the innovation stream is sequential).
+    """
+    _maybe_switch_blade_fault(plant, fault, k)
+    u_eff = apply_actuator_fault(np.asarray(u_cmd, dtype=float).reshape(N_BLADES), fault, k)
+    d = disturbance.periodic_block(k, 1, plant.period_samples)
+    e = disturbance.innovation_block(k, 1)
+    return plant.advance_block(u_eff[None, :], d, e)[0]
+
+
+# ---------------------------------------------------------------------------
+# Dense lifted model projection
+# ---------------------------------------------------------------------------
 
 
 def kron_basis(basis: BasisProjection):
@@ -80,14 +203,9 @@ def markov_blocks_from_xi(xi: np.ndarray, p: int, n_in: int = N_BLADES,
 
 
 def _resolve_blocks(est, p: int):
-    if isinstance(est, MarkovEstimate):
-        if est.p != p:
-            raise ValueError(f"estimate window p={est.p} does not match requested p={p}")
-        mu, my = markov_blocks(est.rows)
-    else:
-        mu, my = est
-        mu = np.asarray(mu, dtype=float)
-        my = np.asarray(my, dtype=float)
+    mu, my = (np.asarray(m, dtype=float) for m in est)
+    if mu.shape[0] != p:
+        raise ValueError(f"Markov blocks hold {mu.shape[0]} lags, not p={p}")
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(my))):
         raise ValueError("Markov blocks contain non-finite entries")
     return mu, my
@@ -142,9 +260,9 @@ def assemble_lifted(est, period: int, p: int) -> LiftedModel:
     """Expand Markov parameters into the corrected lifted predictor.
 
     The output recursion correction (I - G~)^-1 is applied by solving the
-    unit-lower-triangular system rather than forming the inverse. est may be
-    a MarkovEstimate or a (mu, my) pair of (p, l, r)/(p, l, l) block arrays
-    (e.g. from markov_blocks_from_xi for oracle parameters).
+    unit-lower-triangular system rather than forming the inverse. est is a
+    (mu, my) pair of (p, l, r)/(p, l, l) block arrays (from markov_blocks
+    for per-blade rows, or markov_blocks_from_xi for oracle parameters).
     """
     mu, my = _resolve_blocks(est, p)
     gku, gky, h_t = _toeplitz_parts(mu, my, period, p)
@@ -188,6 +306,22 @@ def _bar_matrices(t_u, t_y, h_bar):
     a_bar[ncy + nc:, ncy + nc:] = t_y
     b_bar = np.vstack([h_bar, np.eye(nc), h_bar])
     return a_bar, b_bar
+
+
+def scatter_blades(stack: np.ndarray) -> np.ndarray:
+    """Per-blade (3, m, n) matrices placed into the dense path's layout.
+
+    Per-blade index 4 j + h (block j of [Ybar; dtheta; dYbar], harmonic h)
+    of blade b is index 12 j + 3 h + b of the harmonic-major vectors that
+    _bar_matrices stacks; entries coupling two blades are zero.
+    """
+    n_blades, m, n = stack.shape
+    out = np.zeros((n_blades * m, n_blades * n))
+    for b in range(n_blades):
+        rows, cols = (4 * N_BLADES * (i // 4) + N_BLADES * (i % 4) + b
+                      for i in (np.arange(m), np.arange(n)))
+        out[np.ix_(rows, cols)] = stack[b]
+    return out
 
 
 def project_state_space(lifted: LiftedModel, basis: BasisProjection):

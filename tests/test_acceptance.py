@@ -33,7 +33,6 @@ from ipcsim.metrics import band_energy_ratio
 from ipcsim.numerics import (
     RlsState,
     pinv,
-    rls_update,
     solve_dare,
     spectral_radius,
     welch_psd,
@@ -44,10 +43,15 @@ from ipcsim.plant import (
     default_plant,
     markov_oracle,
     markov_oracle_siso,
+)
+from reference import (
+    PeriodicBuffer,
+    assemble_lifted,
+    markov_blocks_from_xi,
+    predict_lifted,
+    rls_update,
     step,
 )
-from ipcsim.sysid import PeriodicBuffer
-from reference import assemble_lifted, markov_blocks_from_xi, predict_lifted
 
 P, WINDOW = 100, 21
 ONSET_ROT = 1000  # fault at 1000 s in the shipped campaign

@@ -13,7 +13,8 @@ from ipcsim.baselines import (
 )
 from ipcsim.metrics import per_rotation_band_power
 from ipcsim.control import build_basis
-from ipcsim.plant import DisturbanceModel, FaultScenario, default_plant, step
+from ipcsim.plant import DisturbanceModel, FaultScenario, default_plant
+from reference import step
 
 P = 100
 

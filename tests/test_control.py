@@ -11,7 +11,7 @@ from ipcsim.control import (
     ExcitationGenerator,
     RepetitiveController,
     UnrestrictedExcitation,
-    _bar_matrices,
+    bar_matrices,
     build_basis,
     project_output,
     projected_blocks,
@@ -20,7 +20,7 @@ from ipcsim.control import (
     synthesize_gain,
     update_theta,
 )
-from ipcsim.numerics import pinv, spectral_radius, welch_psd
+from ipcsim.numerics import RlsState, pinv, spectral_radius, welch_psd
 from ipcsim.metrics import band_energy_ratio
 from ipcsim.plant import (
     DisturbanceModel,
@@ -28,15 +28,15 @@ from ipcsim.plant import (
     default_plant,
     markov_oracle,
     markov_oracle_siso,
-    step,
 )
-from ipcsim.sysid import MarkovEstimate
 from reference import (
     assemble_lifted,
     markov_blocks,
     markov_blocks_from_xi,
     predict_lifted,
     project_state_space,
+    scatter_blades,
+    step,
 )
 
 P, WINDOW = 100, 21
@@ -132,7 +132,7 @@ def test_project_output_dimension_check():
 # ---------------------------------------------------------------------------
 
 def zero_estimate():
-    return MarkovEstimate(WINDOW, P)
+    return markov_blocks(np.zeros((3, 2 * WINDOW)))
 
 
 def test_zero_markov_gives_zero_lifted():
@@ -209,7 +209,7 @@ def oracle_rows():
 
 def per_blade_model(rows):
     basis = build_basis(P)
-    return _bar_matrices(*projected_blocks(rows, shifted_bases(basis.u_f, WINDOW), basis))
+    return bar_matrices(*projected_blocks(rows, shifted_bases(basis.u_f, WINDOW), basis))
 
 
 def dense_model(rows):
@@ -226,7 +226,7 @@ def cross_blade(m):
 def test_fast_projection_matches_reference_path():
     rows = oracle_rows()
     a_ref, b_ref = dense_model(rows)
-    a_fast, b_fast = per_blade_model(rows)
+    a_fast, b_fast = map(scatter_blades, per_blade_model(rows))
     scale = max(1.0, np.abs(a_ref).max())
     assert np.allclose(a_fast, a_ref, atol=1e-9 * scale)
     assert np.allclose(b_fast, b_ref, atol=1e-9 * scale)
@@ -243,14 +243,20 @@ def perturbed_rows():
 def test_per_blade_model_and_gain_match_dense_reference(make_rows):
     rows = make_rows()
     a_ref, b_ref = dense_model(rows)
-    a_bar, b_bar = per_blade_model(rows)
+    a_blades, b_blades = per_blade_model(rows)
+    assert a_blades.shape == (3, 12, 12) and b_blades.shape == (3, 12, 4)
+    a_bar, b_bar = scatter_blades(a_blades), scatter_blades(b_blades)
     assert np.linalg.norm(a_bar - a_ref) <= 1e-12 * np.linalg.norm(a_ref)
     assert np.linalg.norm(b_bar - b_ref) <= 1e-12 * np.linalg.norm(b_ref)
     q = np.diag([1.0] * 12 + [0.0] * 12 + [1.0] * 12)
     r = 5e-7 * np.eye(12)
     gain_ref, _, failed_ref = synthesize_gain(a_ref, b_ref, q, r)
-    gain, _, failed = synthesize_gain(a_bar, b_bar, q, r)
+    q_blade = np.diag([1.0] * 4 + [0.0] * 4 + [1.0] * 4)
+    gain_blades, _, failed = synthesize_gain(a_blades, b_blades, np.stack([q_blade] * 3),
+                                             np.stack([5e-7 * np.eye(4)] * 3))
     assert not failed and not failed_ref
+    assert gain_blades.shape == (3, 4, 12)
+    gain = scatter_blades(gain_blades)
     assert np.linalg.norm(gain - gain_ref) <= 1e-9 * np.linalg.norm(gain_ref)
     for m in (a_bar, b_bar, gain):
         assert np.all(m[cross_blade(m)] == 0.0)
@@ -274,15 +280,13 @@ def test_nonfinite_projected_model_is_a_counted_dare_failure():
     for j in range(3):
         ctl.finish_rotation(j, u, y)
     failures, gain = ctl.dare_failures, ctl.state.gain.copy()
-    est = ctl.engine.estimate
-    states = list(est.states)
-    row = states[1].estimate.copy()
-    row[0, -1] = 1e10
-    states[1] = type(states[1])(estimate=row, sqrt_inv_cov=states[1].sqrt_inv_cov,
-                                lam=states[1].lam)
-    ctl.engine.estimate = MarkovEstimate(WINDOW, P, lam=est.lam, states=states)
+    state = ctl.engine.state
+    estimate = state.estimate.copy()
+    estimate[1, 0, -1] = 1e10
+    ctl.engine.state = RlsState(estimate=estimate, sqrt_inv_cov=state.sqrt_inv_cov,
+                                lam=state.lam)
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = projected_blocks(ctl.engine.estimate.rows, ctl._shifts, ctl.basis)
+        blocks = projected_blocks(ctl.engine.rows, ctl._shifts, ctl.basis)
         assert not all(np.all(np.isfinite(b)) for b in blocks)
         # Finishing the same rotation again ingests nothing new, so the
         # estimate reaches the projection as set above.
@@ -347,7 +351,7 @@ def test_input_weight_monotonicity():
 
 def test_update_theta_identity_when_gain_zero_alpha_one():
     cs = ControllerState.fresh(12, alpha=1.0, beta=0.3)
-    cs.gain = np.zeros((12, 36))
+    cs.gain = np.zeros((3, 4, 12))
     cs.theta = np.linspace(-1, 1, 12)
     out = update_theta(cs, np.ones(12), np.zeros(12), np.ones(12))
     assert np.array_equal(out.theta, cs.theta)
@@ -355,7 +359,7 @@ def test_update_theta_identity_when_gain_zero_alpha_one():
 
 def test_update_theta_beta_zero_is_alpha_decay():
     cs = ControllerState.fresh(12, alpha=0.9, beta=0.0)
-    cs.gain = np.ones((12, 36))
+    cs.gain = np.ones((3, 4, 12))
     cs.theta = np.ones(12)
     out = update_theta(cs, np.ones(12) * 50, np.ones(12), np.ones(12) * 50)
     assert np.allclose(out.theta, 0.9)
@@ -363,11 +367,24 @@ def test_update_theta_beta_zero_is_alpha_decay():
 
 def test_update_theta_clamps_and_counts():
     cs = ControllerState.fresh(12, alpha=1.0, beta=1.0, theta_cap=2.0)
-    cs.gain = -np.eye(12, 36)  # feedback pushes theta up by y_bar
+    cs.gain = -np.stack([np.eye(4, 12)] * 3)  # feedback pushes theta up by y_bar
     out = update_theta(cs, np.full(12, 10.0), np.zeros(12), np.zeros(12))
     assert np.all(out.theta == 2.0)
     assert out.clamp_events == 1
     assert np.all(out.delta_theta == 2.0)
+
+
+def test_update_theta_per_blade_gain_acts_as_scattered_gain():
+    # The per-blade gain on the harmonic-major coefficient vectors acts as
+    # its scatter into the dense [Ybar; dtheta; dYbar] layout does.
+    rng = np.random.default_rng(6)
+    cs = ControllerState.fresh(12, alpha=0.95, beta=0.3, theta_cap=1e6)
+    cs.gain = rng.normal(size=(3, 4, 12))
+    cs.theta = rng.normal(size=12)
+    y_bar, d_theta, d_y_bar = rng.normal(size=(3, 12))
+    out = update_theta(cs, y_bar, d_theta, d_y_bar)
+    dense = scatter_blades(cs.gain) @ np.concatenate([y_bar, d_theta, d_y_bar])
+    assert np.allclose(out.theta, 0.95 * cs.theta - 0.3 * dense, rtol=1e-12, atol=1e-12)
 
 
 def test_controller_state_validation():

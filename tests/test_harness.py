@@ -52,6 +52,18 @@ def test_config_validation_errors():
     for window in (0, -3, 100, 150, 21.0):  # 1 <= p < P = 100 samples per rotation
         with pytest.raises(ConfigError):
             short_cfg(predictor_window=window)
+    for field, value in (("sigma_e", np.nan), ("amp_1p", np.inf), ("phase_1p", np.nan),
+                         ("period_jitter", 0.7), ("uftipc_amplitude_deg", np.nan)):
+        with pytest.raises(ConfigError):
+            short_cfg(**{field: value})
+    for field, value in (("warmup_rotations", -3), ("alpha", 1.5), ("r_scale", -1),
+                         ("forgetting", 0.5), ("dare_max_iter", 0),
+                         ("excitation_amplitude", -0.1), ("warmup_rotations", 8.0),
+                         ("beta", np.nan)):
+        with pytest.raises(ConfigError):
+            short_cfg(tuning={field: value})
+    # No excitation is a degenerate regime the run reports, not a bad config.
+    short_cfg(tuning={"excitation_amplitude": 0.0})
 
 
 def test_config_json_round_trip(tmp_path):

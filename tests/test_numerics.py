@@ -8,12 +8,12 @@ from ipcsim.numerics import (
     DareNonConvergence,
     RlsState,
     pinv,
-    rls_update,
     rls_update_batch,
     solve_dare,
     spectral_radius,
     welch_psd,
 )
+from reference import rls_update
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +110,31 @@ def test_rls_batch_equals_sequential():
     batched = rls_update_batch(batched, xs[:20], ys[:20])
     batched = rls_update_batch(batched, xs[20:], ys[20:])
     assert np.allclose(batched.estimate, seq.estimate, atol=1e-10, rtol=1e-8)
+
+
+def test_stacked_rls_batch_is_bitwise_separate_calls():
+    # Three blades' recursions folded in one stacked QR equal three
+    # separate folds bit for bit, block after block.
+    rng = np.random.default_rng(31)
+    n_reg = 42
+    stacked = RlsState.fresh(1, n_reg, lam=0.99999, stack=(3,))
+    separate = [RlsState.fresh(1, n_reg, lam=0.99999) for _ in range(3)]
+    for m in (79, 100, 100, 1):
+        xs = rng.normal(size=(3, m, n_reg))
+        ys = rng.normal(size=(3, m, 1))
+        stacked = rls_update_batch(stacked, xs, ys)
+        separate = [rls_update_batch(s, x, y) for s, x, y in zip(separate, xs, ys)]
+        for i in range(3):
+            assert np.array_equal(stacked.estimate[i], separate[i].estimate)
+            assert np.array_equal(stacked.sqrt_inv_cov[i], separate[i].sqrt_inv_cov)
+
+
+def test_stacked_rls_batch_rejects_mismatched_stack():
+    state = RlsState.fresh(1, 4, lam=0.999, stack=(3,))
+    with pytest.raises(ValueError):
+        rls_update_batch(state, np.ones((2, 5, 4)), np.ones((2, 5, 1)))
+    with pytest.raises(ValueError):
+        rls_update_batch(state, np.ones((5, 4)), np.ones((5, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +243,56 @@ def test_dare_warm_start_agrees_with_cold_start():
     warm = solve_dare(a, b, np.eye(4), np.eye(2), p0=cold.cost_matrix + 1e-3)
     assert np.allclose(cold.cost_matrix, warm.cost_matrix, atol=1e-6)
     assert warm.iterations <= cold.iterations
+
+
+def random_blade_stack(seed, n_stack=3, n=6, m=2):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n_stack, n, n))
+    a *= 0.9 / np.array([spectral_radius(x) for x in a])[:, None, None]
+    b = rng.normal(size=(n_stack, n, m))
+    q = np.stack([np.diag(rng.uniform(0.5, 2.0, size=n)) for _ in range(n_stack)])
+    r = np.stack([np.diag(rng.uniform(0.5, 2.0, size=m)) for _ in range(n_stack)])
+    return a, b, q, r
+
+
+def block_diagonal(stack):
+    n_stack, n, m = stack.shape
+    out = np.zeros((n_stack * n, n_stack * m))
+    for i, block in enumerate(stack):
+        out[i * n:(i + 1) * n, i * m:(i + 1) * m] = block
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_dare_matches_block_diagonal_solve(seed):
+    # A stack of problems iterates as the block-diagonal system they form:
+    # same gain, same iteration count, same (whole-stack) residual.
+    a, b, q, r = random_blade_stack(seed)
+    stacked = solve_dare(a, b, q, r)
+    dense = solve_dare(*(block_diagonal(x) for x in (a, b, q, r)))
+    gain = block_diagonal(stacked.gain)
+    assert stacked.gain.shape == (3, 2, 6)
+    assert np.linalg.norm(gain - dense.gain) <= 1e-12 * np.linalg.norm(dense.gain)
+    assert stacked.iterations == dense.iterations
+    # The residual is a difference of nearly equal iterates over their norm,
+    # so rounding shows in it magnified by about 1 / tol = 1e9.
+    assert stacked.residual == pytest.approx(dense.residual, rel=1e-6)
+    assert np.allclose(block_diagonal(stacked.cost_matrix), dense.cost_matrix,
+                       rtol=1e-12, atol=1e-12 * np.abs(dense.cost_matrix).max())
+
+
+def test_stacked_dare_with_one_unstabilizable_slice_fails():
+    a, b, q, r = random_blade_stack(4, m=1)
+    # Slice 1: an unstable mode the input cannot reach.
+    a[1] = np.diag([1.5, 0.2, 0.1, 0.0, 0.3, 0.4])
+    b[1] = 0.0
+    b[1, 1:, 0] = 1.0
+    with pytest.raises(DareNonConvergence) as exc:
+        solve_dare(a, b, q, r, max_iter=80)
+    assert exc.value.iterations == 80
+    # The other slices alone converge.
+    keep = [0, 2]
+    assert solve_dare(a[keep], b[keep], q[keep], r[keep]).residual <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from ipcsim.plant import (
     default_plant,
     markov_oracle,
     markov_oracle_siso,
-    step,
 )
 from ipcsim.numerics import spectral_radius
+from reference import step
 
 
 def quiet_disturbance(**kw):

@@ -1,6 +1,6 @@
 """Identification stage: periodic differences, regressor windows,
 per-blade RLS convergence against the plant oracle, and the batched
-engine's equivalence to the per-sample recursion."""
+engine's equivalence to the per-sample recursion (tests/reference.py)."""
 
 import numpy as np
 import pytest
@@ -11,15 +11,10 @@ from ipcsim.plant import (
     build_plant,
     default_plant,
     markov_oracle_siso,
-    step,
 )
-from ipcsim.sysid import (
-    IdentificationEngine,
-    MarkovEstimate,
-    PeriodicBuffer,
-    identify_step,
-)
-from reference import markov_blocks
+from ipcsim.numerics import RlsState, rls_update_batch
+from ipcsim.sysid import IdentificationEngine
+from reference import PeriodicBuffer, identify_step, markov_blocks, step
 
 P, WINDOW = 100, 21
 HEALTHY = FaultScenario()
@@ -136,7 +131,7 @@ def test_zero_excitation_estimate_stays_zero():
     plant = default_plant()
     dist = DisturbanceModel(sigma_e=0.0)  # periodic disturbance only
     eng, _, _ = run_identification(plant, dist, HEALTHY, 10, lambda k: np.zeros(3))
-    assert np.all(eng.estimate.rows == 0.0)
+    assert np.all(eng.rows == 0.0)
 
 
 def test_innovation_noise_pins_the_predictor_row():
@@ -175,7 +170,7 @@ def test_decoupled_noise_free_regression_is_degenerate_but_predictive():
     eng, us, ys = run_identification(plant, dist, HEALTHY, 30,
                                      lambda k: rng.normal(0.0, 0.5, size=3))
     assert np.all(eng.relative_errors(oracle) > 0.05)
-    row = eng.estimate.rows[0]
+    row = eng.rows[0]
     t = 25 * P + 7
     du = us[t - WINDOW:t, 0] - us[t - WINDOW - P:t - P, 0]
     dy = ys[t - WINDOW:t, 0] - ys[t - WINDOW - P:t - P, 0]
@@ -186,8 +181,7 @@ def test_decoupled_noise_free_regression_is_degenerate_but_predictive():
 
 def test_default_forgetting_factor_is_shipped_value():
     eng = IdentificationEngine(WINDOW, P)
-    assert eng.estimate.lam == 0.99999
-    assert all(s.lam == 0.99999 for s in eng.estimate.states)
+    assert eng.state.lam == 0.99999
 
 
 def test_engine_matches_per_sample_identify_step():
@@ -199,41 +193,49 @@ def test_engine_matches_per_sample_identify_step():
     us = rng.normal(size=(n, 3))
     ys = np.empty((n, 3))
     buf = PeriodicBuffer(P, WINDOW)
-    est = MarkovEstimate(WINDOW, P)
     eng = IdentificationEngine(WINDOW, P)
+    est = eng.state
     for k in range(n):
         ys[k] = step(plant, us[k], dist, HEALTHY, k)
         buf.push(us[k], ys[k])
         if k >= P + WINDOW:
             regs = [buf.regressor(b, k - 1) for b in (1, 2, 3)]
             dy = ys[k] - ys[k - P]
-            est = identify_step(est, regs, dy, k)
+            est = identify_step(est, regs, dy)
     eng.ingest(us, ys, n)
-    assert np.allclose(eng.estimate.rows, est.rows, atol=1e-9, rtol=1e-7)
+    assert np.allclose(eng.rows, est.estimate[:, 0], atol=1e-9, rtol=1e-7)
 
 
 def test_assembled_rows_are_bitwise_blade_states():
-    est = MarkovEstimate(4, P)
+    # Each rotation the engine folds all blades in one stacked QR; its rows
+    # equal, bit for bit, separate per-blade folds of the same rotation's
+    # regressors built sample by sample.
     rng = np.random.default_rng(8)
-    for k in range(6):
-        regs = [rng.normal(size=8) for _ in range(3)]
-        est = identify_step(est, regs, rng.normal(size=3), k)
-    rows = est.rows
-    for i in range(3):
-        assert np.array_equal(rows[i], est.states[i].estimate[0])
-        assert np.array_equal(est.blade_row(i + 1), est.states[i].estimate[0])
+    p, n_rot = 4, 5
+    us = rng.normal(size=(n_rot * P, 3))
+    ys = rng.normal(size=(n_rot * P, 3))
+    eng = IdentificationEngine(p, P)
+    buf = PeriodicBuffer(P, p)
+    blades = [RlsState.fresh(1, 2 * p, lam=eng.state.lam) for _ in range(3)]
+    for j in range(n_rot):
+        regs, targets = [[], [], []], [[], [], []]
+        for k in range(j * P, (j + 1) * P):
+            buf.push(us[k], ys[k])
+            if k >= P + p:
+                for b in range(3):
+                    regs[b].append(buf.regressor(b + 1, k - 1))
+                    targets[b].append([ys[k, b] - ys[k - P, b]])
+        eng.ingest(us, ys, (j + 1) * P)
+        if regs[0]:
+            blades = [rls_update_batch(s, np.array(x), np.array(t))
+                      for s, x, t in zip(blades, regs, targets)]
+        for b in range(3):
+            assert np.array_equal(eng.rows[b], blades[b].estimate[0])
 
 
 def test_markov_blocks_layout():
-    est = MarkovEstimate(3, P)
     manual = [np.arange(1.0, 7.0), np.arange(10.0, 16.0), np.arange(20.0, 26.0)]
-    states = []
-    for i in range(3):
-        s = est.states[i]
-        states.append(type(s)(estimate=manual[i][None, :], sqrt_inv_cov=s.sqrt_inv_cov,
-                              lam=s.lam))
-    est = MarkovEstimate(3, P, states=states)
-    mu, my = markov_blocks(est.rows)
+    mu, my = markov_blocks(np.vstack(manual))
     # Newest-lag block (j=0) holds the last u-entry of each row: CB.
     assert mu[0, 0, 0] == manual[0][2]
     assert mu[2, 0, 0] == manual[0][0]
@@ -261,6 +263,6 @@ def test_pad_fault_adaptation_of_cb_early_onset():
         if (k + 1) % P == 0:
             eng.ingest(us, ys, k + 1)
         if k + 1 == onset_rot * P:
-            cb_pre = eng.estimate.rows[2, WINDOW - 1]
-    cb_post = eng.estimate.rows[2, WINDOW - 1]
+            cb_pre = eng.rows[2, WINDOW - 1]
+    cb_post = eng.rows[2, WINDOW - 1]
     assert abs(cb_post - 0.5 * cb_pre) <= 0.15 * abs(0.5 * cb_pre)
