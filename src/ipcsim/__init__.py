@@ -7,7 +7,7 @@ controllers, fault injection, metrics, and a deterministic campaign runner
 round out the package.
 """
 
-from .baselines import MbcIpcState, cpc_baseline, coleman_forward, coleman_inverse, mbc_ipc_step
+from .baselines import MbcIpcState, cpc_baseline, coleman_forward, coleman_inverse
 from .control import (
     BasisProjection,
     ControllerState,

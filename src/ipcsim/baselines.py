@@ -9,23 +9,37 @@ components with the Coleman transformation, applies a leaky PI per channel,
 and maps the commands back to per-blade pitch. It reads loads only: faults
 are invisible to it, which is exactly the mechanism that degrades it in the
 faulty scenarios (the stuck/derated blade contaminates the transform).
+
+MBC-IPC feeds back every sample, so it cannot be lifted to the rotation
+level like the repetitive controller. `mbc_ipc_rotation` instead runs one
+rotation of controller, actuator fault map and plant as one loop over plain
+floats: the disturbance, innovations and azimuth tables are drawn once per
+rotation, and the plant's per-blade blocks are read once per segment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from .plant import N_BLADES, _maybe_switch_blade_fault, apply_actuator_fault
 
 __all__ = [
     "cpc_baseline",
     "coleman_forward",
     "coleman_inverse",
     "MbcIpcState",
-    "mbc_ipc_step",
+    "mbc_ipc_rotation",
 ]
 
 _BLADE_OFFSETS = 2.0 * np.pi * np.arange(3) / 3.0
+
+# Where the per-blade plant is allowed nonzero entries: the 2x2 blocks of
+# `a`, the blade's own state pair in each row of `c` and column of `l_obs`.
+_A_MASK = np.kron(np.eye(N_BLADES, dtype=bool), np.ones((2, 2), dtype=bool))
+_C_MASK = np.kron(np.eye(N_BLADES, dtype=bool), np.ones((1, 2), dtype=bool))
 
 
 def cpc_baseline(k: int) -> np.ndarray:
@@ -70,25 +84,114 @@ class MbcIpcState:
     yaw_int: float = 0.0
 
     def __post_init__(self):
+        # A NaN bound would make every clamp a silent no-op.
+        for name in ("kp", "ki", "leak", "authority_deg", "psi_offset"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.authority_deg <= 0.0:
             raise ValueError("authority_deg must be positive")
+        if self.leak < 0.0:
+            raise ValueError("leak must be non-negative")
 
 
-def mbc_ipc_step(state: MbcIpcState, y: np.ndarray, psi: float, dt: float):
-    """One sample of MBC-IPC: Coleman forward, PI, Coleman inverse.
+def _blade_blocks(plant):
+    """The plant's matrices as per-blade tuples of Python floats.
 
-    Returns (state, commanded pitch). The controller sees loads only; a
-    faulty actuator silently corrupts what its commands achieve.
+    Returns (a, c, l, b): for blade i, a[i] = (a00, a01, a10, a11) of its
+    2x2 block, c[i] and l[i] its output and observer pairs, and b[i] the two
+    rows of the dense input matrix that drive its states. Raises ValueError
+    when a, c or l_obs couple blades.
     """
-    tilt, yaw = coleman_forward(y, psi + state.psi_offset)
+    a, c, l_obs = plant.a, plant.c, plant.l_obs
+    if a[~_A_MASK].any() or c[~_C_MASK].any() or l_obs[~_C_MASK.T].any():
+        raise ValueError("plant a, c and l_obs must be per-blade (no cross-blade entries)")
+    blades = [slice(2 * i, 2 * i + 2) for i in range(N_BLADES)]
+    return (
+        tuple(tuple(a[sl, sl].ravel().tolist()) for sl in blades),
+        tuple(tuple(c[i, sl].tolist()) for i, sl in enumerate(blades)),
+        tuple(tuple(l_obs[sl, i].tolist()) for i, sl in enumerate(blades)),
+        tuple(tuple(plant.b[sl].ravel().tolist()) for sl in blades),
+    )
+
+
+def mbc_ipc_rotation(state: MbcIpcState, plant, fault, dist, k0: int,
+                     u_cmd: np.ndarray, y: np.ndarray) -> None:
+    """Run MBC-IPC in closed loop with the plant for the rotation starting at k0.
+
+    Per sample: Coleman forward of the previous load row (y[k0 - 1], zero at
+    k0 = 0), the leaky tilt/yaw PI with anti-windup, Coleman inverse, the
+    clamp at the pitch authority, the actuator fault map, then one step of
+    the innovation-form plant. The azimuth of sample k0 + s is
+    2 pi (s + 1) / P + psi_offset. Writes rows k0 .. k0 + P - 1 of u_cmd
+    (the commanded pitch) and y, and advances `state`, `plant` and `dist`.
+
+    The rotation is split at the fault onset, so a blade-stiffness switch
+    lands on its exact sample. Raises ValueError on a non-finite command
+    and FloatingPointError when the plant state is non-finite.
+    """
+    period = plant.period_samples
+    dt = plant.dt
     bound = state.authority_deg
-    state.tilt_int = float(np.clip(
-        state.tilt_int + dt * (state.ki * tilt - state.leak * state.tilt_int),
-        -bound, bound))
-    state.yaw_int = float(np.clip(
-        state.yaw_int + dt * (state.ki * yaw - state.leak * state.yaw_int),
-        -bound, bound))
-    u_tilt = state.kp * tilt + state.tilt_int
-    u_yaw = state.kp * yaw + state.yaw_int
-    u = coleman_inverse(u_tilt, u_yaw, psi + state.psi_offset)
-    return state, np.clip(u, -bound, bound)
+    kp, ki, leak = state.kp, state.ki, state.leak
+    psi = 2.0 * np.pi * np.arange(1, period + 1) / period + state.psi_offset
+    angles = psi[:, None] + _BLADE_OFFSETS
+    cos_rows, sin_rows = np.cos(angles).tolist(), np.sin(angles).tolist()
+    d = dist.periodic_block(k0, period, period)
+    e = dist.innovation_block(k0, period)
+    e_rows = e.tolist()
+
+    onset = fault.onset_sample - k0
+    cuts = (0, onset, period) if 0 < onset < period else (0, period)
+    x0, x1, x2, x3, x4, x5 = plant.x.tolist()
+    y0, y1, y2 = y[k0 - 1].tolist() if k0 else (0.0, 0.0, 0.0)
+    ti, yi = state.tilt_int, state.yaw_int
+    u_rows, y_rows = [], []
+    for lo, hi in zip(cuts, cuts[1:]):
+        _maybe_switch_blade_fault(plant, fault, k0 + lo)
+        a, c, l, b = _blade_blocks(plant)
+        (a0, a1, a2, a3), (a4, a5, a6, a7), (a8, a9, a10, a11) = a
+        (c0, c1), (c2, c3), (c4, c5) = c
+        (l0, l1), (l2, l3), (l4, l5) = l
+        (b0, b1, b2, b3, b4, b5), (b6, b7, b8, b9, b10, b11), (b12, b13, b14, b15, b16, b17) = b
+        # The fault map is affine per blade, u_eff = u * scale + offset, and
+        # fixed within a segment; exact for finite u (PAS: the stuck angle).
+        offset = apply_actuator_fault(np.zeros(N_BLADES), fault, k0 + lo)
+        scale = apply_actuator_fault(np.ones(N_BLADES), fault, k0 + lo) - offset
+        (o0, o1, o2), (s0, s1, s2) = offset.tolist(), scale.tolist()
+        # Output offset g .* d + e, as the plant adds it.
+        w_rows = (plant.dist_gain * d[lo:hi] + e[lo:hi]).tolist()
+        for (cb0, cb1, cb2), (sb0, sb1, sb2), (e0, e1, e2), (w0, w1, w2) in zip(
+                cos_rows[lo:hi], sin_rows[lo:hi], e_rows[lo:hi], w_rows):
+            tilt = (2.0 / 3.0) * (y0 * cb0 + y1 * cb1 + y2 * cb2)
+            yaw = (2.0 / 3.0) * (y0 * sb0 + y1 * sb1 + y2 * sb2)
+            ti += dt * (ki * tilt - leak * ti)
+            ti = bound if ti > bound else (-bound if ti < -bound else ti)
+            yi += dt * (ki * yaw - leak * yi)
+            yi = bound if yi > bound else (-bound if yi < -bound else yi)
+            ut, uy = kp * tilt + ti, kp * yaw + yi
+            u0, u1, u2 = ut * cb0 + uy * sb0, ut * cb1 + uy * sb1, ut * cb2 + uy * sb2
+            u0 = bound if u0 > bound else (-bound if u0 < -bound else u0)
+            u1 = bound if u1 > bound else (-bound if u1 < -bound else u1)
+            u2 = bound if u2 > bound else (-bound if u2 < -bound else u2)
+            if u0 != u0 or u1 != u1 or u2 != u2:  # NaN survives the clamp
+                if not all(map(math.isfinite, (x0, x1, x2, x3, x4, x5))):
+                    raise FloatingPointError("plant state diverged (non-finite)")
+                raise ValueError("u_cmd contains non-finite entries")
+            u_rows.append((u0, u1, u2))
+            m0, m1, m2 = u0 * s0 + o0, u1 * s1 + o1, u2 * s2 + o2
+            y0 = (c0 * x0 + c1 * x1) + w0
+            y1 = (c2 * x2 + c3 * x3) + w1
+            y2 = (c4 * x4 + c5 * x5) + w2
+            y_rows.append((y0, y1, y2))
+            x0, x1 = (a0 * x0 + a1 * x1 + ((m0 * b0 + m1 * b1 + m2 * b2) + e0 * l0),
+                      a2 * x0 + a3 * x1 + ((m0 * b3 + m1 * b4 + m2 * b5) + e0 * l1))
+            x2, x3 = (a4 * x2 + a5 * x3 + ((m0 * b6 + m1 * b7 + m2 * b8) + e1 * l2),
+                      a6 * x2 + a7 * x3 + ((m0 * b9 + m1 * b10 + m2 * b11) + e1 * l3))
+            x4, x5 = (a8 * x4 + a9 * x5 + ((m0 * b12 + m1 * b13 + m2 * b14) + e2 * l4),
+                      a10 * x4 + a11 * x5 + ((m0 * b15 + m1 * b16 + m2 * b17) + e2 * l5))
+        plant.x = np.array([x0, x1, x2, x3, x4, x5])
+        if not np.all(np.isfinite(plant.x)):
+            raise FloatingPointError("plant state diverged (non-finite)")
+    state.tilt_int, state.yaw_int = ti, yi
+    u_cmd[k0:k0 + period] = u_rows
+    y[k0:k0 + period] = y_rows

@@ -246,6 +246,9 @@ def update_theta(cs: ControllerState, y_bar: np.ndarray, delta_theta: np.ndarray
 # Excitation
 # ---------------------------------------------------------------------------
 
+_BIT_BLOCK = 64  # rotations of excitation bits drawn per rng call
+
+
 class ExcitationGenerator:
     """Filtered pseudo-random binary excitation in coefficient space.
 
@@ -271,18 +274,23 @@ class ExcitationGenerator:
         self._rngs = [np.random.default_rng(s) for s in seqs]
         self._values: list[np.ndarray] = []  # filter output of rotation j at [j]
         self._filter_state = np.zeros(n_coeff)
+        self._bits = np.empty((0, n_coeff))  # drawn ahead, not yet filtered
+        self._next_bit = 0
 
     def _extend(self, upto: int) -> None:
-        n_new = upto - len(self._values) + 1
-        if n_new <= 0:
-            return
-        bits = np.column_stack([
-            2.0 * rng.integers(0, 2, size=n_new) - 1.0 for rng in self._rngs
-        ])
         z = self._filter_state
         a = self.filter_pole
-        for t in range(n_new):
-            z = a * z + (1.0 - a) * bits[t]
+        while len(self._values) <= upto:
+            if self._next_bit == len(self._bits):
+                # Drawing a stream in blocks gives the same bits as drawing
+                # it one rotation at a time.
+                self._bits = np.column_stack([
+                    2.0 * rng.integers(0, 2, size=_BIT_BLOCK) - 1.0
+                    for rng in self._rngs
+                ])
+                self._next_bit = 0
+            z = a * z + (1.0 - a) * self._bits[self._next_bit]
+            self._next_bit += 1
             self._values.append(z)
         self._filter_state = z
 

@@ -2,10 +2,15 @@
 persistence, and cross-controller comparison.
 
 A load case fully specifies one run (plant, disturbance, fault, controller,
-tuning, seed); a campaign is a list of load cases. Outputs per run: the
-sample series as headered CSV (full float precision, so metrics recompute
-bit-for-bit from the file), the per-rotation controller log, and a metrics
-summary as JSON.
+tuning, seed); a campaign is a list of load cases. A run advances one rotor
+rotation at a time: the repetitive controller and the collective baseline
+fix a rotation of commands and push it through the fault map and the plant
+in one block; MBC-IPC, which feeds back every sample, runs each rotation as
+one fused controller/fault/plant loop (`baselines.mbc_ipc_rotation`).
+
+Outputs per run: the sample series as headered CSV (full float precision,
+so metrics recompute bit-for-bit from the file), the per-rotation
+controller log, and a metrics summary as JSON.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .baselines import MbcIpcState, cpc_baseline, mbc_ipc_step
+from .baselines import MbcIpcState, cpc_baseline, mbc_ipc_rotation
 from .control import ControllerTuning, RepetitiveController, UnrestrictedExcitation, _is_int
 from .metrics import (
     DEFAULT_RATE_LIMIT_DEG_S,
@@ -300,14 +305,7 @@ def run_load_case(cfg: LoadCaseConfig) -> RunResult:
                     errs = controller.engine.relative_errors(oracle_rows)
                     id_log.append([j] + [float(e) for e in errs])
             elif mbc_state is not None:
-                y_prev = y[k0 - 1] if k0 else np.zeros(3)
-                for s in range(period):
-                    k = k0 + s
-                    psi_k = 2.0 * np.pi * (s + 1) / period
-                    mbc_state, u_k = mbc_ipc_step(mbc_state, y_prev, psi_k, dt)
-                    u_cmd[k] = u_k
-                    y[k] = _advance_rotation(plant, fault, dist, u_k[None, :], k)[0]
-                    y_prev = y[k]
+                mbc_ipc_rotation(mbc_state, plant, fault, dist, k0, u_cmd, y)
             else:  # cpc
                 rows = np.tile(cpc_baseline(k0), (period, 1))
                 u_cmd[k0:k0 + period] = rows

@@ -2,10 +2,10 @@
 
 Per-sample twins of the package's batched paths: a ring buffer serving
 rotor-period differences and per-blade regressors, one-sample RLS and
-identification steps, and a one-sample plant step. The package folds a
-whole rotation at once (`IdentificationEngine.ingest`,
-`SurrogatePlant.advance_block`); these stay the oracles for the
-equivalence tests and the acceptance criteria.
+identification steps, a one-sample plant step, and one sample of MBC-IPC.
+The package folds a whole rotation at once (`IdentificationEngine.ingest`,
+`SurrogatePlant.advance_block`, `ipcsim.baselines.mbc_ipc_rotation`); these
+stay the oracles for the equivalence tests and the acceptance criteria.
 
 The dense MIMO reference for the controller's model projection: the lifted
 one-rotation predictor built as full P x P block matrices over all three
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ipcsim.baselines import MbcIpcState, coleman_forward, coleman_inverse
 from ipcsim.control import BasisProjection
 from ipcsim.numerics import RlsState, pinv, rls_update_batch
 from ipcsim.plant import _maybe_switch_blade_fault, apply_actuator_fault
@@ -137,6 +138,26 @@ def step(plant, u_cmd, disturbance, fault, k: int) -> np.ndarray:
     d = disturbance.periodic_block(k, 1, plant.period_samples)
     e = disturbance.innovation_block(k, 1)
     return plant.advance_block(u_eff[None, :], d, e)[0]
+
+
+def mbc_ipc_step(state: MbcIpcState, y: np.ndarray, psi: float, dt: float):
+    """One sample of MBC-IPC: Coleman forward, PI, Coleman inverse.
+
+    Per-sample twin of `ipcsim.baselines.mbc_ipc_rotation`'s controller.
+    Returns (state, commanded pitch).
+    """
+    tilt, yaw = coleman_forward(y, psi + state.psi_offset)
+    bound = state.authority_deg
+    state.tilt_int = float(np.clip(
+        state.tilt_int + dt * (state.ki * tilt - state.leak * state.tilt_int),
+        -bound, bound))
+    state.yaw_int = float(np.clip(
+        state.yaw_int + dt * (state.ki * yaw - state.leak * state.yaw_int),
+        -bound, bound))
+    u_tilt = state.kp * tilt + state.tilt_int
+    u_yaw = state.kp * yaw + state.yaw_int
+    u = coleman_inverse(u_tilt, u_yaw, psi + state.psi_offset)
+    return state, np.clip(u, -bound, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,12 @@ from ipcsim.baselines import (
     cpc_baseline,
     coleman_forward,
     coleman_inverse,
-    mbc_ipc_step,
+    mbc_ipc_rotation,
 )
 from ipcsim.metrics import per_rotation_band_power
 from ipcsim.control import build_basis
 from ipcsim.plant import DisturbanceModel, FaultScenario, default_plant
-from reference import step
+from reference import mbc_ipc_step, step
 
 P = 100
 
@@ -125,3 +125,128 @@ def test_mbc_pas_fault_degrades_a_healthy_blade():
     # At least one healthy blade is worse than its own controlled pre-fault
     # level: the stuck blade contaminates the Coleman average.
     assert max(post[0] / pre[0], post[1] / pre[1]) > 1.5
+
+
+# ---------------------------------------------------------------------------
+# Fused rotation against the per-sample oracle
+# ---------------------------------------------------------------------------
+
+def oracle_rotation(state, plant, fault, dist, k0, u_cmd, y):
+    """One rotation of the per-sample oracle, with the harness's azimuth
+    convention psi = 2 pi (s + 1) / P."""
+    y_prev = y[k0 - 1] if k0 else np.zeros(3)
+    for s in range(P):
+        k = k0 + s
+        state, u_cmd[k] = mbc_ipc_step(state, y_prev, 2.0 * np.pi * (s + 1) / P, plant.dt)
+        y[k] = step(plant, u_cmd[k], dist, fault, k)
+        y_prev = y[k]
+
+
+CASES = {
+    "healthy": (FaultScenario(), 0.0, 0.0),
+    "pas": (FaultScenario(kind="pas", blade_index=3, onset_sample=1050, parameter=0.0), 20.0, 0.0),
+    "pad": (FaultScenario(kind="pad", blade_index=1, onset_sample=1050, parameter=0.5), 20.0, 0.1),
+    # Onset mid-rotation: the stiffness switch lands at s = 50 of rotation 10.
+    "blade_stiffness": (FaultScenario(kind="blade_stiffness", blade_index=3, onset_sample=1050,
+                                      parameter=0.2), 75.0, 0.1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_fused_rotation_matches_per_sample_oracle(case):
+    fault, sigma_e, jitter = CASES[case]
+    n_rot = 14
+    runs = []
+    for advance in (mbc_ipc_rotation, oracle_rotation):
+        plant = default_plant()
+        dist = DisturbanceModel(sigma_e=sigma_e, seed=5, period_jitter=jitter)
+        state = MbcIpcState()
+        u, y = np.empty((n_rot * P, 3)), np.empty((n_rot * P, 3))
+        for j in range(n_rot):
+            advance(state, plant, fault, dist, j * P, u, y)
+        runs.append((u, y, state, plant))
+    (u, y, state, plant), (u_ref, y_ref, state_ref, plant_ref) = runs
+    # The fused loop sums the Coleman dot products and the plant's matrix
+    # products in its own order, so the series agree to rounding: commands
+    # (bounded by the 4 deg authority) within 1e-12 deg absolute, loads
+    # within 1e-12 of the largest load magnitude.
+    assert np.max(np.abs(u - u_ref)) <= 1e-12
+    assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
+    assert state.tilt_int == pytest.approx(state_ref.tilt_int, abs=1e-12)
+    assert state.yaw_int == pytest.approx(state_ref.yaw_int, abs=1e-12)
+    assert np.array_equal(plant.a, plant_ref.a)
+    assert np.array_equal(plant.dist_gain, plant_ref.dist_gain)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.1])
+def test_rotation_draws_equal_per_sample_draws_bitwise(jitter):
+    block = DisturbanceModel(sigma_e=30.0, seed=11, period_jitter=jitter)
+    single = DisturbanceModel(sigma_e=30.0, seed=11, period_jitter=jitter)
+    n_rot = 12
+    e_block = np.vstack([block.innovation_block(j * P, P) for j in range(n_rot)])
+    e_single = np.vstack([single.innovation_block(k, 1) for k in range(n_rot * P)])
+    d_block = np.vstack([block.periodic_block(j * P, P, P) for j in range(n_rot)])
+    d_single = np.vstack([single.periodic_block(k, 1, P) for k in range(n_rot * P)])
+    assert np.array_equal(e_block, e_single)
+    assert np.array_equal(d_block, d_single)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kp", np.nan), ("ki", np.inf), ("leak", np.nan), ("leak", -0.01),
+    ("authority_deg", np.nan), ("authority_deg", np.inf), ("authority_deg", 0.0),
+    ("authority_deg", -1.0), ("psi_offset", np.nan),
+])
+def test_mbc_state_rejects_nonfinite_or_out_of_range(field, value):
+    with pytest.raises(ValueError):
+        MbcIpcState(**{field: value})
+
+
+def _one_rotation(state, plant=None, y_prev=None):
+    plant = default_plant() if plant is None else plant
+    u, y = np.zeros((2 * P, 3)), np.zeros((2 * P, 3))
+    k0 = 0
+    if y_prev is not None:
+        y[P - 1] = y_prev
+        k0 = P
+    dist = DisturbanceModel(seed=1)
+    dist.innovation_block(0, k0)  # the innovation stream is sequential
+    mbc_ipc_rotation(state, plant, FaultScenario(), dist, k0, u, y)
+
+
+def test_fused_rotation_rejects_nonfinite_command():
+    with pytest.raises(ValueError, match="non-finite"):
+        _one_rotation(MbcIpcState(), y_prev=[np.nan, 0.0, 0.0])
+    state = MbcIpcState()
+    state.tilt_int = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        _one_rotation(state)
+
+
+def test_fused_rotation_reports_state_overflow():
+    plant = default_plant()
+    plant.x = np.full(6, 1.5e308)  # the first state update overflows to inf
+    with pytest.raises(FloatingPointError):
+        _one_rotation(MbcIpcState(), plant=plant)
+
+
+def test_run_load_case_reports_mbc_divergence(monkeypatch):
+    from ipcsim.harness import LoadCaseConfig, run_load_case
+
+    def seeded(self):
+        plant = default_plant()
+        plant.x = np.full(6, 1.5e308)
+        return plant
+
+    monkeypatch.setattr(LoadCaseConfig, "make_plant", seeded)
+    cfg = LoadCaseConfig(id="overflow", controller="mbc_ipc", seed=0,
+                         duration_s=4.0, fault_onset_s=2.0)
+    with pytest.raises(RuntimeError, match="diverged"):
+        run_load_case(cfg)
+
+
+def test_fused_rotation_rejects_cross_blade_plant():
+    for name, index in (("a", (0, 2)), ("c", (0, 2)), ("l_obs", (0, 1))):
+        plant = default_plant()
+        getattr(plant, name)[index] = 1e-3
+        with pytest.raises(ValueError, match="per-blade"):
+            _one_rotation(MbcIpcState(), plant=plant)

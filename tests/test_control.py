@@ -20,6 +20,7 @@ from ipcsim.control import (
     synthesize_gain,
     update_theta,
 )
+from ipcsim.control import _BIT_BLOCK
 from ipcsim.numerics import RlsState, pinv, spectral_radius, welch_psd
 from ipcsim.metrics import band_energy_ratio
 from ipcsim.plant import (
@@ -425,6 +426,14 @@ def test_excitation_deterministic_per_seed():
     jump = ExcitationGenerator(12, amplitude=0.1, seed=9)
     assert np.array_equal(jump.sample(1999), drawn[-1])
     assert all(np.array_equal(jump.sample(j), drawn[j]) for j in range(2000))
+    # The bits are drawn a block of rotations ahead; across two block
+    # boundaries the values equal one draw per stream and rotation.
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(9).spawn(12)]
+    pole, z = 0.8, np.zeros(12)
+    for j in range(2 * _BIT_BLOCK + 3):
+        bits = np.array([2.0 * rng.integers(0, 2, size=1)[0] - 1.0 for rng in rngs])
+        z = pole * z + (1.0 - pole) * bits
+        assert np.array_equal(drawn[j], 0.1 * z), j
 
 
 def test_restricted_command_spectrum_concentrates_at_1p_2p():
