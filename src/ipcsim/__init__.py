@@ -7,7 +7,7 @@ controllers, fault injection, metrics, and a deterministic campaign runner
 round out the package.
 """
 
-from .baselines import MbcIpcState, cpc_baseline, coleman_forward, coleman_inverse
+from .baselines import MbcIpcState
 from .control import (
     BasisProjection,
     ControllerState,
@@ -49,8 +49,6 @@ from .plant import (
     apply_actuator_fault,
     apply_blade_fault,
     build_plant,
-    default_plant,
-    markov_oracle,
 )
 from .sysid import IdentificationEngine
 

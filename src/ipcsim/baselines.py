@@ -1,8 +1,10 @@
 """Comparison controllers.
 
-The collective baseline commands zero differential pitch (the surrogate has
-no rotor-speed loop to regulate, so the operating-point collective is the
-zero vector); its load SD defines the denominator of every rSD figure.
+The collective baseline (cpc) commands zero differential pitch (the
+surrogate has no rotor-speed loop to regulate, so the operating-point
+collective is the zero vector); the harness pushes a zero command block
+through the plant, and its load SD defines the denominator of every rSD
+figure.
 
 MBC-IPC transforms the three blade loads into fixed-frame tilt/yaw
 components with the Coleman transformation, applies a leaky PI per channel,
@@ -27,9 +29,6 @@ import numpy as np
 from .plant import N_BLADES, _maybe_switch_blade_fault, apply_actuator_fault
 
 __all__ = [
-    "cpc_baseline",
-    "coleman_forward",
-    "coleman_inverse",
     "MbcIpcState",
     "mbc_ipc_rotation",
 ]
@@ -40,28 +39,6 @@ _BLADE_OFFSETS = 2.0 * np.pi * np.arange(3) / 3.0
 # `a`, the blade's own state pair in each row of `c` and column of `l_obs`.
 _A_MASK = np.kron(np.eye(N_BLADES, dtype=bool), np.ones((2, 2), dtype=bool))
 _C_MASK = np.kron(np.eye(N_BLADES, dtype=bool), np.ones((1, 2), dtype=bool))
-
-
-def cpc_baseline(k: int) -> np.ndarray:
-    """Constant-collective baseline: zero differential pitch at any sample."""
-    return np.zeros(3)
-
-
-def coleman_forward(y: np.ndarray, psi: float) -> tuple[float, float]:
-    """Rotating blade quantities -> fixed-frame (tilt, yaw) components."""
-    if not np.isfinite(psi):
-        raise ValueError("azimuth must be finite")
-    angles = psi + _BLADE_OFFSETS
-    y = np.asarray(y, dtype=float).reshape(3)
-    tilt = (2.0 / 3.0) * float(y @ np.cos(angles))
-    yaw = (2.0 / 3.0) * float(y @ np.sin(angles))
-    return tilt, yaw
-
-
-def coleman_inverse(tilt: float, yaw: float, psi: float) -> np.ndarray:
-    """Fixed-frame commands -> per-blade pitch (transpose convention)."""
-    angles = psi + _BLADE_OFFSETS
-    return tilt * np.cos(angles) + yaw * np.sin(angles)
 
 
 @dataclass

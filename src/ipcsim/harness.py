@@ -23,13 +23,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .baselines import MbcIpcState, cpc_baseline, mbc_ipc_rotation
+from .baselines import MbcIpcState, mbc_ipc_rotation
 from .control import ControllerTuning, RepetitiveController, UnrestrictedExcitation, _is_int
 from .metrics import (
     DEFAULT_RATE_LIMIT_DEG_S,
     WindowSpec,
     adc,
     band_energy_ratio,
+    rsd,
     windowed_sd,
 )
 from .numerics import welch_psd
@@ -91,7 +92,6 @@ class LoadCaseConfig:
     uftipc_amplitude_deg: float = 0.25
     uftipc_cutoff_hz: float = 1.0
     uftipc_bit_time_s: float = 1.0
-    identification_log: bool = False  # test mode: per-rotation error vs oracle
 
     def __post_init__(self):
         if not self.id:
@@ -197,7 +197,6 @@ class RunResult:
     rotation_log: list
     metrics: dict
     wall_time_s: float = 0.0
-    identification_log: list = field(default_factory=list)
 
     def save(self, out_dir) -> None:
         from pathlib import Path
@@ -220,11 +219,6 @@ class RunResult:
             json.dump(self.metrics, fh, indent=1, sort_keys=True)
         with open(d / "config.json", "w") as fh:
             json.dump(self.config.to_dict(), fh, indent=1, sort_keys=True)
-        if self.identification_log:
-            with open(d / "identification_log.csv", "w") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["rotation", "err_blade1", "err_blade2", "err_blade3"])
-                writer.writerows(self.identification_log)
 
 
 def _advance_rotation(plant, fault, dist, u_cmd_rows, k0):
@@ -280,36 +274,18 @@ def run_load_case(cfg: LoadCaseConfig) -> RunResult:
     elif cfg.controller == "mbc_ipc":
         mbc_state = MbcIpcState(authority_deg=tuning.theta_cap_deg)
 
-    id_log = []
-    oracle_rows = None
-    if cfg.identification_log and controller is not None:
-        from .plant import markov_oracle_siso
-
-        def oracle_for(pl):
-            return np.vstack([markov_oracle_siso(pl, cfg.predictor_window, b)
-                              for b in (1, 2, 3)])
-
-        oracle_rows = oracle_for(plant)
-
+    cpc_rows = np.zeros((period, 3))  # cpc: zero differential pitch, every rotation
     try:
         for j in range(n_rot):
             k0 = j * period
-            if controller is not None:
-                rows = controller.rotation_commands(j)
-                u_cmd[k0:k0 + period] = rows
-                y[k0:k0 + period] = _advance_rotation(plant, fault, dist, rows, k0)
-                controller.finish_rotation(j, u_cmd, y)
-                if oracle_rows is not None:
-                    if fault.kind == "blade_stiffness" and k0 <= fault.onset_sample < k0 + period:
-                        oracle_rows = oracle_for(plant)
-                    errs = controller.engine.relative_errors(oracle_rows)
-                    id_log.append([j] + [float(e) for e in errs])
-            elif mbc_state is not None:
+            if mbc_state is not None:
                 mbc_ipc_rotation(mbc_state, plant, fault, dist, k0, u_cmd, y)
-            else:  # cpc
-                rows = np.tile(cpc_baseline(k0), (period, 1))
-                u_cmd[k0:k0 + period] = rows
-                y[k0:k0 + period] = _advance_rotation(plant, fault, dist, rows, k0)
+                continue
+            rows = cpc_rows if controller is None else controller.rotation_commands(j)
+            u_cmd[k0:k0 + period] = rows
+            y[k0:k0 + period] = _advance_rotation(plant, fault, dist, rows, k0)
+            if controller is not None:
+                controller.finish_rotation(j, u_cmd, y)
     except FloatingPointError as exc:
         raise RuntimeError(f"run {cfg.id} diverged: {exc}") from exc
 
@@ -331,7 +307,6 @@ def run_load_case(cfg: LoadCaseConfig) -> RunResult:
         config=cfg, t=t, u_cmd=u_cmd, y=y, psi=psi,
         rotation_log=rotation_log, metrics=metrics,
         wall_time_s=time.perf_counter() - start,
-        identification_log=id_log,
     )
 
 
@@ -492,7 +467,8 @@ def compare(metrics_by_id: dict, baseline: str = "cpc") -> ComparisonTable:
 
     Requires every group to contain a run of the baseline controller with
     matching seeds (guaranteed by the campaign builder). Negative rSD
-    entries (load increased) are flagged.
+    entries (load increased) are flagged; a baseline blade with zero load
+    SD raises ValueError.
     """
     groups: dict[str, dict[str, dict]] = {}
     for m in metrics_by_id.values():
@@ -505,9 +481,7 @@ def compare(metrics_by_id: dict, baseline: str = "cpc") -> ComparisonTable:
         for ctl, m in sorted(by_ctl.items()):
             rsd_vals, adc_vals, neg = {}, {}, []
             for b in ("blade1", "blade2", "blade3"):
-                sd_b = base["faulty"][b]["sd_y"]
-                sd_c = m["faulty"][b]["sd_y"]
-                val = (sd_b - sd_c) / sd_b
+                val = rsd(base["faulty"][b]["sd_y"], m["faulty"][b]["sd_y"])
                 rsd_vals[b] = val
                 adc_vals[b] = m["faulty"][b]["adc"]
                 if val < 0.0:

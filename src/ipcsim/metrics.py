@@ -15,7 +15,6 @@ __all__ = [
     "adc",
     "band_energy_ratio",
     "windowed_sd",
-    "per_rotation_band_power",
 ]
 
 DEFAULT_RATE_LIMIT_DEG_S = 10.0
@@ -105,19 +104,3 @@ def windowed_sd(series: np.ndarray, window: WindowSpec, which: str, dt: float) -
     seg = series[i0:i1]
     return float(np.sqrt(np.mean((seg - seg.mean()) ** 2)))
 
-
-def per_rotation_band_power(y: np.ndarray, period: int, u_f: np.ndarray) -> np.ndarray:
-    """Per-rotation 1P+2P power of each blade load.
-
-    Projects each rotation of y onto the four sine/cosine basis columns and
-    sums squared coefficients; shape (n_rotations, n_blades). Works on any
-    controller's output series, so recovery transients are comparable
-    across strategies.
-    """
-    y = np.asarray(y, dtype=float)
-    n_rot = y.shape[0] // period
-    y = y[: n_rot * period].reshape(n_rot, period, -1)
-    # Least-squares coefficients per rotation: (U_f' U_f)^-1 U_f' y_rot.
-    gram_inv = np.linalg.inv(u_f.T @ u_f)
-    coeffs = np.einsum("hk,rkb->rhb", gram_inv @ u_f.T, y)
-    return np.sum(coeffs**2, axis=1)

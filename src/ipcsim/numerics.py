@@ -23,7 +23,6 @@ __all__ = [
     "DareSolution",
     "DareNonConvergence",
     "solve_dare",
-    "spectral_radius",
     "PsdEstimate",
     "welch_psd",
 ]
@@ -238,10 +237,6 @@ def solve_dare(a, b, q, r, tol: float = 1e-9, max_iter: int = 500,
         if not np.all(np.isfinite(p)):
             raise DareNonConvergence(float("inf"), it)
     raise DareNonConvergence(residual, max_iter)
-
-
-def spectral_radius(m: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(m, dtype=float)))))
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,8 @@ __all__ = [
     "DisturbanceModel",
     "FaultScenario",
     "build_plant",
-    "default_plant",
     "apply_actuator_fault",
     "apply_blade_fault",
-    "markov_oracle",
-    "markov_oracle_siso",
 ]
 
 N_BLADES = 3
@@ -59,8 +56,10 @@ class FaultScenario:
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; choose from {FAULT_KINDS}")
-        if self.blade_index not in (1, 2, 3):
+        if isinstance(self.blade_index, bool) or self.blade_index not in (1, 2, 3):
             raise ValueError("blade_index must be 1, 2 or 3 (exactly one faulty blade)")
+        if not np.isfinite(self.parameter):
+            raise ValueError(f"fault parameter must be finite, got {self.parameter!r}")
         if self.kind == "pad" and not (0.0 < self.parameter <= 1.0):
             raise ValueError("PAD scale must satisfy 0 < parameter <= 1")
         if self.kind == "blade_stiffness" and not (0.0 < self.parameter <= 1.0):
@@ -221,24 +220,6 @@ class SurrogatePlant:
     dc_gain: float = -1500.0
     coupling: float = 0.05
     predictor_poles: tuple = (0.40, 0.35)
-    seed: int = 0
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.b.shape[1]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.c.shape[0]
-
-    @property
-    def a_tilde(self) -> np.ndarray:
-        """Predictor-form transition matrix A - L C."""
-        return self.a - self.l_obs @ self.c
 
     def copy(self) -> "SurrogatePlant":
         return replace(
@@ -247,9 +228,6 @@ class SurrogatePlant:
             x=self.x.copy(), dist_gain=self.dist_gain.copy(),
             nat_freq_hz=self.nat_freq_hz.copy(),
         )
-
-    def dc_gain_matrix(self) -> np.ndarray:
-        return self.c @ np.linalg.solve(np.eye(self.n) - self.a, self.b)
 
     def advance_block(self, u_eff: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
         """Advance n samples; returns the n output rows.
@@ -326,23 +304,21 @@ def _build_matrices(nat_freq_hz, damping, dt, dc_gain, coupling, predictor_poles
 
 def build_plant(nat_freq_hz: float = 7.0, damping: float = 0.7, dc_gain: float = -1500.0,
                 coupling: float = 0.05, predictor_poles=(0.40, 0.35), dt: float = 0.01,
-                period_samples: int = 100, seed: int = 0) -> SurrogatePlant:
-    """Surrogate with explicit channel parameters (all blades identical)."""
+                period_samples: int = 100) -> SurrogatePlant:
+    """Surrogate with explicit channel parameters (all blades identical).
+
+    The defaults are the reference surrogate: 7 Hz well-damped blade modes
+    (innovation-to-load noise gain stays near one), -1500 units/deg DC gain,
+    5% input cross-coupling, dt = 0.01 s, P = 100 (1 s rotor period).
+    """
     nat = np.full(N_BLADES, float(nat_freq_hz))
     poles = tuple(predictor_poles)
     a, b, c, l_obs = _build_matrices(nat, damping, dt, dc_gain, coupling, poles)
     return SurrogatePlant(
         a=a, b=b, c=c, l_obs=l_obs, dt=dt, period_samples=period_samples,
         nat_freq_hz=nat, damping=damping, dc_gain=dc_gain, coupling=coupling,
-        predictor_poles=poles, seed=seed,
+        predictor_poles=poles,
     )
-
-
-def default_plant(seed: int = 0) -> SurrogatePlant:
-    """Reference surrogate: 7 Hz well-damped blade modes (innovation-to-load
-    noise gain stays near one), -1500 units/deg DC gain,
-    5% input cross-coupling, dt = 0.01 s, P = 100 (1 s rotor period)."""
-    return build_plant(seed=seed)
 
 
 def apply_blade_fault(plant: SurrogatePlant, fault: FaultScenario) -> SurrogatePlant:
@@ -376,41 +352,3 @@ def _maybe_switch_blade_fault(plant: SurrogatePlant, fault: FaultScenario, k: in
         plant.a, plant.c, plant.l_obs = faulted.a, faulted.c, faulted.l_obs
         plant.dist_gain = faulted.dist_gain
         plant.nat_freq_hz = faulted.nat_freq_hz
-
-
-# ---------------------------------------------------------------------------
-# Identification ground truth
-# ---------------------------------------------------------------------------
-
-def markov_oracle(plant: SurrogatePlant, p: int) -> np.ndarray:
-    """Exact predictor Markov matrix [C Ã^{p-1} B ... C B | C Ã^{p-1} L ... C L].
-
-    Test-only ground truth for the identification stage; shape
-    (n_outputs, p * (n_inputs + n_outputs)).
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    at = plant.a_tilde
-    l, r = plant.n_outputs, plant.n_inputs
-    blocks_u = np.empty((p, l, r))
-    blocks_y = np.empty((p, l, l))
-    cat = plant.c.copy()
-    for j in range(p):
-        blocks_u[j] = cat @ plant.b
-        blocks_y[j] = cat @ plant.l_obs
-        cat = cat @ at
-    out = np.empty((l, p * (r + l)))
-    for m in range(p):
-        out[:, m * r:(m + 1) * r] = blocks_u[p - 1 - m]
-        out[:, p * r + m * l: p * r + (m + 1) * l] = blocks_y[p - 1 - m]
-    return out
-
-
-def markov_oracle_siso(plant: SurrogatePlant, p: int, blade: int) -> np.ndarray:
-    """Blade-restricted oracle row (1 x 2p): the (i, i) entries of each block."""
-    full = markov_oracle(plant, p)
-    i = blade - 1
-    r, l = plant.n_inputs, plant.n_outputs
-    u_part = [full[i, m * r + i] for m in range(p)]
-    y_part = [full[i, p * r + m * l + i] for m in range(p)]
-    return np.array(u_part + y_part)

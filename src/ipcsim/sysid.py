@@ -69,8 +69,3 @@ class IdentificationEngine:
         targets = diff[1, p:].T[:, :, None]
         self.state = rls_update_batch(self.state, regressors, targets)
         self._next_t = t1
-
-    def relative_errors(self, oracle_rows: np.ndarray) -> np.ndarray:
-        """Per-blade ||row - oracle|| / ||oracle|| against a (3, 2p) oracle."""
-        return (np.linalg.norm(self.rows - oracle_rows, axis=1)
-                / np.linalg.norm(oracle_rows, axis=1))

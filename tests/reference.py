@@ -2,7 +2,8 @@
 
 Per-sample twins of the package's batched paths: a ring buffer serving
 rotor-period differences and per-blade regressors, one-sample RLS and
-identification steps, a one-sample plant step, and one sample of MBC-IPC.
+identification steps, a one-sample plant step, the Coleman transform pair
+(`coleman_forward`, `coleman_inverse`) and one sample of MBC-IPC.
 The package folds a whole rotation at once (`IdentificationEngine.ingest`,
 `SurrogatePlant.advance_block`, `ipcsim.baselines.mbc_ipc_rotation`); these
 stay the oracles for the equivalence tests and the acceptance criteria.
@@ -14,6 +15,13 @@ package projects per blade instead (`ipcsim.control.projected_blocks`);
 this path stays as the oracle for the predictor-fidelity criterion, whose
 true plant has cross-blade input coupling, and for the per-blade
 equivalence tests.
+
+Ground truth and analysis helpers that the package itself never calls:
+`a_tilde` (the predictor-form transition A - L C) and `dc_gain_matrix` of a
+plant, the exact predictor Markov parameters `markov_oracle` and its
+per-blade row `markov_oracle_siso`, `relative_errors` of an identification
+engine against that oracle, `spectral_radius`, and
+`per_rotation_band_power`, the per-rotation 1P+2P load power of a series.
 """
 
 from __future__ import annotations
@@ -22,12 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ipcsim.baselines import MbcIpcState, coleman_forward, coleman_inverse
+from ipcsim.baselines import MbcIpcState
 from ipcsim.control import BasisProjection
 from ipcsim.numerics import RlsState, pinv, rls_update_batch
 from ipcsim.plant import _maybe_switch_blade_fault, apply_actuator_fault
 
 N_BLADES = 3
+
+_BLADE_OFFSETS = 2.0 * np.pi * np.arange(N_BLADES) / N_BLADES
 
 _CHANNELS = {"u1": ("u", 0), "u2": ("u", 1), "u3": ("u", 2),
              "y1": ("y", 0), "y2": ("y", 1), "y3": ("y", 2)}
@@ -140,6 +150,23 @@ def step(plant, u_cmd, disturbance, fault, k: int) -> np.ndarray:
     return plant.advance_block(u_eff[None, :], d, e)[0]
 
 
+def coleman_forward(y: np.ndarray, psi: float) -> tuple[float, float]:
+    """Rotating blade quantities -> fixed-frame (tilt, yaw) components."""
+    if not np.isfinite(psi):
+        raise ValueError("azimuth must be finite")
+    angles = psi + _BLADE_OFFSETS
+    y = np.asarray(y, dtype=float).reshape(3)
+    tilt = (2.0 / 3.0) * float(y @ np.cos(angles))
+    yaw = (2.0 / 3.0) * float(y @ np.sin(angles))
+    return tilt, yaw
+
+
+def coleman_inverse(tilt: float, yaw: float, psi: float) -> np.ndarray:
+    """Fixed-frame commands -> per-blade pitch (transpose convention)."""
+    angles = psi + _BLADE_OFFSETS
+    return tilt * np.cos(angles) + yaw * np.sin(angles)
+
+
 def mbc_ipc_step(state: MbcIpcState, y: np.ndarray, psi: float, dt: float):
     """One sample of MBC-IPC: Coleman forward, PI, Coleman inverse.
 
@@ -158,6 +185,82 @@ def mbc_ipc_step(state: MbcIpcState, y: np.ndarray, psi: float, dt: float):
     u_yaw = state.kp * yaw + state.yaw_int
     u = coleman_inverse(u_tilt, u_yaw, psi + state.psi_offset)
     return state, np.clip(u, -bound, bound)
+
+
+# ---------------------------------------------------------------------------
+# Plant ground truth and analysis helpers
+# ---------------------------------------------------------------------------
+
+def a_tilde(plant) -> np.ndarray:
+    """Predictor-form transition matrix A - L C."""
+    return plant.a - plant.l_obs @ plant.c
+
+
+def dc_gain_matrix(plant) -> np.ndarray:
+    """Steady-state gain C (I - A)^-1 B."""
+    return plant.c @ np.linalg.solve(np.eye(plant.a.shape[0]) - plant.a, plant.b)
+
+
+def markov_oracle(plant, p: int) -> np.ndarray:
+    """Exact predictor Markov matrix [C Ã^{p-1} B ... C B | C Ã^{p-1} L ... C L].
+
+    Ground truth for the identification stage; shape
+    (n_outputs, p * (n_inputs + n_outputs)).
+    """
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    at = a_tilde(plant)
+    l, r = plant.c.shape[0], plant.b.shape[1]
+    blocks_u = np.empty((p, l, r))
+    blocks_y = np.empty((p, l, l))
+    cat = plant.c.copy()
+    for j in range(p):
+        blocks_u[j] = cat @ plant.b
+        blocks_y[j] = cat @ plant.l_obs
+        cat = cat @ at
+    out = np.empty((l, p * (r + l)))
+    for m in range(p):
+        out[:, m * r:(m + 1) * r] = blocks_u[p - 1 - m]
+        out[:, p * r + m * l: p * r + (m + 1) * l] = blocks_y[p - 1 - m]
+    return out
+
+
+def markov_oracle_siso(plant, p: int, blade: int) -> np.ndarray:
+    """Blade-restricted oracle row (1 x 2p): the (i, i) entries of each block."""
+    full = markov_oracle(plant, p)
+    i = blade - 1
+    r, l = plant.b.shape[1], plant.c.shape[0]
+    u_part = [full[i, m * r + i] for m in range(p)]
+    y_part = [full[i, p * r + m * l + i] for m in range(p)]
+    return np.array(u_part + y_part)
+
+
+def relative_errors(engine, oracle_rows: np.ndarray) -> np.ndarray:
+    """Per-blade ||row - oracle|| / ||oracle|| of an IdentificationEngine
+    against a (3, 2p) oracle."""
+    return (np.linalg.norm(engine.rows - oracle_rows, axis=1)
+            / np.linalg.norm(oracle_rows, axis=1))
+
+
+def spectral_radius(m: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(m, dtype=float)))))
+
+
+def per_rotation_band_power(y: np.ndarray, period: int, u_f: np.ndarray) -> np.ndarray:
+    """Per-rotation 1P+2P power of each blade load.
+
+    Projects each rotation of y onto the four sine/cosine basis columns and
+    sums squared coefficients; shape (n_rotations, n_blades). Works on any
+    controller's output series, so recovery transients are comparable
+    across strategies.
+    """
+    y = np.asarray(y, dtype=float)
+    n_rot = y.shape[0] // period
+    y = y[: n_rot * period].reshape(n_rot, period, -1)
+    # Least-squares coefficients per rotation: (U_f' U_f)^-1 U_f' y_rot.
+    gram_inv = np.linalg.inv(u_f.T @ u_f)
+    coeffs = np.einsum("hk,rkb->rhb", gram_inv @ u_f.T, y)
+    return np.sum(coeffs**2, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ipcsim.baselines import coleman_forward, coleman_inverse
 from ipcsim.control import ControllerTuning, RepetitiveController, build_basis
 from ipcsim.harness import (
     LoadCaseConfig,
@@ -34,22 +33,25 @@ from ipcsim.numerics import (
     RlsState,
     pinv,
     solve_dare,
-    spectral_radius,
     welch_psd,
 )
 from ipcsim.plant import (
     DisturbanceModel,
     FaultScenario,
-    default_plant,
-    markov_oracle,
-    markov_oracle_siso,
+    build_plant,
 )
 from reference import (
     PeriodicBuffer,
     assemble_lifted,
+    coleman_forward,
+    coleman_inverse,
     markov_blocks_from_xi,
+    markov_oracle,
+    markov_oracle_siso,
     predict_lifted,
+    relative_errors,
     rls_update,
+    spectral_radius,
     step,
 )
 
@@ -99,7 +101,7 @@ def rsd_of(metrics, group, controller, which, blade):
 
 def test_criterion_01_identification_oracle():
     t0 = time.perf_counter()
-    plant = default_plant()
+    plant = build_plant()
     dist = DisturbanceModel(sigma_e=0.0, seed=3)  # noise-free
     fault = FaultScenario()
     tuning = ControllerTuning(warmup_rotations=51)  # excitation only, no control
@@ -115,7 +117,7 @@ def test_criterion_01_identification_oracle():
             y[k] = step(plant, u[k], dist, fault, k)
         ctl.finish_rotation(j, u, y)
     oracle = np.vstack([markov_oracle_siso(plant, WINDOW, b) for b in (1, 2, 3)])
-    errs = ctl.engine.relative_errors(oracle)
+    errs = relative_errors(ctl.engine, oracle)
     elapsed = time.perf_counter() - t0
     ok = bool(np.all(errs < 1e-2) and elapsed < 5.0)
     report(1, ok,
@@ -134,7 +136,7 @@ def test_criterion_01_identification_oracle():
 # ---------------------------------------------------------------------------
 
 def test_criterion_02_predictor_fidelity():
-    plant = default_plant()
+    plant = build_plant()
     blocks = markov_blocks_from_xi(markov_oracle(plant, WINDOW), WINDOW)
     lifted = assemble_lifted(blocks, P, WINDOW)
     rng = np.random.default_rng(3)

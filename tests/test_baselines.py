@@ -4,24 +4,18 @@ closed-loop direction checks on the surrogate."""
 import numpy as np
 import pytest
 
-from ipcsim.baselines import (
-    MbcIpcState,
-    cpc_baseline,
+from ipcsim.baselines import MbcIpcState, mbc_ipc_rotation
+from ipcsim.control import build_basis
+from ipcsim.plant import DisturbanceModel, FaultScenario, build_plant
+from reference import (
     coleman_forward,
     coleman_inverse,
-    mbc_ipc_rotation,
+    mbc_ipc_step,
+    per_rotation_band_power,
+    step,
 )
-from ipcsim.metrics import per_rotation_band_power
-from ipcsim.control import build_basis
-from ipcsim.plant import DisturbanceModel, FaultScenario, default_plant
-from reference import mbc_ipc_step, step
 
 P = 100
-
-
-def test_cpc_is_zero_differential():
-    for k in (0, 10, 99999):
-        assert np.array_equal(cpc_baseline(k), np.zeros(3))
 
 
 def test_coleman_rejects_collective():
@@ -78,7 +72,7 @@ def test_mbc_integrator_anti_windup():
 
 
 def closed_loop_run(controller, fault, n_rot, sigma_e=0.0, seed=0):
-    plant = default_plant()
+    plant = build_plant()
     dist = DisturbanceModel(sigma_e=sigma_e, seed=seed)
     n = n_rot * P
     ys = np.empty((n, 3))
@@ -90,7 +84,7 @@ def closed_loop_run(controller, fault, n_rot, sigma_e=0.0, seed=0):
         if controller == "mbc":
             state, u = mbc_ipc_step(state, y_prev, psi, plant.dt)
         else:
-            u = cpc_baseline(k)
+            u = np.zeros(3)
         us[k] = u
         ys[k] = step(plant, u, dist, fault, k)
         y_prev = ys[k]
@@ -158,7 +152,7 @@ def test_fused_rotation_matches_per_sample_oracle(case):
     n_rot = 14
     runs = []
     for advance in (mbc_ipc_rotation, oracle_rotation):
-        plant = default_plant()
+        plant = build_plant()
         dist = DisturbanceModel(sigma_e=sigma_e, seed=5, period_jitter=jitter)
         state = MbcIpcState()
         u, y = np.empty((n_rot * P, 3)), np.empty((n_rot * P, 3))
@@ -202,7 +196,7 @@ def test_mbc_state_rejects_nonfinite_or_out_of_range(field, value):
 
 
 def _one_rotation(state, plant=None, y_prev=None):
-    plant = default_plant() if plant is None else plant
+    plant = build_plant() if plant is None else plant
     u, y = np.zeros((2 * P, 3)), np.zeros((2 * P, 3))
     k0 = 0
     if y_prev is not None:
@@ -223,7 +217,7 @@ def test_fused_rotation_rejects_nonfinite_command():
 
 
 def test_fused_rotation_reports_state_overflow():
-    plant = default_plant()
+    plant = build_plant()
     plant.x = np.full(6, 1.5e308)  # the first state update overflows to inf
     with pytest.raises(FloatingPointError):
         _one_rotation(MbcIpcState(), plant=plant)
@@ -233,7 +227,7 @@ def test_run_load_case_reports_mbc_divergence(monkeypatch):
     from ipcsim.harness import LoadCaseConfig, run_load_case
 
     def seeded(self):
-        plant = default_plant()
+        plant = build_plant()
         plant.x = np.full(6, 1.5e308)
         return plant
 
@@ -246,7 +240,7 @@ def test_run_load_case_reports_mbc_divergence(monkeypatch):
 
 def test_fused_rotation_rejects_cross_blade_plant():
     for name, index in (("a", (0, 2)), ("c", (0, 2)), ("l_obs", (0, 1))):
-        plant = default_plant()
+        plant = build_plant()
         getattr(plant, name)[index] = 1e-3
         with pytest.raises(ValueError, match="per-blade"):
             _one_rotation(MbcIpcState(), plant=plant)

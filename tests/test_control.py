@@ -21,22 +21,23 @@ from ipcsim.control import (
     update_theta,
 )
 from ipcsim.control import _BIT_BLOCK
-from ipcsim.numerics import RlsState, pinv, spectral_radius, welch_psd
+from ipcsim.numerics import RlsState, pinv, welch_psd
 from ipcsim.metrics import band_energy_ratio
 from ipcsim.plant import (
     DisturbanceModel,
     FaultScenario,
-    default_plant,
-    markov_oracle,
-    markov_oracle_siso,
+    build_plant,
 )
 from reference import (
     assemble_lifted,
     markov_blocks,
     markov_blocks_from_xi,
+    markov_oracle,
+    markov_oracle_siso,
     predict_lifted,
     project_state_space,
     scatter_blades,
+    spectral_radius,
     step,
 )
 
@@ -144,7 +145,7 @@ def test_zero_markov_gives_zero_lifted():
 
 
 def test_lifted_structural_zeros():
-    plant = default_plant()
+    plant = build_plant()
     blocks = markov_blocks_from_xi(markov_oracle(plant, WINDOW), WINDOW)
     lifted = assemble_lifted(blocks, P, WINDOW)
     l = r = 3
@@ -158,7 +159,7 @@ def test_lifted_structural_zeros():
 
 def test_predictor_fidelity_with_oracle_parameters():
     # Eq.-(18)-style one-rotation-ahead prediction vs direct simulation.
-    plant = default_plant()
+    plant = build_plant()
     blocks = markov_blocks_from_xi(markov_oracle(plant, WINDOW), WINDOW)
     lifted = assemble_lifted(blocks, P, WINDOW)
     rng = np.random.default_rng(3)
@@ -204,7 +205,7 @@ def test_projected_shapes_and_zero_model_structure():
 
 
 def oracle_rows():
-    plant = default_plant()
+    plant = build_plant()
     return np.vstack([markov_oracle_siso(plant, WINDOW, b) for b in (1, 2, 3)])
 
 
@@ -298,7 +299,7 @@ def test_nonfinite_projected_model_is_a_counted_dare_failure():
 
 
 def converged_model_matrices():
-    plant = default_plant()
+    plant = build_plant()
     blocks = markov_blocks_from_xi(markov_oracle(plant, WINDOW), WINDOW)
     basis = build_basis(P)
     lifted = assemble_lifted(blocks, P, WINDOW)

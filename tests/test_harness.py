@@ -62,6 +62,18 @@ def test_config_validation_errors():
                          ("beta", np.nan)):
         with pytest.raises(ConfigError):
             short_cfg(tuning={field: value})
+    # Fault parameters are finite for every kind; a bool is not a blade index.
+    for kind in ("healthy", "pas", "pad", "blade_stiffness"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigError):
+                short_cfg(fault_kind=kind, fault_parameter=value)
+    with pytest.raises(ConfigError):
+        short_cfg(fault_blade=True)
+    # Removed fields (the plant seed, identification_log) are rejected, not ignored.
+    with pytest.raises(ConfigError):
+        short_cfg(plant={"seed": 1})
+    with pytest.raises(ConfigError):
+        LoadCaseConfig.from_dict({**short_cfg().to_dict(), "identification_log": True})
     # No excitation is a degenerate regime the run reports, not a bad config.
     short_cfg(tuning={"excitation_amplitude": 0.0})
 
@@ -154,6 +166,13 @@ def test_run_result_csv_full_precision(tmp_path):
     data = np.loadtxt(tmp_path / "t-case" / "series.csv", delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 4:7], res.y)
     assert np.array_equal(data[:, 1:4], res.u_cmd)
+
+
+def test_cpc_run_commands_zero_differential_pitch():
+    res = run_load_case(short_cfg(id="cpc-zero", controller="cpc", duration_s=20.0,
+                                  fault_onset_s=10.0))
+    assert res.u_cmd.shape == (2000, 3)
+    assert np.all(res.u_cmd == 0.0)
 
 
 def test_closed_loop_band_power_monotone_until_floor():
@@ -262,6 +281,19 @@ def test_compare_text_notes_faulty_blade():
     text = table.to_text()
     assert "blade 3 not shown: faulty blade" in text
     assert "blade3" not in text.split("\n")[1]  # column suppressed in rows
+
+
+def test_compare_rejects_zero_sd_baseline(tmp_path):
+    metrics = metrics_for_compare()
+    base = next(m for m in metrics.values() if m["controller"] == "cpc")
+    base["faulty"]["blade1"]["sd_y"] = 0.0
+    with pytest.raises(ValueError):
+        compare(metrics, baseline="cpc")
+    # The CLI reports it as an error (exit code 1), not a traceback.
+    for run_id, m in metrics.items():
+        (tmp_path / run_id).mkdir()
+        (tmp_path / run_id / "metrics.json").write_text(json.dumps(m))
+    assert cli_main(["compare", str(tmp_path)]) == 1
 
 
 # ---------------------------------------------------------------------------

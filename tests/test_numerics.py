@@ -10,10 +10,9 @@ from ipcsim.numerics import (
     pinv,
     rls_update_batch,
     solve_dare,
-    spectral_radius,
     welch_psd,
 )
-from reference import rls_update
+from reference import rls_update, spectral_radius
 
 
 # ---------------------------------------------------------------------------

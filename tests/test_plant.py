@@ -9,12 +9,16 @@ from ipcsim.plant import (
     FaultScenario,
     apply_actuator_fault,
     apply_blade_fault,
-    default_plant,
+    build_plant,
+)
+from reference import (
+    a_tilde,
+    dc_gain_matrix,
     markov_oracle,
     markov_oracle_siso,
+    spectral_radius,
+    step,
 )
-from ipcsim.numerics import spectral_radius
-from reference import step
 
 
 def quiet_disturbance(**kw):
@@ -34,30 +38,30 @@ HEALTHY = FaultScenario()
 
 
 # ---------------------------------------------------------------------------
-# default_plant
+# the default plant, build_plant()
 # ---------------------------------------------------------------------------
 
 def test_default_plant_stability_invariants():
-    plant = default_plant(seed=17)
+    plant = build_plant()
     assert spectral_radius(plant.a) < 1.0
-    assert spectral_radius(plant.a_tilde) < 1.0
+    assert spectral_radius(a_tilde(plant)) < 1.0
 
 
 def test_default_plant_rotor_period():
-    plant = default_plant()
+    plant = build_plant()
     assert plant.dt * plant.period_samples == pytest.approx(1.0)
     assert plant.period_samples == 100
     assert plant.dt == 0.01
 
 
 def test_default_plant_dc_gain():
-    plant = default_plant()
+    plant = build_plant()
     # Direct steady-state gain C (I - A)^-1 B.
-    dc = plant.dc_gain_matrix()
+    dc = dc_gain_matrix(plant)
     assert dc[0, 0] == pytest.approx(-1500.0, rel=0.01)
     # And by simulation: unit step on blade 1, zero disturbance.
     dist = quiet_disturbance()
-    ys = run_plant(default_plant(), lambda k: np.array([1.0, 0.0, 0.0]), dist, HEALTHY, 800)
+    ys = run_plant(build_plant(), lambda k: np.array([1.0, 0.0, 0.0]), dist, HEALTHY, 800)
     assert ys[-1, 0] == pytest.approx(dc[0, 0], rel=1e-6)
     # Weak cross-coupling: 5% of the main gain.
     assert dc[1, 0] == pytest.approx(0.05 * dc[0, 0], rel=1e-9)
@@ -107,7 +111,7 @@ def test_fault_validation():
 # ---------------------------------------------------------------------------
 
 def test_blade_fault_identity_at_unit_scale():
-    plant = default_plant()
+    plant = build_plant()
     out = apply_blade_fault(plant, FaultScenario(kind="blade_stiffness", blade_index=3,
                                                  parameter=1.0))
     assert np.array_equal(out.a, plant.a)
@@ -117,7 +121,7 @@ def test_blade_fault_identity_at_unit_scale():
 def test_blade_fault_amplifies_disturbance_by_inverse_scale():
     fault = FaultScenario(kind="blade_stiffness", blade_index=3, onset_sample=0, parameter=0.2)
     dist = DisturbanceModel(amp_1p=[200.0, 200.0, 200.0], amp_2p=np.zeros(3), sigma_e=0.0)
-    plant = default_plant()
+    plant = build_plant()
     ys = run_plant(plant, lambda k: np.zeros(3), dist, fault, 400)
     tail = ys[-200:]  # integer number of rotations: RMS of a sinusoid is exact
     amp_faulty = np.sqrt(2.0) * np.sqrt(np.mean(tail[:, 2] ** 2))
@@ -131,15 +135,15 @@ def test_blade_fault_leaves_healthy_channels_bit_identical():
     u_seq = rng.normal(size=(300, 3))
     dist_a = quiet_disturbance()
     dist_b = quiet_disturbance()
-    ys_fault = run_plant(default_plant(), lambda k: u_seq[k], dist_a, fault, 300)
-    ys_ref = run_plant(default_plant(), lambda k: u_seq[k], dist_b, HEALTHY, 300)
+    ys_fault = run_plant(build_plant(), lambda k: u_seq[k], dist_a, fault, 300)
+    ys_ref = run_plant(build_plant(), lambda k: u_seq[k], dist_b, HEALTHY, 300)
     assert np.array_equal(ys_fault[:, :2], ys_ref[:, :2])
     assert not np.array_equal(ys_fault[:, 2], ys_ref[:, 2])
 
 
 def test_blade_fault_requires_right_kind():
     with pytest.raises(ValueError):
-        apply_blade_fault(default_plant(), FaultScenario(kind="pas"))
+        apply_blade_fault(build_plant(), FaultScenario(kind="pas"))
 
 
 def test_scheduled_fault_is_time_exact():
@@ -148,9 +152,9 @@ def test_scheduled_fault_is_time_exact():
         fault = FaultScenario(kind=kind, blade_index=3, onset_sample=onset, parameter=param)
         rng = np.random.default_rng(9)
         u_seq = rng.normal(size=(200, 3))
-        ys_fault = run_plant(default_plant(), lambda k: u_seq[k], quiet_disturbance(),
+        ys_fault = run_plant(build_plant(), lambda k: u_seq[k], quiet_disturbance(),
                              fault, 200)
-        ys_ref = run_plant(default_plant(), lambda k: u_seq[k], quiet_disturbance(),
+        ys_ref = run_plant(build_plant(), lambda k: u_seq[k], quiet_disturbance(),
                            HEALTHY, 200)
         assert np.array_equal(ys_fault[:onset], ys_ref[:onset])
 
@@ -160,7 +164,7 @@ def test_scheduled_fault_is_time_exact():
 # ---------------------------------------------------------------------------
 
 def test_zero_everything_gives_zero_output():
-    ys = run_plant(default_plant(), lambda k: np.zeros(3), quiet_disturbance(), HEALTHY, 50)
+    ys = run_plant(build_plant(), lambda k: np.zeros(3), quiet_disturbance(), HEALTHY, 50)
     assert np.all(ys == 0.0)
 
 
@@ -170,7 +174,7 @@ def test_output_disturbance_is_exact_sinusoid():
     a1, a2 = 700.0, 150.0
     dist = DisturbanceModel(amp_1p=[a1, 0, 0], amp_2p=[a2, 0, 0],
                             phase_1p=[0.4, 0, 0], phase_2p=[1.1, 0, 0], sigma_e=0.0)
-    plant = default_plant()
+    plant = build_plant()
     ys = run_plant(plant, lambda k: np.zeros(3), dist, HEALTHY, 250)
     k = np.arange(250)
     psi = 2 * np.pi * (k % 100) / 100
@@ -180,7 +184,7 @@ def test_output_disturbance_is_exact_sinusoid():
 
 
 def test_periodic_input_gives_periodic_output_geometrically():
-    plant = default_plant()
+    plant = build_plant()
     dist = DisturbanceModel(sigma_e=0.0)
     rng = np.random.default_rng(2)
     u_rot = rng.normal(size=(100, 3))
@@ -198,9 +202,9 @@ def test_superposition():
     u1 = rng.normal(size=(150, 3))
     u2 = rng.normal(size=(150, 3))
     d = quiet_disturbance()
-    y1 = run_plant(default_plant(), lambda k: u1[k], quiet_disturbance(), HEALTHY, 150)
-    y2 = run_plant(default_plant(), lambda k: u2[k], quiet_disturbance(), HEALTHY, 150)
-    y12 = run_plant(default_plant(), lambda k: u1[k] + u2[k], d, HEALTHY, 150)
+    y1 = run_plant(build_plant(), lambda k: u1[k], quiet_disturbance(), HEALTHY, 150)
+    y2 = run_plant(build_plant(), lambda k: u2[k], quiet_disturbance(), HEALTHY, 150)
+    y12 = run_plant(build_plant(), lambda k: u1[k] + u2[k], d, HEALTHY, 150)
     scale = max(1.0, np.abs(y12).max())
     assert np.allclose(y12, y1 + y2, atol=1e-10 * scale)
 
@@ -208,8 +212,8 @@ def test_superposition():
 def test_innovation_stream_is_seed_reproducible():
     def make():
         return DisturbanceModel(sigma_e=25.0, seed=42)
-    y1 = run_plant(default_plant(), lambda k: np.zeros(3), make(), HEALTHY, 120)
-    y2 = run_plant(default_plant(), lambda k: np.zeros(3), make(), HEALTHY, 120)
+    y1 = run_plant(build_plant(), lambda k: np.zeros(3), make(), HEALTHY, 120)
+    y2 = run_plant(build_plant(), lambda k: np.zeros(3), make(), HEALTHY, 120)
     assert np.array_equal(y1, y2)
     with pytest.raises(ValueError):
         make().innovation_block(5, 1)  # non-sequential draw
@@ -220,17 +224,17 @@ def test_innovation_stream_is_seed_reproducible():
 # ---------------------------------------------------------------------------
 
 def test_markov_oracle_p1_is_cb_cl():
-    plant = default_plant()
+    plant = build_plant()
     xi = markov_oracle(plant, 1)
     assert np.allclose(xi[:, :3], plant.c @ plant.b)
     assert np.allclose(xi[:, 3:], plant.c @ plant.l_obs)
 
 
 def test_markov_oracle_blocks_match_direct_products():
-    plant = default_plant()
+    plant = build_plant()
     p = 6
     xi = markov_oracle(plant, p)
-    at = plant.a_tilde
+    at = a_tilde(plant)
     for m in range(p):
         power = np.linalg.matrix_power(at, p - 1 - m)
         assert np.allclose(xi[:, 3 * m:3 * (m + 1)], plant.c @ power @ plant.b, atol=1e-12)
@@ -239,15 +243,15 @@ def test_markov_oracle_blocks_match_direct_products():
 
 
 def test_truncation_premise_at_p21():
-    plant = default_plant()
-    at = plant.a_tilde
+    plant = build_plant()
+    at = a_tilde(plant)
     cb = plant.c @ plant.b
     tail = plant.c @ np.linalg.matrix_power(at, 20) @ plant.b
     assert np.linalg.norm(tail) < 1e-6 * np.linalg.norm(cb)
 
 
 def test_markov_oracle_siso_diagonal_entries():
-    plant = default_plant()
+    plant = build_plant()
     p = 4
     row = markov_oracle_siso(plant, p, blade=2)
     full = markov_oracle(plant, p)

@@ -9,12 +9,17 @@ from ipcsim.plant import (
     DisturbanceModel,
     FaultScenario,
     build_plant,
-    default_plant,
-    markov_oracle_siso,
 )
 from ipcsim.numerics import RlsState, rls_update_batch
 from ipcsim.sysid import IdentificationEngine
-from reference import PeriodicBuffer, identify_step, markov_blocks, step
+from reference import (
+    PeriodicBuffer,
+    identify_step,
+    markov_blocks,
+    markov_oracle_siso,
+    relative_errors,
+    step,
+)
 
 P, WINDOW = 100, 21
 HEALTHY = FaultScenario()
@@ -128,7 +133,7 @@ def run_identification(plant, dist, fault, n_rotations, u_fn, engine=True, p=WIN
 
 
 def test_zero_excitation_estimate_stays_zero():
-    plant = default_plant()
+    plant = build_plant()
     dist = DisturbanceModel(sigma_e=0.0)  # periodic disturbance only
     eng, _, _ = run_identification(plant, dist, HEALTHY, 10, lambda k: np.zeros(3))
     assert np.all(eng.rows == 0.0)
@@ -149,7 +154,7 @@ def test_innovation_noise_pins_the_predictor_row():
         dist = DisturbanceModel(sigma_e=sigma_e, seed=5)
         eng, _, _ = run_identification(plant, dist, HEALTHY, n_rot,
                                        lambda k: rng.normal(0.0, 0.5, size=3))
-        return eng.relative_errors(oracle)
+        return relative_errors(eng, oracle)
 
     errs_free = run_with(0.0, 50)
     errs_noisy_50 = run_with(60.0, 50)
@@ -169,7 +174,7 @@ def test_decoupled_noise_free_regression_is_degenerate_but_predictive():
     dist = DisturbanceModel(sigma_e=0.0)
     eng, us, ys = run_identification(plant, dist, HEALTHY, 30,
                                      lambda k: rng.normal(0.0, 0.5, size=3))
-    assert np.all(eng.relative_errors(oracle) > 0.05)
+    assert np.all(relative_errors(eng, oracle) > 0.05)
     row = eng.rows[0]
     t = 25 * P + 7
     du = us[t - WINDOW:t, 0] - us[t - WINDOW - P:t - P, 0]
@@ -185,7 +190,7 @@ def test_default_forgetting_factor_is_shipped_value():
 
 
 def test_engine_matches_per_sample_identify_step():
-    plant = default_plant()
+    plant = build_plant()
     rng = np.random.default_rng(5)
     dist = DisturbanceModel(sigma_e=10.0, seed=3)
     n_rot = 4
@@ -248,7 +253,7 @@ def test_pad_fault_adaptation_of_cb_early_onset():
     # mix after 100+ post-fault rotations lands the estimated CB within 15%
     # of (1 - theta_pad) * CB_pre. (Late onsets saturate the information
     # matrix and adapt far slower; see the decisions ledger.)
-    plant = default_plant()
+    plant = build_plant()
     onset_rot, post_rot = 10, 110
     fault = FaultScenario(kind="pad", blade_index=3, onset_sample=onset_rot * P, parameter=0.5)
     rng = np.random.default_rng(13)
