@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import N_BLADES, _maybe_switch_blade_fault, apply_actuator_fault
+from .plant import N_BLADES, _check_per_blade, _maybe_switch_blade_fault, apply_actuator_fault
 
 __all__ = [
     "MbcIpcState",
@@ -34,11 +34,6 @@ __all__ = [
 ]
 
 _BLADE_OFFSETS = 2.0 * np.pi * np.arange(3) / 3.0
-
-# Where the per-blade plant is allowed nonzero entries: the 2x2 blocks of
-# `a`, the blade's own state pair in each row of `c` and column of `l_obs`.
-_A_MASK = np.kron(np.eye(N_BLADES, dtype=bool), np.ones((2, 2), dtype=bool))
-_C_MASK = np.kron(np.eye(N_BLADES, dtype=bool), np.ones((1, 2), dtype=bool))
 
 
 @dataclass
@@ -79,9 +74,8 @@ def _blade_blocks(plant):
     rows of the dense input matrix that drive its states. Raises ValueError
     when a, c or l_obs couple blades.
     """
+    _check_per_blade(plant)
     a, c, l_obs = plant.a, plant.c, plant.l_obs
-    if a[~_A_MASK].any() or c[~_C_MASK].any() or l_obs[~_C_MASK.T].any():
-        raise ValueError("plant a, c and l_obs must be per-blade (no cross-blade entries)")
     blades = [slice(2 * i, 2 * i + 2) for i in range(N_BLADES)]
     return (
         tuple(tuple(a[sl, sl].ravel().tolist()) for sl in blades),

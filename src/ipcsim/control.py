@@ -4,13 +4,14 @@ The model has the structure the identification gives it: three decoupled
 SISO blade predictors. Per rotation, each blade's Markov row is correlated
 with the 1P/2P sine/cosine basis (two shifted copies of u_f: the previous
 rotation's inputs and the current rotation's), the p-tap output recursion
-is run on the 12 resulting columns, and the result is projected with
-pinv(u_f). That gives each blade's 4 x 4 blocks T_u, T_y and H_bar of the
-one-rotation predictor in coefficient space, without forming the lifted
-P x P response matrices. Each blade's blocks make its own 12-state
-rotation-level pair (A_bar, B_bar) on [Ybar; dtheta; dYbar], and the three
-pairs are closed together by one stacked Riccati recursion with a (4 x 12)
-state-feedback gain per blade. The per-rotation coefficient update is, per
+is run on the 12 resulting columns in blocks of p samples (one p x p
+in-block inverse and one carry matrix per blade and rotation), and the
+result is projected with pinv(u_f). That gives each blade's 4 x 4 blocks
+T_u, T_y and H_bar of the one-rotation predictor in coefficient space,
+without forming the lifted P x P response matrices. Each blade's blocks
+make its own 12-state rotation-level pair (A_bar, B_bar) on
+[Ybar; dtheta; dYbar], and the three pairs are closed together by one
+stacked Riccati recursion with a (4 x 12) state-feedback gain per blade. The per-rotation coefficient update is, per
 blade,
 
     theta[j+1] = alpha * theta[j] - beta * K_f [Ybar[j]; dtheta[j]; dYbar[j]]
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .numerics import DareNonConvergence, pinv, solve_dare
+from .numerics import DareNonConvergence, _is_int, pinv, solve_dare
 from .sysid import IdentificationEngine
 
 __all__ = [
@@ -102,22 +103,33 @@ def project_output(y_period: np.ndarray, basis: BasisProjection) -> np.ndarray:
 # Per-blade projected model and gain
 # ---------------------------------------------------------------------------
 
-def shifted_bases(u_f: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two (P, p, 4) copies of u_f aligned with an oldest-first Markov row.
+def shifted_bases(u_f: np.ndarray, p: int):
+    """(prev, curr, band): what `projected_blocks` needs of the basis for a
+    p-tap Markov row, built once per controller. Needs 1 <= p < P.
 
-    Row entry m of a p-tap predictor weighs the sample p - m steps back, so
-    at sample s of a rotation it reads sample s + m - p. Where that index
-    is negative the sample lies in the previous rotation: `prev[s, m]` holds
-    u_f at the wrapped index and `curr[s, m]` is zero. Otherwise `curr`
-    holds it and `prev` is zero. Needs 1 <= p < P.
+    prev, curr: (p, S, 4) copies of u_f aligned with an oldest-first row,
+    over the rotation's P samples zero-padded to S, a whole number of
+    blocks of p. Row entry m weighs the sample p - m steps back, so at
+    sample s of a rotation it reads sample s + m - p. Where that index is
+    negative the sample lies in the previous rotation: `prev[m, s]` holds
+    u_f at the wrapped index and `curr[m, s]` is zero. Otherwise `curr`
+    holds it and `prev` is zero.
+
+    band: (p, 2p) gather index of the output recursion seen from one block
+    of p samples. Entry [i, c] is the row entry that weighs column c of
+    [previous block | this block] at sample i of this block, or p (a zero
+    tap) where the recursion does not reach.
     """
     period = u_f.shape[0]
     if not 1 <= p < period:
         raise ValueError(f"predictor window must satisfy 1 <= p < P={period}, got {p}")
-    k = np.arange(period)[:, None] + np.arange(p)[None, :] - p
-    wrapped = u_f[k % period]
+    samples = np.arange(-(-period // p) * p)
+    k = np.arange(p)[:, None] + samples[None, :] - p
+    wrapped = np.where((samples < period)[:, None], u_f[k % period], 0.0)
     before = (k < 0)[..., None]
-    return np.where(before, wrapped, 0.0), np.where(before, 0.0, wrapped)
+    lag = np.arange(2 * p)[None, :] - np.arange(p)[:, None]
+    band = np.where((lag >= 0) & (lag < p), lag, p)
+    return np.where(before, wrapped, 0.0), np.where(before, 0.0, wrapped), band
 
 
 def projected_blocks(rows: np.ndarray, shifts, basis: BasisProjection):
@@ -127,21 +139,31 @@ def projected_blocks(rows: np.ndarray, shifts, basis: BasisProjection):
     (I - G_b)^-1 (Gamma_u,b dU_prev + Gamma_y,b dY_prev + H_b dU_next), with
     G_b the strictly causal output recursion. With inputs and outputs
     restricted to the basis, the Gamma/H products are the rows correlated
-    with the shifted bases; the recursion runs forward over the rotation on
-    all 12 columns at once, batched over the blades, and pinv(u_f) projects
-    the result back to coefficients.
+    with the shifted bases. The recursion runs over the rotation in blocks
+    of p samples on all 12 columns at once, batched over the blades: within
+    a block it is the inverse of a unit lower-triangular p x p matrix,
+    across blocks a carry from the previous block. pinv(u_f) projects the
+    result back to coefficients.
     """
-    prev, curr = shifts
-    p = prev.shape[1]
+    prev, curr, band = shifts
+    p, n_samples = prev.shape[:2]
     row_u, row_y = rows[:, :p], rows[:, p:]
-    # x[s, b]: sample s, blade b, columns [T_u | T_y | H_bar] before projection.
-    x = np.concatenate([row_u @ prev, row_y @ prev, row_u @ curr], axis=2)
-    taps = row_y[:, None, :]
-    for s in range(1, basis.period):
-        d = min(s, p)
-        x[s] += (taps[:, :, p - d:] @ x[s - d:s].transpose(1, 0, 2))[:, 0]
-    proj = basis.u_f_pinv @ x.reshape(basis.period, -1)
-    proj = proj.reshape(N_HARM, N_BLADES, 3 * N_HARM).transpose(1, 0, 2)
+    # x[b, s]: blade b, sample s, columns [T_u | T_y | H_bar] before projection.
+    x = np.concatenate([(row @ shift.reshape(p, -1)).reshape(N_BLADES, n_samples, N_HARM)
+                        for row, shift in ((row_u, prev), (row_y, prev), (row_u, curr))],
+                       axis=2)
+    # band_taps[b]: blade b's recursion over [previous block | this block].
+    padded = np.concatenate([row_y, np.zeros((N_BLADES, 1))], axis=1)
+    band_taps = np.take(padded, band, axis=1)
+    try:
+        in_block = np.linalg.inv(np.eye(p) - band_taps[:, :, p:])
+    except np.linalg.LinAlgError:  # taps so large the elimination underflows
+        in_block = np.full((N_BLADES, p, p), np.nan)
+    carry = in_block @ band_taps[:, :, :p]
+    x = in_block[:, None] @ x.reshape(N_BLADES, n_samples // p, p, -1)
+    for j in range(1, n_samples // p):
+        x[:, j] += carry @ x[:, j - 1]
+    proj = basis.u_f_pinv @ x.reshape(N_BLADES, n_samples, -1)[:, :basis.period]
     return proj[..., :4], proj[..., 4:8], proj[..., 8:]
 
 
@@ -345,10 +367,6 @@ class UnrestrictedExcitation:
 # ---------------------------------------------------------------------------
 # Orchestrating controller
 # ---------------------------------------------------------------------------
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
 
 @dataclass
 class ControllerTuning:

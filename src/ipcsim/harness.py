@@ -5,8 +5,10 @@ A load case fully specifies one run (plant, disturbance, fault, controller,
 tuning, seed); a campaign is a list of load cases. A run advances one rotor
 rotation at a time: the repetitive controller and the collective baseline
 fix a rotation of commands and push it through the fault map and the plant
-in one block; MBC-IPC, which feeds back every sample, runs each rotation as
-one fused controller/fault/plant loop (`baselines.mbc_ipc_rotation`).
+in one block, which the plant advances in closed form with its lifted
+per-blade operator (two blocks when a blade-stiffness onset falls inside the
+rotation); MBC-IPC, which feeds back every sample, runs each rotation as one
+fused controller/fault/plant loop (`baselines.mbc_ipc_rotation`).
 
 Outputs per run: the sample series as headered CSV (full float precision,
 so metrics recompute bit-for-bit from the file), the per-rotation
@@ -24,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .baselines import MbcIpcState, mbc_ipc_rotation
-from .control import ControllerTuning, RepetitiveController, UnrestrictedExcitation, _is_int
+from .control import ControllerTuning, RepetitiveController, UnrestrictedExcitation
 from .metrics import (
     DEFAULT_RATE_LIMIT_DEG_S,
     WindowSpec,
@@ -33,7 +35,7 @@ from .metrics import (
     rsd,
     windowed_sd,
 )
-from .numerics import welch_psd
+from .numerics import _is_int, welch_psd
 from .plant import (
     DisturbanceModel,
     FaultScenario,
@@ -94,6 +96,16 @@ class LoadCaseConfig:
     uftipc_bit_time_s: float = 1.0
 
     def __post_init__(self):
+        # Any failure to validate is a bad config, whatever raised it (a
+        # non-finite duration overflows, a zero period divides by zero).
+        try:
+            self._validate()
+        except ConfigError:
+            raise
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def _validate(self) -> None:
         if not self.id:
             raise ConfigError("load case id must be non-empty")
         if self.controller not in CONTROLLERS:
@@ -104,18 +116,15 @@ class LoadCaseConfig:
             raise ConfigError("seed is mandatory (no ambient randomness)")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not (0.0 < self.fault_onset_s < self.duration_s):
-            raise ConfigError("fault onset must lie strictly inside the run duration")
+        if not (np.isfinite(self.duration_s) and 0.0 < self.fault_onset_s < self.duration_s):
+            raise ConfigError("duration must be finite, with the fault onset strictly inside it")
         if not self.group:
             self.group = self.id
         # Validate the nested sub-configurations eagerly so campaign setup fails fast.
-        try:
-            plant = build_plant(**self.plant)
-            self.make_fault(plant.dt)
-            self.make_disturbance(0)
-            ControllerTuning(**self.tuning)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        plant = build_plant(**self.plant)
+        self.make_fault(plant.dt)
+        self.make_disturbance(0)
+        ControllerTuning(**self.tuning)
         amplitude = self.uftipc_amplitude_deg
         if not (np.isfinite(amplitude) and amplitude >= 0.0):
             raise ConfigError(f"uftipc_amplitude_deg must be finite and >= 0, got {amplitude!r}")
@@ -222,20 +231,22 @@ class RunResult:
 
 
 def _advance_rotation(plant, fault, dist, u_cmd_rows, k0):
-    """Advance one command block through fault map and plant, splitting at a
-    scheduled blade-fault onset so the switch lands on the exact sample."""
+    """Advance one command block through fault map and plant.
+
+    One `advance_block` call per block; a blade-stiffness onset inside the
+    block splits it in two, so the switch lands on its exact sample.
+    """
     n = u_cmd_rows.shape[0]
-    onset = fault.onset_sample
-    if fault.kind == "blade_stiffness" and k0 < onset < k0 + n:
-        cut = onset - k0
-        top = _advance_rotation(plant, fault, dist, u_cmd_rows[:cut], k0)
-        bottom = _advance_rotation(plant, fault, dist, u_cmd_rows[cut:], k0 + cut)
-        return np.vstack([top, bottom])
-    _maybe_switch_blade_fault(plant, fault, k0)
+    onset = fault.onset_sample - k0
+    cuts = (0, onset, n) if fault.kind == "blade_stiffness" and 0 < onset < n else (0, n)
     u_eff = apply_actuator_fault(u_cmd_rows, fault, k0)
     d = dist.periodic_block(k0, n, plant.period_samples)
     e = dist.innovation_block(k0, n)
-    return plant.advance_block(u_eff, d, e)
+    y = np.empty((n, 3))
+    for lo, hi in zip(cuts, cuts[1:]):
+        _maybe_switch_blade_fault(plant, fault, k0 + lo)
+        y[lo:hi] = plant.advance_block(u_eff[lo:hi], d[lo:hi], e[lo:hi])
+    return y
 
 
 def run_load_case(cfg: LoadCaseConfig) -> RunResult:

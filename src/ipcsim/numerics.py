@@ -12,6 +12,7 @@ mutable state.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,11 @@ __all__ = [
     "PsdEstimate",
     "welch_psd",
 ]
+
+
+def _is_int(value) -> bool:
+    """An int (Python or numpy), not a bool: the check for count-like settings."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +138,17 @@ def rls_update_batch(state: RlsState, regressors: np.ndarray, targets: np.ndarra
         return state
     if not (np.all(np.isfinite(regressors)) and np.all(np.isfinite(targets))):
         raise ValueError("batch contains non-finite entries")
-    ages = np.arange(m - 1, -1, -1, dtype=float)
-    return _rls_qr_step(
-        state,
-        regressors,
-        targets,
-        weights=np.power(state.lam, ages / 2.0),
-        prior_scale=state.lam ** (m / 2.0),
-    )
+    weights, prior_scale = _fold_weights(state.lam, m)
+    return _rls_qr_step(state, regressors, targets, weights, prior_scale)
+
+
+@functools.lru_cache(maxsize=8)
+def _fold_weights(lam: float, m: int):
+    """Row weights lam^(age/2), newest row last, and the prior's lam^(m/2)
+    for a fold of m rows; the same for every full rotation, so cached."""
+    weights = np.power(lam, np.arange(m - 1, -1, -1, dtype=float) / 2.0)
+    weights.flags.writeable = False
+    return weights, lam ** (m / 2.0)
 
 
 # ---------------------------------------------------------------------------

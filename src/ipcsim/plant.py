@@ -11,6 +11,17 @@ u_eff is the commanded pitch after the actuator fault map, d is the
 deterministic rotor-periodic disturbance (injected at the output, per-blade
 gain g), and e is the zero-mean white innovation. Pitch in degrees, loads in
 abstract blade-load units; pitching up unloads the blade (negative DC gain).
+
+A, C and L are block-diagonal over the blades (B carries the cross-blade
+input coupling), and the plant is time-invariant between fault switches. So
+`SurrogatePlant.advance_block` does not step sample by sample: it lifts an
+n-sample block to one operator per blade (Bamieh et al., Systems & Control
+Letters 1991),
+
+    y_b = O_b x0_b + T_b drive_b,    x_b <- A_b^n x0_b + R_b drive_b,
+
+with drive = u_eff B' + e L' over the block, and caches it per n until the
+next blade-fault switch.
 """
 
 from __future__ import annotations
@@ -19,6 +30,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+
+from .numerics import _is_int
 
 __all__ = [
     "SurrogatePlant",
@@ -30,6 +43,18 @@ __all__ = [
 ]
 
 N_BLADES = 3
+
+# Where the per-blade plant is allowed nonzero entries: the 2x2 blocks of
+# `a`, the blade's own state pair in each row of `c` and column of `l_obs`.
+_A_MASK = np.kron(np.eye(N_BLADES, dtype=bool), np.ones((2, 2), dtype=bool))
+_C_MASK = np.kron(np.eye(N_BLADES, dtype=bool), np.ones((1, 2), dtype=bool))
+
+
+def _check_per_blade(plant) -> None:
+    """Raise ValueError when the plant's a, c or l_obs couple blades."""
+    if (plant.a[~_A_MASK].any() or plant.c[~_C_MASK].any()
+            or plant.l_obs[~_C_MASK.T].any()):
+        raise ValueError("plant a, c and l_obs must be per-blade (no cross-blade entries)")
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +245,9 @@ class SurrogatePlant:
     dc_gain: float = -1500.0
     coupling: float = 0.05
     predictor_poles: tuple = (0.40, 0.35)
+    # Lifted operators by block length; built at first use, cleared when a
+    # blade fault changes a, c and l_obs (`_maybe_switch_blade_fault`).
+    _lifted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def copy(self) -> "SurrogatePlant":
         return replace(
@@ -229,27 +257,53 @@ class SurrogatePlant:
             nat_freq_hz=self.nat_freq_hz.copy(),
         )
 
+    def _lifted_operator(self, n: int) -> np.ndarray:
+        """(3, n + 2, 2 + 2n) stack [[O_b, T_b], [A_b^n, R_b]] of one n-sample block.
+
+        Blade b's operator maps [x0_b; drive_b] (its two states, then its
+        two drive columns sample by sample) to [y_b; x_b after n samples].
+        Row t of [O_b, T_b] is [c_b A_b^t, ..., c_b A_b^0, 0, ...], and
+        [A_b^n, R_b] is [A_b^n, ..., A_b^0].
+        """
+        op = self._lifted.get(n)
+        if op is None:
+            _check_per_blade(self)
+            blades = [slice(2 * i, 2 * i + 2) for i in range(N_BLADES)]
+            a = np.stack([self.a[sl, sl] for sl in blades])
+            c = np.stack([self.c[i, sl] for i, sl in enumerate(blades)])
+            powers = [np.broadcast_to(np.eye(2), a.shape)]  # powers[k] = A_b^k
+            for _ in range(n):
+                powers.append(a @ powers[-1])
+            # Newest power first: [A_b^n, ..., A_b^0] side by side, (3, 2, 2n + 2).
+            falling = np.stack(powers[::-1], axis=2).reshape(N_BLADES, 2, -1)
+            op = np.zeros((N_BLADES, n + 2, 2 + 2 * n))
+            op[:, n:] = falling
+            obs = c[:, None, :] @ falling  # [c_b A_b^n, ..., c_b A_b^0]
+            for t in range(n):
+                op[:, t, :2 * t + 2] = obs[:, 0, 2 * (n - t):]
+            self._lifted[n] = op
+        return op
+
     def advance_block(self, u_eff: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
         """Advance n samples; returns the n output rows.
 
         y[t] uses the pre-update state, then x steps forward (innovation
-        form: the same e[t] drives both equations).
+        form: the same e[t] drives both equations). Computed in closed form
+        by the per-blade lifted operator of an n-sample block.
         """
         u_eff = np.atleast_2d(u_eff)
         n = u_eff.shape[0]
         drive = u_eff @ self.b.T + e @ self.l_obs.T
-        y = np.empty((n, N_BLADES))
-        x = self.x
-        a = self.a
-        ct = self.c.T
-        for t in range(n):
-            y[t] = x @ ct
-            x = a @ x + drive[t]
-        self.x = x
-        y += self.dist_gain[None, :] * d + e
-        if not np.all(np.isfinite(x)):
+        # v[b] = [x0_b; drive_b], blade b's states first, then its drive pairs.
+        blade_drive = drive.reshape(n, N_BLADES, 2).transpose(1, 0, 2).reshape(N_BLADES, -1)
+        v = np.concatenate([self.x.reshape(N_BLADES, 2), blade_drive], axis=1)
+        out = (self._lifted_operator(n) @ v[:, :, None])[:, :, 0]
+        self.x = out[:, n:].reshape(-1)
+        # The loop's intermediate states are not formed, so check the
+        # outputs too: a state that overflowed on the way shows there.
+        if not np.all(np.isfinite(out)):
             raise FloatingPointError("plant state diverged (non-finite)")
-        return y
+        return out[:, :n].T + self.dist_gain[None, :] * d + e
 
 
 def _second_order_channel(nat_freq_hz: float, damping: float, dt: float, dc_gain: float):
@@ -310,9 +364,22 @@ def build_plant(nat_freq_hz: float = 7.0, damping: float = 0.7, dc_gain: float =
     The defaults are the reference surrogate: 7 Hz well-damped blade modes
     (innovation-to-load noise gain stays near one), -1500 units/deg DC gain,
     5% input cross-coupling, dt = 0.01 s, P = 100 (1 s rotor period).
+    Raises ValueError for a parameter the model cannot be built from.
     """
-    nat = np.full(N_BLADES, float(nat_freq_hz))
+    for name, value in (("nat_freq_hz", nat_freq_hz), ("damping", damping), ("dt", dt)):
+        if not (np.isfinite(value) and value > 0.0):
+            raise ValueError(f"plant {name} must be finite and > 0, got {value!r}")
+    if not (np.isfinite(dc_gain) and dc_gain != 0.0):
+        raise ValueError(f"plant dc_gain must be finite and nonzero, got {dc_gain!r}")
+    if not np.isfinite(coupling):
+        raise ValueError(f"plant coupling must be finite, got {coupling!r}")
     poles = tuple(predictor_poles)
+    if not (len(poles) == 2 and all(np.isfinite(mu) and abs(mu) < 1.0 for mu in poles)):
+        raise ValueError(f"plant predictor_poles must be two finite values with |mu| < 1, "
+                         f"got {predictor_poles!r}")
+    if not _is_int(period_samples) or period_samples < 8:
+        raise ValueError(f"plant period_samples must be an integer >= 8, got {period_samples!r}")
+    nat = np.full(N_BLADES, float(nat_freq_hz))
     a, b, c, l_obs = _build_matrices(nat, damping, dt, dc_gain, coupling, poles)
     return SurrogatePlant(
         a=a, b=b, c=c, l_obs=l_obs, dt=dt, period_samples=period_samples,
@@ -350,5 +417,6 @@ def _maybe_switch_blade_fault(plant: SurrogatePlant, fault: FaultScenario, k: in
     if fault.kind == "blade_stiffness" and k == fault.onset_sample:
         faulted = apply_blade_fault(plant, fault)
         plant.a, plant.c, plant.l_obs = faulted.a, faulted.c, faulted.l_obs
+        plant._lifted.clear()
         plant.dist_gain = faulted.dist_gain
         plant.nat_freq_hz = faulted.nat_freq_hz

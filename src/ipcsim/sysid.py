@@ -59,13 +59,17 @@ class IdentificationEngine:
         if t1 <= t0:
             return
         P, p = self.period, self.p
-        # diff[0] / diff[1]: periodic differences of u / y from sample t0 - p.
-        diff = np.stack([u_hist[t0 - p: t1] - u_hist[t0 - p - P: t1 - P],
-                         y_hist[t0 - p: t1] - y_hist[t0 - p - P: t1 - P]])
+        # diff[b, 0] / diff[b, 1]: periodic differences of blade b's u / y
+        # from sample t0 - p.
+        diff = np.stack([(u_hist[t0 - p: t1] - u_hist[t0 - p - P: t1 - P]).T,
+                         (y_hist[t0 - p: t1] - y_hist[t0 - p - P: t1 - P]).T], axis=1)
         n_rows = t1 - t0
-        # windows[k, r, b]: signal k of blade b over [t0 + r - p, t0 + r - 1].
-        windows = np.lib.stride_tricks.sliding_window_view(diff[:, :-1], p, axis=1)
-        regressors = windows.transpose(2, 1, 0, 3).reshape(N_BLADES, n_rows, 2 * p)
-        targets = diff[1, p:].T[:, :, None]
+        # windows[b, r, k]: signal k of blade b over [t0 + r - p, t0 + r - 1]
+        # (a view; the reshape makes the one copy).
+        blade, signal, sample = diff.strides
+        windows = np.lib.stride_tricks.as_strided(
+            diff, (N_BLADES, n_rows, 2, p), (blade, sample, signal, sample), writeable=False)
+        regressors = windows.reshape(N_BLADES, n_rows, 2 * p)
+        targets = diff[:, 1, p:, None]
         self.state = rls_update_batch(self.state, regressors, targets)
         self._next_t = t1

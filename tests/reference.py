@@ -2,11 +2,14 @@
 
 Per-sample twins of the package's batched paths: a ring buffer serving
 rotor-period differences and per-blade regressors, one-sample RLS and
-identification steps, a one-sample plant step, the Coleman transform pair
+identification steps, a one-sample plant step, the plant block advanced one
+sample at a time (`advance_block_loop`), the Coleman transform pair
 (`coleman_forward`, `coleman_inverse`) and one sample of MBC-IPC.
 The package folds a whole rotation at once (`IdentificationEngine.ingest`,
 `SurrogatePlant.advance_block`, `ipcsim.baselines.mbc_ipc_rotation`); these
 stay the oracles for the equivalence tests and the acceptance criteria.
+`projected_blocks_loop` is the sample-by-sample twin of the controller's
+blocked output recursion.
 
 The dense MIMO reference for the controller's model projection: the lifted
 one-rotation predictor built as full P x P block matrices over all three
@@ -138,6 +141,31 @@ def identify_step(state: RlsState, regressors, dy) -> RlsState:
                     lam=state.lam)
 
 
+def advance_block_loop(plant, u_eff: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Advance n samples one at a time; returns the n output rows.
+
+    Sample-by-sample twin of `SurrogatePlant.advance_block`, which computes
+    the same block in closed form from its lifted per-blade operator.
+    y[t] uses the pre-update state, then x steps forward (innovation
+    form: the same e[t] drives both equations).
+    """
+    u_eff = np.atleast_2d(u_eff)
+    n = u_eff.shape[0]
+    drive = u_eff @ plant.b.T + e @ plant.l_obs.T
+    y = np.empty((n, N_BLADES))
+    x = plant.x
+    a = plant.a
+    ct = plant.c.T
+    for t in range(n):
+        y[t] = x @ ct
+        x = a @ x + drive[t]
+    plant.x = x
+    y += plant.dist_gain[None, :] * d + e
+    if not np.all(np.isfinite(x)):
+        raise FloatingPointError("plant state diverged (non-finite)")
+    return y
+
+
 def step(plant, u_cmd, disturbance, fault, k: int) -> np.ndarray:
     """One sample of the closed plant: fault map, state update, output.
 
@@ -266,6 +294,27 @@ def per_rotation_band_power(y: np.ndarray, period: int, u_f: np.ndarray) -> np.n
 # ---------------------------------------------------------------------------
 # Dense lifted model projection
 # ---------------------------------------------------------------------------
+
+
+def projected_blocks_loop(rows: np.ndarray, shifts, basis: BasisProjection):
+    """Sample-by-sample twin of `ipcsim.control.projected_blocks`: the p-tap
+    output recursion stepped over the rotation one sample at a time.
+
+    Takes the package's `shifted_bases`; its (p, S, 4) copies are read as
+    (P, p, 4), without the padding past sample P.
+    """
+    prev, curr = (m[:, :basis.period].transpose(1, 0, 2) for m in shifts[:2])
+    p = prev.shape[1]
+    row_u, row_y = rows[:, :p], rows[:, p:]
+    # x[s, b]: sample s, blade b, columns [T_u | T_y | H_bar] before projection.
+    x = np.concatenate([row_u @ prev, row_y @ prev, row_u @ curr], axis=2)
+    taps = row_y[:, None, :]
+    for s in range(1, basis.period):
+        d = min(s, p)
+        x[s] += (taps[:, :, p - d:] @ x[s - d:s].transpose(1, 0, 2))[:, 0]
+    proj = basis.u_f_pinv @ x.reshape(basis.period, -1)
+    proj = proj.reshape(4, N_BLADES, 12).transpose(1, 0, 2)
+    return proj[..., :4], proj[..., 4:8], proj[..., 8:]
 
 
 def kron_basis(basis: BasisProjection):

@@ -36,6 +36,7 @@ from reference import (
     markov_oracle_siso,
     predict_lifted,
     project_state_space,
+    projected_blocks_loop,
     scatter_blades,
     spectral_radius,
     step,
@@ -271,22 +272,59 @@ def test_shifted_bases_need_window_inside_period():
             shifted_bases(u_f, p)
 
 
-def test_nonfinite_projected_model_is_a_counted_dare_failure():
-    # A finite estimate whose output recursion explodes (a huge newest-lag
-    # y coefficient) overflows the projection to inf/nan. The rotation then
-    # counts a DARE failure and keeps the previous gain instead of raising.
+@pytest.mark.parametrize("p", [1, 2, 7, 21, 50, 99])
+def test_blocked_recursion_matches_sample_loop(p):
+    # P = 100: p = 7, 21, 50 and 99 leave a partial last block, and p > P/2
+    # gives two blocks.
+    basis = build_basis(P)
+    plant = build_plant()
+    rows = np.vstack([markov_oracle_siso(plant, p, b) for b in (1, 2, 3)])
+    rows = rows * (1.0 + 0.05 * np.random.default_rng(p).normal(size=rows.shape))
+    shifts = shifted_bases(basis.u_f, p)
+    blocked = projected_blocks(rows, shifts, basis)
+    loop = projected_blocks_loop(rows, shifts, basis)
+    for got, want in zip(blocked, loop):
+        assert got.shape == (3, 4, 4)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def exploding_rotation(newest_y_tap):
+    """A controller past warm-up whose blade-2 estimate has `newest_y_tap`
+    as its newest-lag y coefficient; returns (controller, u, y)."""
     ctl = RepetitiveController(WINDOW, P, ControllerTuning(warmup_rotations=2), seed=1)
     rng = np.random.default_rng(0)
     u = rng.normal(size=(3 * P, 3))
     y = rng.normal(size=(3 * P, 3))
     for j in range(3):
         ctl.finish_rotation(j, u, y)
-    failures, gain = ctl.dare_failures, ctl.state.gain.copy()
     state = ctl.engine.state
     estimate = state.estimate.copy()
-    estimate[1, 0, -1] = 1e10
+    estimate[1, 0, -1] = newest_y_tap
     ctl.engine.state = RlsState(estimate=estimate, sqrt_inv_cov=state.sqrt_inv_cov,
                                 lam=state.lam)
+    return ctl, u, y
+
+
+def test_singular_in_block_recursion_is_a_counted_dare_failure():
+    # Taps so large that inverting the in-block matrix hits an exactly zero
+    # pivot: the projection returns non-finite blocks instead of raising,
+    # and the rotation counts a DARE failure and keeps the previous gain.
+    ctl, u, y = exploding_rotation(1e100)
+    failures, gain = ctl.dare_failures, ctl.state.gain.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = projected_blocks(ctl.engine.rows, ctl._shifts, ctl.basis)
+        assert not any(np.all(np.isfinite(b)) for b in blocks)
+        ctl.finish_rotation(2, u, y)
+    assert ctl.dare_failures == failures + 1
+    assert np.array_equal(ctl.state.gain, gain)
+
+
+def test_nonfinite_projected_model_is_a_counted_dare_failure():
+    # A finite estimate whose output recursion explodes (a huge newest-lag
+    # y coefficient) overflows the projection to inf/nan. The rotation then
+    # counts a DARE failure and keeps the previous gain instead of raising.
+    ctl, u, y = exploding_rotation(1e10)
+    failures, gain = ctl.dare_failures, ctl.state.gain.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = projected_blocks(ctl.engine.rows, ctl._shifts, ctl.basis)
         assert not all(np.all(np.isfinite(b)) for b in blocks)

@@ -18,6 +18,7 @@ from ipcsim.harness import (
     run_campaign,
     run_load_case,
 )
+from reference import step
 
 
 def short_cfg(**kw):
@@ -74,6 +75,15 @@ def test_config_validation_errors():
         short_cfg(plant={"seed": 1})
     with pytest.raises(ConfigError):
         LoadCaseConfig.from_dict({**short_cfg().to_dict(), "identification_log": True})
+    # Plant parameters the model cannot be built from, and values that used
+    # to escape as OverflowError / ZeroDivisionError.
+    for plant in ({"damping": np.nan}, {"coupling": np.inf}, {"dt": -0.01},
+                  {"period_samples": 6}, {"period_samples": 0}, {"nat_freq_hz": 0.0},
+                  {"dc_gain": 0.0}, {"predictor_poles": [0.4, 1.5]}):
+        with pytest.raises(ConfigError):
+            short_cfg(plant=plant)
+    with pytest.raises(ConfigError):
+        short_cfg(duration_s=np.inf)
     # No excitation is a degenerate regime the run reports, not a bad config.
     short_cfg(tuning={"excitation_amplitude": 0.0})
 
@@ -205,6 +215,25 @@ def test_ftipc_tolerates_rotor_speed_jitter():
     assert np.all(sd_ctl < 0.5 * sd_base), (sd_ctl, sd_base)
 
 
+def test_mid_rotation_blade_onset_matches_per_sample(advance_block_rows):
+    # The onset falls at sample 37 of rotation 2: that rotation advances in
+    # two blocks, and the series equals one reference.step per sample.
+    cfg = short_cfg(id="mid", controller="cpc", duration_s=5.0, fault_onset_s=2.37,
+                    fault_kind="blade_stiffness", fault_parameter=0.2, sigma_e=40.0)
+    res = run_load_case(cfg)
+    assert advance_block_rows == [100, 100, 37, 63, 100, 100]
+    plant = cfg.make_plant()
+    dist = cfg.make_disturbance(np.random.SeedSequence(cfg.seed).spawn(3)[0])
+    fault = cfg.make_fault(plant.dt)
+    assert fault.onset_sample == 237
+    y_ref = np.array([step(plant, np.zeros(3), dist, fault, k) for k in range(len(res.y))])
+    assert np.abs(res.y - y_ref).max() <= 1e-12 * np.abs(y_ref).max()
+    # The same onset under the repetitive controller runs to the end.
+    ft = run_load_case(short_cfg(id="mid-ft", duration_s=20.0, fault_onset_s=10.37,
+                                 fault_kind="blade_stiffness", fault_parameter=0.2))
+    assert np.all(np.isfinite(ft.y)) and np.all(np.isfinite(ft.u_cmd))
+
+
 # ---------------------------------------------------------------------------
 # campaign
 # ---------------------------------------------------------------------------
@@ -318,13 +347,20 @@ def test_cli_run_and_compare(tmp_path, capsys):
     assert "rSD" in capsys.readouterr().out
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, caplog):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli_main(["run", str(bad)]) == 1
     missing_case = tmp_path / "ok.json"
     missing_case.write_text(json.dumps(short_cfg().to_dict()))
     assert cli_main(["run", str(missing_case), "--case", "nope"]) == 1
+    # Values that used to escape validation as OverflowError and
+    # ZeroDivisionError end as a configuration error too.
+    for fields in ({"duration_s": float("inf")}, {"plant": {"period_samples": 0}}):
+        bad.write_text(json.dumps({**short_cfg().to_dict(), **fields}))
+        caplog.clear()
+        assert cli_main(["run", str(bad)]) == 1
+        assert "configuration error:" in caplog.text
 
 
 def test_cli_campaign_failure_exit_code(tmp_path, monkeypatch):

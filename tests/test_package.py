@@ -51,3 +51,42 @@ def test_every_all_name_is_used_inside_the_package():
     unused = {(m, n) for m in MODULES for n in importlib.import_module(f"ipcsim.{m}").__all__
               if n not in used and n not in UNUSED_IN_PACKAGE_ALLOWED}
     assert not unused, sorted(unused)
+
+
+# The program's entry points that perfbench/tracing.py hooks by name. The
+# benchmark reports a hook whose target is gone as absent and then reads
+# zero for its counters, so renaming or removing one of these breaks the
+# benchmark's per-layer numbers without failing a run.
+TRACED_ENTRY_POINTS = (
+    ("ipcsim.plant", "SurrogatePlant.advance_block"),
+    ("ipcsim.plant", "DisturbanceModel.innovation_block"),
+    ("ipcsim.sysid", "IdentificationEngine.ingest"),
+    ("ipcsim.numerics", "rls_update_batch"),
+    ("ipcsim.numerics", "solve_dare"),
+    ("ipcsim.control", "RepetitiveController.finish_rotation"),
+    ("ipcsim.control", "RepetitiveController.rotation_commands"),
+    ("ipcsim.control", "ExcitationGenerator.sample"),
+    ("ipcsim.harness", "compute_metrics"),
+    ("ipcsim.harness", "run_load_case"),
+    ("ipcsim.harness", "RunResult.save"),
+    ("ipcsim.harness", "recompute_metrics"),
+    ("ipcsim.baselines", "mbc_ipc_rotation"),
+)
+
+
+def test_traced_entry_points_resolve():
+    for module_name, path in TRACED_ENTRY_POINTS:
+        owner = importlib.import_module(module_name)
+        for part in path.split("."):
+            owner = vars(owner).get(part)
+            assert owner is not None, (module_name, path)
+        assert callable(owner), (module_name, path)
+
+
+def test_cpc_run_advances_the_plant_once_per_rotation(advance_block_rows):
+    from ipcsim.harness import LoadCaseConfig, run_load_case
+
+    run_load_case(LoadCaseConfig(id="once", controller="cpc", seed=3, duration_s=10.0,
+                                 fault_onset_s=5.0, fault_kind="blade_stiffness",
+                                 fault_parameter=0.2))
+    assert advance_block_rows == [100] * 10

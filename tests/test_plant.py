@@ -1,5 +1,5 @@
 """Surrogate plant: construction invariants, fault maps, periodicity,
-linearity, and the Markov-parameter oracle."""
+linearity, the lifted block advance, and the Markov-parameter oracle."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,14 @@ import pytest
 from ipcsim.plant import (
     DisturbanceModel,
     FaultScenario,
+    _maybe_switch_blade_fault,
     apply_actuator_fault,
     apply_blade_fault,
     build_plant,
 )
 from reference import (
     a_tilde,
+    advance_block_loop,
     dc_gain_matrix,
     markov_oracle,
     markov_oracle_siso,
@@ -217,6 +219,85 @@ def test_innovation_stream_is_seed_reproducible():
     assert np.array_equal(y1, y2)
     with pytest.raises(ValueError):
         make().innovation_block(5, 1)  # non-sequential draw
+
+
+# ---------------------------------------------------------------------------
+# lifted block advance
+# ---------------------------------------------------------------------------
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def random_block(rng, n):
+    """(u_eff, d, e) for n samples; e has sigma_e > 0."""
+    return (rng.normal(size=(n, 3)), 300.0 * rng.normal(size=(n, 3)),
+            50.0 * rng.normal(size=(n, 3)))
+
+
+@pytest.mark.parametrize("n", [1, 37, 100])
+def test_lifted_block_matches_sample_loop(n):
+    # From a nonzero state with innovations, before and after a
+    # blade-stiffness switch: the closed-form block equals the loop.
+    rng = np.random.default_rng(n)
+    fault = FaultScenario(kind="blade_stiffness", blade_index=2, onset_sample=n,
+                          parameter=0.2)
+    plant = build_plant()
+    plant.x = 100.0 * rng.normal(size=6)
+    for k0 in (0, n):
+        _maybe_switch_blade_fault(plant, fault, k0)
+        ref = plant.copy()
+        block = random_block(rng, n)
+        y = plant.advance_block(*block)
+        y_ref = advance_block_loop(ref, *block)
+        assert rel_err(y, y_ref) <= 1e-12
+        assert rel_err(plant.x, ref.x) <= 1e-12
+    assert not np.array_equal(plant.a, build_plant().a)  # the switch happened
+
+
+def test_blade_switch_clears_the_lifted_operators():
+    rng = np.random.default_rng(7)
+    plant = build_plant()
+    plant.advance_block(*random_block(rng, 100))
+    plant.advance_block(*random_block(rng, 37))
+    assert sorted(plant._lifted) == [37, 100]
+    fault = FaultScenario(kind="blade_stiffness", blade_index=3, onset_sample=5, parameter=0.2)
+    _maybe_switch_blade_fault(plant, fault, 4)  # not the onset: nothing changes
+    assert sorted(plant._lifted) == [37, 100]
+    _maybe_switch_blade_fault(plant, fault, 5)
+    assert plant._lifted == {}
+    # The next block uses the restiffened blade, not a stale operator.
+    ref = plant.copy()
+    block = random_block(rng, 100)
+    assert rel_err(plant.advance_block(*block), advance_block_loop(ref, *block)) <= 1e-12
+
+
+def test_lifted_block_rejects_cross_blade_plant():
+    for name, index in (("a", (0, 2)), ("c", (0, 2)), ("l_obs", (0, 1))):
+        plant = build_plant()
+        getattr(plant, name)[index] = 1e-3
+        with pytest.raises(ValueError, match="per-blade"):
+            plant.advance_block(np.zeros((4, 3)), np.zeros((4, 3)), np.zeros((4, 3)))
+
+
+def test_lifted_block_reports_state_overflow():
+    plant = build_plant()
+    plant.x = np.full(6, 1.5e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError):
+            plant.advance_block(np.zeros((100, 3)), np.zeros((100, 3)), np.zeros((100, 3)))
+
+
+def test_build_plant_rejects_bad_parameters():
+    bad = ({"nat_freq_hz": 0.0}, {"nat_freq_hz": np.inf}, {"damping": np.nan},
+           {"damping": -0.1}, {"dt": -0.01}, {"dt": 0.0}, {"dc_gain": 0.0},
+           {"dc_gain": np.nan}, {"coupling": np.inf}, {"predictor_poles": (0.4,)},
+           {"predictor_poles": (0.4, 1.0)}, {"predictor_poles": (np.nan, 0.3)},
+           {"period_samples": 6}, {"period_samples": 100.0}, {"period_samples": True})
+    for kw in bad:
+        with pytest.raises(ValueError):
+            build_plant(**kw)
+    build_plant(coupling=-0.05, predictor_poles=(-0.5, 0.0), period_samples=8)
 
 
 # ---------------------------------------------------------------------------
