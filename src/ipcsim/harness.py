@@ -10,9 +10,9 @@ per-blade operator (two blocks when a blade-stiffness onset falls inside the
 rotation); MBC-IPC, which feeds back every sample, runs each rotation as one
 fused controller/fault/plant loop (`baselines.mbc_ipc_rotation`).
 
-Outputs per run: the sample series as headered CSV (full float precision,
-so metrics recompute bit-for-bit from the file), the per-rotation
-controller log, and a metrics summary as JSON.
+Outputs per run: the sample series as one (n, 8) float64 `.npy` array
+(binary, so metrics recompute bit-for-bit from the file), the per-rotation
+controller log as CSV, and a metrics summary as JSON.
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 CONTROLLERS = ("cpc", "mbc_ipc", "ftipc", "uftipc")
+
+SERIES_COLUMNS = ("t", "u1", "u2", "u3", "y1", "y2", "y3", "psi")
 
 ONE_P_HZ = 1.0
 BANDS_1P_2P = [[0.9 * ONE_P_HZ, 1.1 * ONE_P_HZ], [1.8 * ONE_P_HZ, 2.2 * ONE_P_HZ]]
@@ -212,11 +214,9 @@ class RunResult:
 
         d = Path(out_dir) / self.config.id
         d.mkdir(parents=True, exist_ok=True)
+        # One (n, 8) float64 array, columns in SERIES_COLUMNS order.
         data = np.column_stack([self.t, self.u_cmd, self.y, self.psi])
-        header = "t,u1,u2,u3,y1,y2,y3,psi"
-        with open(d / "series.csv", "w") as fh:
-            fh.write(header + "\n")
-            np.savetxt(fh, data, fmt="%.17g", delimiter=",")
+        np.save(d / "series.npy", data, allow_pickle=False)
         with open(d / "controller_log.csv", "w") as fh:
             writer = csv.writer(fh)
             writer.writerow(["rotation", "theta_norm", "delta_theta_norm",
@@ -325,8 +325,8 @@ def compute_metrics(cfg: LoadCaseConfig, u_cmd: np.ndarray, y: np.ndarray,
                     dt: float, period: int) -> dict:
     """Windowed summary: per-blade SD, ADC, and pitch band-energy ratios.
 
-    Pure function of the series and the config scalars; persisting the
-    series at full precision makes this reproducible bit-for-bit.
+    Pure function of the series and the config scalars; the series is
+    persisted as binary float64, so this is reproducible bit-for-bit.
     """
     window = WindowSpec.for_run(cfg.duration_s, cfg.fault_onset_s)
     fs = 1.0 / dt
@@ -360,14 +360,27 @@ def compute_metrics(cfg: LoadCaseConfig, u_cmd: np.ndarray, y: np.ndarray,
 
 
 def recompute_metrics(run_dir) -> dict:
-    """Round-trip check helper: metrics from the persisted CSV + config."""
+    """Round-trip check helper: metrics from the persisted `series.npy` +
+    config.
+
+    The file comes from outside the program, so it is loaded without
+    pickle support and must be a 2-D float64 array of `duration_s / dt`
+    rows and one column per `SERIES_COLUMNS` entry (ValueError otherwise).
+    A run directory without `series.npy` raises FileNotFoundError.
+    """
     from pathlib import Path
 
     d = Path(run_dir)
     cfg = LoadCaseConfig.from_dict(json.loads((d / "config.json").read_text()))
-    data = np.loadtxt(d / "series.csv", delimiter=",", skiprows=1)
-    u_cmd, y = data[:, 1:4], data[:, 4:7]
     plant = cfg.make_plant()
+    data = np.load(d / "series.npy", allow_pickle=False)
+    shape = (int(round(cfg.duration_s / plant.dt)), len(SERIES_COLUMNS))
+    if data.dtype != np.float64 or data.shape != shape:
+        raise ValueError(
+            f"{d / 'series.npy'} holds a {data.dtype} array of shape {data.shape}; "
+            f"expected float64 of shape {shape}"
+        )
+    u_cmd, y = data[:, 1:4], data[:, 4:7]
     metrics = compute_metrics(cfg, u_cmd, y, plant.dt, plant.period_samples)
     saved = json.loads((d / "metrics.json").read_text())
     for key in ("dare_failures", "clamp_events"):

@@ -198,13 +198,17 @@ class DisturbanceModel:
             raise ValueError(
                 f"jittered disturbance is sequential: expected k={self._phase_next_k}"
             )
-        phases = np.empty(n)
-        for t in range(n):
-            if (k + t) % period == 0:
-                wobble = self._generators[1].uniform(-1.0, 1.0)
-                self._rate_scale = 1.0 + self.period_jitter * wobble
-            phases[t] = self._phase
-            self._phase += 2.0 * np.pi * self._rate_scale / period
+        # One uniform draw per rotation boundary inside the block; the rate
+        # before the first boundary carries over from the previous block.
+        first = (-k) % period
+        wobble = self._generators[1].uniform(-1.0, 1.0, size=len(range(first, n, period)))
+        scales = np.concatenate([[self._rate_scale], 1.0 + self.period_jitter * wobble])
+        rate = scales[(np.arange(n) - first + period) // period]
+        # add.accumulate sums left to right, as the per-sample recursion does.
+        acc = np.add.accumulate(np.concatenate([[self._phase], 2.0 * np.pi * rate / period]))
+        phases = acc[:n]
+        self._phase = float(acc[n])
+        self._rate_scale = float(scales[-1])
         self._phase_next_k = k + n
         offs = 2.0 * np.pi * np.arange(N_BLADES)[None, :] / N_BLADES
         ph = phases[:, None]

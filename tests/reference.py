@@ -3,8 +3,10 @@
 Per-sample twins of the package's batched paths: a ring buffer serving
 rotor-period differences and per-blade regressors, one-sample RLS and
 identification steps, a one-sample plant step, the plant block advanced one
-sample at a time (`advance_block_loop`), the Coleman transform pair
-(`coleman_forward`, `coleman_inverse`) and one sample of MBC-IPC.
+sample at a time (`advance_block_loop`), the jittered periodic disturbance
+stepped one sample at a time (`jittered_periodic_block_loop`), the Coleman
+transform pair (`coleman_forward`, `coleman_inverse`) and one sample of
+MBC-IPC.
 The package folds a whole rotation at once (`IdentificationEngine.ingest`,
 `SurrogatePlant.advance_block`, `ipcsim.baselines.mbc_ipc_rotation`); these
 stay the oracles for the equivalence tests and the acceptance criteria.
@@ -164,6 +166,30 @@ def advance_block_loop(plant, u_eff: np.ndarray, d: np.ndarray, e: np.ndarray) -
     if not np.all(np.isfinite(x)):
         raise FloatingPointError("plant state diverged (non-finite)")
     return y
+
+
+def jittered_periodic_block_loop(dist, k: int, n: int, period: int) -> np.ndarray:
+    """Jittered periodic disturbance stepped one sample at a time.
+
+    Sample-by-sample twin of `DisturbanceModel.periodic_block` with
+    `period_jitter` > 0, which accumulates the block's phases in one call.
+    Reads and advances the model's phase, rate and jitter stream, so it
+    continues (and can be continued by) the package's blocks.
+    """
+    if k != dist._phase_next_k:
+        raise ValueError(f"jittered disturbance is sequential: expected k={dist._phase_next_k}")
+    phases = np.empty(n)
+    for t in range(n):
+        if (k + t) % period == 0:
+            wobble = dist._generators[1].uniform(-1.0, 1.0)
+            dist._rate_scale = 1.0 + dist.period_jitter * wobble
+        phases[t] = dist._phase
+        dist._phase += 2.0 * np.pi * dist._rate_scale / period
+    dist._phase_next_k = k + n
+    ph = phases[:, None]
+    return (dist.amp_1p[None, :] * np.sin(ph + dist.phase_1p[None, :] + _BLADE_OFFSETS)
+            + dist.amp_2p[None, :] * np.sin(2.0 * ph + dist.phase_2p[None, :]
+                                             + 2.0 * _BLADE_OFFSETS))
 
 
 def step(plant, u_cmd, disturbance, fault, k: int) -> np.ndarray:

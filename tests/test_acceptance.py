@@ -411,11 +411,11 @@ def test_criterion_09_determinism(tmp_path):
     same_metrics = a.metrics == b.metrics
     a.save(tmp_path / "a")
     b.save(tmp_path / "b")
-    csv_a = (tmp_path / "a" / "det" / "series.csv").read_bytes()
-    csv_b = (tmp_path / "b" / "det" / "series.csv").read_bytes()
-    ok = same_series and same_metrics and csv_a == csv_b
+    npy_a = (tmp_path / "a" / "det" / "series.npy").read_bytes()
+    npy_b = (tmp_path / "b" / "det" / "series.npy").read_bytes()
+    ok = same_series and same_metrics and npy_a == npy_b
     report(9, ok, f"repeated run bit-identical: series={same_series}, "
-                  f"metrics={same_metrics}, csv_bytes={csv_a == csv_b}")
+                  f"metrics={same_metrics}, npy_bytes={npy_a == npy_b}")
     assert ok
 
 

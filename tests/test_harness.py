@@ -163,8 +163,13 @@ def test_save_and_metrics_round_trip(tmp_path):
     res = run_load_case(short_cfg())
     res.save(tmp_path)
     d = tmp_path / "t-case"
-    header = (d / "series.csv").open().readline().strip()
-    assert header == "t,u1,u2,u3,y1,y2,y3,psi"
+    written = {f.name for f in d.iterdir()}
+    assert written == {"series.npy", "controller_log.csv", "metrics.json", "config.json"}
+    data = np.load(d / "series.npy", allow_pickle=False)
+    assert data.shape == (res.t.size, 8)  # t,u1,u2,u3,y1,y2,y3,psi
+    assert data.dtype == np.float64 and data.flags.c_contiguous
+    assert np.array_equal(data[:, 0], res.t)
+    assert np.array_equal(data[:, 7], res.psi)
     saved = json.loads((d / "metrics.json").read_text())
     recomputed = recompute_metrics(d)
     assert recomputed == saved
@@ -173,9 +178,31 @@ def test_save_and_metrics_round_trip(tmp_path):
 def test_run_result_csv_full_precision(tmp_path):
     res = run_load_case(short_cfg(duration_s=20.0, fault_onset_s=10.0))
     res.save(tmp_path)
-    data = np.loadtxt(tmp_path / "t-case" / "series.csv", delimiter=",", skiprows=1)
+    data = np.load(tmp_path / "t-case" / "series.npy", allow_pickle=False)
     assert np.array_equal(data[:, 4:7], res.y)
     assert np.array_equal(data[:, 1:4], res.u_cmd)
+
+
+@pytest.mark.parametrize("kind", ["wrong_shape", "object_dtype", "legacy_csv_only"])
+def test_recompute_metrics_rejects_bad_series(tmp_path, kind):
+    res = run_load_case(short_cfg(controller="cpc", duration_s=20.0, fault_onset_s=10.0))
+    res.save(tmp_path)
+    d = tmp_path / "t-case"
+    data = np.load(d / "series.npy")
+    if kind == "wrong_shape":
+        np.save(d / "series.npy", data[:-1])  # one row short of duration / dt
+        with pytest.raises(ValueError, match="shape"):
+            recompute_metrics(d)
+    elif kind == "object_dtype":
+        np.save(d / "series.npy", data.astype(object), allow_pickle=True)
+        with pytest.raises(ValueError, match="allow_pickle"):
+            recompute_metrics(d)
+    else:
+        (d / "series.npy").unlink()
+        np.savetxt(d / "series.csv", data, fmt="%.17g", delimiter=",",
+                   header="t,u1,u2,u3,y1,y2,y3,psi", comments="")
+        with pytest.raises(FileNotFoundError, match="series.npy"):
+            recompute_metrics(d)
 
 
 def test_cpc_run_commands_zero_differential_pitch():
@@ -261,8 +288,8 @@ def test_campaign_parallel_matches_serial(tmp_path):
     for a, b in zip(serial.statuses, parallel.statuses):
         assert a.id == b.id
         assert a.metrics == b.metrics
-    ys = np.loadtxt(tmp_path / "s" / "g1-ftipc" / "series.csv", delimiter=",", skiprows=1)
-    yp = np.loadtxt(tmp_path / "p" / "g1-ftipc" / "series.csv", delimiter=",", skiprows=1)
+    ys = np.load(tmp_path / "s" / "g1-ftipc" / "series.npy", allow_pickle=False)
+    yp = np.load(tmp_path / "p" / "g1-ftipc" / "series.npy", allow_pickle=False)
     assert np.array_equal(ys, yp)
 
 

@@ -16,6 +16,7 @@ from reference import (
     a_tilde,
     advance_block_loop,
     dc_gain_matrix,
+    jittered_periodic_block_loop,
     markov_oracle,
     markov_oracle_siso,
     spectral_radius,
@@ -219,6 +220,28 @@ def test_innovation_stream_is_seed_reproducible():
     assert np.array_equal(y1, y2)
     with pytest.raises(ValueError):
         make().innovation_block(5, 1)  # non-sequential draw
+
+
+def test_jittered_block_matches_sample_loop():
+    # Blocks of length 1 (two on a rotation boundary), blocks that start
+    # mid-rotation and blocks spanning several boundaries: the disturbance,
+    # the carried phase and rate, and the jitter stream all match the
+    # per-sample loop bitwise.
+    period = 100
+    lengths = [1, 37, 1, 61, 1, 100, 250, 49, 1, 1, 99, 149]
+    block = DisturbanceModel(sigma_e=0.0, seed=9, period_jitter=0.2)
+    loop = DisturbanceModel(sigma_e=0.0, seed=9, period_jitter=0.2)
+    k = 0
+    for n in lengths:
+        d = block.periodic_block(k, n, period)
+        assert d.shape == (n, 3)
+        assert np.array_equal(d, jittered_periodic_block_loop(loop, k, n, period))
+        assert block._phase == loop._phase
+        assert block._rate_scale == loop._rate_scale
+        k += n
+    assert block._generators[1].uniform() == loop._generators[1].uniform()
+    with pytest.raises(ValueError):
+        block.periodic_block(k + 1, 1, period)  # non-sequential block
 
 
 # ---------------------------------------------------------------------------
