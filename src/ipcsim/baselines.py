@@ -15,18 +15,22 @@ faulty scenarios (the stuck/derated blade contaminates the transform).
 MBC-IPC feeds back every sample, so it cannot be lifted to the rotation
 level like the repetitive controller. `mbc_ipc_rotation` instead runs one
 rotation of controller, actuator fault map and plant as one loop over plain
-floats: the disturbance, innovations and azimuth tables are drawn once per
-rotation, and the plant's per-blade blocks are read once per segment.
+floats. The disturbance and innovations are drawn once per rotation; what
+does not change between rotations is built once: the Coleman cos/sin rows
+per (P, psi offset), the affine fault map per fault state (before and from
+the onset), and the plant's per-blade float blocks, cached by the plant
+until the blade-stiffness switch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .plant import N_BLADES, _check_per_blade, _maybe_switch_blade_fault, apply_actuator_fault
+from .plant import N_BLADES, _maybe_switch_blade_fault, apply_actuator_fault
 
 __all__ = [
     "MbcIpcState",
@@ -66,23 +70,24 @@ class MbcIpcState:
             raise ValueError("leak must be non-negative")
 
 
-def _blade_blocks(plant):
-    """The plant's matrices as per-blade tuples of Python floats.
+@lru_cache(maxsize=8)
+def _coleman_rows(period: int, psi_offset: float) -> tuple:
+    """(cos_rows, sin_rows) of one rotation: row s holds the three blade
+    angles of azimuth 2 pi (s + 1) / P + psi_offset, as tuples of floats."""
+    psi = 2.0 * np.pi * np.arange(1, period + 1) / period + psi_offset
+    angles = psi[:, None] + _BLADE_OFFSETS
+    return tuple(map(tuple, np.cos(angles).tolist())), tuple(map(tuple, np.sin(angles).tolist()))
 
-    Returns (a, c, l, b): for blade i, a[i] = (a00, a01, a10, a11) of its
-    2x2 block, c[i] and l[i] its output and observer pairs, and b[i] the two
-    rows of the dense input matrix that drive its states. Raises ValueError
-    when a, c or l_obs couple blades.
-    """
-    _check_per_blade(plant)
-    a, c, l_obs = plant.a, plant.c, plant.l_obs
-    blades = [slice(2 * i, 2 * i + 2) for i in range(N_BLADES)]
-    return (
-        tuple(tuple(a[sl, sl].ravel().tolist()) for sl in blades),
-        tuple(tuple(c[i, sl].tolist()) for i, sl in enumerate(blades)),
-        tuple(tuple(l_obs[sl, i].tolist()) for i, sl in enumerate(blades)),
-        tuple(tuple(plant.b[sl].ravel().tolist()) for sl in blades),
-    )
+
+@lru_cache(maxsize=8)
+def _fault_map(fault, active: bool) -> tuple:
+    """(offset, scale) of the actuator fault map before the onset (active
+    False) or from it on: per blade, u_eff = u * scale + offset, exact for
+    finite u (PAS: the stuck angle)."""
+    k = fault.onset_sample if active else fault.onset_sample - 1
+    offset = apply_actuator_fault(np.zeros(N_BLADES), fault, k)
+    scale = apply_actuator_fault(np.ones(N_BLADES), fault, k) - offset
+    return tuple(offset.tolist()), tuple(scale.tolist())
 
 
 def mbc_ipc_rotation(state: MbcIpcState, plant, fault, dist, k0: int,
@@ -104,9 +109,7 @@ def mbc_ipc_rotation(state: MbcIpcState, plant, fault, dist, k0: int,
     dt = plant.dt
     bound = state.authority_deg
     kp, ki, leak = state.kp, state.ki, state.leak
-    psi = 2.0 * np.pi * np.arange(1, period + 1) / period + state.psi_offset
-    angles = psi[:, None] + _BLADE_OFFSETS
-    cos_rows, sin_rows = np.cos(angles).tolist(), np.sin(angles).tolist()
+    cos_rows, sin_rows = _coleman_rows(period, state.psi_offset)
     d = dist.periodic_block(k0, period, period)
     e = dist.innovation_block(k0, period)
     e_rows = e.tolist()
@@ -116,19 +119,15 @@ def mbc_ipc_rotation(state: MbcIpcState, plant, fault, dist, k0: int,
     x0, x1, x2, x3, x4, x5 = plant.x.tolist()
     y0, y1, y2 = y[k0 - 1].tolist() if k0 else (0.0, 0.0, 0.0)
     ti, yi = state.tilt_int, state.yaw_int
-    u_rows, y_rows = [], []
+    u_out, y_out = [], []
     for lo, hi in zip(cuts, cuts[1:]):
         _maybe_switch_blade_fault(plant, fault, k0 + lo)
-        a, c, l, b = _blade_blocks(plant)
+        a, c, l, b = plant._blade_floats()
         (a0, a1, a2, a3), (a4, a5, a6, a7), (a8, a9, a10, a11) = a
         (c0, c1), (c2, c3), (c4, c5) = c
         (l0, l1), (l2, l3), (l4, l5) = l
         (b0, b1, b2, b3, b4, b5), (b6, b7, b8, b9, b10, b11), (b12, b13, b14, b15, b16, b17) = b
-        # The fault map is affine per blade, u_eff = u * scale + offset, and
-        # fixed within a segment; exact for finite u (PAS: the stuck angle).
-        offset = apply_actuator_fault(np.zeros(N_BLADES), fault, k0 + lo)
-        scale = apply_actuator_fault(np.ones(N_BLADES), fault, k0 + lo) - offset
-        (o0, o1, o2), (s0, s1, s2) = offset.tolist(), scale.tolist()
+        (o0, o1, o2), (s0, s1, s2) = _fault_map(fault, k0 + lo >= fault.onset_sample)
         # Output offset g .* d + e, as the plant adds it.
         w_rows = (plant.dist_gain * d[lo:hi] + e[lo:hi]).tolist()
         for (cb0, cb1, cb2), (sb0, sb1, sb2), (e0, e1, e2), (w0, w1, w2) in zip(
@@ -148,12 +147,12 @@ def mbc_ipc_rotation(state: MbcIpcState, plant, fault, dist, k0: int,
                 if not all(map(math.isfinite, (x0, x1, x2, x3, x4, x5))):
                     raise FloatingPointError("plant state diverged (non-finite)")
                 raise ValueError("u_cmd contains non-finite entries")
-            u_rows.append((u0, u1, u2))
+            u_out += u0, u1, u2
             m0, m1, m2 = u0 * s0 + o0, u1 * s1 + o1, u2 * s2 + o2
             y0 = (c0 * x0 + c1 * x1) + w0
             y1 = (c2 * x2 + c3 * x3) + w1
             y2 = (c4 * x4 + c5 * x5) + w2
-            y_rows.append((y0, y1, y2))
+            y_out += y0, y1, y2
             x0, x1 = (a0 * x0 + a1 * x1 + ((m0 * b0 + m1 * b1 + m2 * b2) + e0 * l0),
                       a2 * x0 + a3 * x1 + ((m0 * b3 + m1 * b4 + m2 * b5) + e0 * l1))
             x2, x3 = (a4 * x2 + a5 * x3 + ((m0 * b6 + m1 * b7 + m2 * b8) + e1 * l2),
@@ -164,5 +163,5 @@ def mbc_ipc_rotation(state: MbcIpcState, plant, fault, dist, k0: int,
         if not np.all(np.isfinite(plant.x)):
             raise FloatingPointError("plant state diverged (non-finite)")
     state.tilt_int, state.yaw_int = ti, yi
-    u_cmd[k0:k0 + period] = u_rows
-    y[k0:k0 + period] = y_rows
+    u_cmd[k0:k0 + period] = np.array(u_out).reshape(period, N_BLADES)
+    y[k0:k0 + period] = np.array(y_out).reshape(period, N_BLADES)

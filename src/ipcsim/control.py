@@ -329,7 +329,8 @@ class UnrestrictedExcitation:
 
     A +-1 PRBS held for bit_samples, low-pass filtered at cutoff_hz and
     scaled to the amplitude cap; added directly to the commanded pitch,
-    bypassing the basis projection.
+    bypassing the basis projection. Each blade's bit is redrawn from its
+    own generator at every multiple of bit_samples.
     """
 
     def __init__(self, amplitude_deg: float, cutoff_hz: float, seed: int,
@@ -343,8 +344,8 @@ class UnrestrictedExcitation:
             seed = np.random.SeedSequence(seed)
         seqs = seed.spawn(N_BLADES)
         self._rngs = [np.random.default_rng(s) for s in seqs]
-        self._z = np.zeros(N_BLADES)
-        self._bits = np.zeros(N_BLADES)
+        self._z = (0.0,) * N_BLADES
+        self._bits = (0.0,) * N_BLADES
         self._next_k = 0
 
     def block(self, k: int, n: int) -> np.ndarray:
@@ -353,15 +354,22 @@ class UnrestrictedExcitation:
         self._next_k += n
         if self.amplitude == 0.0:
             return np.zeros((n, N_BLADES))
-        out = np.empty((n, N_BLADES))
         a = self._alpha
-        for t in range(n):
-            kk = k + t
-            if kk % self.bit_samples == 0:
-                self._bits = np.array([2.0 * r.integers(0, 2) - 1.0 for r in self._rngs])
-            self._z = a * self._z + (1.0 - a) * self._bits
-            out[t] = self._z
-        return self.amplitude * np.clip(out, -1.0, 1.0)
+        z0, z1, z2 = self._z
+        out = []
+        t = 0
+        while t < n:  # one stretch of held bits at a time
+            phase = (k + t) % self.bit_samples
+            if phase == 0:
+                self._bits = tuple(2.0 * float(r.integers(0, 2)) - 1.0 for r in self._rngs)
+            # (1 - a) * bit is the same product every sample of the stretch.
+            w0, w1, w2 = ((1.0 - a) * bit for bit in self._bits)
+            for _ in range(min(n - t, self.bit_samples - phase)):
+                z0, z1, z2 = a * z0 + w0, a * z1 + w1, a * z2 + w2
+                out += z0, z1, z2
+            t += self.bit_samples - phase
+        self._z = (z0, z1, z2)
+        return self.amplitude * np.clip(np.array(out).reshape(n, N_BLADES), -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -249,9 +249,11 @@ class SurrogatePlant:
     dc_gain: float = -1500.0
     coupling: float = 0.05
     predictor_poles: tuple = (0.40, 0.35)
-    # Lifted operators by block length; built at first use, cleared when a
-    # blade fault changes a, c and l_obs (`_maybe_switch_blade_fault`).
-    _lifted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Operators derived from the matrices: the lifted operator of each
+    # block length n under key n, and the per-blade float blocks of the
+    # fused MBC loop under "blade_floats". Built at first use, cleared when
+    # a blade fault changes a, c and l_obs (`_maybe_switch_blade_fault`).
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def copy(self) -> "SurrogatePlant":
         return replace(
@@ -269,7 +271,7 @@ class SurrogatePlant:
         Row t of [O_b, T_b] is [c_b A_b^t, ..., c_b A_b^0, 0, ...], and
         [A_b^n, R_b] is [A_b^n, ..., A_b^0].
         """
-        op = self._lifted.get(n)
+        op = self._derived.get(n)
         if op is None:
             _check_per_blade(self)
             blades = [slice(2 * i, 2 * i + 2) for i in range(N_BLADES)]
@@ -285,8 +287,29 @@ class SurrogatePlant:
             obs = c[:, None, :] @ falling  # [c_b A_b^n, ..., c_b A_b^0]
             for t in range(n):
                 op[:, t, :2 * t + 2] = obs[:, 0, 2 * (n - t):]
-            self._lifted[n] = op
+            self._derived[n] = op
         return op
+
+    def _blade_floats(self) -> tuple:
+        """The plant's matrices as per-blade tuples of Python floats.
+
+        Returns (a, c, l, b): for blade i, a[i] = (a00, a01, a10, a11) of its
+        2x2 block, c[i] and l[i] its output and observer pairs, and b[i] the
+        two rows of the dense input matrix that drive its states. Cached with
+        the lifted operators. Raises ValueError when a, c or l_obs couple
+        blades.
+        """
+        floats = self._derived.get("blade_floats")
+        if floats is None:
+            _check_per_blade(self)
+            blades = [slice(2 * i, 2 * i + 2) for i in range(N_BLADES)]
+            floats = self._derived["blade_floats"] = (
+                tuple(tuple(self.a[sl, sl].ravel().tolist()) for sl in blades),
+                tuple(tuple(self.c[i, sl].tolist()) for i, sl in enumerate(blades)),
+                tuple(tuple(self.l_obs[sl, i].tolist()) for i, sl in enumerate(blades)),
+                tuple(tuple(self.b[sl].ravel().tolist()) for sl in blades),
+            )
+        return floats
 
     def advance_block(self, u_eff: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
         """Advance n samples; returns the n output rows.
@@ -421,6 +444,6 @@ def _maybe_switch_blade_fault(plant: SurrogatePlant, fault: FaultScenario, k: in
     if fault.kind == "blade_stiffness" and k == fault.onset_sample:
         faulted = apply_blade_fault(plant, fault)
         plant.a, plant.c, plant.l_obs = faulted.a, faulted.c, faulted.l_obs
-        plant._lifted.clear()
+        plant._derived.clear()
         plant.dist_gain = faulted.dist_gain
         plant.nat_freq_hz = faulted.nat_freq_hz

@@ -4,9 +4,10 @@ Per-sample twins of the package's batched paths: a ring buffer serving
 rotor-period differences and per-blade regressors, one-sample RLS and
 identification steps, a one-sample plant step, the plant block advanced one
 sample at a time (`advance_block_loop`), the jittered periodic disturbance
-stepped one sample at a time (`jittered_periodic_block_loop`), the Coleman
-transform pair (`coleman_forward`, `coleman_inverse`) and one sample of
-MBC-IPC.
+stepped one sample at a time (`jittered_periodic_block_loop`), the uftipc
+broadband excitation filtered one sample at a time
+(`unrestricted_block_loop`), the Coleman transform pair (`coleman_forward`,
+`coleman_inverse`) and one sample of MBC-IPC.
 The package folds a whole rotation at once (`IdentificationEngine.ingest`,
 `SurrogatePlant.advance_block`, `ipcsim.baselines.mbc_ipc_rotation`); these
 stay the oracles for the equivalence tests and the acceptance criteria.
@@ -190,6 +191,31 @@ def jittered_periodic_block_loop(dist, k: int, n: int, period: int) -> np.ndarra
     return (dist.amp_1p[None, :] * np.sin(ph + dist.phase_1p[None, :] + _BLADE_OFFSETS)
             + dist.amp_2p[None, :] * np.sin(2.0 * ph + dist.phase_2p[None, :]
                                              + 2.0 * _BLADE_OFFSETS))
+
+
+def unrestricted_block_loop(noise, k: int, n: int) -> np.ndarray:
+    """Broadband excitation filtered one sample at a time on numpy rows.
+
+    Sample-by-sample twin of `UnrestrictedExcitation.block`, which runs the
+    filter over plain floats one stretch of held bits at a time. Reads and
+    advances the generator's filter state, bits and bit streams, so it
+    continues (and can be continued by) the package's blocks.
+    """
+    if k != noise._next_k:
+        raise ValueError(f"noise stream is sequential: expected k={noise._next_k}")
+    noise._next_k += n
+    if noise.amplitude == 0.0:
+        return np.zeros((n, N_BLADES))
+    out = np.empty((n, N_BLADES))
+    a = noise._alpha
+    z, bits = np.array(noise._z), np.array(noise._bits)
+    for t in range(n):
+        if (k + t) % noise.bit_samples == 0:
+            bits = np.array([2.0 * r.integers(0, 2) - 1.0 for r in noise._rngs])
+        z = a * z + (1.0 - a) * bits
+        out[t] = z
+    noise._z, noise._bits = tuple(z.tolist()), tuple(bits.tolist())
+    return noise.amplitude * np.clip(out, -1.0, 1.0)
 
 
 def step(plant, u_cmd, disturbance, fault, k: int) -> np.ndarray:

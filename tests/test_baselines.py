@@ -6,7 +6,7 @@ import pytest
 
 from ipcsim.baselines import MbcIpcState, mbc_ipc_rotation
 from ipcsim.control import build_basis
-from ipcsim.plant import DisturbanceModel, FaultScenario, build_plant
+from ipcsim.plant import DisturbanceModel, FaultScenario, apply_blade_fault, build_plant
 from reference import (
     coleman_forward,
     coleman_inverse,
@@ -136,33 +136,53 @@ def oracle_rotation(state, plant, fault, dist, k0, u_cmd, y):
         y_prev = y[k]
 
 
+PAS_FAULT = FaultScenario(kind="pas", blade_index=3, onset_sample=1050, parameter=0.0)
+
+# (fault, sigma_e, period_jitter, authority_deg)
 CASES = {
-    "healthy": (FaultScenario(), 0.0, 0.0),
-    "pas": (FaultScenario(kind="pas", blade_index=3, onset_sample=1050, parameter=0.0), 20.0, 0.0),
-    "pad": (FaultScenario(kind="pad", blade_index=1, onset_sample=1050, parameter=0.5), 20.0, 0.1),
+    "healthy": (FaultScenario(), 0.0, 0.0, 4.0),
+    "pas": (PAS_FAULT, 20.0, 0.0, 4.0),
+    "pad": (FaultScenario(kind="pad", blade_index=1, onset_sample=1050, parameter=0.5), 20.0, 0.1,
+            4.0),
     # Onset mid-rotation: the stiffness switch lands at s = 50 of rotation 10.
     "blade_stiffness": (FaultScenario(kind="blade_stiffness", blade_index=3, onset_sample=1050,
-                                      parameter=0.2), 75.0, 0.1),
+                                      parameter=0.2), 75.0, 0.1, 4.0),
+    # A 0.05 deg authority: the command and both integrators hit their clamps.
+    "saturating": (PAS_FAULT, 20.0, 0.0, 0.05),
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_fused_rotation_matches_per_sample_oracle(case):
-    fault, sigma_e, jitter = CASES[case]
-    n_rot = 14
+def fused_and_oracle_runs(fault, sigma_e, jitter, n_rot, **state_fields):
+    """(u, y, state, plant, per-rotation integrator ends) of the fused loop,
+    then of the per-sample oracle, from identical fresh plants."""
     runs = []
     for advance in (mbc_ipc_rotation, oracle_rotation):
         plant = build_plant()
         dist = DisturbanceModel(sigma_e=sigma_e, seed=5, period_jitter=jitter)
-        state = MbcIpcState()
+        state = MbcIpcState(**state_fields)
         u, y = np.empty((n_rot * P, 3)), np.empty((n_rot * P, 3))
+        ends = []
         for j in range(n_rot):
             advance(state, plant, fault, dist, j * P, u, y)
-        runs.append((u, y, state, plant))
-    (u, y, state, plant), (u_ref, y_ref, state_ref, plant_ref) = runs
+            ends.append((state.tilt_int, state.yaw_int))
+        runs.append((u, y, state, plant, np.array(ends)))
+    return runs
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_fused_rotation_matches_per_sample_oracle(case):
+    fault, sigma_e, jitter, bound = CASES[case]
+    (u, y, state, plant, ends), (u_ref, y_ref, state_ref, plant_ref, _) = fused_and_oracle_runs(
+        fault, sigma_e, jitter, 14, authority_deg=bound)
+    if case == "saturating":
+        # The clamps assign the bound itself, so a bound clamp reads exactly
+        # +-bound: in the commands, and in the integrators at rotation ends.
+        assert np.any(np.abs(u) == bound)
+        assert np.any(np.abs(ends[:, 0]) == bound)
+        assert np.any(np.abs(ends[:, 1]) == bound)
     # The fused loop sums the Coleman dot products and the plant's matrix
     # products in its own order, so the series agree to rounding: commands
-    # (bounded by the 4 deg authority) within 1e-12 deg absolute, loads
+    # (bounded by the pitch authority) within 1e-12 deg absolute, loads
     # within 1e-12 of the largest load magnitude.
     assert np.max(np.abs(u - u_ref)) <= 1e-12
     assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
@@ -170,6 +190,44 @@ def test_fused_rotation_matches_per_sample_oracle(case):
     assert state.yaw_int == pytest.approx(state_ref.yaw_int, abs=1e-12)
     assert np.array_equal(plant.a, plant_ref.a)
     assert np.array_equal(plant.dist_gain, plant_ref.dist_gain)
+
+
+def test_cached_blocks_are_rebuilt_at_a_mid_rotation_onset():
+    # The stiffness switch lands at s = 37 of rotation 3, after rotations
+    # 0-2 have cached the healthy plant's float blocks.
+    fault = FaultScenario(kind="blade_stiffness", blade_index=2, onset_sample=337, parameter=0.3)
+    runs = []
+    for advance in (mbc_ipc_rotation, oracle_rotation):
+        plant = build_plant()
+        dist = DisturbanceModel(sigma_e=20.0, seed=8)
+        state = MbcIpcState()
+        u, y = np.empty((6 * P, 3)), np.empty((6 * P, 3))
+        for j in range(6):
+            if j == 3 and advance is mbc_ipc_rotation:
+                healthy = plant._derived["blade_floats"]
+                assert healthy == build_plant()._blade_floats()
+            advance(state, plant, fault, dist, j * P, u, y)
+        runs.append((u, y, plant))
+    (u, y, plant), (u_ref, y_ref, _) = runs
+    assert np.max(np.abs(u - u_ref)) <= 1e-12
+    assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
+    faulted = apply_blade_fault(build_plant(), fault)._blade_floats()
+    assert plant._derived["blade_floats"] == faulted != healthy
+
+
+def test_psi_offset_gets_its_own_coleman_rows():
+    # The zero-offset run goes first, so its rows are cached when the
+    # offset run starts. An azimuth offset only rotates the tilt/yaw frame,
+    # which the equal-gain PI commutes with; the per-axis integrator clamps
+    # do not, so at a 0.05 deg authority the offset shows in the commands.
+    commands = []
+    for offset in (0.0, 0.3):
+        (u, y, *_), (u_ref, y_ref, *_) = fused_and_oracle_runs(
+            PAS_FAULT, 20.0, 0.0, 6, psi_offset=offset, authority_deg=0.05)
+        assert np.max(np.abs(u - u_ref)) <= 1e-12
+        assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
+        commands.append(u)
+    assert np.max(np.abs(commands[0] - commands[1])) > 1e-3
 
 
 @pytest.mark.parametrize("jitter", [0.0, 0.1])

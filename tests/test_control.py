@@ -40,6 +40,7 @@ from reference import (
     scatter_blades,
     spectral_radius,
     step,
+    unrestricted_block_loop,
 )
 
 P, WINDOW = 100, 21
@@ -496,6 +497,22 @@ def test_unrestricted_mode_is_broadband_and_capped():
     psd = welch_psd(block[:, 0], fs=100.0, segment_length=2000)
     ratio = band_energy_ratio(psd, [[0.9, 1.1], [1.8, 2.2]])
     assert 1.0 - ratio >= 0.30  # at least 30% of energy outside 1P/2P bands
+
+
+@pytest.mark.parametrize("amplitude, bit_time_s", [(0.25, 1.0), (0.25, 0.37), (0.0, 0.37)])
+def test_unrestricted_block_matches_sample_loop(amplitude, bit_time_s):
+    # 0.37 s is a 37-sample bit, not a whole number of 100-sample rotations.
+    fast, slow = (UnrestrictedExcitation(amplitude, cutoff_hz=1.0, seed=3, dt=0.01,
+                                         bit_time_s=bit_time_s) for _ in range(2))
+    k = 0
+    # Blocks of one sample (on a bit boundary at k = 0 and, for 1 s bits, at
+    # k = 100), blocks starting mid-bit, and blocks spanning several bits.
+    for n in (1, 1, 98, 1, 1, 37, 250, 1, 437):
+        got, want = fast.block(k, n), unrestricted_block_loop(slow, k, n)
+        assert got.shape == (n, 3)
+        assert np.array_equal(got, want), (k, n)
+        k += n
+    assert fast._z == slow._z and fast._bits == slow._bits
 
 
 def test_unrestricted_zero_amplitude_is_exact_zero():

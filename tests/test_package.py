@@ -3,7 +3,9 @@ used inside the package, and the package re-exports only declared names."""
 
 import ast
 import importlib
+import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 MODULES = ("baselines", "control", "harness", "metrics", "numerics", "plant", "sysid")
@@ -81,6 +83,47 @@ def test_traced_entry_points_resolve():
             owner = vars(owner).get(part)
             assert owner is not None, (module_name, path)
         assert callable(owner), (module_name, path)
+
+
+def test_traced_entry_points_are_called(tmp_path, monkeypatch):
+    # Rebind each entry point as perfbench/tracing.py does: on its owner,
+    # and, for a module function, in every ipcsim module that imported it.
+    # A name that resolves but that the runs no longer reach would leave
+    # its benchmark counters at zero. The runs go through the harness
+    # module, as the benchmark's do.
+    from ipcsim import harness
+
+    packages = [m for n, m in sys.modules.items() if n == "ipcsim" or n.startswith("ipcsim.")]
+    calls = Counter()
+
+    def counting(key, target):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return target(*args, **kwargs)
+        return wrapper
+
+    for module_name, path in TRACED_ENTRY_POINTS:
+        *outer, attr = path.split(".")
+        owner = importlib.import_module(module_name)
+        for part in outer:
+            owner = vars(owner)[part]
+        target = vars(owner)[attr]
+        holders = [owner]
+        if not isinstance(owner, type):
+            holders += [m for m in packages if m is not owner and vars(m).get(attr) is target]
+        for holder in holders:
+            monkeypatch.setattr(holder, attr, counting((module_name, path), target))
+
+    harness.run_load_case(harness.LoadCaseConfig(
+        id="mbc", controller="mbc_ipc", seed=3, duration_s=4.0, fault_onset_s=2.0))
+    # One warm-up rotation, so the 4 s run reaches the Riccati solve.
+    res = harness.run_load_case(harness.LoadCaseConfig(
+        id="ftipc", controller="ftipc", seed=3, duration_s=4.0, fault_onset_s=2.0,
+        tuning={"warmup_rotations": 1}))
+    res.save(tmp_path)
+    harness.recompute_metrics(tmp_path / "ftipc")
+    never = [entry for entry in TRACED_ENTRY_POINTS if not calls[entry]]
+    assert not never, never
 
 
 def test_cpc_run_advances_the_plant_once_per_rotation(advance_block_rows):

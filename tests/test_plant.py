@@ -283,16 +283,20 @@ def test_blade_switch_clears_the_lifted_operators():
     plant = build_plant()
     plant.advance_block(*random_block(rng, 100))
     plant.advance_block(*random_block(rng, 37))
-    assert sorted(plant._lifted) == [37, 100]
+    healthy = plant._blade_floats()  # the fused MBC loop's float blocks
+    assert set(plant._derived) == {37, 100, "blade_floats"}
     fault = FaultScenario(kind="blade_stiffness", blade_index=3, onset_sample=5, parameter=0.2)
     _maybe_switch_blade_fault(plant, fault, 4)  # not the onset: nothing changes
-    assert sorted(plant._lifted) == [37, 100]
+    assert set(plant._derived) == {37, 100, "blade_floats"}
     _maybe_switch_blade_fault(plant, fault, 5)
-    assert plant._lifted == {}
+    assert plant._derived == {}
     # The next block uses the restiffened blade, not a stale operator.
     ref = plant.copy()
     block = random_block(rng, 100)
     assert rel_err(plant.advance_block(*block), advance_block_loop(ref, *block)) <= 1e-12
+    a_blocks = plant._blade_floats()[0]
+    assert a_blocks[2] == tuple(plant.a[4:, 4:].ravel().tolist()) != healthy[0][2]
+    assert a_blocks[:2] == healthy[0][:2]
 
 
 def test_lifted_block_rejects_cross_blade_plant():
