@@ -10,14 +10,12 @@ round out the package.
 from .baselines import MbcIpcState
 from .control import (
     BasisProjection,
-    ControllerState,
     ControllerTuning,
     ExcitationGenerator,
     RepetitiveController,
     UnrestrictedExcitation,
     build_basis,
     project_output,
-    synthesize_gain,
     update_theta,
 )
 from .harness import (

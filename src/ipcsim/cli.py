@@ -98,12 +98,25 @@ def _cmd_campaign(args) -> int:
     return 2 if n_fail else 0
 
 
+def _read_metrics(mfile: Path) -> dict:
+    """A run's metrics.json; ConfigError unless it holds what `compare` reads."""
+    try:
+        m = json.loads(mfile.read_text())
+        for key in ("id", "group", "controller", "faulty_blade"):  # TypeError on a non-object
+            m[key]
+        for b in ("blade1", "blade2", "blade3"):
+            float(m["faulty"][b]["sd_y"]), float(m["faulty"][b]["adc"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{mfile} is not a run's metrics object "
+                          f"({type(exc).__name__}: {exc})") from exc
+    return m
+
+
 def _cmd_compare(args) -> int:
     out_dir = Path(args.out_dir)
     metrics = {}
     for mfile in sorted(out_dir.glob("*/metrics.json")):
-        with open(mfile) as fh:
-            m = json.load(fh)
+        m = _read_metrics(mfile)
         metrics[m["id"]] = m
     if not metrics:
         raise ConfigError(f"no run metrics found under {out_dir}")

@@ -23,7 +23,7 @@ pitch only ever carries 1P and 2P content.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,18 +38,22 @@ __all__ = [
     "shifted_bases",
     "projected_blocks",
     "bar_matrices",
-    "synthesize_gain",
-    "ControllerState",
     "update_theta",
     "ExcitationGenerator",
     "UnrestrictedExcitation",
     "ControllerTuning",
+    "LOG_COLUMNS",
     "RepetitiveController",
 ]
 
 N_BLADES = 3
 N_HARM = 4  # 1P sin, 1P cos, 2P sin, 2P cos
 N_COEFF = N_HARM * N_BLADES
+
+# One row of `RepetitiveController.log` per rotation, in this order.
+LOG_COLUMNS = (("rotation", "theta_norm", "delta_theta_norm", "dare_residual",
+                "dare_failures", "clamp_events")
+               + tuple(f"y_bar_{i}" for i in range(N_COEFF)))
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +104,7 @@ def project_output(y_period: np.ndarray, basis: BasisProjection) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Per-blade projected model and gain
+# Per-blade projected model
 # ---------------------------------------------------------------------------
 
 def shifted_bases(u_f: np.ndarray, p: int):
@@ -184,84 +188,30 @@ def bar_matrices(t_u, t_y, h_bar):
     return a_bar, b_bar
 
 
-def synthesize_gain(a_bar: np.ndarray, b_bar: np.ndarray, q: np.ndarray, r: np.ndarray,
-                    previous_gain: np.ndarray | None = None,
-                    p_warm: np.ndarray | None = None,
-                    tol: float = 1e-9, max_iter: int = 500):
-    """State-feedback gain via the Riccati recursion.
-
-    Accepts one pair or a stack of pairs (see solve_dare). Returns (gain,
-    solution, failed). On non-convergence the previous gain is retained
-    (zero if none yet) and failed is True; the caller counts failures and
-    keeps running.
-    """
-    try:
-        sol = solve_dare(a_bar, b_bar, q, r, tol=tol, max_iter=max_iter, p0=p_warm)
-        return sol.gain, sol, False
-    except DareNonConvergence:
-        if previous_gain is None:
-            previous_gain = np.zeros(b_bar.mT.shape)
-        return previous_gain, None, True
-
-
 # ---------------------------------------------------------------------------
-# Controller state / theta update
+# Theta update
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ControllerState:
-    """Per-rotation repetitive-control state."""
-
-    theta: np.ndarray
-    delta_theta: np.ndarray
-    gain: np.ndarray | None
-    alpha: float
-    beta: float
-    theta_cap: float
-    rotation_index: int = 0
-    clamp_events: int = 0
-
-    def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
-            raise ValueError("alpha and beta must lie in [0, 1]")
-        if self.theta_cap <= 0.0:
-            raise ValueError("theta_cap must be positive")
-
-    @staticmethod
-    def fresh(n_coeff: int, alpha: float = 1.0, beta: float = 0.3,
-              theta_cap: float = 4.0) -> "ControllerState":
-        return ControllerState(
-            theta=np.zeros(n_coeff), delta_theta=np.zeros(n_coeff), gain=None,
-            alpha=alpha, beta=beta, theta_cap=theta_cap,
-        )
-
-
-def update_theta(cs: ControllerState, y_bar: np.ndarray, delta_theta: np.ndarray,
-                 delta_y_bar: np.ndarray) -> ControllerState:
+def update_theta(theta: np.ndarray, gain: np.ndarray, y_bar: np.ndarray,
+                 delta_theta: np.ndarray, delta_y_bar: np.ndarray,
+                 tuning: ControllerTuning):
     """theta[j+1] = alpha theta[j] - beta K_f [Ybar; dtheta; dYbar], clamped.
 
-    Called once per rotation. Coefficient vectors are (4 harmonic x 3 blade)
-    arrays flattened in C order (harmonic-major); blade b's gain
-    cs.gain[b] (4 x 12) acts on [Ybar[:, b]; dtheta[:, b]; dYbar[:, b]].
-    The infinity-norm clamp stands in for real actuator limits; clamping is
-    silent apart from the counted event.
+    Returns (theta_next, clamped): whether the clamp acted. Coefficient
+    vectors are (4 harmonic x 3 blade) arrays flattened in C order
+    (harmonic-major); blade b's gain[b] (4 x 12) acts on [Ybar[:, b];
+    dtheta[:, b]; dYbar[:, b]]. The infinity-norm clamp at
+    tuning.theta_cap_deg stands in for real actuator limits.
     """
-    feedback = 0.0
-    if cs.gain is not None:
-        # Column b of `blade_states` is blade b's 12-state vector.
-        blade_states = np.concatenate([
-            np.asarray(v, dtype=float).reshape(N_HARM, N_BLADES)
-            for v in (y_bar, delta_theta, delta_y_bar)
-        ])
-        feedback = (cs.gain @ blade_states.T[:, :, None])[:, :, 0].T.reshape(-1)
-    theta_next = cs.alpha * cs.theta - cs.beta * feedback
-    clamped = np.clip(theta_next, -cs.theta_cap, cs.theta_cap)
-    events = cs.clamp_events + int(np.any(clamped != theta_next))
-    return ControllerState(
-        theta=clamped, delta_theta=clamped - cs.theta,
-        gain=cs.gain, alpha=cs.alpha, beta=cs.beta, theta_cap=cs.theta_cap,
-        rotation_index=cs.rotation_index + 1, clamp_events=events,
-    )
+    # Column b of `blade_states` is blade b's 12-state vector.
+    blade_states = np.concatenate([
+        np.asarray(v, dtype=float).reshape(N_HARM, N_BLADES)
+        for v in (y_bar, delta_theta, delta_y_bar)
+    ])
+    feedback = (gain @ blade_states.T[:, :, None])[:, :, 0].T.reshape(-1)
+    theta_next = tuning.alpha * theta - tuning.beta * feedback
+    capped = np.clip(theta_next, -tuning.theta_cap_deg, tuning.theta_cap_deg)
+    return capped, bool(np.any(capped != theta_next))
 
 
 # ---------------------------------------------------------------------------
@@ -425,17 +375,6 @@ class ControllerTuning:
                 raise ValueError(f"tuning.{name} must {rule}, got {getattr(self, name)!r}")
 
 
-@dataclass
-class RotationLog:
-    rotation: int
-    theta_norm: float
-    delta_theta_norm: float
-    dare_residual: float
-    dare_failures: int
-    clamp_events: int
-    y_bar: np.ndarray = field(repr=False, default=None)
-
-
 class RepetitiveController:
     """Per-rotation adaptive repetitive controller.
 
@@ -458,26 +397,25 @@ class RepetitiveController:
             filter_pole=tuning.excitation_filter_pole,
         )
         self.unrestricted = unrestricted
-        self.state = ControllerState.fresh(
-            N_COEFF, alpha=tuning.alpha, beta=tuning.beta,
-            theta_cap=tuning.theta_cap_deg,
-        )
         q = np.diag([tuning.q_y] * N_HARM + [tuning.q_dtheta] * N_HARM + [tuning.q_dy] * N_HARM)
         self.q = np.broadcast_to(q, (N_BLADES,) + q.shape)
         self.r = np.broadcast_to(tuning.r_scale * np.eye(N_HARM), (N_BLADES, N_HARM, N_HARM))
-        self._y_bar_prev = np.zeros(N_COEFF)
-        self._have_prev = False
+        self.theta = np.zeros(N_COEFF)
+        self.delta_theta = np.zeros(N_COEFF)
+        self.gain = np.zeros((N_BLADES, N_HARM, 3 * N_HARM))  # kept while the DARE fails
+        self.clamp_events = 0
+        self.dare_failures = 0
+        self.log: list[list] = []  # one row per rotation, columns as LOG_COLUMNS
+        self._y_bar_prev = None
         self._p_warm = None
         self._last_residual = np.nan
-        self.dare_failures = 0
-        self.logs: list[RotationLog] = []
 
     def rotation_commands(self, j: int) -> np.ndarray:
         """(P, 3) commanded pitch for rotation j from the current theta."""
         if self.unrestricted is None:
-            coeffs = self.state.theta + self.excitation.sample(j)
+            coeffs = self.theta + self.excitation.sample(j)
             return rotation_commands(self.basis, coeffs)
-        u = rotation_commands(self.basis, self.state.theta)
+        u = rotation_commands(self.basis, self.theta)
         u += self.unrestricted.block(j * self.period, self.period)
         return u
 
@@ -485,40 +423,34 @@ class RepetitiveController:
         """Identification + model + gain + theta update at a rotation boundary.
 
         u_hist / y_hist are run-length history arrays holding samples
-        [0, (j+1) P).
+        [0, (j+1) P). A Riccati recursion that does not converge keeps the
+        previous gain (zero before the first success) and is counted.
         """
         upto = (j + 1) * self.period
         self.engine.ingest(u_hist, y_hist, upto)
-        y_rot = y_hist[j * self.period: upto]
-        y_bar = project_output(y_rot, self.basis)
-        delta_y_bar = y_bar - self._y_bar_prev if self._have_prev else np.zeros_like(y_bar)
+        y_bar = project_output(y_hist[j * self.period: upto], self.basis)
+        delta_y_bar = (np.zeros(N_COEFF) if self._y_bar_prev is None
+                       else y_bar - self._y_bar_prev)
 
         if j + 1 > self.tuning.warmup_rotations:
             blocks = projected_blocks(self.engine.rows, self._shifts, self.basis)
             a_bar, b_bar = bar_matrices(*blocks)
-            gain, sol, failed = synthesize_gain(
-                a_bar, b_bar, self.q, self.r,
-                previous_gain=self.state.gain, p_warm=self._p_warm,
-                tol=self.tuning.dare_tol, max_iter=self.tuning.dare_max_iter,
-            )
-            if failed:
+            try:
+                sol = solve_dare(a_bar, b_bar, self.q, self.r, tol=self.tuning.dare_tol,
+                                 max_iter=self.tuning.dare_max_iter, p0=self._p_warm)
+            except DareNonConvergence:
                 self.dare_failures += 1
             else:
-                self._p_warm = sol.cost_matrix
+                self.gain, self._p_warm = sol.gain, sol.cost_matrix
                 self._last_residual = sol.residual
-            self.state.gain = gain
-            self.state = update_theta(self.state, y_bar, self.state.delta_theta, delta_y_bar)
-        else:
-            self.state.rotation_index += 1
+            theta, clamped = update_theta(self.theta, self.gain, y_bar, self.delta_theta,
+                                          delta_y_bar, self.tuning)
+            self.theta, self.delta_theta = theta, theta - self.theta
+            self.clamp_events += clamped
 
         self._y_bar_prev = y_bar
-        self._have_prev = True
-        self.logs.append(RotationLog(
-            rotation=j,
-            theta_norm=float(np.linalg.norm(self.state.theta)),
-            delta_theta_norm=float(np.linalg.norm(self.state.delta_theta)),
-            dare_residual=float(self._last_residual),
-            dare_failures=self.dare_failures,
-            clamp_events=self.state.clamp_events,
-            y_bar=y_bar,
-        ))
+        self.log.append([
+            j, float(np.linalg.norm(self.theta)), float(np.linalg.norm(self.delta_theta)),
+            float(self._last_residual), self.dare_failures, self.clamp_events,
+            *y_bar.tolist(),
+        ])

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .baselines import MbcIpcState, mbc_ipc_rotation
-from .control import ControllerTuning, RepetitiveController, UnrestrictedExcitation
+from .control import LOG_COLUMNS, ControllerTuning, RepetitiveController, UnrestrictedExcitation
 from .metrics import (
     DEFAULT_RATE_LIMIT_DEG_S,
     WindowSpec,
@@ -142,6 +142,14 @@ class LoadCaseConfig:
                 f"predictor_window must be an integer with 1 <= p < "
                 f"{plant.period_samples} (samples per rotor period), got {p!r}"
             )
+        # Both metric windows need a Welch segment: at least 4 samples,
+        # rounded as `windowed_sd` rounds them.
+        window = WindowSpec.for_run(self.duration_s, self.fault_onset_s)
+        for which in ("healthy", "faulty"):
+            t0, t1 = window.bounds(which)
+            if round(t1 / plant.dt) - round(t0 / plant.dt) < 4:
+                raise ConfigError(f"the {which} metric window [{t0:g}, {t1:g}] s is shorter "
+                                  f"than 4 samples; lengthen the run or move the fault onset")
 
     def make_plant(self) -> SurrogatePlant:
         return build_plant(**self.plant)
@@ -205,7 +213,7 @@ class RunResult:
     u_cmd: np.ndarray
     y: np.ndarray
     psi: np.ndarray
-    rotation_log: list
+    rotation_log: list  # rows of control.LOG_COLUMNS; empty for cpc and mbc_ipc
     metrics: dict
     wall_time_s: float = 0.0
 
@@ -219,11 +227,8 @@ class RunResult:
         np.save(d / "series.npy", data, allow_pickle=False)
         with open(d / "controller_log.csv", "w") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["rotation", "theta_norm", "delta_theta_norm",
-                             "dare_residual", "dare_failures", "clamp_events"]
-                            + [f"y_bar_{i}" for i in range(12)])
-            for row in self.rotation_log:
-                writer.writerow(row)
+            writer.writerow(LOG_COLUMNS)
+            writer.writerows(self.rotation_log)
         with open(d / "metrics.json", "w") as fh:
             json.dump(self.metrics, fh, indent=1, sort_keys=True)
         with open(d / "config.json", "w") as fh:
@@ -305,18 +310,10 @@ def run_load_case(cfg: LoadCaseConfig) -> RunResult:
     metrics = compute_metrics(cfg, u_cmd, y, dt, period)
     if controller is not None:
         metrics["dare_failures"] = controller.dare_failures
-        metrics["clamp_events"] = controller.state.clamp_events
-    rotation_log = []
-    if controller is not None:
-        for row in controller.logs:
-            rotation_log.append(
-                [row.rotation, row.theta_norm, row.delta_theta_norm,
-                 row.dare_residual, row.dare_failures, row.clamp_events]
-                + [float(v) for v in row.y_bar]
-            )
+        metrics["clamp_events"] = controller.clamp_events
     return RunResult(
         config=cfg, t=t, u_cmd=u_cmd, y=y, psi=psi,
-        rotation_log=rotation_log, metrics=metrics,
+        rotation_log=[] if controller is None else controller.log, metrics=metrics,
         wall_time_s=time.perf_counter() - start,
     )
 

@@ -262,24 +262,14 @@ class PsdEstimate:
 
     frequencies: np.ndarray
     power: np.ndarray
-    segment_length: int
-    overlap_fraction: float
-    window_kind: str
 
 
-_WINDOWS = {
-    "hann": lambda n: 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n),
-    "boxcar": np.ones,
-}
-
-
-def welch_psd(signal: np.ndarray, fs: float, segment_length: int = 2048,
-              overlap_fraction: float = 0.5, window_kind: str = "hann") -> PsdEstimate:
+def welch_psd(signal: np.ndarray, fs: float, segment_length: int = 2048) -> PsdEstimate:
     """Averaged modified periodogram (one-sided), deterministic for fixed input.
 
-    Each segment is mean-detrended and windowed; overlapping segments are
-    averaged. segment_length must be even so the frequency grid spans
-    [0, fs/2] exactly.
+    Each segment is mean-detrended and Hann-windowed; segments overlap by
+    half and are averaged. segment_length must be even so the frequency
+    grid spans [0, fs/2] exactly.
     """
     signal = np.asarray(signal, dtype=float).reshape(-1)
     n = signal.shape[0]
@@ -289,13 +279,9 @@ def welch_psd(signal: np.ndarray, fs: float, segment_length: int = 2048,
         raise ValueError(
             f"signal of length {n} is too short: at least {segment_length} samples required"
         )
-    if not (0.0 <= overlap_fraction < 1.0):
-        raise ValueError("overlap_fraction must lie in [0, 1)")
-    if window_kind not in _WINDOWS:
-        raise ValueError(f"unknown window_kind {window_kind!r}; choose from {sorted(_WINDOWS)}")
 
-    window = _WINDOWS[window_kind](segment_length)
-    step = max(1, int(round(segment_length * (1.0 - overlap_fraction))))
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_length) / segment_length)
+    step = segment_length // 2
     n_segments = 1 + (n - segment_length) // step
     scale = 1.0 / (fs * np.sum(window**2))
 
@@ -309,10 +295,4 @@ def welch_psd(signal: np.ndarray, fs: float, segment_length: int = 2048,
     # One-sided: double everything except DC and Nyquist.
     accum[1:-1] *= 2.0
     freqs = np.fft.rfftfreq(segment_length, d=1.0 / fs)
-    return PsdEstimate(
-        frequencies=freqs,
-        power=accum,
-        segment_length=segment_length,
-        overlap_fraction=overlap_fraction,
-        window_kind=window_kind,
-    )
+    return PsdEstimate(frequencies=freqs, power=accum)

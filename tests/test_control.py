@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ipcsim.control import (
-    ControllerState,
+    LOG_COLUMNS,
     ControllerTuning,
     ExcitationGenerator,
     RepetitiveController,
@@ -17,11 +17,10 @@ from ipcsim.control import (
     projected_blocks,
     rotation_commands,
     shifted_bases,
-    synthesize_gain,
     update_theta,
 )
 from ipcsim.control import _BIT_BLOCK
-from ipcsim.numerics import RlsState, pinv, welch_psd
+from ipcsim.numerics import DareNonConvergence, RlsState, pinv, solve_dare, welch_psd
 from ipcsim.metrics import band_energy_ratio
 from ipcsim.plant import (
     DisturbanceModel,
@@ -254,11 +253,10 @@ def test_per_blade_model_and_gain_match_dense_reference(make_rows):
     assert np.linalg.norm(b_bar - b_ref) <= 1e-12 * np.linalg.norm(b_ref)
     q = np.diag([1.0] * 12 + [0.0] * 12 + [1.0] * 12)
     r = 5e-7 * np.eye(12)
-    gain_ref, _, failed_ref = synthesize_gain(a_ref, b_ref, q, r)
+    gain_ref = solve_dare(a_ref, b_ref, q, r).gain
     q_blade = np.diag([1.0] * 4 + [0.0] * 4 + [1.0] * 4)
-    gain_blades, _, failed = synthesize_gain(a_blades, b_blades, np.stack([q_blade] * 3),
-                                             np.stack([5e-7 * np.eye(4)] * 3))
-    assert not failed and not failed_ref
+    gain_blades = solve_dare(a_blades, b_blades, np.stack([q_blade] * 3),
+                             np.stack([5e-7 * np.eye(4)] * 3)).gain
     assert gain_blades.shape == (3, 4, 12)
     gain = scatter_blades(gain_blades)
     assert np.linalg.norm(gain - gain_ref) <= 1e-9 * np.linalg.norm(gain_ref)
@@ -311,13 +309,13 @@ def test_singular_in_block_recursion_is_a_counted_dare_failure():
     # pivot: the projection returns non-finite blocks instead of raising,
     # and the rotation counts a DARE failure and keeps the previous gain.
     ctl, u, y = exploding_rotation(1e100)
-    failures, gain = ctl.dare_failures, ctl.state.gain.copy()
+    failures, gain = ctl.dare_failures, ctl.gain.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = projected_blocks(ctl.engine.rows, ctl._shifts, ctl.basis)
         assert not any(np.all(np.isfinite(b)) for b in blocks)
         ctl.finish_rotation(2, u, y)
     assert ctl.dare_failures == failures + 1
-    assert np.array_equal(ctl.state.gain, gain)
+    assert np.array_equal(ctl.gain, gain)
 
 
 def test_nonfinite_projected_model_is_a_counted_dare_failure():
@@ -325,7 +323,7 @@ def test_nonfinite_projected_model_is_a_counted_dare_failure():
     # y coefficient) overflows the projection to inf/nan. The rotation then
     # counts a DARE failure and keeps the previous gain instead of raising.
     ctl, u, y = exploding_rotation(1e10)
-    failures, gain = ctl.dare_failures, ctl.state.gain.copy()
+    failures, gain = ctl.dare_failures, ctl.gain.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = projected_blocks(ctl.engine.rows, ctl._shifts, ctl.basis)
         assert not all(np.all(np.isfinite(b)) for b in blocks)
@@ -333,8 +331,8 @@ def test_nonfinite_projected_model_is_a_counted_dare_failure():
         # estimate reaches the projection as set above.
         ctl.finish_rotation(2, u, y)
     assert ctl.dare_failures == failures + 1
-    assert np.array_equal(ctl.state.gain, gain)
-    assert np.all(np.isfinite(ctl.state.theta))
+    assert np.array_equal(ctl.gain, gain)
+    assert np.all(np.isfinite(ctl.theta))
 
 
 def converged_model_matrices():
@@ -349,30 +347,48 @@ def test_gain_stabilizes_converged_model():
     a_bar, b_bar = converged_model_matrices()
     q = np.diag([1.0] * 12 + [0.0] * 12 + [1.0] * 12)
     r = 5e-7 * np.eye(12)
-    gain, sol, failed = synthesize_gain(a_bar, b_bar, q, r)
-    assert not failed
+    sol = solve_dare(a_bar, b_bar, q, r)
     assert sol.residual < 1e-9
-    assert spectral_radius(a_bar - b_bar @ gain) < 1.0
+    assert spectral_radius(a_bar - b_bar @ sol.gain) < 1.0
 
 
 def test_gain_fallback_on_degenerate_zero_model():
     # The zero-model pair has an uncontrollable eigenvalue exactly at 1, so
-    # no stabilizing solution exists; the synthesizer keeps the previous
-    # (zero) gain and reports the failure. Closed loop stays marginal.
+    # no stabilizing solution exists: the Riccati recursion reports the
+    # failure, and the gain the controller keeps (zero before any success)
+    # leaves the closed loop marginal.
     basis = build_basis(P)
     lifted = assemble_lifted(zero_estimate(), P, WINDOW)
     a_bar, b_bar = project_state_space(lifted, basis)
-    gain, sol, failed = synthesize_gain(a_bar, b_bar, np.eye(36), np.eye(12),
-                                        max_iter=60)
-    assert failed and sol is None
+    with pytest.raises(DareNonConvergence):
+        solve_dare(a_bar, b_bar, np.eye(36), np.eye(12), max_iter=60)
+    gain = RepetitiveController(WINDOW, P, ControllerTuning(), seed=1).gain
+    assert gain.shape == (3, 4, 12)
     assert np.all(np.isfinite(gain)) and np.all(gain == 0.0)
-    assert spectral_radius(a_bar - b_bar @ gain) <= 1.0 + 1e-9
+    assert spectral_radius(a_bar - b_bar @ scatter_blades(gain)) <= 1.0 + 1e-9
+
+
+def test_first_failed_dare_keeps_zero_gain_and_is_counted():
+    # Past warm-up, a Riccati recursion that cannot converge in one
+    # iteration is a counted failure; with no earlier success the gain
+    # stays zero, so theta stays at zero.
+    tuning = ControllerTuning(warmup_rotations=2, dare_max_iter=1)
+    ctl = RepetitiveController(WINDOW, P, tuning, seed=1)
+    rng = np.random.default_rng(0)
+    u = rng.normal(size=(4 * P, 3))
+    y = rng.normal(size=(4 * P, 3))
+    for j in range(4):
+        ctl.finish_rotation(j, u, y)
+    assert ctl.dare_failures == 2
+    assert np.all(ctl.gain == 0.0)
+    assert np.all(ctl.theta == 0.0) and ctl.clamp_events == 0
+    assert [row[LOG_COLUMNS.index("dare_failures")] for row in ctl.log] == [0, 0, 1, 2]
+    assert all(np.isnan(row[LOG_COLUMNS.index("dare_residual")]) for row in ctl.log)
 
 
 def test_gain_zero_state_cost_gives_zero_gain():
     a_bar, b_bar = converged_model_matrices()
-    gain, sol, failed = synthesize_gain(a_bar, b_bar, np.zeros((36, 36)), np.eye(12))
-    assert not failed
+    gain = solve_dare(a_bar, b_bar, np.zeros((36, 36)), np.eye(12)).gain
     assert np.allclose(gain, 0.0, atol=1e-12)
 
 
@@ -381,8 +397,8 @@ def test_input_weight_monotonicity():
     q = np.diag([1.0] * 12 + [0.0] * 12 + [1.0] * 12)
     rng = np.random.default_rng(0)
     state_vec = rng.normal(size=36) * 100.0
-    g1, _, _ = synthesize_gain(a_bar, b_bar, q, 5e-7 * np.eye(12))
-    g2, _, _ = synthesize_gain(a_bar, b_bar, q, 5e-5 * np.eye(12))
+    g1 = solve_dare(a_bar, b_bar, q, 5e-7 * np.eye(12)).gain
+    g2 = solve_dare(a_bar, b_bar, q, 5e-5 * np.eye(12)).gain
     assert np.linalg.norm(g2 @ state_vec) < np.linalg.norm(g1 @ state_vec)
 
 
@@ -391,48 +407,42 @@ def test_input_weight_monotonicity():
 # ---------------------------------------------------------------------------
 
 def test_update_theta_identity_when_gain_zero_alpha_one():
-    cs = ControllerState.fresh(12, alpha=1.0, beta=0.3)
-    cs.gain = np.zeros((3, 4, 12))
-    cs.theta = np.linspace(-1, 1, 12)
-    out = update_theta(cs, np.ones(12), np.zeros(12), np.ones(12))
-    assert np.array_equal(out.theta, cs.theta)
+    theta = np.linspace(-1, 1, 12)
+    out, clamped = update_theta(theta, np.zeros((3, 4, 12)), np.ones(12), np.zeros(12),
+                                np.ones(12), ControllerTuning(alpha=1.0, beta=0.3))
+    assert np.array_equal(out, theta)
+    assert not clamped
 
 
 def test_update_theta_beta_zero_is_alpha_decay():
-    cs = ControllerState.fresh(12, alpha=0.9, beta=0.0)
-    cs.gain = np.ones((3, 4, 12))
-    cs.theta = np.ones(12)
-    out = update_theta(cs, np.ones(12) * 50, np.ones(12), np.ones(12) * 50)
-    assert np.allclose(out.theta, 0.9)
+    out, _ = update_theta(np.ones(12), np.ones((3, 4, 12)), np.ones(12) * 50, np.ones(12),
+                          np.ones(12) * 50, ControllerTuning(alpha=0.9, beta=0.0))
+    assert np.allclose(out, 0.9)
 
 
 def test_update_theta_clamps_and_counts():
-    cs = ControllerState.fresh(12, alpha=1.0, beta=1.0, theta_cap=2.0)
-    cs.gain = -np.stack([np.eye(4, 12)] * 3)  # feedback pushes theta up by y_bar
-    out = update_theta(cs, np.full(12, 10.0), np.zeros(12), np.zeros(12))
-    assert np.all(out.theta == 2.0)
-    assert out.clamp_events == 1
-    assert np.all(out.delta_theta == 2.0)
+    # The controller counts a rotation whose update the clamp acted on.
+    gain = -np.stack([np.eye(4, 12)] * 3)  # feedback pushes theta up by y_bar
+    tuning = ControllerTuning(alpha=1.0, beta=1.0, theta_cap_deg=2.0)
+    theta = np.zeros(12)
+    out, clamped = update_theta(theta, gain, np.full(12, 10.0), np.zeros(12), np.zeros(12),
+                                tuning)
+    assert np.all(out == 2.0)
+    assert clamped
+    assert np.all(out - theta == 2.0)
 
 
 def test_update_theta_per_blade_gain_acts_as_scattered_gain():
     # The per-blade gain on the harmonic-major coefficient vectors acts as
     # its scatter into the dense [Ybar; dtheta; dYbar] layout does.
     rng = np.random.default_rng(6)
-    cs = ControllerState.fresh(12, alpha=0.95, beta=0.3, theta_cap=1e6)
-    cs.gain = rng.normal(size=(3, 4, 12))
-    cs.theta = rng.normal(size=12)
+    gain = rng.normal(size=(3, 4, 12))
+    theta = rng.normal(size=12)
     y_bar, d_theta, d_y_bar = rng.normal(size=(3, 12))
-    out = update_theta(cs, y_bar, d_theta, d_y_bar)
-    dense = scatter_blades(cs.gain) @ np.concatenate([y_bar, d_theta, d_y_bar])
-    assert np.allclose(out.theta, 0.95 * cs.theta - 0.3 * dense, rtol=1e-12, atol=1e-12)
-
-
-def test_controller_state_validation():
-    with pytest.raises(ValueError):
-        ControllerState.fresh(12, alpha=1.5)
-    with pytest.raises(ValueError):
-        ControllerState.fresh(12, theta_cap=0.0)
+    tuning = ControllerTuning(alpha=0.95, beta=0.3, theta_cap_deg=1e6)
+    out, _ = update_theta(theta, gain, y_bar, d_theta, d_y_bar, tuning)
+    dense = scatter_blades(gain) @ np.concatenate([y_bar, d_theta, d_y_bar])
+    assert np.allclose(out, 0.95 * theta - 0.3 * dense, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

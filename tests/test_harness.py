@@ -1,6 +1,7 @@
 """Harness: config validation, determinism, persistence round-trips,
 campaign isolation and parallel equivalence, comparison table, CLI."""
 
+import csv
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import ipcsim.harness as harness
 from ipcsim.cli import main as cli_main
+from ipcsim.control import LOG_COLUMNS, build_basis, project_output
 from ipcsim.harness import (
     ConfigError,
     LoadCaseConfig,
@@ -60,9 +62,15 @@ def test_config_validation_errors():
     for field, value in (("warmup_rotations", -3), ("alpha", 1.5), ("r_scale", -1),
                          ("forgetting", 0.5), ("dare_max_iter", 0),
                          ("excitation_amplitude", -0.1), ("warmup_rotations", 8.0),
-                         ("beta", np.nan)):
+                         ("beta", np.nan), ("theta_cap_deg", 0)):
         with pytest.raises(ConfigError):
             short_cfg(tuning={field: value})
+    # A metric window shorter than one 4-sample Welch segment: an empty
+    # healthy window, an empty faulty window, a 2-sample healthy window.
+    for controller, duration, onset in (("cpc", 1.0, 0.01), ("cpc", 3.0, 2.995),
+                                        ("ftipc", 2.0, 0.1)):
+        with pytest.raises(ConfigError, match="metric window"):
+            short_cfg(controller=controller, duration_s=duration, fault_onset_s=onset)
     # Fault parameters are finite for every kind; a bool is not a blade index.
     for kind in ("healthy", "pas", "pad", "blade_stiffness"):
         for value in (np.nan, np.inf, -np.inf):
@@ -173,6 +181,27 @@ def test_save_and_metrics_round_trip(tmp_path):
     saved = json.loads((d / "metrics.json").read_text())
     recomputed = recompute_metrics(d)
     assert recomputed == saved
+
+
+def test_shortest_metric_window_runs():
+    # A 4-sample healthy window is the shortest accepted, and it computes.
+    res = run_load_case(short_cfg(duration_s=2.0, fault_onset_s=0.2))
+    assert res.metrics["healthy"]["blade1"]["band_ratio_u"] is not None
+
+
+def test_controller_log_columns(tmp_path):
+    res = run_load_case(short_cfg(duration_s=20.0, fault_onset_s=10.0))
+    res.save(tmp_path)
+    with open(tmp_path / "t-case" / "controller_log.csv") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert tuple(header) == LOG_COLUMNS
+    assert len(rows) == 20 and all(len(row) == len(LOG_COLUMNS) for row in rows)
+    basis = build_basis(100)
+    first = LOG_COLUMNS.index("y_bar_0")
+    for j, row in enumerate(rows):
+        assert int(row[0]) == j
+        y_bar = project_output(res.y[j * 100:(j + 1) * 100], basis)
+        assert [float(v) for v in row[first:]] == y_bar.tolist()
 
 
 def test_run_result_csv_full_precision(tmp_path):
@@ -355,6 +384,16 @@ def test_compare_rejects_zero_sd_baseline(tmp_path):
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("content", [[1, 2], {"id": "a", "controller": "cpc"}],
+                         ids=["list", "no_group"])
+def test_cli_compare_rejects_malformed_metrics(tmp_path, caplog, content):
+    (tmp_path / "a").mkdir()
+    mfile = tmp_path / "a" / "metrics.json"
+    mfile.write_text(json.dumps(content))
+    assert cli_main(["compare", str(tmp_path)]) == 1
+    assert len(caplog.records) == 1 and str(mfile) in caplog.text
+
 
 def test_cli_run_and_compare(tmp_path, capsys):
     cases = {"cases": [c.to_dict() for c in two_tiny_cases()]}
