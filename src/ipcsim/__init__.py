@@ -45,7 +45,6 @@ from .plant import (
     FaultScenario,
     SurrogatePlant,
     apply_actuator_fault,
-    apply_blade_fault,
     build_plant,
 )
 from .sysid import IdentificationEngine

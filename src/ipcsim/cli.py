@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -102,10 +103,16 @@ def _read_metrics(mfile: Path) -> dict:
     """A run's metrics.json; ConfigError unless it holds what `compare` reads."""
     try:
         m = json.loads(mfile.read_text())
-        for key in ("id", "group", "controller", "faulty_blade"):  # TypeError on a non-object
-            m[key]
+        for key in ("id", "group", "controller"):  # TypeError on a non-object
+            if not isinstance(m[key], str):
+                raise ValueError(f"{key} must be a string, got {m[key]!r}")
+        blade = m["faulty_blade"]
+        if not (blade is None or (type(blade) is int and blade in (1, 2, 3))):
+            raise ValueError(f"faulty_blade must be null or 1, 2 or 3, got {blade!r}")
         for b in ("blade1", "blade2", "blade3"):
-            float(m["faulty"][b]["sd_y"]), float(m["faulty"][b]["adc"])
+            for value in (m["faulty"][b]["sd_y"], m["faulty"][b]["adc"]):
+                if type(value) not in (int, float) or not math.isfinite(value):
+                    raise ValueError(f"faulty {b} sd_y and adc must be finite, got {value!r}")
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{mfile} is not a run's metrics object "
                           f"({type(exc).__name__}: {exc})") from exc

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -195,6 +196,8 @@ def load_config_file(path) -> list[LoadCaseConfig]:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     cases = data["cases"] if isinstance(data, dict) and "cases" in data else [data]
+    if not (isinstance(cases, list) and cases):
+        raise ConfigError(f"config {path}: 'cases' must be a non-empty list of load cases")
     configs = [LoadCaseConfig.from_dict(c) for c in cases]
     ids = [c.id for c in configs]
     if len(set(ids)) != len(ids):
@@ -230,7 +233,7 @@ class RunResult:
             writer.writerow(LOG_COLUMNS)
             writer.writerows(self.rotation_log)
         with open(d / "metrics.json", "w") as fh:
-            json.dump(self.metrics, fh, indent=1, sort_keys=True)
+            json.dump(self.metrics, fh, indent=1, sort_keys=True, allow_nan=False)
         with open(d / "config.json", "w") as fh:
             json.dump(self.config.to_dict(), fh, indent=1, sort_keys=True)
 
@@ -258,7 +261,9 @@ def run_load_case(cfg: LoadCaseConfig) -> RunResult:
     """Execute one load case: plant loop, identification, control, metrics.
 
     Deterministic per config: the disturbance, excitation, and broadband
-    noise streams are independent children of the config seed.
+    noise streams are independent children of the config seed. Raises
+    RuntimeError when the plant diverges or a metric is not finite (a
+    `band_ratio_u` of None, a constant command, is not a failure).
     """
     start = time.perf_counter()
     plant = cfg.make_plant()
@@ -307,7 +312,12 @@ def run_load_case(cfg: LoadCaseConfig) -> RunResult:
 
     t = np.arange(n) * dt
     psi = 2.0 * np.pi * ((np.arange(n) % period) + 1) / period
-    metrics = compute_metrics(cfg, u_cmd, y, dt, period)
+    metrics = compute_metrics(cfg, u_cmd, y, dt)
+    bad = [f"{which}.{blade}.{name}" for which in ("healthy", "faulty")
+           for blade, values in metrics[which].items() for name, v in values.items()
+           if v is not None and not math.isfinite(v)]
+    if bad:
+        raise RuntimeError(f"run {cfg.id} produced non-finite metrics: {', '.join(bad)}")
     if controller is not None:
         metrics["dare_failures"] = controller.dare_failures
         metrics["clamp_events"] = controller.clamp_events
@@ -318,8 +328,7 @@ def run_load_case(cfg: LoadCaseConfig) -> RunResult:
     )
 
 
-def compute_metrics(cfg: LoadCaseConfig, u_cmd: np.ndarray, y: np.ndarray,
-                    dt: float, period: int) -> dict:
+def compute_metrics(cfg: LoadCaseConfig, u_cmd: np.ndarray, y: np.ndarray, dt: float) -> dict:
     """Windowed summary: per-blade SD, ADC, and pitch band-energy ratios.
 
     Pure function of the series and the config scalars; the series is
@@ -378,7 +387,7 @@ def recompute_metrics(run_dir) -> dict:
             f"expected float64 of shape {shape}"
         )
     u_cmd, y = data[:, 1:4], data[:, 4:7]
-    metrics = compute_metrics(cfg, u_cmd, y, plant.dt, plant.period_samples)
+    metrics = compute_metrics(cfg, u_cmd, y, plant.dt)
     saved = json.loads((d / "metrics.json").read_text())
     for key in ("dare_failures", "clamp_events"):
         if key in saved:

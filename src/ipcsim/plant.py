@@ -12,21 +12,22 @@ deterministic rotor-periodic disturbance (injected at the output, per-blade
 gain g), and e is the zero-mean white innovation. Pitch in degrees, loads in
 abstract blade-load units; pitching up unloads the blade (negative DC gain).
 
-A, C and L are block-diagonal over the blades (B carries the cross-blade
-input coupling), and the plant is time-invariant between fault switches. So
-`SurrogatePlant.advance_block` does not step sample by sample: it lifts an
-n-sample block to one operator per blade (Bamieh et al., Systems & Control
-Letters 1991),
+The blades do not share states: the plant stores each blade's channel on a
+leading blade axis (`a` (3, 2, 2), `b` (3, 2, 3), `c` (3, 2), `l_obs`
+(3, 2)), and only B couples the blades, through the input. The plant is
+time-invariant between fault switches, so `SurrogatePlant.advance_block`
+does not step sample by sample: it lifts an n-sample block to one operator
+per blade (Bamieh et al., Systems & Control Letters 1991),
 
     y_b = O_b x0_b + T_b drive_b,    x_b <- A_b^n x0_b + R_b drive_b,
 
-with drive = u_eff B' + e L' over the block, and caches it per n until the
-next blade-fault switch.
+with drive_b = u_eff B_b' + e_b L_b' over the block, and caches it per n
+until the next blade-fault switch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -39,22 +40,9 @@ __all__ = [
     "FaultScenario",
     "build_plant",
     "apply_actuator_fault",
-    "apply_blade_fault",
 ]
 
 N_BLADES = 3
-
-# Where the per-blade plant is allowed nonzero entries: the 2x2 blocks of
-# `a`, the blade's own state pair in each row of `c` and column of `l_obs`.
-_A_MASK = np.kron(np.eye(N_BLADES, dtype=bool), np.ones((2, 2), dtype=bool))
-_C_MASK = np.kron(np.eye(N_BLADES, dtype=bool), np.ones((1, 2), dtype=bool))
-
-
-def _check_per_blade(plant) -> None:
-    """Raise ValueError when the plant's a, c or l_obs couple blades."""
-    if (plant.a[~_A_MASK].any() or plant.c[~_C_MASK].any()
-            or plant.l_obs[~_C_MASK.T].any()):
-        raise ValueError("plant a, c and l_obs must be per-blade (no cross-blade entries)")
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +221,12 @@ class DisturbanceModel:
 
 @dataclass
 class SurrogatePlant:
-    """Innovation-form surrogate with per-blade second-order channels."""
+    """Innovation-form surrogate with per-blade second-order channels.
+
+    Blade i's channel is a[i] (2, 2), b[i] (2, 3), c[i] (2,) and l_obs[i]
+    (2,); its states are x[2i:2i + 2]. b[i] takes all three pitch inputs,
+    the only coupling between blades.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -247,21 +240,12 @@ class SurrogatePlant:
     nat_freq_hz: np.ndarray = field(default_factory=lambda: np.full(N_BLADES, 7.0))
     damping: float = 0.7
     dc_gain: float = -1500.0
-    coupling: float = 0.05
     predictor_poles: tuple = (0.40, 0.35)
     # Operators derived from the matrices: the lifted operator of each
     # block length n under key n, and the per-blade float blocks of the
     # fused MBC loop under "blade_floats". Built at first use, cleared when
     # a blade fault changes a, c and l_obs (`_maybe_switch_blade_fault`).
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def copy(self) -> "SurrogatePlant":
-        return replace(
-            self,
-            a=self.a.copy(), b=self.b.copy(), c=self.c.copy(), l_obs=self.l_obs.copy(),
-            x=self.x.copy(), dist_gain=self.dist_gain.copy(),
-            nat_freq_hz=self.nat_freq_hz.copy(),
-        )
 
     def _lifted_operator(self, n: int) -> np.ndarray:
         """(3, n + 2, 2 + 2n) stack [[O_b, T_b], [A_b^n, R_b]] of one n-sample block.
@@ -273,18 +257,14 @@ class SurrogatePlant:
         """
         op = self._derived.get(n)
         if op is None:
-            _check_per_blade(self)
-            blades = [slice(2 * i, 2 * i + 2) for i in range(N_BLADES)]
-            a = np.stack([self.a[sl, sl] for sl in blades])
-            c = np.stack([self.c[i, sl] for i, sl in enumerate(blades)])
-            powers = [np.broadcast_to(np.eye(2), a.shape)]  # powers[k] = A_b^k
+            powers = [np.broadcast_to(np.eye(2), self.a.shape)]  # powers[k] = A_b^k
             for _ in range(n):
-                powers.append(a @ powers[-1])
+                powers.append(self.a @ powers[-1])
             # Newest power first: [A_b^n, ..., A_b^0] side by side, (3, 2, 2n + 2).
             falling = np.stack(powers[::-1], axis=2).reshape(N_BLADES, 2, -1)
             op = np.zeros((N_BLADES, n + 2, 2 + 2 * n))
             op[:, n:] = falling
-            obs = c[:, None, :] @ falling  # [c_b A_b^n, ..., c_b A_b^0]
+            obs = self.c[:, None, :] @ falling  # [c_b A_b^n, ..., c_b A_b^0]
             for t in range(n):
                 op[:, t, :2 * t + 2] = obs[:, 0, 2 * (n - t):]
             self._derived[n] = op
@@ -293,21 +273,15 @@ class SurrogatePlant:
     def _blade_floats(self) -> tuple:
         """The plant's matrices as per-blade tuples of Python floats.
 
-        Returns (a, c, l, b): for blade i, a[i] = (a00, a01, a10, a11) of its
-        2x2 block, c[i] and l[i] its output and observer pairs, and b[i] the
-        two rows of the dense input matrix that drive its states. Cached with
-        the lifted operators. Raises ValueError when a, c or l_obs couple
-        blades.
+        Returns (a, c, l, b): for blade i, a[i] = (a00, a01, a10, a11),
+        c[i] and l[i] its output and observer pairs, and b[i] its two input
+        rows, row by row. Cached with the lifted operators.
         """
         floats = self._derived.get("blade_floats")
         if floats is None:
-            _check_per_blade(self)
-            blades = [slice(2 * i, 2 * i + 2) for i in range(N_BLADES)]
-            floats = self._derived["blade_floats"] = (
-                tuple(tuple(self.a[sl, sl].ravel().tolist()) for sl in blades),
-                tuple(tuple(self.c[i, sl].tolist()) for i, sl in enumerate(blades)),
-                tuple(tuple(self.l_obs[sl, i].tolist()) for i, sl in enumerate(blades)),
-                tuple(tuple(self.b[sl].ravel().tolist()) for sl in blades),
+            floats = self._derived["blade_floats"] = tuple(
+                tuple(map(tuple, m.reshape(N_BLADES, -1).tolist()))
+                for m in (self.a, self.c, self.l_obs, self.b)
             )
         return floats
 
@@ -320,10 +294,12 @@ class SurrogatePlant:
         """
         u_eff = np.atleast_2d(u_eff)
         n = u_eff.shape[0]
-        drive = u_eff @ self.b.T + e @ self.l_obs.T
+        # drive[t, b] = B_b u_eff[t] + L_b e[t, b], the (n, 3, 2) blade drive.
+        drive = ((u_eff @ self.b.reshape(-1, N_BLADES).T).reshape(n, N_BLADES, 2)
+                 + e[:, :, None] * self.l_obs)
         # v[b] = [x0_b; drive_b], blade b's states first, then its drive pairs.
-        blade_drive = drive.reshape(n, N_BLADES, 2).transpose(1, 0, 2).reshape(N_BLADES, -1)
-        v = np.concatenate([self.x.reshape(N_BLADES, 2), blade_drive], axis=1)
+        v = np.concatenate([self.x.reshape(N_BLADES, 2),
+                            drive.transpose(1, 0, 2).reshape(N_BLADES, -1)], axis=1)
         out = (self._lifted_operator(n) @ v[:, :, None])[:, :, 0]
         self.x = out[:, n:].reshape(-1)
         # The loop's intermediate states are not formed, so check the
@@ -333,8 +309,11 @@ class SurrogatePlant:
         return out[:, :n].T + self.dist_gain[None, :] * d + e
 
 
-def _second_order_channel(nat_freq_hz: float, damping: float, dt: float, dc_gain: float):
-    """Discrete 2x2 block with poles rho*exp(+-j theta) and prescribed DC gain.
+def _second_order_channel(nat_freq_hz: float, damping: float, dt: float, dc_gain: float,
+                          poles) -> tuple:
+    """(a, c, l) of one blade: discrete 2x2 block with poles rho*exp(+-j theta)
+    and prescribed DC gain, and the observer gain placing eig(a - l c) at
+    `poles`.
 
     Controllable canonical form: A = [[a1, a2], [1, 0]], b enters the first
     state. C = [c, c] keeps the first Markov parameter CB nonzero.
@@ -347,7 +326,7 @@ def _second_order_channel(nat_freq_hz: float, damping: float, dt: float, dc_gain
     a_blk = np.array([[a1, a2], [1.0, 0.0]])
     c_val = dc_gain * (1.0 - a1 - a2) / 2.0
     c_blk = np.array([c_val, c_val])
-    return a_blk, c_blk
+    return a_blk, c_blk, _place_observer(a_blk, c_blk, poles)
 
 
 def _place_observer(a_blk: np.ndarray, c_blk: np.ndarray, poles) -> np.ndarray:
@@ -364,23 +343,6 @@ def _place_observer(a_blk: np.ndarray, c_blk: np.ndarray, poles) -> np.ndarray:
     mat = np.array([[-c1, -c2], [c2, a2 * c1 - a1 * c2]])
     rhs = np.array([tr_des - a1, det_des + a2])
     return np.linalg.solve(mat, rhs)
-
-
-def _build_matrices(nat_freq_hz, damping, dt, dc_gain, coupling, predictor_poles):
-    n = 2 * N_BLADES
-    a = np.zeros((n, n))
-    b = np.zeros((n, N_BLADES))
-    c = np.zeros((N_BLADES, n))
-    l_obs = np.zeros((n, N_BLADES))
-    for i in range(N_BLADES):
-        a_blk, c_blk = _second_order_channel(nat_freq_hz[i], damping, dt, dc_gain)
-        sl = slice(2 * i, 2 * i + 2)
-        a[sl, sl] = a_blk
-        c[i, sl] = c_blk
-        l_obs[sl, i] = _place_observer(a_blk, c_blk, predictor_poles)
-        for j in range(N_BLADES):
-            b[2 * i, j] = 1.0 if i == j else coupling
-    return a, b, c, l_obs
 
 
 def build_plant(nat_freq_hz: float = 7.0, damping: float = 0.7, dc_gain: float = -1500.0,
@@ -407,43 +369,30 @@ def build_plant(nat_freq_hz: float = 7.0, damping: float = 0.7, dc_gain: float =
     if not _is_int(period_samples) or period_samples < 8:
         raise ValueError(f"plant period_samples must be an integer >= 8, got {period_samples!r}")
     nat = np.full(N_BLADES, float(nat_freq_hz))
-    a, b, c, l_obs = _build_matrices(nat, damping, dt, dc_gain, coupling, poles)
+    a, c, l_obs = map(np.stack, zip(*(_second_order_channel(f, damping, dt, dc_gain, poles)
+                                      for f in nat)))
+    # Pitch input j drives the first state of blade j fully, of the others by `coupling`.
+    b = np.zeros((N_BLADES, 2, N_BLADES))
+    b[:, 0] = np.where(np.eye(N_BLADES, dtype=bool), 1.0, coupling)
     return SurrogatePlant(
         a=a, b=b, c=c, l_obs=l_obs, dt=dt, period_samples=period_samples,
-        nat_freq_hz=nat, damping=damping, dc_gain=dc_gain, coupling=coupling,
-        predictor_poles=poles,
+        nat_freq_hz=nat, damping=damping, dc_gain=dc_gain, predictor_poles=poles,
     )
 
 
-def apply_blade_fault(plant: SurrogatePlant, fault: FaultScenario) -> SurrogatePlant:
-    """Plant with the faulty blade's channel restiffened.
-
-    The faulty channel's natural frequency scales by sqrt(a) and its
-    output-disturbance gain by 1/a; healthy channels are untouched
-    (bit-identical blocks). DC gain of the channel is preserved.
-    """
-    if fault.kind != "blade_stiffness":
-        raise ValueError("apply_blade_fault requires a blade_stiffness scenario")
-    out = plant.copy()
-    scale = fault.parameter
-    if scale == 1.0:
-        return out
-    i = fault.blade0
-    out.nat_freq_hz[i] = plant.nat_freq_hz[i] * np.sqrt(scale)
-    a_blk, c_blk = _second_order_channel(out.nat_freq_hz[i], plant.damping, plant.dt, plant.dc_gain)
-    sl = slice(2 * i, 2 * i + 2)
-    out.a[sl, sl] = a_blk
-    out.c[i, sl] = c_blk
-    out.l_obs[sl, :] = 0.0
-    out.l_obs[sl, i] = _place_observer(a_blk, c_blk, plant.predictor_poles)
-    out.dist_gain[i] = plant.dist_gain[i] / scale
-    return out
-
-
 def _maybe_switch_blade_fault(plant: SurrogatePlant, fault: FaultScenario, k: int) -> None:
-    if fault.kind == "blade_stiffness" and k == fault.onset_sample:
-        faulted = apply_blade_fault(plant, fault)
-        plant.a, plant.c, plant.l_obs = faulted.a, faulted.c, faulted.l_obs
-        plant._derived.clear()
-        plant.dist_gain = faulted.dist_gain
-        plant.nat_freq_hz = faulted.nat_freq_hz
+    """At a blade-stiffness onset (k == onset sample), restiffen the faulty
+    blade's channel in place.
+
+    Its natural frequency scales by sqrt(a) and its output-disturbance gain
+    by 1/a; its DC gain is kept and the other blades are untouched. Clears
+    the operators derived from the old channel.
+    """
+    if fault.kind != "blade_stiffness" or k != fault.onset_sample:
+        return
+    i = fault.blade0
+    plant.nat_freq_hz[i] *= np.sqrt(fault.parameter)
+    plant.a[i], plant.c[i], plant.l_obs[i] = _second_order_channel(
+        plant.nat_freq_hz[i], plant.damping, plant.dt, plant.dc_gain, plant.predictor_poles)
+    plant.dist_gain[i] /= fault.parameter
+    plant._derived.clear()

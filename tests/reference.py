@@ -23,11 +23,14 @@ true plant has cross-blade input coupling, and for the per-blade
 equivalence tests.
 
 Ground truth and analysis helpers that the package itself never calls:
-`a_tilde` (the predictor-form transition A - L C) and `dc_gain_matrix` of a
-plant, the exact predictor Markov parameters `markov_oracle` and its
-per-blade row `markov_oracle_siso`, `relative_errors` of an identification
-engine against that oracle, `spectral_radius`, and
-`per_rotation_band_power`, the per-rotation 1P+2P load power of a series.
+`dense_matrices`, the plant's per-blade arrays assembled into the dense
+MIMO matrices (block-diagonal A, C and L, and B with its cross-blade input
+coupling), on which the helpers below work; `a_tilde` (the predictor-form
+transition A - L C) and `dc_gain_matrix` of a plant, the exact predictor
+Markov parameters `markov_oracle` and its per-blade row
+`markov_oracle_siso`, `relative_errors` of an identification engine against
+that oracle, `spectral_radius`, and `per_rotation_band_power`, the
+per-rotation 1P+2P load power of a series.
 """
 
 from __future__ import annotations
@@ -154,11 +157,11 @@ def advance_block_loop(plant, u_eff: np.ndarray, d: np.ndarray, e: np.ndarray) -
     """
     u_eff = np.atleast_2d(u_eff)
     n = u_eff.shape[0]
-    drive = u_eff @ plant.b.T + e @ plant.l_obs.T
+    a, b, c, l_obs = dense_matrices(plant)
+    drive = u_eff @ b.T + e @ l_obs.T
     y = np.empty((n, N_BLADES))
     x = plant.x
-    a = plant.a
-    ct = plant.c.T
+    ct = c.T
     for t in range(n):
         y[t] = x @ ct
         x = a @ x + drive[t]
@@ -271,14 +274,30 @@ def mbc_ipc_step(state: MbcIpcState, y: np.ndarray, psi: float, dt: float):
 # Plant ground truth and analysis helpers
 # ---------------------------------------------------------------------------
 
+def dense_matrices(plant):
+    """Dense (A, B, C, L) of the plant's per-blade arrays.
+
+    A (6, 6), C (3, 6) and L (6, 3) are block-diagonal over the blades;
+    B (6, 3) keeps the cross-blade input coupling. Blade i owns states
+    2i and 2i + 1, as in `plant.x`.
+    """
+    eye = np.eye(N_BLADES)
+    a = np.einsum("ij,irs->irjs", eye, plant.a).reshape(2 * N_BLADES, 2 * N_BLADES)
+    c = np.einsum("ij,js->ijs", eye, plant.c).reshape(N_BLADES, 2 * N_BLADES)
+    l_obs = np.einsum("ij,is->isj", eye, plant.l_obs).reshape(2 * N_BLADES, N_BLADES)
+    return a, plant.b.reshape(2 * N_BLADES, N_BLADES), c, l_obs
+
+
 def a_tilde(plant) -> np.ndarray:
     """Predictor-form transition matrix A - L C."""
-    return plant.a - plant.l_obs @ plant.c
+    a, _, c, l_obs = dense_matrices(plant)
+    return a - l_obs @ c
 
 
 def dc_gain_matrix(plant) -> np.ndarray:
     """Steady-state gain C (I - A)^-1 B."""
-    return plant.c @ np.linalg.solve(np.eye(plant.a.shape[0]) - plant.a, plant.b)
+    a, b, c, _ = dense_matrices(plant)
+    return c @ np.linalg.solve(np.eye(a.shape[0]) - a, b)
 
 
 def markov_oracle(plant, p: int) -> np.ndarray:
@@ -290,13 +309,14 @@ def markov_oracle(plant, p: int) -> np.ndarray:
     if p < 1:
         raise ValueError("p must be >= 1")
     at = a_tilde(plant)
-    l, r = plant.c.shape[0], plant.b.shape[1]
+    _, b, c, l_obs = dense_matrices(plant)
+    l, r = c.shape[0], b.shape[1]
     blocks_u = np.empty((p, l, r))
     blocks_y = np.empty((p, l, l))
-    cat = plant.c.copy()
+    cat = c
     for j in range(p):
-        blocks_u[j] = cat @ plant.b
-        blocks_y[j] = cat @ plant.l_obs
+        blocks_u[j] = cat @ b
+        blocks_y[j] = cat @ l_obs
         cat = cat @ at
     out = np.empty((l, p * (r + l)))
     for m in range(p):
@@ -309,7 +329,7 @@ def markov_oracle_siso(plant, p: int, blade: int) -> np.ndarray:
     """Blade-restricted oracle row (1 x 2p): the (i, i) entries of each block."""
     full = markov_oracle(plant, p)
     i = blade - 1
-    r, l = plant.b.shape[1], plant.c.shape[0]
+    r = l = N_BLADES
     u_part = [full[i, m * r + i] for m in range(p)]
     y_part = [full[i, p * r + m * l + i] for m in range(p)]
     return np.array(u_part + y_part)

@@ -6,7 +6,7 @@ import pytest
 
 from ipcsim.baselines import MbcIpcState, mbc_ipc_rotation
 from ipcsim.control import build_basis
-from ipcsim.plant import DisturbanceModel, FaultScenario, apply_blade_fault, build_plant
+from ipcsim.plant import DisturbanceModel, FaultScenario, _maybe_switch_blade_fault, build_plant
 from reference import (
     coleman_forward,
     coleman_inverse,
@@ -211,8 +211,9 @@ def test_cached_blocks_are_rebuilt_at_a_mid_rotation_onset():
     (u, y, plant), (u_ref, y_ref, _) = runs
     assert np.max(np.abs(u - u_ref)) <= 1e-12
     assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
-    faulted = apply_blade_fault(build_plant(), fault)._blade_floats()
-    assert plant._derived["blade_floats"] == faulted != healthy
+    faulted = build_plant()
+    _maybe_switch_blade_fault(faulted, fault, fault.onset_sample)
+    assert plant._derived["blade_floats"] == faulted._blade_floats() != healthy
 
 
 def test_psi_offset_gets_its_own_coleman_rows():
@@ -295,10 +296,3 @@ def test_run_load_case_reports_mbc_divergence(monkeypatch):
     with pytest.raises(RuntimeError, match="diverged"):
         run_load_case(cfg)
 
-
-def test_fused_rotation_rejects_cross_blade_plant():
-    for name, index in (("a", (0, 2)), ("c", (0, 2)), ("l_obs", (0, 1))):
-        plant = build_plant()
-        getattr(plant, name)[index] = 1e-3
-        with pytest.raises(ValueError, match="per-blade"):
-            _one_rotation(MbcIpcState(), plant=plant)

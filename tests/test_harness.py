@@ -113,6 +113,18 @@ def test_campaign_file_requires_unique_ids(tmp_path):
         load_config_file(path)
 
 
+def test_campaign_file_requires_a_nonempty_case_list(tmp_path, caplog):
+    # An empty campaign is rejected too: it would run nothing and report success.
+    path = tmp_path / "bad.json"
+    for cases in (5, [], {}, "cases", None):
+        path.write_text(json.dumps({"cases": cases}))
+        with pytest.raises(ConfigError, match="non-empty list"):
+            load_config_file(path)
+        caplog.clear()
+        assert cli_main(["run", str(path)]) == 1
+        assert "configuration error:" in caplog.text
+
+
 def test_default_campaign_structure():
     configs = default_campaign()
     assert len(configs) == 54  # 2 levels x 3 TI x 3 faults x 3 controllers
@@ -385,8 +397,19 @@ def test_compare_rejects_zero_sd_baseline(tmp_path):
 # CLI
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("content", [[1, 2], {"id": "a", "controller": "cpc"}],
-                         ids=["list", "no_group"])
+FAULTY = {f"blade{b}": {"sd_y": 1.0, "adc": 0.0} for b in (1, 2, 3)}
+VALID_METRICS = {"id": "a", "group": "g", "controller": "cpc", "faulty_blade": 3,
+                 "faulty": FAULTY}
+
+
+@pytest.mark.parametrize("content", [
+    [1, 2], {"id": "a", "controller": "cpc"}, {**VALID_METRICS, "id": [1]},
+    {**VALID_METRICS, "group": 7}, {**VALID_METRICS, "faulty_blade": True},
+    {**VALID_METRICS, "faulty_blade": 3.0}, {**VALID_METRICS, "faulty_blade": 4},
+    {**VALID_METRICS, "faulty": {**FAULTY, "blade2": {"sd_y": "1", "adc": 0.0}}},
+    {**VALID_METRICS, "faulty": {**FAULTY, "blade1": {"sd_y": 1.0, "adc": np.nan}}},
+], ids=["list", "no_group", "id_list", "group_number", "blade_bool", "blade_float",
+        "blade_4", "sd_string", "adc_nan"])
 def test_cli_compare_rejects_malformed_metrics(tmp_path, caplog, content):
     (tmp_path / "a").mkdir()
     mfile = tmp_path / "a" / "metrics.json"
@@ -440,6 +463,30 @@ def test_cli_campaign_failure_exit_code(tmp_path, monkeypatch):
     cfg_path.write_text(json.dumps({"cases": [short_cfg(duration_s=20.0,
                                                         fault_onset_s=10.0).to_dict()]}))
     assert cli_main(["campaign", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_nonfinite_metrics_fail_the_run(tmp_path, caplog):
+    # A huge excitation keeps the plant finite but overflows the load SDs
+    # (inf) and the pitch band ratios (nan): the run fails instead of
+    # finishing "ok" with an unreadable metrics.json.
+    cfg = short_cfg(controller="uftipc", duration_s=20.0, fault_onset_s=10.0,
+                    uftipc_amplitude_deg=1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match=r"non-finite metrics: .*healthy\.blade1\.sd_y"):
+            run_load_case(cfg)
+        report = run_campaign([cfg, short_cfg(id="ok", controller="cpc", duration_s=20.0,
+                                              fault_onset_s=10.0)])
+        assert [s.id for s in report.failed] == [cfg.id]
+        assert "non-finite metrics" in report.failed[0].error
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        assert cli_main(["run", str(cfg_path)]) == 2
+    assert "run failed:" in caplog.text
+    # metrics.json is strict JSON: a non-finite value is refused, not written.
+    result = run_load_case(short_cfg(controller="cpc", duration_s=20.0, fault_onset_s=10.0))
+    result.metrics["faulty"]["blade1"]["sd_y"] = float("inf")
+    with pytest.raises(ValueError):
+        result.save(tmp_path / "out")
 
 
 def test_cli_seed_override(tmp_path, capsys):

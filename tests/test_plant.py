@@ -1,6 +1,8 @@
 """Surrogate plant: construction invariants, fault maps, periodicity,
 linearity, the lifted block advance, and the Markov-parameter oracle."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,13 @@ from ipcsim.plant import (
     FaultScenario,
     _maybe_switch_blade_fault,
     apply_actuator_fault,
-    apply_blade_fault,
     build_plant,
 )
 from reference import (
     a_tilde,
     advance_block_loop,
     dc_gain_matrix,
+    dense_matrices,
     jittered_periodic_block_loop,
     markov_oracle,
     markov_oracle_siso,
@@ -115,10 +117,32 @@ def test_fault_validation():
 
 def test_blade_fault_identity_at_unit_scale():
     plant = build_plant()
-    out = apply_blade_fault(plant, FaultScenario(kind="blade_stiffness", blade_index=3,
-                                                 parameter=1.0))
-    assert np.array_equal(out.a, plant.a)
-    assert np.array_equal(out.dist_gain, plant.dist_gain)
+    _maybe_switch_blade_fault(plant, FaultScenario(kind="blade_stiffness", blade_index=3,
+                                                   parameter=1.0), 0)
+    ref = build_plant()
+    for name in ("a", "b", "c", "l_obs", "dist_gain", "nat_freq_hz"):
+        assert np.array_equal(getattr(plant, name), getattr(ref, name)), name
+
+
+def test_blade_fault_rebuilds_only_the_faulty_channel_in_place():
+    plant = build_plant()
+    arrays = {name: getattr(plant, name) for name in ("a", "c", "l_obs", "dist_gain")}
+    fault = FaultScenario(kind="blade_stiffness", blade_index=2, onset_sample=3, parameter=0.25)
+    _maybe_switch_blade_fault(plant, fault, 3)
+    ref = build_plant()
+    assert plant.nat_freq_hz[1] == ref.nat_freq_hz[1] * 0.5
+    assert plant.dist_gain[1] == 4.0
+    for name, array in arrays.items():
+        assert getattr(plant, name) is array  # updated in place, not replaced
+        assert np.array_equal(array[[0, 2]], getattr(ref, name)[[0, 2]]), name
+        assert not np.array_equal(array[1], getattr(ref, name)[1]), name
+    # The rebuilt channel keeps its DC gain and places its observer poles.
+    a, _, c, l_obs = dense_matrices(plant)
+    blade = slice(2, 4)
+    dc = c[1, blade] @ np.linalg.solve(np.eye(2) - a[blade, blade], [1.0, 0.0])
+    assert dc == pytest.approx(plant.dc_gain, rel=1e-12)
+    poles = np.linalg.eigvals(a[blade, blade] - np.outer(l_obs[blade, 1], c[1, blade]))
+    assert np.allclose(np.sort(poles.real), sorted(plant.predictor_poles), atol=1e-12)
 
 
 def test_blade_fault_amplifies_disturbance_by_inverse_scale():
@@ -145,8 +169,13 @@ def test_blade_fault_leaves_healthy_channels_bit_identical():
 
 
 def test_blade_fault_requires_right_kind():
-    with pytest.raises(ValueError):
-        apply_blade_fault(build_plant(), FaultScenario(kind="pas"))
+    # Only a blade-stiffness scenario changes the plant, and only at its onset.
+    for fault in (FaultScenario(kind="pas"), FaultScenario(kind="pad", parameter=0.5),
+                  FaultScenario(kind="blade_stiffness", onset_sample=5, parameter=0.2)):
+        plant = build_plant()
+        _maybe_switch_blade_fault(plant, fault, 0)
+        assert np.array_equal(plant.a, build_plant().a)
+        assert np.array_equal(plant.dist_gain, np.ones(3))
 
 
 def test_scheduled_fault_is_time_exact():
@@ -269,7 +298,7 @@ def test_lifted_block_matches_sample_loop(n):
     plant.x = 100.0 * rng.normal(size=6)
     for k0 in (0, n):
         _maybe_switch_blade_fault(plant, fault, k0)
-        ref = plant.copy()
+        ref = copy.deepcopy(plant)
         block = random_block(rng, n)
         y = plant.advance_block(*block)
         y_ref = advance_block_loop(ref, *block)
@@ -291,20 +320,12 @@ def test_blade_switch_clears_the_lifted_operators():
     _maybe_switch_blade_fault(plant, fault, 5)
     assert plant._derived == {}
     # The next block uses the restiffened blade, not a stale operator.
-    ref = plant.copy()
+    ref = copy.deepcopy(plant)
     block = random_block(rng, 100)
     assert rel_err(plant.advance_block(*block), advance_block_loop(ref, *block)) <= 1e-12
     a_blocks = plant._blade_floats()[0]
-    assert a_blocks[2] == tuple(plant.a[4:, 4:].ravel().tolist()) != healthy[0][2]
+    assert a_blocks[2] == tuple(plant.a[2].ravel().tolist()) != healthy[0][2]
     assert a_blocks[:2] == healthy[0][:2]
-
-
-def test_lifted_block_rejects_cross_blade_plant():
-    for name, index in (("a", (0, 2)), ("c", (0, 2)), ("l_obs", (0, 1))):
-        plant = build_plant()
-        getattr(plant, name)[index] = 1e-3
-        with pytest.raises(ValueError, match="per-blade"):
-            plant.advance_block(np.zeros((4, 3)), np.zeros((4, 3)), np.zeros((4, 3)))
 
 
 def test_lifted_block_reports_state_overflow():
@@ -334,8 +355,9 @@ def test_build_plant_rejects_bad_parameters():
 def test_markov_oracle_p1_is_cb_cl():
     plant = build_plant()
     xi = markov_oracle(plant, 1)
-    assert np.allclose(xi[:, :3], plant.c @ plant.b)
-    assert np.allclose(xi[:, 3:], plant.c @ plant.l_obs)
+    _, b, c, l_obs = dense_matrices(plant)
+    assert np.allclose(xi[:, :3], c @ b)
+    assert np.allclose(xi[:, 3:], c @ l_obs)
 
 
 def test_markov_oracle_blocks_match_direct_products():
@@ -343,18 +365,20 @@ def test_markov_oracle_blocks_match_direct_products():
     p = 6
     xi = markov_oracle(plant, p)
     at = a_tilde(plant)
+    _, b, c, l_obs = dense_matrices(plant)
     for m in range(p):
         power = np.linalg.matrix_power(at, p - 1 - m)
-        assert np.allclose(xi[:, 3 * m:3 * (m + 1)], plant.c @ power @ plant.b, atol=1e-12)
+        assert np.allclose(xi[:, 3 * m:3 * (m + 1)], c @ power @ b, atol=1e-12)
         assert np.allclose(xi[:, 3 * p + 3 * m:3 * p + 3 * (m + 1)],
-                           plant.c @ power @ plant.l_obs, atol=1e-12)
+                           c @ power @ l_obs, atol=1e-12)
 
 
 def test_truncation_premise_at_p21():
     plant = build_plant()
     at = a_tilde(plant)
-    cb = plant.c @ plant.b
-    tail = plant.c @ np.linalg.matrix_power(at, 20) @ plant.b
+    _, b, c, _ = dense_matrices(plant)
+    cb = c @ b
+    tail = c @ np.linalg.matrix_power(at, 20) @ b
     assert np.linalg.norm(tail) < 1e-6 * np.linalg.norm(cb)
 
 
