@@ -44,7 +44,6 @@ from .plant import (
     DisturbanceModel,
     FaultScenario,
     SurrogatePlant,
-    apply_actuator_fault,
     build_plant,
 )
 from .sysid import IdentificationEngine

@@ -15,11 +15,11 @@ faulty scenarios (the stuck/derated blade contaminates the transform).
 MBC-IPC feeds back every sample, so it cannot be lifted to the rotation
 level like the repetitive controller. `mbc_ipc_rotation` instead runs one
 rotation of controller, actuator fault map and plant as one loop over plain
-floats. The disturbance and innovations are drawn once per rotation; what
-does not change between rotations is built once: the Coleman cos/sin rows
-per (P, psi offset), the affine fault map per fault state (before and from
-the onset), and the plant's per-blade float blocks, cached by the plant
-until the blade-stiffness switch.
+floats. The disturbance and innovations are drawn once per rotation and
+the affine fault map (`FaultScenario.actuator_map`) once per fault state;
+what does not change between rotations is built once: the Coleman cos/sin
+rows per (P, psi offset), and the plant's per-blade float blocks, cached by
+the plant until the blade-stiffness switch.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .plant import N_BLADES, _maybe_switch_blade_fault, apply_actuator_fault
+from .plant import N_BLADES, _maybe_switch_blade_fault
 
 __all__ = [
     "MbcIpcState",
@@ -79,17 +79,6 @@ def _coleman_rows(period: int, psi_offset: float) -> tuple:
     return tuple(map(tuple, np.cos(angles).tolist())), tuple(map(tuple, np.sin(angles).tolist()))
 
 
-@lru_cache(maxsize=8)
-def _fault_map(fault, active: bool) -> tuple:
-    """(offset, scale) of the actuator fault map before the onset (active
-    False) or from it on: per blade, u_eff = u * scale + offset, exact for
-    finite u (PAS: the stuck angle)."""
-    k = fault.onset_sample if active else fault.onset_sample - 1
-    offset = apply_actuator_fault(np.zeros(N_BLADES), fault, k)
-    scale = apply_actuator_fault(np.ones(N_BLADES), fault, k) - offset
-    return tuple(offset.tolist()), tuple(scale.tolist())
-
-
 def mbc_ipc_rotation(state: MbcIpcState, plant, fault, dist, k0: int,
                      u_cmd: np.ndarray, y: np.ndarray) -> None:
     """Run MBC-IPC in closed loop with the plant for the rotation starting at k0.
@@ -114,20 +103,18 @@ def mbc_ipc_rotation(state: MbcIpcState, plant, fault, dist, k0: int,
     e = dist.innovation_block(k0, period)
     e_rows = e.tolist()
 
-    onset = fault.onset_sample - k0
-    cuts = (0, onset, period) if 0 < onset < period else (0, period)
     x0, x1, x2, x3, x4, x5 = plant.x.tolist()
     y0, y1, y2 = y[k0 - 1].tolist() if k0 else (0.0, 0.0, 0.0)
     ti, yi = state.tilt_int, state.yaw_int
     u_out, y_out = [], []
-    for lo, hi in zip(cuts, cuts[1:]):
+    for lo, hi in fault.segments(k0, period):
         _maybe_switch_blade_fault(plant, fault, k0 + lo)
         a, c, l, b = plant._blade_floats()
         (a0, a1, a2, a3), (a4, a5, a6, a7), (a8, a9, a10, a11) = a
         (c0, c1), (c2, c3), (c4, c5) = c
         (l0, l1), (l2, l3), (l4, l5) = l
         (b0, b1, b2, b3, b4, b5), (b6, b7, b8, b9, b10, b11), (b12, b13, b14, b15, b16, b17) = b
-        (o0, o1, o2), (s0, s1, s2) = _fault_map(fault, k0 + lo >= fault.onset_sample)
+        (o0, o1, o2), (s0, s1, s2) = fault.actuator_map(k0 + lo)
         # Output offset g .* d + e, as the plant adds it.
         w_rows = (plant.dist_gain * d[lo:hi] + e[lo:hi]).tolist()
         for (cb0, cb1, cb2), (sb0, sb1, sb2), (e0, e1, e2), (w0, w1, w2) in zip(

@@ -6,7 +6,7 @@ tuning, seed); a campaign is a list of load cases. A run advances one rotor
 rotation at a time: the repetitive controller and the collective baseline
 fix a rotation of commands and push it through the fault map and the plant
 in one block, which the plant advances in closed form with its lifted
-per-blade operator (two blocks when a blade-stiffness onset falls inside the
+per-blade operator (two blocks when a fault onset falls inside the
 rotation); MBC-IPC, which feeds back every sample, runs each rotation as one
 fused controller/fault/plant loop (`baselines.mbc_ipc_rotation`).
 
@@ -42,7 +42,6 @@ from .plant import (
     FaultScenario,
     SurrogatePlant,
     _maybe_switch_blade_fault,
-    apply_actuator_fault,
     build_plant,
 )
 
@@ -241,19 +240,19 @@ class RunResult:
 def _advance_rotation(plant, fault, dist, u_cmd_rows, k0):
     """Advance one command block through fault map and plant.
 
-    One `advance_block` call per block; a blade-stiffness onset inside the
-    block splits it in two, so the switch lands on its exact sample.
+    One `advance_block` call per block; a fault onset inside the block
+    splits it in two, so the switch lands on its exact sample.
     """
     n = u_cmd_rows.shape[0]
-    onset = fault.onset_sample - k0
-    cuts = (0, onset, n) if fault.kind == "blade_stiffness" and 0 < onset < n else (0, n)
-    u_eff = apply_actuator_fault(u_cmd_rows, fault, k0)
+    if not np.all(np.isfinite(u_cmd_rows)):
+        raise ValueError("u_cmd contains non-finite entries")
     d = dist.periodic_block(k0, n, plant.period_samples)
     e = dist.innovation_block(k0, n)
     y = np.empty((n, 3))
-    for lo, hi in zip(cuts, cuts[1:]):
+    for lo, hi in fault.segments(k0, n):
         _maybe_switch_blade_fault(plant, fault, k0 + lo)
-        y[lo:hi] = plant.advance_block(u_eff[lo:hi], d[lo:hi], e[lo:hi])
+        offset, scale = fault.actuator_map(k0 + lo)
+        y[lo:hi] = plant.advance_block(u_cmd_rows[lo:hi] * scale + offset, d[lo:hi], e[lo:hi])
     return y
 
 
@@ -312,7 +311,9 @@ def run_load_case(cfg: LoadCaseConfig) -> RunResult:
 
     t = np.arange(n) * dt
     psi = 2.0 * np.pi * ((np.arange(n) % period) + 1) / period
-    metrics = compute_metrics(cfg, u_cmd, y, dt)
+    # A non-finite metric is reported by the error below, which names the run.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        metrics = compute_metrics(cfg, u_cmd, y, dt)
     bad = [f"{which}.{blade}.{name}" for which in ("healthy", "faulty")
            for blade, values in metrics[which].items() for name, v in values.items()
            if v is not None and not math.isfinite(v)]

@@ -1,10 +1,10 @@
 """Shared numerical kernels.
 
-Square-root (QR) recursive least squares with exponential forgetting,
-Moore-Penrose pseudo-inverse, a discrete algebraic Riccati solver based on
-the Riccati difference recursion, and Welch spectral estimation. The RLS
-fold and the Riccati solver accept stacks of independent problems along
-leading axes.
+Square-root (QR) recursive least squares with exponential forgetting on
+the augmented factor [R | z], one QR per fold; Moore-Penrose
+pseudo-inverse; a discrete algebraic Riccati solver based on the Riccati
+difference recursion; and Welch spectral estimation. The RLS fold and the
+Riccati solver accept stacks of independent problems along leading axes.
 
 All functions are pure or return fresh state; nothing here holds shared
 mutable state.
@@ -42,25 +42,23 @@ def _is_int(value) -> bool:
 class RlsState:
     """State of an exponentially weighted least-squares recursion.
 
-    The inverse covariance (information) matrix is carried as its
-    upper-triangular square root ``sqrt_inv_cov`` = R with
-    R'R = lam^k * init_info * I + sum_t lam^(k-t) x_t x_t', which keeps the
-    information matrix positive definite over arbitrarily long runs. The
-    right-hand side accumulator is not stored: it is always recoverable as
-    Z = R @ estimate.T.
+    The state is the augmented factor [R | z] of the QR-RLS array form
+    (Haykin, Adaptive Filter Theory): R is the upper-triangular square root
+    of the information matrix, R'R = lam^k * init_info * I +
+    sum_t lam^(k-t) x_t x_t', kept positive definite over arbitrarily long
+    runs, and R'z = sum_t lam^(k-t) x_t y_t'. The estimate is solved from
+    them only when it is read.
 
     Leading axes, if any, stack independent recursions that share lam (one
     per blade in the identification engine); they are folded together.
 
     Attributes:
-        estimate: (..., n_out, n_reg) current weighted least-squares solution.
-        sqrt_inv_cov: (..., n_reg, n_reg) upper-triangular information square root.
+        factor: (..., n_reg, n_reg + n_out) the augmented factor [R | z].
         lam: forgetting factor. Values at or below 0.9 are rejected; the
             recursion is meant for near-unity forgetting.
     """
 
-    estimate: np.ndarray
-    sqrt_inv_cov: np.ndarray
+    factor: np.ndarray
     lam: float
 
     def __post_init__(self):
@@ -68,18 +66,26 @@ class RlsState:
             raise ValueError(
                 f"forgetting factor must satisfy 0.9 < lambda <= 1, got {self.lam}"
             )
-        if not np.all(np.isfinite(self.estimate)):
-            raise ValueError("estimate contains non-finite entries")
-        if not np.all(np.isfinite(self.sqrt_inv_cov)):
-            raise ValueError("sqrt_inv_cov contains non-finite entries")
+        if not np.all(np.isfinite(self.factor)):
+            raise ValueError("factor contains non-finite entries")
 
     @property
     def n_reg(self) -> int:
-        return self.sqrt_inv_cov.shape[-1]
+        return self.factor.shape[-2]
 
     @property
     def n_out(self) -> int:
-        return self.estimate.shape[-2]
+        return self.factor.shape[-1] - self.n_reg
+
+    @property
+    def sqrt_inv_cov(self) -> np.ndarray:
+        """(..., n_reg, n_reg) upper-triangular information square root R."""
+        return self.factor[..., :self.n_reg]
+
+    @property
+    def estimate(self) -> np.ndarray:
+        """(..., n_out, n_reg) weighted least-squares solution, solved at each read."""
+        return np.linalg.solve(self.sqrt_inv_cov, self.factor[..., self.n_reg:]).mT
 
     @staticmethod
     def fresh(n_out: int, n_reg: int, lam: float, init_info: float = 1e-3,
@@ -88,29 +94,9 @@ class RlsState:
         the independent recursions indexed by `stack`."""
         if init_info <= 0.0:
             raise ValueError("init_info must be positive")
-        eye = np.broadcast_to(np.eye(n_reg), stack + (n_reg, n_reg))
-        return RlsState(
-            estimate=np.zeros(stack + (n_out, n_reg)),
-            sqrt_inv_cov=np.sqrt(init_info) * eye,
-            lam=float(lam),
-        )
-
-
-def _rls_qr_step(state: RlsState, rows: np.ndarray, targets: np.ndarray,
-                 weights: np.ndarray, prior_scale: float):
-    """Fold weighted rows into the triangular factors via one (stacked) QR."""
-    n_reg, n_out = state.n_reg, state.n_out
-    z = state.sqrt_inv_cov @ state.estimate.mT
-    stacked = np.empty(rows.shape[:-2] + (n_reg + rows.shape[-2], n_reg + n_out))
-    stacked[..., :n_reg, :n_reg] = prior_scale * state.sqrt_inv_cov
-    stacked[..., :n_reg, n_reg:] = prior_scale * z
-    stacked[..., n_reg:, :n_reg] = weights[:, None] * rows
-    stacked[..., n_reg:, n_reg:] = weights[:, None] * targets
-    r_aug = np.linalg.qr(stacked, mode="r")
-    r_new = np.ascontiguousarray(r_aug[..., :n_reg, :n_reg])
-    z_new = r_aug[..., :n_reg, n_reg:]
-    estimate = np.linalg.solve(r_new, z_new).mT
-    return RlsState(estimate=estimate, sqrt_inv_cov=r_new, lam=state.lam)
+        factor = np.zeros(stack + (n_reg, n_reg + n_out))
+        factor[..., :n_reg] = np.sqrt(init_info) * np.eye(n_reg)
+        return RlsState(factor=factor, lam=float(lam))
 
 
 def rls_update_batch(state: RlsState, regressors: np.ndarray, targets: np.ndarray) -> RlsState:
@@ -121,11 +107,12 @@ def rls_update_batch(state: RlsState, regressors: np.ndarray, targets: np.ndarra
     exponentially weighted least-squares solution over all data seen so far
     (including the init_info ridge decayed by lam^k); folding the rows one
     at a time or in any split gives the same solution (QR stacking is
-    associative), and the covariance matrix is never formed.
+    associative), and the covariance matrix is never formed: the new [R | z]
+    is the top n_reg rows of the QR of [lam^(m/2) [R | z]; lam^(age/2) [X | y]].
     """
     regressors = np.asarray(regressors, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    stack = state.sqrt_inv_cov.shape[:-2]
+    stack = state.factor.shape[:-2]
     if regressors.ndim != len(stack) + 2 or targets.ndim != len(stack) + 2:
         raise ValueError(f"regressors and targets need shape {stack} + (rows, columns)")
     m = regressors.shape[-2]
@@ -139,7 +126,9 @@ def rls_update_batch(state: RlsState, regressors: np.ndarray, targets: np.ndarra
     if not (np.all(np.isfinite(regressors)) and np.all(np.isfinite(targets))):
         raise ValueError("batch contains non-finite entries")
     weights, prior_scale = _fold_weights(state.lam, m)
-    return _rls_qr_step(state, regressors, targets, weights, prior_scale)
+    rows = weights[:, None] * np.concatenate([regressors, targets], axis=-1)
+    r_aug = np.linalg.qr(np.concatenate([prior_scale * state.factor, rows], axis=-2), mode="r")
+    return RlsState(factor=r_aug[..., :state.n_reg, :], lam=state.lam)
 
 
 @functools.lru_cache(maxsize=8)
@@ -218,9 +207,9 @@ def solve_dare(a, b, q, r, tol: float = 1e-9, max_iter: int = 500,
     Starts from P0 = Q (or a supplied warm start) and iterates the Riccati
     difference recursion until the relative residual
     ||P - f(P)||_F / ||P||_F drops below tol. Returns the stabilizing gain
-    K = (R + B'PB)^-1 B'PA. Raises DareNonConvergence if the tolerance is
-    not met within max_iter, which happens in particular when (A, B) is not
-    stabilizable.
+    K = (R + B'PB)^-1 B'PA of the last iterate, within tol of the fixed
+    point. Raises DareNonConvergence if the tolerance is not met within
+    max_iter, which happens in particular when (A, B) is not stabilizable.
 
     Inputs may stack independent problems along leading axes, (..., n, n)
     etc. They iterate together under one Frobenius residual taken over the
@@ -240,8 +229,6 @@ def solve_dare(a, b, q, r, tol: float = 1e-9, max_iter: int = 500,
         residual = np.linalg.norm(p_next - p) / denom
         p = p_next
         if residual <= tol:
-            # Recompute the gain at the fixed point itself.
-            _, gain = _dare_rhs(a, b, q, r, p)
             return DareSolution(cost_matrix=p, gain=gain, residual=residual, iterations=it)
         if not np.all(np.isfinite(p)):
             raise DareNonConvergence(float("inf"), it)

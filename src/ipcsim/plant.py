@@ -39,7 +39,6 @@ __all__ = [
     "DisturbanceModel",
     "FaultScenario",
     "build_plant",
-    "apply_actuator_fault",
 ]
 
 N_BLADES = 3
@@ -83,31 +82,24 @@ class FaultScenario:
         """Zero-based faulty blade index."""
         return self.blade_index - 1
 
+    def actuator_map(self, k: int) -> tuple:
+        """Per-blade (offset, scale) float tuples of the actuator fault map
+        at sample k, u_eff = u * scale + offset: identity before the onset
+        and for healthy and blade-stiffness; from it on, PAS pins the faulty
+        blade at the stuck angle `parameter` and PAD scales it by 1 - parameter."""
+        offset, scale = [0.0] * N_BLADES, [1.0] * N_BLADES
+        if k >= self.onset_sample and self.kind == "pas":
+            offset[self.blade0], scale[self.blade0] = float(self.parameter), 0.0
+        elif k >= self.onset_sample and self.kind == "pad":
+            scale[self.blade0] = 1.0 - self.parameter
+        return tuple(offset), tuple(scale)
 
-def apply_actuator_fault(u_cmd: np.ndarray, fault: FaultScenario, k) -> np.ndarray:
-    """Map commanded pitch to effective pitch under the actuator fault.
-
-    Accepts a single command (shape (3,), scalar k) or a block of commands
-    (shape (n, 3) with k the sample index of the first row). Identity before
-    the onset sample; PAS pins the faulty entry at the stuck angle, PAD
-    scales it by (1 - parameter). Blade-stiffness and healthy scenarios
-    leave the command untouched.
-    """
-    u_cmd = np.asarray(u_cmd, dtype=float)
-    if not np.all(np.isfinite(u_cmd)):
-        raise ValueError("u_cmd contains non-finite entries")
-    if fault.kind in ("healthy", "blade_stiffness"):
-        return u_cmd.copy()
-    single = u_cmd.ndim == 1
-    u = u_cmd.reshape(-1, N_BLADES).copy()
-    ks = int(k) + np.arange(u.shape[0])
-    active = ks >= fault.onset_sample
-    f = fault.blade0
-    if fault.kind == "pas":
-        u[active, f] = fault.parameter
-    else:  # pad
-        u[active, f] *= 1.0 - fault.parameter
-    return u[0] if single else u
+    def segments(self, k0: int, n: int) -> tuple:
+        """The (lo, hi) ranges, relative to k0, of the n-sample block from k0:
+        cut at the onset when it falls strictly inside, so that each range
+        sees one fault state."""
+        cut = self.onset_sample - k0
+        return ((0, cut), (cut, n)) if self.kind != "healthy" and 0 < cut < n else ((0, n),)
 
 
 # ---------------------------------------------------------------------------

@@ -37,16 +37,16 @@ class IdentificationEngine:
     associative); the equivalence is covered by tests.
     """
 
-    def __init__(self, p: int, period: int, lam: float = 0.99999, init_info: float = 1e-3):
-        self.state = RlsState.fresh(1, 2 * p, lam=lam, init_info=init_info, stack=(N_BLADES,))
+    def __init__(self, p: int, period: int, lam: float = 0.99999):
+        self.state = RlsState.fresh(1, 2 * p, lam=lam, stack=(N_BLADES,))
         self.p = p
         self.period = period
         self._next_t = period + p  # first sample with a full regressor window
 
     @property
     def rows(self) -> np.ndarray:
-        """(3, 2p) Markov rows; row i is blade i's
-        [C A~^(p-1) B ... C B | C A~^(p-1) L ... C L]."""
+        """(3, 2p) Markov rows, solved from the RLS factor at each read; row
+        i is blade i's [C A~^(p-1) B ... C B | C A~^(p-1) L ... C L]."""
         return self.state.estimate[:, 0]
 
     def ingest(self, u_hist: np.ndarray, y_hist: np.ndarray, upto: int) -> None:

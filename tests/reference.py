@@ -2,7 +2,9 @@
 
 Per-sample twins of the package's batched paths: a ring buffer serving
 rotor-period differences and per-blade regressors, one-sample RLS and
-identification steps, a one-sample plant step, the plant block advanced one
+identification steps, the RLS fold on the estimate and R as two arrays
+(`rls_fold_two_array`), the actuator fault map applied per sample
+(`apply_actuator_fault`), a one-sample plant step, the plant block advanced one
 sample at a time (`advance_block_loop`), the jittered periodic disturbance
 stepped one sample at a time (`jittered_periodic_block_loop`), the uftipc
 broadband excitation filtered one sample at a time
@@ -42,7 +44,7 @@ import numpy as np
 from ipcsim.baselines import MbcIpcState
 from ipcsim.control import BasisProjection
 from ipcsim.numerics import RlsState, pinv, rls_update_batch
-from ipcsim.plant import _maybe_switch_blade_fault, apply_actuator_fault
+from ipcsim.plant import FaultScenario, _maybe_switch_blade_fault
 
 N_BLADES = 3
 
@@ -138,13 +140,31 @@ def identify_step(state: RlsState, regressors, dy) -> RlsState:
     """
     dy = np.asarray(dy, dtype=float).reshape(N_BLADES)
     blades = [
-        rls_update(RlsState(state.estimate[i], state.sqrt_inv_cov[i], state.lam),
-                   regressors[i], dy[i: i + 1])[0]
+        rls_update(RlsState(state.factor[i], state.lam), regressors[i], dy[i: i + 1])[0]
         for i in range(N_BLADES)
     ]
-    return RlsState(estimate=np.stack([b.estimate for b in blades]),
-                    sqrt_inv_cov=np.stack([b.sqrt_inv_cov for b in blades]),
-                    lam=state.lam)
+    return RlsState(factor=np.stack([b.factor for b in blades]), lam=state.lam)
+
+
+def rls_fold_two_array(estimate, sqrt_inv_cov, lam: float, regressors, targets):
+    """The two-array RLS fold: the state is the estimate and R, and z is
+    rebuilt as R @ estimate' before the QR, the estimate solved after it.
+
+    Twin of `rls_update_batch`, which carries [R | z] as one factor; takes
+    and returns (estimate (..., n_out, n_reg), R (..., n_reg, n_reg)).
+    """
+    n_reg, n_out, m = sqrt_inv_cov.shape[-1], estimate.shape[-2], regressors.shape[-2]
+    weights = np.power(lam, np.arange(m - 1, -1, -1, dtype=float) / 2.0)
+    prior_scale = lam ** (m / 2.0)
+    z = sqrt_inv_cov @ estimate.mT
+    stacked = np.empty(regressors.shape[:-2] + (n_reg + m, n_reg + n_out))
+    stacked[..., :n_reg, :n_reg] = prior_scale * sqrt_inv_cov
+    stacked[..., :n_reg, n_reg:] = prior_scale * z
+    stacked[..., n_reg:, :n_reg] = weights[:, None] * regressors
+    stacked[..., n_reg:, n_reg:] = weights[:, None] * targets
+    r_aug = np.linalg.qr(stacked, mode="r")
+    r_new = np.ascontiguousarray(r_aug[..., :n_reg, :n_reg])
+    return np.linalg.solve(r_new, r_aug[..., :n_reg, n_reg:]).mT, r_new
 
 
 def advance_block_loop(plant, u_eff: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -219,6 +239,33 @@ def unrestricted_block_loop(noise, k: int, n: int) -> np.ndarray:
         out[t] = z
     noise._z, noise._bits = tuple(z.tolist()), tuple(bits.tolist())
     return noise.amplitude * np.clip(out, -1.0, 1.0)
+
+
+def apply_actuator_fault(u_cmd: np.ndarray, fault: FaultScenario, k) -> np.ndarray:
+    """Map commanded pitch to effective pitch under the actuator fault.
+
+    Per-sample twin of `FaultScenario.actuator_map`. Accepts a single
+    command (shape (3,), scalar k) or a block of commands (shape (n, 3) with
+    k the sample index of the first row). Identity before the onset sample;
+    PAS pins the faulty entry at the stuck angle, PAD scales it by
+    (1 - parameter). Blade-stiffness and healthy scenarios leave the command
+    untouched.
+    """
+    u_cmd = np.asarray(u_cmd, dtype=float)
+    if not np.all(np.isfinite(u_cmd)):
+        raise ValueError("u_cmd contains non-finite entries")
+    if fault.kind in ("healthy", "blade_stiffness"):
+        return u_cmd.copy()
+    single = u_cmd.ndim == 1
+    u = u_cmd.reshape(-1, N_BLADES).copy()
+    ks = int(k) + np.arange(u.shape[0])
+    active = ks >= fault.onset_sample
+    f = fault.blade0
+    if fault.kind == "pas":
+        u[active, f] = fault.parameter
+    else:  # pad
+        u[active, f] *= 1.0 - fault.parameter
+    return u[0] if single else u
 
 
 def step(plant, u_cmd, disturbance, fault, k: int) -> np.ndarray:

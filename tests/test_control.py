@@ -297,10 +297,14 @@ def exploding_rotation(newest_y_tap):
     for j in range(3):
         ctl.finish_rotation(j, u, y)
     state = ctl.engine.state
-    estimate = state.estimate.copy()
-    estimate[1, 0, -1] = newest_y_tap
-    ctl.engine.state = RlsState(estimate=estimate, sqrt_inv_cov=state.sqrt_inv_cov,
-                                lam=state.lam)
+    estimate = state.estimate[1].copy()
+    estimate[0, -1] = newest_y_tap
+    # Blade 2's factor becomes [I | estimate'], which reads back the
+    # estimate exactly; solving z = R @ estimate' against its own R would
+    # smear the huge tap over the other taps.
+    factor = state.factor.copy()
+    factor[1] = np.concatenate([np.eye(state.n_reg), estimate.mT], axis=-1)
+    ctl.engine.state = RlsState(factor=factor, lam=state.lam)
     return ctl, u, y
 
 

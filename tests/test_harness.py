@@ -3,6 +3,7 @@ campaign isolation and parallel equivalence, comparison table, CLI."""
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -283,11 +284,13 @@ def test_ftipc_tolerates_rotor_speed_jitter():
     assert np.all(sd_ctl < 0.5 * sd_base), (sd_ctl, sd_base)
 
 
-def test_mid_rotation_blade_onset_matches_per_sample(advance_block_rows):
+@pytest.mark.parametrize("kind,parameter", [("blade_stiffness", 0.2), ("pas", 1.5), ("pad", 0.5)],
+                         ids=["blade_stiffness", "pas", "pad"])
+def test_mid_rotation_blade_onset_matches_per_sample(advance_block_rows, kind, parameter):
     # The onset falls at sample 37 of rotation 2: that rotation advances in
     # two blocks, and the series equals one reference.step per sample.
     cfg = short_cfg(id="mid", controller="cpc", duration_s=5.0, fault_onset_s=2.37,
-                    fault_kind="blade_stiffness", fault_parameter=0.2, sigma_e=40.0)
+                    fault_kind=kind, fault_parameter=parameter, sigma_e=40.0)
     res = run_load_case(cfg)
     assert advance_block_rows == [100, 100, 37, 63, 100, 100]
     plant = cfg.make_plant()
@@ -298,7 +301,7 @@ def test_mid_rotation_blade_onset_matches_per_sample(advance_block_rows):
     assert np.abs(res.y - y_ref).max() <= 1e-12 * np.abs(y_ref).max()
     # The same onset under the repetitive controller runs to the end.
     ft = run_load_case(short_cfg(id="mid-ft", duration_s=20.0, fault_onset_s=10.37,
-                                 fault_kind="blade_stiffness", fault_parameter=0.2))
+                                 fault_kind=kind, fault_parameter=parameter))
     assert np.all(np.isfinite(ft.y)) and np.all(np.isfinite(ft.u_cmd))
 
 
@@ -482,6 +485,12 @@ def test_nonfinite_metrics_fail_the_run(tmp_path, caplog):
         cfg_path.write_text(json.dumps(cfg.to_dict()))
         assert cli_main(["run", str(cfg_path)]) == 2
     assert "run failed:" in caplog.text
+    # Without an errstate of its own, the error naming the run is the only
+    # report: no numpy overflow warning escapes the metrics first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"non-finite metrics: .*healthy\.blade1\.sd_y"):
+            run_load_case(cfg)
     # metrics.json is strict JSON: a non-finite value is refused, not written.
     result = run_load_case(short_cfg(controller="cpc", duration_s=20.0, fault_onset_s=10.0))
     result.metrics["faulty"]["blade1"]["sd_y"] = float("inf")

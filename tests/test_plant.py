@@ -10,12 +10,12 @@ from ipcsim.plant import (
     DisturbanceModel,
     FaultScenario,
     _maybe_switch_blade_fault,
-    apply_actuator_fault,
     build_plant,
 )
 from reference import (
     a_tilde,
     advance_block_loop,
+    apply_actuator_fault,
     dc_gain_matrix,
     dense_matrices,
     jittered_periodic_block_loop,
@@ -76,28 +76,46 @@ def test_default_plant_dc_gain():
 # actuator faults
 # ---------------------------------------------------------------------------
 
+def mapped(fault, u, k):
+    """u_eff through FaultScenario.actuator_map of a command at sample k, or
+    of a block from sample k that sees one fault state."""
+    offset, scale = fault.actuator_map(k)
+    return u * scale + offset
+
+
 def test_pas_pins_faulty_entry():
     fault = FaultScenario(kind="pas", blade_index=3, onset_sample=10, parameter=0.0)
     u = np.array([3.0, -2.0, 5.0])
-    assert np.array_equal(apply_actuator_fault(u, fault, 10), [3.0, -2.0, 0.0])
-    assert np.array_equal(apply_actuator_fault(u, fault, 9), u)
+    assert np.array_equal(mapped(fault, u, 10), [3.0, -2.0, 0.0])
+    assert np.array_equal(mapped(fault, u, 9), u)
 
 
 def test_pad_scales_faulty_entry():
     fault = FaultScenario(kind="pad", blade_index=3, onset_sample=0, parameter=0.5)
     u = np.array([0.3, 0.1, 2.0])
-    out = apply_actuator_fault(u, fault, 5)
+    out = mapped(fault, u, 5)
     assert out[2] == pytest.approx(1.0)
     assert np.array_equal(out[:2], u[:2])
 
 
 def test_actuator_fault_block_matches_per_sample():
-    fault = FaultScenario(kind="pas", blade_index=2, onset_sample=7, parameter=1.5)
+    # The affine map of each fault state equals the per-sample oracle bit
+    # for bit, before the onset, at it and after it, for every fault kind;
+    # a block cut by `segments` sees one fault state per range.
     rng = np.random.default_rng(0)
     u = rng.normal(size=(12, 3))
-    block = apply_actuator_fault(u, fault, 0)
-    rows = np.array([apply_actuator_fault(u[k], fault, k) for k in range(12)])
-    assert np.array_equal(block, rows)
+    for kind, parameter in (("healthy", 0.0), ("pas", 1.5), ("pad", 0.3),
+                            ("blade_stiffness", 0.5)):
+        fault = FaultScenario(kind=kind, blade_index=2, onset_sample=7, parameter=parameter)
+        for k in (0, 6, 7, 8, 11):
+            assert np.array_equal(mapped(fault, u[k], k), apply_actuator_fault(u[k], fault, k))
+        cut = ((0, 7), (7, 12)) if kind != "healthy" else ((0, 12),)
+        assert fault.segments(0, 12) == cut
+        block = np.vstack([mapped(fault, u[lo:hi], lo) for lo, hi in cut])
+        assert np.array_equal(block, apply_actuator_fault(u, fault, 0))
+    # An onset on a block boundary does not cut.
+    fault = FaultScenario(kind="pas", blade_index=2, onset_sample=7, parameter=1.5)
+    assert fault.segments(7, 5) == ((0, 5),) and fault.segments(0, 7) == ((0, 7),)
 
 
 def test_fault_validation():
