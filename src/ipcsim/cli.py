@@ -49,7 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("config", nargs="?", help="campaign JSON (omit with --default)")
     p_camp.add_argument("--default", action="store_true",
                         help="run the shipped 54-run default campaign")
-    p_camp.add_argument("--jobs", type=int, default=1)
+    p_camp.add_argument("--jobs", type=int, default=1,
+                        help="worker processes (>= 1; at most one per case)")
     p_camp.add_argument("--out", default="campaign_out")
 
     p_cmp = sub.add_parser("compare", help="cross-controller comparison table")

@@ -11,8 +11,9 @@ T_u, T_y and H_bar of the one-rotation predictor in coefficient space,
 without forming the lifted P x P response matrices. Each blade's blocks
 make its own 12-state rotation-level pair (A_bar, B_bar) on
 [Ybar; dtheta; dYbar], and the three pairs are closed together by one
-stacked Riccati recursion with a (4 x 12) state-feedback gain per blade. The per-rotation coefficient update is, per
-blade,
+stacked Riccati recursion with a (4 x 12) state-feedback gain per blade;
+the controller holds the pairs and rewrites only their T_u, T_y and H_bar
+blocks. The per-rotation coefficient update is, per blade,
 
     theta[j+1] = alpha * theta[j] - beta * K_f [Ybar[j]; dtheta[j]; dYbar[j]]
 
@@ -37,7 +38,6 @@ __all__ = [
     "project_output",
     "shifted_bases",
     "projected_blocks",
-    "bar_matrices",
     "update_theta",
     "ExcitationGenerator",
     "UnrestrictedExcitation",
@@ -108,8 +108,9 @@ def project_output(y_period: np.ndarray, basis: BasisProjection) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def shifted_bases(u_f: np.ndarray, p: int):
-    """(prev, curr, band): what `projected_blocks` needs of the basis for a
-    p-tap Markov row, built once per controller. Needs 1 <= p < P.
+    """(prev, curr, band, eye, taps): what `projected_blocks` needs of the
+    basis for a p-tap Markov row, built once per controller. Needs
+    1 <= p < P.
 
     prev, curr: (p, S, 4) copies of u_f aligned with an oldest-first row,
     over the rotation's P samples zero-padded to S, a whole number of
@@ -123,6 +124,9 @@ def shifted_bases(u_f: np.ndarray, p: int):
     of p samples. Entry [i, c] is the row entry that weighs column c of
     [previous block | this block] at sample i of this block, or p (a zero
     tap) where the recursion does not reach.
+
+    eye: the p x p identity. taps: (3, p + 1), each blade's y-row followed
+    by the zero tap; `projected_blocks` overwrites the rows on every call.
     """
     period = u_f.shape[0]
     if not 1 <= p < period:
@@ -133,7 +137,8 @@ def shifted_bases(u_f: np.ndarray, p: int):
     before = (k < 0)[..., None]
     lag = np.arange(2 * p)[None, :] - np.arange(p)[:, None]
     band = np.where((lag >= 0) & (lag < p), lag, p)
-    return np.where(before, wrapped, 0.0), np.where(before, 0.0, wrapped), band
+    return (np.where(before, wrapped, 0.0), np.where(before, 0.0, wrapped), band, np.eye(p),
+            np.zeros((N_BLADES, p + 1)))
 
 
 def projected_blocks(rows: np.ndarray, shifts, basis: BasisProjection):
@@ -149,7 +154,7 @@ def projected_blocks(rows: np.ndarray, shifts, basis: BasisProjection):
     across blocks a carry from the previous block. pinv(u_f) projects the
     result back to coefficients.
     """
-    prev, curr, band = shifts
+    prev, curr, band, eye, taps = shifts
     p, n_samples = prev.shape[:2]
     row_u, row_y = rows[:, :p], rows[:, p:]
     # x[b, s]: blade b, sample s, columns [T_u | T_y | H_bar] before projection.
@@ -157,10 +162,10 @@ def projected_blocks(rows: np.ndarray, shifts, basis: BasisProjection):
                         for row, shift in ((row_u, prev), (row_y, prev), (row_u, curr))],
                        axis=2)
     # band_taps[b]: blade b's recursion over [previous block | this block].
-    padded = np.concatenate([row_y, np.zeros((N_BLADES, 1))], axis=1)
-    band_taps = np.take(padded, band, axis=1)
+    taps[:, :p] = row_y
+    band_taps = np.take(taps, band, axis=1)
     try:
-        in_block = np.linalg.inv(np.eye(p) - band_taps[:, :, p:])
+        in_block = np.linalg.inv(eye - band_taps[:, :, p:])
     except np.linalg.LinAlgError:  # taps so large the elimination underflows
         in_block = np.full((N_BLADES, p, p), np.nan)
     carry = in_block @ band_taps[:, :, :p]
@@ -169,23 +174,6 @@ def projected_blocks(rows: np.ndarray, shifts, basis: BasisProjection):
         x[:, j] += carry @ x[:, j - 1]
     proj = basis.u_f_pinv @ x.reshape(N_BLADES, n_samples, -1)[:, :basis.period]
     return proj[..., :4], proj[..., 4:8], proj[..., 8:]
-
-
-def bar_matrices(t_u, t_y, h_bar):
-    """Per-blade rotation-level pairs (A_bar, B_bar) on [Ybar; dtheta; dYbar].
-
-    From (..., 4, 4) blocks: A_bar is (..., 12, 12) with a zero middle block
-    row, and B_bar is (..., 12, 4) with the identity as its middle block.
-    """
-    n = N_HARM
-    a_bar = np.zeros(t_u.shape[:-2] + (3 * n, 3 * n))
-    a_bar[..., :n, :n] = np.eye(n)
-    a_bar[..., :n, n:2 * n] = t_u
-    a_bar[..., :n, 2 * n:] = t_y
-    a_bar[..., 2 * n:, n:2 * n] = t_u
-    a_bar[..., 2 * n:, 2 * n:] = t_y
-    b_bar = np.concatenate([h_bar, np.broadcast_to(np.eye(n), h_bar.shape), h_bar], axis=-2)
-    return a_bar, b_bar
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +191,13 @@ def update_theta(theta: np.ndarray, gain: np.ndarray, y_bar: np.ndarray,
     dtheta[:, b]; dYbar[:, b]]. The infinity-norm clamp at
     tuning.theta_cap_deg stands in for real actuator limits.
     """
-    # Column b of `blade_states` is blade b's 12-state vector.
-    blade_states = np.concatenate([
-        np.asarray(v, dtype=float).reshape(N_HARM, N_BLADES)
-        for v in (y_bar, delta_theta, delta_y_bar)
-    ])
-    feedback = (gain @ blade_states.T[:, :, None])[:, :, 0].T.reshape(-1)
+    # blade_states[b] is blade b's 12-state column.
+    blade_states = np.empty((N_BLADES, 3 * N_HARM, 1))
+    blade_states[:, :, 0] = np.reshape((y_bar, delta_theta, delta_y_bar), (3 * N_HARM, N_BLADES)).T
+    feedback = (gain @ blade_states)[:, :, 0].T.reshape(-1)
     theta_next = tuning.alpha * theta - tuning.beta * feedback
     capped = np.clip(theta_next, -tuning.theta_cap_deg, tuning.theta_cap_deg)
-    return capped, bool(np.any(capped != theta_next))
+    return capped, bool((capped != theta_next).any())
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +386,12 @@ class RepetitiveController:
         q = np.diag([tuning.q_y] * N_HARM + [tuning.q_dtheta] * N_HARM + [tuning.q_dy] * N_HARM)
         self.q = np.broadcast_to(q, (N_BLADES,) + q.shape)
         self.r = np.broadcast_to(tuning.r_scale * np.eye(N_HARM), (N_BLADES, N_HARM, N_HARM))
+        # Per-blade (A_bar, B_bar) on [Ybar; dtheta; dYbar], which no solve_dare
+        # result refers to; each rotation rewrites their T_u, T_y, H_bar blocks.
+        self._a_bar = np.zeros((N_BLADES, 3 * N_HARM, 3 * N_HARM))
+        self._a_bar[:, :N_HARM, :N_HARM] = np.eye(N_HARM)
+        self._b_bar = np.zeros((N_BLADES, 3 * N_HARM, N_HARM))
+        self._b_bar[:, N_HARM:2 * N_HARM] = np.eye(N_HARM)
         self.theta = np.zeros(N_COEFF)
         self.delta_theta = np.zeros(N_COEFF)
         self.gain = np.zeros((N_BLADES, N_HARM, 3 * N_HARM))  # kept while the DARE fails
@@ -433,8 +425,11 @@ class RepetitiveController:
                        else y_bar - self._y_bar_prev)
 
         if j + 1 > self.tuning.warmup_rotations:
-            blocks = projected_blocks(self.engine.rows, self._shifts, self.basis)
-            a_bar, b_bar = bar_matrices(*blocks)
+            t_u, t_y, h_bar = projected_blocks(self.engine.rows, self._shifts, self.basis)
+            a_bar, b_bar, n = self._a_bar, self._b_bar, N_HARM
+            a_bar[:, :n, n:2 * n] = a_bar[:, 2 * n:, n:2 * n] = t_u
+            a_bar[:, :n, 2 * n:] = a_bar[:, 2 * n:, 2 * n:] = t_y
+            b_bar[:, :n] = b_bar[:, 2 * n:] = h_bar
             try:
                 sol = solve_dare(a_bar, b_bar, self.q, self.r, tol=self.tuning.dare_tol,
                                  max_iter=self.tuning.dare_max_iter, p0=self._p_warm)

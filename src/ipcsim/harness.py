@@ -437,16 +437,21 @@ def _run_one(cfg_dict: dict, out_dir: str | None) -> RunStatus:
 
 
 def run_campaign(configs, parallelism: int = 1, out_dir=None) -> CampaignReport:
-    """Run every load case (independently; failures are isolated)."""
+    """Run every load case (independently; failures are isolated) on at most
+    `parallelism` worker processes and no more than one per case (the pool
+    forks all of its workers at the first submit)."""
+    if not _is_int(parallelism) or parallelism < 1:
+        raise ConfigError(f"parallelism (--jobs) must be an integer >= 1, got {parallelism!r}")
     configs = list(configs)
     ids = [c.id for c in configs]
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate load case ids in campaign")
     out = str(out_dir) if out_dir is not None else None
-    if parallelism <= 1 or len(configs) <= 1:
+    workers = min(parallelism, len(configs))
+    if workers <= 1:
         statuses = [_run_one(c.to_dict(), out) for c in configs]
     else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             statuses = list(pool.map(_run_one, [c.to_dict() for c in configs],
                                      [out] * len(configs)))
     return CampaignReport(statuses=statuses, out_dir=out)

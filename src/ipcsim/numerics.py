@@ -66,7 +66,7 @@ class RlsState:
             raise ValueError(
                 f"forgetting factor must satisfy 0.9 < lambda <= 1, got {self.lam}"
             )
-        if not np.all(np.isfinite(self.factor)):
+        if not np.isfinite(self.factor).all():
             raise ValueError("factor contains non-finite entries")
 
     @property
@@ -123,12 +123,15 @@ def rls_update_batch(state: RlsState, regressors: np.ndarray, targets: np.ndarra
         raise ValueError("batch dimensions do not match the RLS state")
     if m == 0:
         return state
-    if not (np.all(np.isfinite(regressors)) and np.all(np.isfinite(targets))):
-        raise ValueError("batch contains non-finite entries")
     weights, prior_scale = _fold_weights(state.lam, m)
-    rows = weights[:, None] * np.concatenate([regressors, targets], axis=-1)
-    r_aug = np.linalg.qr(np.concatenate([prior_scale * state.factor, rows], axis=-2), mode="r")
-    return RlsState(factor=r_aug[..., :state.n_reg, :], lam=state.lam)
+    n_reg = state.n_reg
+    stacked = np.empty(stack + (n_reg + m, n_reg + state.n_out))
+    np.multiply(prior_scale, state.factor, out=stacked[..., :n_reg, :])
+    np.multiply(weights[:, None], regressors, out=stacked[..., n_reg:, :n_reg])
+    np.multiply(weights[:, None], targets, out=stacked[..., n_reg:, n_reg:])
+    if not np.isfinite(stacked[..., n_reg:, :]).all():  # so are the rows: 0 < weight <= 1
+        raise ValueError("batch contains non-finite entries")
+    return RlsState(factor=np.linalg.qr(stacked, mode="r")[..., :n_reg, :], lam=state.lam)
 
 
 @functools.lru_cache(maxsize=8)
@@ -194,10 +197,9 @@ class DareNonConvergence(RuntimeError):
 
 
 def _dare_rhs(a, b, q, r, p):
-    bpb = r + b.mT @ p @ b
-    bpa = b.mT @ p @ a
-    gain = np.linalg.solve(bpb, bpa)
-    return q + a.mT @ p @ a - a.mT @ p @ b @ gain, gain
+    bp, ap = b.mT @ p, a.mT @ p
+    gain = np.linalg.solve(r + bp @ b, bp @ a)
+    return q + ap @ a - ap @ b @ gain, gain
 
 
 def solve_dare(a, b, q, r, tol: float = 1e-9, max_iter: int = 500,
@@ -216,10 +218,7 @@ def solve_dare(a, b, q, r, tol: float = 1e-9, max_iter: int = 500,
     whole stack, which is the residual of the block-diagonal system they
     form; so the stack converges or fails as that one system would.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    q = np.asarray(q, dtype=float)
-    r = np.asarray(r, dtype=float)
+    a, b, q, r = (np.asarray(m, dtype=float) for m in (a, b, q, r))
     p = q.copy() if p0 is None else np.asarray(p0, dtype=float).copy()
     residual = np.inf
     for it in range(1, max_iter + 1):
@@ -230,7 +229,7 @@ def solve_dare(a, b, q, r, tol: float = 1e-9, max_iter: int = 500,
         p = p_next
         if residual <= tol:
             return DareSolution(cost_matrix=p, gain=gain, residual=residual, iterations=it)
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             raise DareNonConvergence(float("inf"), it)
     raise DareNonConvergence(residual, max_iter)
 

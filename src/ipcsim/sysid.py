@@ -59,17 +59,17 @@ class IdentificationEngine:
         if t1 <= t0:
             return
         P, p = self.period, self.p
+        n_rows = t1 - t0
         # diff[b, 0] / diff[b, 1]: periodic differences of blade b's u / y
         # from sample t0 - p.
-        diff = np.stack([(u_hist[t0 - p: t1] - u_hist[t0 - p - P: t1 - P]).T,
-                         (y_hist[t0 - p: t1] - y_hist[t0 - p - P: t1 - P]).T], axis=1)
-        n_rows = t1 - t0
+        diff = np.empty((N_BLADES, 2, n_rows + p))
+        np.subtract(u_hist[t0 - p: t1].T, u_hist[t0 - p - P: t1 - P].T, out=diff[:, 0])
+        np.subtract(y_hist[t0 - p: t1].T, y_hist[t0 - p - P: t1 - P].T, out=diff[:, 1])
         # windows[b, r, k]: signal k of blade b over [t0 + r - p, t0 + r - 1]
         # (a view; the reshape makes the one copy).
         blade, signal, sample = diff.strides
-        windows = np.lib.stride_tricks.as_strided(
-            diff, (N_BLADES, n_rows, 2, p), (blade, sample, signal, sample), writeable=False)
+        windows = np.ndarray((N_BLADES, n_rows, 2, p), buffer=diff,
+                             strides=(blade, sample, signal, sample))
         regressors = windows.reshape(N_BLADES, n_rows, 2 * p)
-        targets = diff[:, 1, p:, None]
-        self.state = rls_update_batch(self.state, regressors, targets)
+        self.state = rls_update_batch(self.state, regressors, diff[:, 1, p:, None])
         self._next_t = t1

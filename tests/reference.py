@@ -14,7 +14,12 @@ The package folds a whole rotation at once (`IdentificationEngine.ingest`,
 `SurrogatePlant.advance_block`, `ipcsim.baselines.mbc_ipc_rotation`); these
 stay the oracles for the equivalence tests and the acceptance criteria.
 `projected_blocks_loop` is the sample-by-sample twin of the controller's
-blocked output recursion.
+blocked output recursion. `AllocatingController` is the controller's
+rotation step as it was before the controller and its identification engine
+worked in place: every intermediate allocated (`rls_fold_concatenating`,
+`projected_blocks_concatenating`, `bar_matrices`,
+`update_theta_concatenating`, `solve_dare_unshared`); the shipped step must
+match it bit for bit.
 
 The dense MIMO reference for the controller's model projection: the lifted
 one-rotation predictor built as full P x P block matrices over all three
@@ -42,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ipcsim.baselines import MbcIpcState
-from ipcsim.control import BasisProjection
-from ipcsim.numerics import RlsState, pinv, rls_update_batch
+from ipcsim.control import BasisProjection, RepetitiveController, project_output
+from ipcsim.numerics import DareNonConvergence, DareSolution, RlsState, pinv, rls_update_batch
 from ipcsim.plant import FaultScenario, _maybe_switch_blade_fault
 
 N_BLADES = 3
@@ -627,3 +632,145 @@ def project_state_space(lifted: LiftedModel, basis: BasisProjection):
     t_y = phi_pinv @ lifted.gamma_ky @ phi
     h_bar = phi_pinv @ lifted.h_hat @ phi
     return _bar_matrices(t_u, t_y, h_bar)
+
+
+# ---------------------------------------------------------------------------
+# The controller's rotation step before its buffers
+# ---------------------------------------------------------------------------
+
+
+def bar_matrices(t_u, t_y, h_bar):
+    """Per-blade rotation-level pairs (A_bar, B_bar) on [Ybar; dtheta; dYbar].
+
+    From (..., 4, 4) blocks: A_bar is (..., 12, 12) with a zero middle block
+    row, and B_bar is (..., 12, 4) with the identity as its middle block.
+    Built fresh per call; `RepetitiveController` rewrites the same blocks of
+    the pair it holds.
+    """
+    n = 4
+    a_bar = np.zeros(t_u.shape[:-2] + (3 * n, 3 * n))
+    a_bar[..., :n, :n] = np.eye(n)
+    a_bar[..., :n, n:2 * n] = t_u
+    a_bar[..., :n, 2 * n:] = t_y
+    a_bar[..., 2 * n:, n:2 * n] = t_u
+    a_bar[..., 2 * n:, 2 * n:] = t_y
+    b_bar = np.concatenate([h_bar, np.broadcast_to(np.eye(n), h_bar.shape), h_bar], axis=-2)
+    return a_bar, b_bar
+
+
+def rls_fold_concatenating(state: RlsState, regressors, targets) -> RlsState:
+    """Twin of `rls_update_batch` that concatenates [R | z] and the weighted
+    [X | y] into the QR input instead of writing one preallocated array."""
+    m = regressors.shape[-2]
+    weights = np.power(state.lam, np.arange(m - 1, -1, -1, dtype=float) / 2.0)
+    rows = weights[:, None] * np.concatenate([regressors, targets], axis=-1)
+    stacked = np.concatenate([state.lam ** (m / 2.0) * state.factor, rows], axis=-2)
+    return RlsState(factor=np.linalg.qr(stacked, mode="r")[..., :state.n_reg, :],
+                    lam=state.lam)
+
+
+def projected_blocks_concatenating(rows: np.ndarray, shifts, basis: BasisProjection):
+    """Twin of `ipcsim.control.projected_blocks` that allocates every
+    intermediate: the three correlations concatenated, the zero tap and the
+    identity built per call. Reads only prev, curr and band of `shifts`."""
+    prev, curr, band = shifts[:3]
+    p, n_samples = prev.shape[:2]
+    row_u, row_y = rows[:, :p], rows[:, p:]
+    x = np.concatenate([(row @ shift.reshape(p, -1)).reshape(N_BLADES, n_samples, 4)
+                        for row, shift in ((row_u, prev), (row_y, prev), (row_u, curr))],
+                       axis=2)
+    padded = np.concatenate([row_y, np.zeros((N_BLADES, 1))], axis=1)
+    band_taps = np.take(padded, band, axis=1)
+    try:
+        in_block = np.linalg.inv(np.eye(p) - band_taps[:, :, p:])
+    except np.linalg.LinAlgError:
+        in_block = np.full((N_BLADES, p, p), np.nan)
+    carry = in_block @ band_taps[:, :, :p]
+    x = in_block[:, None] @ x.reshape(N_BLADES, n_samples // p, p, -1)
+    for j in range(1, n_samples // p):
+        x[:, j] += carry @ x[:, j - 1]
+    proj = basis.u_f_pinv @ x.reshape(N_BLADES, n_samples, -1)[:, :basis.period]
+    return proj[..., :4], proj[..., 4:8], proj[..., 8:]
+
+
+def update_theta_concatenating(theta, gain, y_bar, delta_theta, delta_y_bar, tuning):
+    """Twin of `ipcsim.control.update_theta` that concatenates the blade
+    states and feeds the gain their transposed view."""
+    blade_states = np.concatenate([np.asarray(v, dtype=float).reshape(4, N_BLADES)
+                                   for v in (y_bar, delta_theta, delta_y_bar)])
+    feedback = (gain @ blade_states.T[:, :, None])[:, :, 0].T.reshape(-1)
+    theta_next = tuning.alpha * theta - tuning.beta * feedback
+    capped = np.clip(theta_next, -tuning.theta_cap_deg, tuning.theta_cap_deg)
+    return capped, bool(np.any(capped != theta_next))
+
+
+def solve_dare_unshared(a, b, q, r, tol: float, max_iter: int, p0=None) -> DareSolution:
+    """Twin of `ipcsim.numerics.solve_dare` whose Riccati step forms B'P
+    and A'P twice each."""
+    p = q.copy() if p0 is None else np.asarray(p0, dtype=float).copy()
+    residual = np.inf
+    for it in range(1, max_iter + 1):
+        gain = np.linalg.solve(r + b.mT @ p @ b, b.mT @ p @ a)
+        p_next = q + a.mT @ p @ a - a.mT @ p @ b @ gain
+        p_next = 0.5 * (p_next + p_next.mT)
+        residual = np.linalg.norm(p_next - p) / max(np.linalg.norm(p_next), 1e-300)
+        p = p_next
+        if residual <= tol:
+            return DareSolution(cost_matrix=p, gain=gain, residual=residual, iterations=it)
+        if not np.all(np.isfinite(p)):
+            raise DareNonConvergence(float("inf"), it)
+    raise DareNonConvergence(residual, max_iter)
+
+
+class AllocatingController(RepetitiveController):
+    """`RepetitiveController` whose rotation step allocates every
+    intermediate, as it did before the controller and its identification
+    engine held buffers: the periodic differences stacked and windowed per
+    ingest, the concatenating fold, the concatenating projection, a fresh
+    (A_bar, B_bar) from `bar_matrices`, the concatenating theta update and
+    the unshared Riccati step. The buffered step must match it bit for bit.
+    """
+
+    def _ingest(self, u_hist, y_hist, upto: int) -> None:
+        eng = self.engine
+        t0, t1 = eng._next_t, int(upto)
+        if t1 <= t0:
+            return
+        P, p = eng.period, eng.p
+        diff = np.stack([(u_hist[t0 - p: t1] - u_hist[t0 - p - P: t1 - P]).T,
+                         (y_hist[t0 - p: t1] - y_hist[t0 - p - P: t1 - P]).T], axis=1)
+        n_rows = t1 - t0
+        blade, signal, sample = diff.strides
+        windows = np.lib.stride_tricks.as_strided(
+            diff, (N_BLADES, n_rows, 2, p), (blade, sample, signal, sample), writeable=False)
+        eng.state = rls_fold_concatenating(eng.state, windows.reshape(N_BLADES, n_rows, 2 * p),
+                                           diff[:, 1, p:, None])
+        eng._next_t = t1
+
+    def finish_rotation(self, j: int, u_hist, y_hist) -> None:
+        upto = (j + 1) * self.period
+        self._ingest(u_hist, y_hist, upto)
+        y_bar = project_output(y_hist[j * self.period: upto], self.basis)
+        delta_y_bar = np.zeros(12) if self._y_bar_prev is None else y_bar - self._y_bar_prev
+        if j + 1 > self.tuning.warmup_rotations:
+            blocks = projected_blocks_concatenating(self.engine.rows, self._shifts, self.basis)
+            a_bar, b_bar = bar_matrices(*blocks)
+            try:
+                sol = solve_dare_unshared(a_bar, b_bar, self.q, self.r, self.tuning.dare_tol,
+                                          self.tuning.dare_max_iter, p0=self._p_warm)
+            except DareNonConvergence:
+                self.dare_failures += 1
+            else:
+                self.gain, self._p_warm = sol.gain, sol.cost_matrix
+                self._last_residual = sol.residual
+            theta, clamped = update_theta_concatenating(self.theta, self.gain, y_bar,
+                                                        self.delta_theta, delta_y_bar,
+                                                        self.tuning)
+            self.theta, self.delta_theta = theta, theta - self.theta
+            self.clamp_events += clamped
+        self._y_bar_prev = y_bar
+        self.log.append([
+            j, float(np.linalg.norm(self.theta)), float(np.linalg.norm(self.delta_theta)),
+            float(self._last_residual), self.dare_failures, self.clamp_events,
+            *y_bar.tolist(),
+        ])

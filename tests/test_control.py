@@ -11,7 +11,6 @@ from ipcsim.control import (
     ExcitationGenerator,
     RepetitiveController,
     UnrestrictedExcitation,
-    bar_matrices,
     build_basis,
     project_output,
     projected_blocks,
@@ -28,13 +27,16 @@ from ipcsim.plant import (
     build_plant,
 )
 from reference import (
+    AllocatingController,
     assemble_lifted,
+    bar_matrices,
     markov_blocks,
     markov_blocks_from_xi,
     markov_oracle,
     markov_oracle_siso,
     predict_lifted,
     project_state_space,
+    projected_blocks_concatenating,
     projected_blocks_loop,
     scatter_blades,
     spectral_radius,
@@ -337,6 +339,47 @@ def test_nonfinite_projected_model_is_a_counted_dare_failure():
     assert ctl.dare_failures == failures + 1
     assert np.array_equal(ctl.gain, gain)
     assert np.all(np.isfinite(ctl.theta))
+
+
+def test_projection_workspace_is_reused_without_aliasing_its_results():
+    # The workspace is overwritten on every call; the blocks a call returns
+    # are its own arrays, bitwise those of the allocating twin.
+    basis = build_basis(P)
+    ws = shifted_bases(basis.u_f, WINDOW)
+    rows = oracle_rows()
+    first = projected_blocks(rows, ws, basis)
+    kept = [b.copy() for b in first]
+    again = projected_blocks(perturbed_rows(), ws, basis)
+    for got, want, other in zip(first, kept, again):
+        assert np.array_equal(got, want) and not np.array_equal(got, other)
+    for got, want in zip(projected_blocks(rows, ws, basis),
+                         projected_blocks_concatenating(rows, ws, basis)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("group", ["LC01-lvlA-pad-ti00", "LC18-lvlB-bld-tiiec"])
+def test_buffered_rotation_step_matches_allocating_twin(group, monkeypatch):
+    # One ti00 and one tiiec ftipc run, 60 s with a 5-rotation warm-up: the
+    # shipped rotation step (owned buffers, one-pass fold, Riccati step
+    # forming B'P and A'P once) against the step that allocates every
+    # intermediate. Same commands, loads and log, bit for bit.
+    from dataclasses import replace
+
+    from ipcsim import harness
+
+    cfg = next(c for c in harness.default_campaign(duration_s=60.0)
+               if c.id == f"{group}-ftipc")
+    cfg = replace(cfg, tuning={"warmup_rotations": 5})
+    shipped = harness.run_load_case(cfg)
+    monkeypatch.setattr(harness, "RepetitiveController", AllocatingController)
+    twin = harness.run_load_case(cfg)
+    assert np.array_equal(shipped.u_cmd, twin.u_cmd)
+    assert np.array_equal(shipped.y, twin.y)
+    assert len(shipped.rotation_log) == len(twin.rotation_log) == 60
+    for got, want in zip(shipped.rotation_log, twin.rotation_log):
+        assert np.array_equal(got, want, equal_nan=True)
+    residuals = [row[LOG_COLUMNS.index("dare_residual")] for row in shipped.rotation_log]
+    assert np.isfinite(residuals[-1])  # the gain was synthesized
 
 
 def converged_model_matrices():

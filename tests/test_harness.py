@@ -337,6 +337,40 @@ def test_campaign_parallel_matches_serial(tmp_path):
     assert np.array_equal(ys, yp)
 
 
+def test_campaign_forks_no_more_workers_than_cases(monkeypatch, tmp_path, caplog):
+    # A recording stand-in for the pool: it runs the cases in-process and
+    # records the worker count the campaign asked for.
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    report = run_campaign(two_tiny_cases(), parallelism=64)
+    assert requested == [2]
+    assert [s.ok for s in report.statuses] == [True, True]
+    for bad in (0, -3, 1.5, True):
+        with pytest.raises(ConfigError, match="parallelism"):
+            run_campaign(two_tiny_cases(), parallelism=bad)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"cases": [c.to_dict() for c in two_tiny_cases()]}))
+    for jobs in ("0", "-2"):
+        assert cli_main(["campaign", str(cfg_path), "--jobs", jobs,
+                         "--out", str(tmp_path / "o")]) == 1
+    assert "parallelism (--jobs) must be an integer >= 1" in caplog.text
+    assert requested == [2] and not (tmp_path / "o").exists()
+
+
 def test_campaign_isolates_run_failures(monkeypatch):
     real = harness.compute_metrics
 
