@@ -30,7 +30,7 @@ from .harness import (
     run_campaign,
     run_load_case,
 )
-from .metrics import WindowSpec, adc, band_energy_ratio, rsd, windowed_sd
+from .metrics import adc, band_energy_ratio, metric_windows, rsd
 from .numerics import (
     DareNonConvergence,
     DareSolution,

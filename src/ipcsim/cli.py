@@ -111,10 +111,14 @@ def _read_metrics(mfile: Path) -> dict:
         if not (blade is None or (type(blade) is int and blade in (1, 2, 3))):
             raise ValueError(f"faulty_blade must be null or 1, 2 or 3, got {blade!r}")
         for b in ("blade1", "blade2", "blade3"):
-            for value in (m["faulty"][b]["sd_y"], m["faulty"][b]["adc"]):
-                if type(value) not in (int, float) or not math.isfinite(value):
-                    raise ValueError(f"faulty {b} sd_y and adc must be finite, got {value!r}")
-    except (ValueError, KeyError, TypeError) as exc:
+            faulty = m["faulty"][b]
+            for key in ("sd_y", "adc"):  # OverflowError on an int past the float range
+                if type(faulty[key]) not in (int, float) or not math.isfinite(faulty[key]):
+                    raise ValueError(f"faulty {b} {key} must be finite, got {faulty[key]!r}")
+                faulty[key] = float(faulty[key])
+    except OSError as exc:
+        raise ConfigError(f"cannot read {mfile}: {exc}") from exc
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{mfile} is not a run's metrics object "
                           f"({type(exc).__name__}: {exc})") from exc
     return m

@@ -210,54 +210,42 @@ _BIT_BLOCK = 64  # rotations of excitation bits drawn per rng call
 class ExcitationGenerator:
     """Filtered pseudo-random binary excitation in coefficient space.
 
-    One independent +-1 stream per coefficient (distinct child seeds),
-    smoothed across rotations by a one-pole filter so the per-rotation
-    modulation stays slow and the commanded spectrum stays near 1P/2P. The
-    filter output of a +-1 input is bounded by 1, so |eta| <= amplitude
-    holds elementwise by construction.
+    One independent +-1 stream per coefficient (N_COEFF distinct child
+    seeds), smoothed across rotations by a one-pole filter so the
+    per-rotation modulation stays slow and the commanded spectrum stays near
+    1P/2P. The filter output of a +-1 input is bounded by 1, so
+    |eta| <= amplitude holds elementwise by construction. The stream is
+    sequential: rotations are sampled in order from 0.
     """
 
-    def __init__(self, n_coeff: int, amplitude: float, seed: int,
-                 filter_pole: float = 0.8):
+    def __init__(self, amplitude: float, seed: int, filter_pole: float = 0.8):
         if not (0.0 <= filter_pole < 1.0):
             raise ValueError("filter_pole must lie in [0, 1)")
         if amplitude < 0.0:
             raise ValueError("amplitude must be non-negative")
-        self.n_coeff = n_coeff
         self.amplitude = amplitude
         self.filter_pole = filter_pole
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(seed)
-        seqs = seed.spawn(n_coeff)
-        self._rngs = [np.random.default_rng(s) for s in seqs]
-        self._values: list[np.ndarray] = []  # filter output of rotation j at [j]
-        self._filter_state = np.zeros(n_coeff)
-        self._bits = np.empty((0, n_coeff))  # drawn ahead, not yet filtered
-        self._next_bit = 0
-
-    def _extend(self, upto: int) -> None:
-        z = self._filter_state
-        a = self.filter_pole
-        while len(self._values) <= upto:
-            if self._next_bit == len(self._bits):
-                # Drawing a stream in blocks gives the same bits as drawing
-                # it one rotation at a time.
-                self._bits = np.column_stack([
-                    2.0 * rng.integers(0, 2, size=_BIT_BLOCK) - 1.0
-                    for rng in self._rngs
-                ])
-                self._next_bit = 0
-            z = a * z + (1.0 - a) * self._bits[self._next_bit]
-            self._next_bit += 1
-            self._values.append(z)
-        self._filter_state = z
+        self._rngs = [np.random.default_rng(s) for s in seed.spawn(N_COEFF)]
+        self._z = np.zeros(N_COEFF)  # filter output of the last sampled rotation
+        self._bits = None  # (_BIT_BLOCK, N_COEFF), drawn at each block's first rotation
+        self._next_j = 0
 
     def sample(self, j: int) -> np.ndarray:
-        """Excitation vector for rotation j (random access, deterministic per seed)."""
-        if j < 0:
-            raise ValueError("rotation index must be non-negative")
-        self._extend(j)
-        return self.amplitude * self._values[j]
+        """Excitation vector for rotation j, which must be the next one."""
+        if j != self._next_j:
+            raise ValueError(f"excitation stream is sequential: expected j={self._next_j}")
+        row = j % _BIT_BLOCK
+        if row == 0:
+            # Drawing a stream in blocks gives the same bits as drawing it
+            # one rotation at a time.
+            self._bits = np.column_stack([2.0 * rng.integers(0, 2, size=_BIT_BLOCK) - 1.0
+                                          for rng in self._rngs])
+        a = self.filter_pole
+        self._z = a * self._z + (1.0 - a) * self._bits[row]
+        self._next_j += 1
+        return self.amplitude * self._z
 
 
 class UnrestrictedExcitation:
@@ -272,8 +260,6 @@ class UnrestrictedExcitation:
     def __init__(self, amplitude_deg: float, cutoff_hz: float, seed: int,
                  dt: float, bit_time_s: float = 1.0):
         self.amplitude = amplitude_deg
-        self.cutoff_hz = cutoff_hz
-        self.dt = dt
         self.bit_samples = max(1, int(round(bit_time_s / dt)))
         self._alpha = float(np.exp(-2.0 * np.pi * cutoff_hz * dt))
         if not isinstance(seed, np.random.SeedSequence):
@@ -378,10 +364,8 @@ class RepetitiveController:
         self.basis = build_basis(period)
         self._shifts = shifted_bases(self.basis.u_f, p)
         self.engine = IdentificationEngine(p, period, lam=tuning.forgetting)
-        self.excitation = ExcitationGenerator(
-            N_COEFF, tuning.excitation_amplitude, seed,
-            filter_pole=tuning.excitation_filter_pole,
-        )
+        self.excitation = ExcitationGenerator(tuning.excitation_amplitude, seed,
+                                              filter_pole=tuning.excitation_filter_pole)
         self.unrestricted = unrestricted
         q = np.diag([tuning.q_y] * N_HARM + [tuning.q_dtheta] * N_HARM + [tuning.q_dy] * N_HARM)
         self.q = np.broadcast_to(q, (N_BLADES,) + q.shape)

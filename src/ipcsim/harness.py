@@ -28,14 +28,7 @@ import numpy as np
 
 from .baselines import MbcIpcState, mbc_ipc_rotation
 from .control import LOG_COLUMNS, ControllerTuning, RepetitiveController, UnrestrictedExcitation
-from .metrics import (
-    DEFAULT_RATE_LIMIT_DEG_S,
-    WindowSpec,
-    adc,
-    band_energy_ratio,
-    rsd,
-    windowed_sd,
-)
+from .metrics import DEFAULT_RATE_LIMIT_DEG_S, adc, band_energy_ratio, metric_windows, rsd
 from .numerics import _is_int, welch_psd
 from .plant import (
     DisturbanceModel,
@@ -65,6 +58,10 @@ SERIES_COLUMNS = ("t", "u1", "u2", "u3", "y1", "y2", "y3", "psi")
 
 ONE_P_HZ = 1.0
 BANDS_1P_2P = [[0.9 * ONE_P_HZ, 1.1 * ONE_P_HZ], [1.8 * ONE_P_HZ, 2.2 * ONE_P_HZ]]
+
+# Longest run, in samples: 10x the shipped 2000 s run. A run allocates its
+# (n, 3) command and output histories up front.
+MAX_RUN_SAMPLES = 2_000_000
 
 
 class ConfigError(ValueError):
@@ -134,6 +131,9 @@ class LoadCaseConfig:
                    for v in (self.uftipc_cutoff_hz, self.uftipc_bit_time_s)):
             raise ConfigError("uftipc_cutoff_hz and uftipc_bit_time_s must be finite and > 0")
         n = round(self.duration_s / plant.dt)
+        if n > MAX_RUN_SAMPLES:
+            raise ConfigError(f"duration_s={self.duration_s!r} is {n} samples; runs are "
+                              f"limited to {MAX_RUN_SAMPLES} samples")
         if abs(n * plant.dt - self.duration_s) > 1e-9 or n % plant.period_samples != 0:
             raise ConfigError("duration must be a whole number of rotor periods")
         p = self.predictor_window
@@ -143,10 +143,8 @@ class LoadCaseConfig:
                 f"{plant.period_samples} (samples per rotor period), got {p!r}"
             )
         # Both metric windows need a Welch segment: at least 4 samples,
-        # rounded as `windowed_sd` rounds them.
-        window = WindowSpec.for_run(self.duration_s, self.fault_onset_s)
-        for which in ("healthy", "faulty"):
-            t0, t1 = window.bounds(which)
+        # rounded as `compute_metrics` rounds them.
+        for which, (t0, t1) in metric_windows(self.duration_s, self.fault_onset_s).items():
             if round(t1 / plant.dt) - round(t0 / plant.dt) < 4:
                 raise ConfigError(f"the {which} metric window [{t0:g}, {t1:g}] s is shorter "
                                   f"than 4 samples; lengthen the run or move the fault onset")
@@ -330,12 +328,13 @@ def run_load_case(cfg: LoadCaseConfig) -> RunResult:
 
 
 def compute_metrics(cfg: LoadCaseConfig, u_cmd: np.ndarray, y: np.ndarray, dt: float) -> dict:
-    """Windowed summary: per-blade SD, ADC, and pitch band-energy ratios.
+    """Windowed summary over `metric_windows`: per-blade load SD (population
+    SD, window mean removed), ADC, and pitch band-energy ratios.
 
     Pure function of the series and the config scalars; the series is
     persisted as binary float64, so this is reproducible bit-for-bit.
     """
-    window = WindowSpec.for_run(cfg.duration_s, cfg.fault_onset_s)
+    windows = metric_windows(cfg.duration_s, cfg.fault_onset_s)
     fs = 1.0 / dt
     out = {
         "id": cfg.id,
@@ -343,22 +342,18 @@ def compute_metrics(cfg: LoadCaseConfig, u_cmd: np.ndarray, y: np.ndarray, dt: f
         "controller": cfg.controller,
         "faulty_blade": None if cfg.fault_kind == "healthy" else cfg.fault_blade,
         "fault_kind": cfg.fault_kind,
-        "windows": {
-            "healthy": list(window.bounds("healthy")),
-            "faulty": list(window.bounds("faulty")),
-        },
+        "windows": {which: list(bounds) for which, bounds in windows.items()},
     }
-    for which in ("healthy", "faulty"):
-        t0, t1 = window.bounds(which)
+    for which, (t0, t1) in windows.items():
         i0, i1 = int(round(t0 / dt)), int(round(t1 / dt))
         blades = {}
         seg_len = min(2048, 2 * ((i1 - i0) // 2))
         for b in range(3):
-            seg_u = u_cmd[i0:i1, b]
+            seg_u, seg_y = u_cmd[i0:i1, b], y[i0:i1, b]
             psd = (welch_psd(seg_u, fs, segment_length=seg_len)
                    if np.any(seg_u != seg_u[0]) else None)
             blades[f"blade{b + 1}"] = {
-                "sd_y": windowed_sd(y[:, b], window, which, dt),
+                "sd_y": float(np.sqrt(np.mean((seg_y - seg_y.mean()) ** 2))),
                 "adc": adc(seg_u, dt, DEFAULT_RATE_LIMIT_DEG_S),
                 "band_ratio_u": None if psd is None else band_energy_ratio(psd, BANDS_1P_2P),
             }

@@ -147,12 +147,11 @@ def _fold_weights(lam: float, m: int):
 # Moore-Penrose pseudo-inverse
 # ---------------------------------------------------------------------------
 
-def pinv(m: np.ndarray, tol: float | None = None) -> np.ndarray:
+def pinv(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via SVD.
 
-    Singular values below tol * sigma_max are treated as zero. The default
-    tol is 1e-12 * max(m.shape). An all-zero matrix maps to an all-zero
-    pseudo-inverse.
+    Singular values at or below 1e-12 * max(m.shape) * sigma_max are
+    treated as zero. An all-zero matrix maps to an all-zero pseudo-inverse.
     """
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
@@ -160,9 +159,7 @@ def pinv(m: np.ndarray, tol: float | None = None) -> np.ndarray:
     if m.size == 0 or not m.any():
         return np.zeros(m.T.shape)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    if tol is None:
-        tol = 1e-12 * max(m.shape)
-    cutoff = tol * s[0]
+    cutoff = 1e-12 * max(m.shape) * s[0]
     inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return (vt.T * inv_s) @ u.T
 
@@ -221,16 +218,18 @@ def solve_dare(a, b, q, r, tol: float = 1e-9, max_iter: int = 500,
     a, b, q, r = (np.asarray(m, dtype=float) for m in (a, b, q, r))
     p = q.copy() if p0 is None else np.asarray(p0, dtype=float).copy()
     residual = np.inf
-    for it in range(1, max_iter + 1):
-        p_next, gain = _dare_rhs(a, b, q, r, p)
-        p_next = 0.5 * (p_next + p_next.mT)
-        denom = max(np.linalg.norm(p_next), 1e-300)
-        residual = np.linalg.norm(p_next - p) / denom
-        p = p_next
-        if residual <= tol:
-            return DareSolution(cost_matrix=p, gain=gain, residual=residual, iterations=it)
-        if not np.isfinite(p).all():
-            raise DareNonConvergence(float("inf"), it)
+    # An iterate that overflows is reported by the non-finite check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            p_next, gain = _dare_rhs(a, b, q, r, p)
+            p_next = 0.5 * (p_next + p_next.mT)
+            denom = max(np.linalg.norm(p_next), 1e-300)
+            residual = np.linalg.norm(p_next - p) / denom
+            p = p_next
+            if residual <= tol:
+                return DareSolution(cost_matrix=p, gain=gain, residual=residual, iterations=it)
+            if not np.isfinite(p).all():
+                raise DareNonConvergence(float("inf"), it)
     raise DareNonConvergence(residual, max_iter)
 
 

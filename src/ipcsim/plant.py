@@ -153,16 +153,16 @@ class DisturbanceModel:
                 else np.random.SeedSequence(self.seed))
         return tuple(np.random.default_rng(s) for s in base.spawn(2))
 
+    def _periodic_load(self, psi: np.ndarray) -> np.ndarray:
+        """(n, 3) deterministic blade loads at the (n, 1) rotor phases psi."""
+        offs = 2.0 * np.pi * np.arange(N_BLADES)[None, :] / N_BLADES
+        return (self.amp_1p[None, :] * np.sin(psi + self.phase_1p[None, :] + offs)
+                + self.amp_2p[None, :] * np.sin(2.0 * psi + self.phase_2p[None, :] + 2.0 * offs))
+
     def periodic_table(self, period: int) -> np.ndarray:
         """(P, 3) table of the deterministic component over one rotation."""
         if self._table is None or self._table_period != period:
-            k = np.arange(period)[:, None]
-            psi = 2.0 * np.pi * k / period
-            offs = 2.0 * np.pi * np.arange(N_BLADES)[None, :] / N_BLADES
-            self._table = (
-                self.amp_1p[None, :] * np.sin(psi + self.phase_1p[None, :] + offs)
-                + self.amp_2p[None, :] * np.sin(2.0 * psi + self.phase_2p[None, :] + 2.0 * offs)
-            )
+            self._table = self._periodic_load(2.0 * np.pi * np.arange(period)[:, None] / period)
             self._table_period = period
         return self._table
 
@@ -190,10 +190,7 @@ class DisturbanceModel:
         self._phase = float(acc[n])
         self._rate_scale = float(scales[-1])
         self._phase_next_k = k + n
-        offs = 2.0 * np.pi * np.arange(N_BLADES)[None, :] / N_BLADES
-        ph = phases[:, None]
-        return (self.amp_1p[None, :] * np.sin(ph + self.phase_1p[None, :] + offs)
-                + self.amp_2p[None, :] * np.sin(2.0 * ph + self.phase_2p[None, :] + 2.0 * offs))
+        return self._periodic_load(phases[:, None])
 
     def innovation_block(self, k: int, n: int) -> np.ndarray:
         """Next n innovation rows; k must continue the stream."""

@@ -9,9 +9,11 @@ campaign runner reports as a failed run. Anything else is a program fault.
 
 import inspect
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
+import pytest
 
 from ipcsim.control import ControllerTuning
 from ipcsim.harness import CONTROLLERS, ConfigError, LoadCaseConfig, run_campaign, run_load_case
@@ -89,3 +91,23 @@ def test_fuzzed_configs_end_in_one_of_three_ways():
     assert not faults, faults
     # The seed reaches all three endings.
     assert all(outcomes.values()), outcomes
+
+
+@pytest.mark.parametrize("where, name, value, dare_failures", [
+    ("plant", "coupling", -1e300, None),  # the run fails: its loads overflow
+    ("tuning", "q_y", 1e300, 15),
+    ("tuning", "q_dtheta", 1e300, 0),
+])
+def test_riccati_overflow_emits_no_runtime_warning(where, name, value, dare_failures):
+    # Fuzz cases whose Riccati iterates overflow: the solver reports a
+    # non-finite iterate as a DARE failure, and no numpy warning escapes.
+    case = base_case("ftipc")
+    case[where][name] = value
+    cfg = LoadCaseConfig.from_dict(case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if dare_failures is None:
+            with pytest.raises(RuntimeError, match="non-finite metrics"):
+                run_load_case(cfg)
+        else:
+            assert run_load_case(cfg).metrics["dare_failures"] == dare_failures

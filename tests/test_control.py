@@ -497,13 +497,13 @@ def test_update_theta_per_blade_gain_acts_as_scattered_gain():
 # ---------------------------------------------------------------------------
 
 def test_excitation_amplitude_cap():
-    gen = ExcitationGenerator(12, amplitude=0.1, seed=5)
+    gen = ExcitationGenerator(amplitude=0.1, seed=5)
     for j in range(500):
         assert np.all(np.abs(gen.sample(j)) <= 0.1 + 1e-15)
 
 
 def test_excitation_streams_uncorrelated():
-    gen = ExcitationGenerator(12, amplitude=0.1, seed=7, filter_pole=0.0)
+    gen = ExcitationGenerator(amplitude=0.1, seed=7, filter_pole=0.0)
     samples = np.array([gen.sample(j) for j in range(10000)])
     corr = np.corrcoef(samples.T)
     off = corr - np.diag(np.diag(corr))
@@ -511,18 +511,17 @@ def test_excitation_streams_uncorrelated():
 
 
 def test_excitation_deterministic_per_seed():
-    a = ExcitationGenerator(12, amplitude=0.1, seed=9)
-    b = ExcitationGenerator(12, amplitude=0.1, seed=9)
-    for j in (0, 3, 17, 3):  # random access included
-        assert np.array_equal(a.sample(j), b.sample(j))
-    c = ExcitationGenerator(12, amplitude=0.1, seed=10)
-    assert not np.array_equal(a.sample(0), c.sample(0))
-    # Drawing rotation by rotation and jumping straight ahead agree bitwise.
-    seq = ExcitationGenerator(12, amplitude=0.1, seed=9)
-    drawn = [seq.sample(j) for j in range(2000)]
-    jump = ExcitationGenerator(12, amplitude=0.1, seed=9)
-    assert np.array_equal(jump.sample(1999), drawn[-1])
-    assert all(np.array_equal(jump.sample(j), drawn[j]) for j in range(2000))
+    a = ExcitationGenerator(amplitude=0.1, seed=9)
+    b = ExcitationGenerator(amplitude=0.1, seed=9)
+    drawn = [a.sample(j) for j in range(2000)]
+    assert all(np.array_equal(b.sample(j), drawn[j]) for j in range(2000))
+    c = ExcitationGenerator(amplitude=0.1, seed=10)
+    assert not np.array_equal(drawn[0], c.sample(0))
+    # The stream is sequential: a rotation out of order is refused.
+    for j in (2, 0, -1):
+        with pytest.raises(ValueError, match="sequential"):
+            c.sample(j)
+    assert c.sample(1).shape == (12,)
     # The bits are drawn a block of rotations ahead; across two block
     # boundaries the values equal one draw per stream and rotation.
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(9).spawn(12)]
@@ -537,7 +536,7 @@ def test_restricted_command_spectrum_concentrates_at_1p_2p():
     # Fixed theta + slowly varying excitation: commanded pitch energy sits
     # in narrow bands around 1P and 2P.
     basis = build_basis(P)
-    gen = ExcitationGenerator(12, amplitude=0.1, seed=2)
+    gen = ExcitationGenerator(amplitude=0.1, seed=2)
     theta = np.zeros(12)
     theta[0], theta[7] = 0.5, 0.3
     n_rot = 200

@@ -97,6 +97,15 @@ def test_config_validation_errors():
     short_cfg(tuning={"excitation_amplitude": 0.0})
 
 
+def test_run_length_is_bounded():
+    # A run allocates its histories up front, so its length is checked
+    # when the config is built: 2,000,000 samples (20000 s) at most.
+    with pytest.raises(ConfigError, match="limited to 2000000 samples"):
+        short_cfg(duration_s=1e6, fault_onset_s=5e5)
+    assert harness.MAX_RUN_SAMPLES == 2_000_000
+    short_cfg(duration_s=20000.0, fault_onset_s=10000.0)
+
+
 def test_config_json_round_trip(tmp_path):
     cfg = short_cfg()
     path = tmp_path / "case.json"
@@ -453,6 +462,30 @@ def test_cli_compare_rejects_malformed_metrics(tmp_path, caplog, content):
     mfile.write_text(json.dumps(content))
     assert cli_main(["compare", str(tmp_path)]) == 1
     assert len(caplog.records) == 1 and str(mfile) in caplog.text
+
+
+def test_cli_compare_unreadable_metrics(tmp_path, caplog):
+    # A metrics.json that is a directory is one logged error, not a traceback.
+    (tmp_path / "a" / "metrics.json").mkdir(parents=True)
+    assert cli_main(["compare", str(tmp_path)]) == 1
+    assert len(caplog.records) == 1 and "cannot read" in caplog.text
+
+
+def test_cli_compare_reads_loads_as_floats(tmp_path, capsys):
+    # Integer loads and duty cycles are read as floats; one past the float
+    # range is refused.
+    metrics = metrics_for_compare()
+    for m in metrics.values():
+        (tmp_path / m["id"]).mkdir()
+        m["faulty"]["blade1"]["adc"] = 10**307
+        (tmp_path / m["id"] / "metrics.json").write_text(json.dumps(m))
+    assert cli_main(["compare", str(tmp_path), "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert all(r["adc_faulty_window"]["blade1"] == 1e307 for r in rows)
+    assert cli_main(["compare", str(tmp_path)]) == 0  # the text table shows inf %
+    m["faulty"]["blade1"]["sd_y"] = 10**400
+    (tmp_path / m["id"] / "metrics.json").write_text(json.dumps(m))
+    assert cli_main(["compare", str(tmp_path)]) == 1
 
 
 def test_cli_run_and_compare(tmp_path, capsys):

@@ -1,10 +1,11 @@
-"""Metric definitions: rSD arithmetic, duty cycle, band energies, and
-windowed standard deviations."""
+"""Metric definitions: rSD arithmetic, duty cycle, band energies, the
+steady metric windows and the load SD over them."""
 
 import numpy as np
 import pytest
 
-from ipcsim.metrics import WindowSpec, adc, band_energy_ratio, rsd, windowed_sd
+from ipcsim.harness import LoadCaseConfig, compute_metrics
+from ipcsim.metrics import adc, band_energy_ratio, metric_windows, rsd
 from ipcsim.numerics import welch_psd
 
 
@@ -87,38 +88,32 @@ def test_band_ratio_bounds_and_validation():
 
 
 # ---------------------------------------------------------------------------
-# windowed_sd
+# metric windows and the windowed load SD
 # ---------------------------------------------------------------------------
 
-def window_800_1000_1800_2000():
-    return WindowSpec(800.0, 1000.0, 1800.0, 2000.0)
+def windowed_metrics(y: np.ndarray) -> dict:
+    """compute_metrics on a 2000 s run with the fault at 1000 s: outputs y
+    on every blade, a constant zero command."""
+    cfg = LoadCaseConfig(id="synthetic", controller="cpc", seed=0)
+    series = np.column_stack([y] * 3)
+    return compute_metrics(cfg, np.zeros_like(series), series, 0.01)
 
 
 def test_windowed_sd_constant_series():
-    w = window_800_1000_1800_2000()
-    series = np.full(200000, 5.0)
-    assert windowed_sd(series, w, "healthy", 0.01) == 0.0
-    assert windowed_sd(series, w, "faulty", 0.01) == 0.0
+    m = windowed_metrics(np.full(200000, 5.0))
+    for which in ("healthy", "faulty"):
+        assert all(m[which][b]["sd_y"] == 0.0 for b in ("blade1", "blade2", "blade3"))
 
 
 def test_windowed_sd_sinusoid_integer_periods():
-    w = window_800_1000_1800_2000()
     t = np.arange(200000) * 0.01
-    series = np.sin(2 * np.pi * 1.0 * t)  # 200 whole periods per window
-    assert windowed_sd(series, w, "healthy", 0.01) == pytest.approx(1 / np.sqrt(2), abs=1e-6)
-
-
-def test_windowed_sd_validation():
-    w = window_800_1000_1800_2000()
-    with pytest.raises(ValueError):
-        windowed_sd(np.zeros(1000), w, "faulty", 0.01)  # out of range
-    with pytest.raises(ValueError):
-        windowed_sd(np.zeros(200000), w, "sideways", 0.01)
-    with pytest.raises(ValueError):
-        WindowSpec(800.0, 700.0, 1800.0, 2000.0)
+    m = windowed_metrics(np.sin(2 * np.pi * 1.0 * t))  # 200 whole periods per window
+    for which in ("healthy", "faulty"):
+        assert m[which]["blade1"]["sd_y"] == pytest.approx(1 / np.sqrt(2), abs=1e-6)
 
 
 def test_window_for_run_is_last_fifth_of_each_regime():
-    w = WindowSpec.for_run(2000.0, 1000.0)
-    assert w.bounds("healthy") == (800.0, 1000.0)
-    assert w.bounds("faulty") == (1800.0, 2000.0)
+    assert metric_windows(2000.0, 1000.0) == {"healthy": (800.0, 1000.0),
+                                              "faulty": (1800.0, 2000.0)}
+    assert windowed_metrics(np.zeros(200000))["windows"] == {"healthy": [800.0, 1000.0],
+                                                             "faulty": [1800.0, 2000.0]}
