@@ -18,8 +18,8 @@ rotation of controller, actuator fault map and plant as one loop over plain
 floats. The disturbance and innovations are drawn once per rotation and
 the affine fault map (`FaultScenario.actuator_map`) once per fault state;
 what does not change between rotations is built once: the Coleman cos/sin
-rows per (P, psi offset), and the plant's per-blade float blocks, cached by
-the plant until the blade-stiffness switch.
+rows per P, and the plant's per-blade float blocks, cached by the plant
+until the blade-stiffness switch.
 """
 
 from __future__ import annotations
@@ -30,52 +30,46 @@ from functools import lru_cache
 
 import numpy as np
 
-from .plant import N_BLADES, _maybe_switch_blade_fault
+from .plant import BLADE_OFFSETS, N_BLADES, _maybe_switch_blade_fault, azimuth
 
 __all__ = [
     "MbcIpcState",
     "mbc_ipc_rotation",
 ]
 
-_BLADE_OFFSETS = 2.0 * np.pi * np.arange(3) / 3.0
+# Tilt/yaw leaky-PI gains, frozen across scenarios: tuned once on the
+# healthy case for deep 1P cancellation.
+KP = 3.5e-4
+KI = 6.0e-4
+LEAK = 0.05
 
 
 @dataclass
 class MbcIpcState:
     """Tilt/yaw leaky-PI state with anti-windup at the pitch authority bound.
 
-    Gains are frozen across scenarios, tuned once on the healthy case for
-    deep 1P cancellation (the 2P content is untouched: this loop is
-    1P-only, so roughly half to two thirds of the total load SD is what it
-    removes). The proportional path carries the broadband response to
-    measurement noise.
+    The gains are the module's KP, KI and LEAK. The loop is 1P-only, so the
+    2P content is untouched and roughly half to two thirds of the total load
+    SD is what it removes. The proportional path carries the broadband
+    response to measurement noise.
     """
 
-    kp: float = 3.5e-4
-    ki: float = 6.0e-4
-    leak: float = 0.05
     authority_deg: float = 4.0
-    psi_offset: float = 0.0
     tilt_int: float = 0.0
     yaw_int: float = 0.0
 
     def __post_init__(self):
         # A NaN bound would make every clamp a silent no-op.
-        for name in ("kp", "ki", "leak", "authority_deg", "psi_offset"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.authority_deg <= 0.0:
-            raise ValueError("authority_deg must be positive")
-        if self.leak < 0.0:
-            raise ValueError("leak must be non-negative")
+        if not (math.isfinite(self.authority_deg) and self.authority_deg > 0.0):
+            raise ValueError(f"authority_deg must be finite and positive, "
+                             f"got {self.authority_deg!r}")
 
 
 @lru_cache(maxsize=8)
-def _coleman_rows(period: int, psi_offset: float) -> tuple:
+def _coleman_rows(period: int) -> tuple:
     """(cos_rows, sin_rows) of one rotation: row s holds the three blade
-    angles of azimuth 2 pi (s + 1) / P + psi_offset, as tuples of floats."""
-    psi = 2.0 * np.pi * np.arange(1, period + 1) / period + psi_offset
-    angles = psi[:, None] + _BLADE_OFFSETS
+    angles of azimuth 2 pi (s + 1) / P, as tuples of floats."""
+    angles = azimuth(period)[:, None] + BLADE_OFFSETS
     return tuple(map(tuple, np.cos(angles).tolist())), tuple(map(tuple, np.sin(angles).tolist()))
 
 
@@ -87,7 +81,7 @@ def mbc_ipc_rotation(state: MbcIpcState, plant, fault, dist, k0: int,
     k0 = 0), the leaky tilt/yaw PI with anti-windup, Coleman inverse, the
     clamp at the pitch authority, the actuator fault map, then one step of
     the innovation-form plant. The azimuth of sample k0 + s is
-    2 pi (s + 1) / P + psi_offset. Writes rows k0 .. k0 + P - 1 of u_cmd
+    2 pi (s + 1) / P. Writes rows k0 .. k0 + P - 1 of u_cmd
     (the commanded pitch) and y, and advances `state`, `plant` and `dist`.
 
     The rotation is split at the fault onset, so a blade-stiffness switch
@@ -97,9 +91,9 @@ def mbc_ipc_rotation(state: MbcIpcState, plant, fault, dist, k0: int,
     period = plant.period_samples
     dt = plant.dt
     bound = state.authority_deg
-    kp, ki, leak = state.kp, state.ki, state.leak
-    cos_rows, sin_rows = _coleman_rows(period, state.psi_offset)
-    d = dist.periodic_block(k0, period, period)
+    kp, ki, leak = KP, KI, LEAK
+    cos_rows, sin_rows = _coleman_rows(period)
+    d = dist.periodic_block(k0, period)
     e = dist.innovation_block(k0, period)
     e_rows = e.tolist()
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .numerics import DareNonConvergence, _is_int, pinv, solve_dare
+from .plant import N_BLADES, azimuth
 from .sysid import IdentificationEngine
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
     "RepetitiveController",
 ]
 
-N_BLADES = 3
 N_HARM = 4  # 1P sin, 1P cos, 2P sin, 2P cos
 N_COEFF = N_HARM * N_BLADES
 
@@ -79,7 +79,7 @@ class BasisProjection:
 def build_basis(period: int) -> BasisProjection:
     if period < 8:
         raise ValueError("period must be >= 8 to resolve the 2P harmonic")
-    psi = 2.0 * np.pi * np.arange(1, period + 1) / period
+    psi = azimuth(period)
     u_f = np.column_stack([np.sin(psi), np.cos(psi), np.sin(2 * psi), np.cos(2 * psi)])
     return BasisProjection(u_f=u_f, u_f_pinv=pinv(u_f), period=period)
 
@@ -205,26 +205,27 @@ def update_theta(theta: np.ndarray, gain: np.ndarray, y_bar: np.ndarray,
 # ---------------------------------------------------------------------------
 
 _BIT_BLOCK = 64  # rotations of excitation bits drawn per rng call
+EXCITATION_POLE = 0.8  # one-pole filter of the restricted excitation, per rotation
+# Broadband uftipc excitation: low-pass cutoff and bit hold time.
+UFTIPC_CUTOFF_HZ = 1.0
+UFTIPC_BIT_TIME_S = 1.0
 
 
 class ExcitationGenerator:
     """Filtered pseudo-random binary excitation in coefficient space.
 
     One independent +-1 stream per coefficient (N_COEFF distinct child
-    seeds), smoothed across rotations by a one-pole filter so the
-    per-rotation modulation stays slow and the commanded spectrum stays near
-    1P/2P. The filter output of a +-1 input is bounded by 1, so
+    seeds), smoothed across rotations by a one-pole filter at
+    EXCITATION_POLE so the per-rotation modulation stays slow and the
+    commanded spectrum stays near 1P/2P. The filter output of a +-1 input is bounded by 1, so
     |eta| <= amplitude holds elementwise by construction. The stream is
     sequential: rotations are sampled in order from 0.
     """
 
-    def __init__(self, amplitude: float, seed: int, filter_pole: float = 0.8):
-        if not (0.0 <= filter_pole < 1.0):
-            raise ValueError("filter_pole must lie in [0, 1)")
+    def __init__(self, amplitude: float, seed: int):
         if amplitude < 0.0:
             raise ValueError("amplitude must be non-negative")
         self.amplitude = amplitude
-        self.filter_pole = filter_pole
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(seed)
         self._rngs = [np.random.default_rng(s) for s in seed.spawn(N_COEFF)]
@@ -242,7 +243,7 @@ class ExcitationGenerator:
             # one rotation at a time.
             self._bits = np.column_stack([2.0 * rng.integers(0, 2, size=_BIT_BLOCK) - 1.0
                                           for rng in self._rngs])
-        a = self.filter_pole
+        a = EXCITATION_POLE
         self._z = a * self._z + (1.0 - a) * self._bits[row]
         self._next_j += 1
         return self.amplitude * self._z
@@ -251,17 +252,16 @@ class ExcitationGenerator:
 class UnrestrictedExcitation:
     """Broadband per-sample pitch noise for the uFTIPC comparison mode.
 
-    A +-1 PRBS held for bit_samples, low-pass filtered at cutoff_hz and
-    scaled to the amplitude cap; added directly to the commanded pitch,
-    bypassing the basis projection. Each blade's bit is redrawn from its
-    own generator at every multiple of bit_samples.
+    A +-1 PRBS held for UFTIPC_BIT_TIME_S, low-pass filtered at
+    UFTIPC_CUTOFF_HZ and scaled to the amplitude cap; added directly to the
+    commanded pitch, bypassing the basis projection. Each blade's bit is
+    redrawn from its own generator at every multiple of bit_samples.
     """
 
-    def __init__(self, amplitude_deg: float, cutoff_hz: float, seed: int,
-                 dt: float, bit_time_s: float = 1.0):
+    def __init__(self, amplitude_deg: float, seed: int, dt: float):
         self.amplitude = amplitude_deg
-        self.bit_samples = max(1, int(round(bit_time_s / dt)))
-        self._alpha = float(np.exp(-2.0 * np.pi * cutoff_hz * dt))
+        self.bit_samples = max(1, int(round(UFTIPC_BIT_TIME_S / dt)))
+        self._alpha = float(np.exp(-2.0 * np.pi * UFTIPC_CUTOFF_HZ * dt))
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(seed)
         seqs = seed.spawn(N_BLADES)
@@ -310,7 +310,6 @@ class ControllerTuning:
     q_dy: float = 1.0
     r_scale: float = 5e-7
     excitation_amplitude: float = 0.1
-    excitation_filter_pole: float = 0.8
     warmup_rotations: int = 20
     theta_cap_deg: float = 4.0
     forgetting: float = 0.99999
@@ -334,8 +333,6 @@ class ControllerTuning:
             ("q_dy", self.q_dy >= 0.0, "be >= 0"),
             ("r_scale", self.r_scale > 0.0, "be > 0"),
             ("excitation_amplitude", self.excitation_amplitude >= 0.0, "be >= 0"),
-            ("excitation_filter_pole", 0.0 <= self.excitation_filter_pole < 1.0,
-             "lie in [0, 1)"),
             ("warmup_rotations", self.warmup_rotations >= 0, "be >= 0"),
             ("theta_cap_deg", self.theta_cap_deg > 0.0, "be > 0"),
             ("forgetting", 0.9 < self.forgetting <= 1.0, "lie in (0.9, 1]"),
@@ -364,8 +361,7 @@ class RepetitiveController:
         self.basis = build_basis(period)
         self._shifts = shifted_bases(self.basis.u_f, p)
         self.engine = IdentificationEngine(p, period, lam=tuning.forgetting)
-        self.excitation = ExcitationGenerator(tuning.excitation_amplitude, seed,
-                                              filter_pole=tuning.excitation_filter_pole)
+        self.excitation = ExcitationGenerator(tuning.excitation_amplitude, seed)
         self.unrestricted = unrestricted
         q = np.diag([tuning.q_y] * N_HARM + [tuning.q_dtheta] * N_HARM + [tuning.q_dy] * N_HARM)
         self.q = np.broadcast_to(q, (N_BLADES,) + q.shape)

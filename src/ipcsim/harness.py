@@ -30,13 +30,7 @@ from .baselines import MbcIpcState, mbc_ipc_rotation
 from .control import LOG_COLUMNS, ControllerTuning, RepetitiveController, UnrestrictedExcitation
 from .metrics import DEFAULT_RATE_LIMIT_DEG_S, adc, band_energy_ratio, metric_windows, rsd
 from .numerics import _is_int, welch_psd
-from .plant import (
-    DisturbanceModel,
-    FaultScenario,
-    SurrogatePlant,
-    _maybe_switch_blade_fault,
-    build_plant,
-)
+from .plant import DisturbanceModel, FaultScenario, _maybe_switch_blade_fault, azimuth, build_plant
 
 __all__ = [
     "ConfigError",
@@ -55,9 +49,6 @@ __all__ = [
 CONTROLLERS = ("cpc", "mbc_ipc", "ftipc", "uftipc")
 
 SERIES_COLUMNS = ("t", "u1", "u2", "u3", "y1", "y2", "y3", "psi")
-
-ONE_P_HZ = 1.0
-BANDS_1P_2P = [[0.9 * ONE_P_HZ, 1.1 * ONE_P_HZ], [1.8 * ONE_P_HZ, 2.2 * ONE_P_HZ]]
 
 # Longest run, in samples: 10x the shipped 2000 s run. A run allocates its
 # (n, 3) command and output histories up front.
@@ -91,8 +82,6 @@ class LoadCaseConfig:
     plant: dict = field(default_factory=dict)
     tuning: dict = field(default_factory=dict)
     uftipc_amplitude_deg: float = 0.25
-    uftipc_cutoff_hz: float = 1.0
-    uftipc_bit_time_s: float = 1.0
 
     def __post_init__(self):
         # Any failure to validate is a bad config, whatever raised it (a
@@ -122,14 +111,11 @@ class LoadCaseConfig:
         # Validate the nested sub-configurations eagerly so campaign setup fails fast.
         plant = build_plant(**self.plant)
         self.make_fault(plant.dt)
-        self.make_disturbance(0)
+        self.make_disturbance(0, plant.period_samples)
         ControllerTuning(**self.tuning)
         amplitude = self.uftipc_amplitude_deg
         if not (np.isfinite(amplitude) and amplitude >= 0.0):
             raise ConfigError(f"uftipc_amplitude_deg must be finite and >= 0, got {amplitude!r}")
-        if not all(np.isfinite(v) and v > 0.0
-                   for v in (self.uftipc_cutoff_hz, self.uftipc_bit_time_s)):
-            raise ConfigError("uftipc_cutoff_hz and uftipc_bit_time_s must be finite and > 0")
         n = round(self.duration_s / plant.dt)
         if n > MAX_RUN_SAMPLES:
             raise ConfigError(f"duration_s={self.duration_s!r} is {n} samples; runs are "
@@ -149,15 +135,13 @@ class LoadCaseConfig:
                 raise ConfigError(f"the {which} metric window [{t0:g}, {t1:g}] s is shorter "
                                   f"than 4 samples; lengthen the run or move the fault onset")
 
-    def make_plant(self) -> SurrogatePlant:
-        return build_plant(**self.plant)
-
-    def make_disturbance(self, seed) -> DisturbanceModel:
+    def make_disturbance(self, seed, period: int) -> DisturbanceModel:
         return DisturbanceModel(
-            amp_1p=np.full(3, self.amp_1p),
-            amp_2p=np.full(3, self.amp_2p),
-            phase_1p=np.full(3, self.phase_1p),
-            phase_2p=np.full(3, self.phase_2p),
+            period=period,
+            amp_1p=self.amp_1p,
+            amp_2p=self.amp_2p,
+            phase_1p=self.phase_1p,
+            phase_2p=self.phase_2p,
             sigma_e=self.sigma_e,
             seed=seed,
             period_jitter=self.period_jitter,
@@ -170,9 +154,6 @@ class LoadCaseConfig:
             onset_sample=int(round(self.fault_onset_s / dt)),
             parameter=self.fault_parameter,
         )
-
-    def make_tuning(self) -> ControllerTuning:
-        return ControllerTuning(**self.tuning)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -244,7 +225,7 @@ def _advance_rotation(plant, fault, dist, u_cmd_rows, k0):
     n = u_cmd_rows.shape[0]
     if not np.all(np.isfinite(u_cmd_rows)):
         raise ValueError("u_cmd contains non-finite entries")
-    d = dist.periodic_block(k0, n, plant.period_samples)
+    d = dist.periodic_block(k0, n)
     e = dist.innovation_block(k0, n)
     y = np.empty((n, 3))
     for lo, hi in fault.segments(k0, n):
@@ -263,16 +244,16 @@ def run_load_case(cfg: LoadCaseConfig) -> RunResult:
     `band_ratio_u` of None, a constant command, is not a failure).
     """
     start = time.perf_counter()
-    plant = cfg.make_plant()
+    plant = build_plant(**cfg.plant)
     period = plant.period_samples
     dt = plant.dt
     n = int(round(cfg.duration_s / dt))
     n_rot = n // period
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
-    dist = cfg.make_disturbance(seeds[0])
+    dist = cfg.make_disturbance(seeds[0], period)
     fault = cfg.make_fault(dt)
-    tuning = cfg.make_tuning()
+    tuning = ControllerTuning(**cfg.tuning)
 
     u_cmd = np.empty((n, 3))
     y = np.empty((n, 3))
@@ -282,10 +263,7 @@ def run_load_case(cfg: LoadCaseConfig) -> RunResult:
     if cfg.controller in ("ftipc", "uftipc"):
         unrestricted = None
         if cfg.controller == "uftipc":
-            unrestricted = UnrestrictedExcitation(
-                cfg.uftipc_amplitude_deg, cfg.uftipc_cutoff_hz, seeds[2], dt,
-                bit_time_s=cfg.uftipc_bit_time_s,
-            )
+            unrestricted = UnrestrictedExcitation(cfg.uftipc_amplitude_deg, seeds[2], dt)
         controller = RepetitiveController(
             cfg.predictor_window, period, tuning, seeds[1], unrestricted=unrestricted,
         )
@@ -308,10 +286,10 @@ def run_load_case(cfg: LoadCaseConfig) -> RunResult:
         raise RuntimeError(f"run {cfg.id} diverged: {exc}") from exc
 
     t = np.arange(n) * dt
-    psi = 2.0 * np.pi * ((np.arange(n) % period) + 1) / period
+    psi = np.tile(azimuth(period), n_rot)
     # A non-finite metric is reported by the error below, which names the run.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        metrics = compute_metrics(cfg, u_cmd, y, dt)
+        metrics = compute_metrics(cfg, u_cmd, y, dt, period)
     bad = [f"{which}.{blade}.{name}" for which in ("healthy", "faulty")
            for blade, values in metrics[which].items() for name, v in values.items()
            if v is not None and not math.isfinite(v)]
@@ -327,15 +305,19 @@ def run_load_case(cfg: LoadCaseConfig) -> RunResult:
     )
 
 
-def compute_metrics(cfg: LoadCaseConfig, u_cmd: np.ndarray, y: np.ndarray, dt: float) -> dict:
+def compute_metrics(cfg: LoadCaseConfig, u_cmd: np.ndarray, y: np.ndarray, dt: float,
+                    period: int) -> dict:
     """Windowed summary over `metric_windows`: per-blade load SD (population
-    SD, window mean removed), ADC, and pitch band-energy ratios.
+    SD, window mean removed), ADC, and the pitch's band-energy ratio in
+    +-10 % bands around 1P and 2P, 1P being 1 / (period * dt).
 
     Pure function of the series and the config scalars; the series is
     persisted as binary float64, so this is reproducible bit-for-bit.
     """
     windows = metric_windows(cfg.duration_s, cfg.fault_onset_s)
     fs = 1.0 / dt
+    one_p = 1.0 / (period * dt)
+    bands = [[0.9 * one_p, 1.1 * one_p], [1.8 * one_p, 2.2 * one_p]]
     out = {
         "id": cfg.id,
         "group": cfg.group,
@@ -355,7 +337,7 @@ def compute_metrics(cfg: LoadCaseConfig, u_cmd: np.ndarray, y: np.ndarray, dt: f
             blades[f"blade{b + 1}"] = {
                 "sd_y": float(np.sqrt(np.mean((seg_y - seg_y.mean()) ** 2))),
                 "adc": adc(seg_u, dt, DEFAULT_RATE_LIMIT_DEG_S),
-                "band_ratio_u": None if psd is None else band_energy_ratio(psd, BANDS_1P_2P),
+                "band_ratio_u": None if psd is None else band_energy_ratio(psd, bands),
             }
         out[which] = blades
     return out
@@ -374,7 +356,7 @@ def recompute_metrics(run_dir) -> dict:
 
     d = Path(run_dir)
     cfg = LoadCaseConfig.from_dict(json.loads((d / "config.json").read_text()))
-    plant = cfg.make_plant()
+    plant = build_plant(**cfg.plant)
     data = np.load(d / "series.npy", allow_pickle=False)
     shape = (int(round(cfg.duration_s / plant.dt)), len(SERIES_COLUMNS))
     if data.dtype != np.float64 or data.shape != shape:
@@ -383,7 +365,7 @@ def recompute_metrics(run_dir) -> dict:
             f"expected float64 of shape {shape}"
         )
     u_cmd, y = data[:, 1:4], data[:, 4:7]
-    metrics = compute_metrics(cfg, u_cmd, y, plant.dt)
+    metrics = compute_metrics(cfg, u_cmd, y, plant.dt, plant.period_samples)
     saved = json.loads((d / "metrics.json").read_text())
     for key in ("dare_failures", "clamp_events"):
         if key in saved:
@@ -499,7 +481,7 @@ def compare(metrics_by_id: dict, baseline: str = "cpc") -> ComparisonTable:
     Requires every group to contain a run of the baseline controller with
     matching seeds (guaranteed by the campaign builder). Negative rSD
     entries (load increased) are flagged; a baseline blade with zero load
-    SD raises ValueError.
+    SD, or an rSD that overflows, raises ValueError.
     """
     groups: dict[str, dict[str, dict]] = {}
     for m in metrics_by_id.values():
@@ -513,6 +495,9 @@ def compare(metrics_by_id: dict, baseline: str = "cpc") -> ComparisonTable:
             rsd_vals, adc_vals, neg = {}, {}, []
             for b in ("blade1", "blade2", "blade3"):
                 val = rsd(base["faulty"][b]["sd_y"], m["faulty"][b]["sd_y"])
+                if not math.isfinite(val):
+                    raise ValueError(f"group {group}: the {ctl} rSD of {b} is not finite "
+                                     f"({val}); its load SD is out of scale with {baseline}'s")
                 rsd_vals[b] = val
                 adc_vals[b] = m["faulty"][b]["adc"]
                 if val < 0.0:

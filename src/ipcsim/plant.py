@@ -39,9 +39,18 @@ __all__ = [
     "DisturbanceModel",
     "FaultScenario",
     "build_plant",
+    "azimuth",
 ]
 
 N_BLADES = 3
+# Azimuth of blade i relative to blade 1.
+BLADE_OFFSETS = 2.0 * np.pi * np.arange(N_BLADES) / N_BLADES
+
+
+def azimuth(period: int) -> np.ndarray:
+    """(P,) rotor azimuth over one rotation, 2 pi (s + 1) / P at sample s of
+    the rotation: the last sample of a rotation sits exactly at 2 pi."""
+    return 2.0 * np.pi * np.arange(1, period + 1) / period
 
 
 # ---------------------------------------------------------------------------
@@ -110,33 +119,35 @@ class FaultScenario:
 class DisturbanceModel:
     """Rotor-periodic blade loads plus white innovation noise.
 
-    Blade i sees amp_1p[i]*sin(psi + phase_1p[i] + i*2pi/3) plus the 2P
+    Blade i sees amp_1p*sin(psi + phase_1p + BLADE_OFFSETS[i]) plus the 2P
     analogue with doubled blade offset (a rotating load pattern sampled at
-    the three blades). The periodic table is computed once and indexed
-    modulo P, so d[k] == d[k-P] holds bit-exactly. Innovations are drawn
-    sequentially from a generator spawned from `seed` at the first draw.
+    the three blades), psi = 2 pi k / period at sample k. The periodic table
+    is computed at construction and indexed modulo the period, so
+    d[k] == d[k-P] holds bit-exactly. Innovations are drawn sequentially
+    from a generator spawned from `seed` at the first draw.
     """
 
-    amp_1p: np.ndarray = field(default_factory=lambda: np.full(N_BLADES, 500.0))
-    phase_1p: np.ndarray = field(default_factory=lambda: np.zeros(N_BLADES))
-    amp_2p: np.ndarray = field(default_factory=lambda: np.full(N_BLADES, 150.0))
-    phase_2p: np.ndarray = field(default_factory=lambda: np.zeros(N_BLADES))
+    period: int
+    amp_1p: float = 500.0
+    phase_1p: float = 0.0
+    amp_2p: float = 150.0
+    phase_2p: float = 0.0
     sigma_e: float = 0.0
     seed: int = 0
     period_jitter: float = 0.0  # robustness mode: +-fraction rotor-speed wobble
 
     def __post_init__(self):
         for name in ("amp_1p", "phase_1p", "amp_2p", "phase_2p"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float).reshape(N_BLADES))
-        arrays = (self.amp_1p, self.phase_1p, self.amp_2p, self.phase_2p)
-        if not (all(np.all(np.isfinite(v)) for v in arrays) and np.isfinite(self.sigma_e)):
+            setattr(self, name, float(getattr(self, name)))
+        values = (self.amp_1p, self.phase_1p, self.amp_2p, self.phase_2p, self.sigma_e)
+        if not all(np.isfinite(v) for v in values):
             raise ValueError("disturbance amplitudes, phases and sigma_e must be finite")
         if self.sigma_e < 0.0:
             raise ValueError("sigma_e must be non-negative")
         if not (0.0 <= self.period_jitter < 0.5):
             raise ValueError("period_jitter must lie in [0, 0.5)")
-        self._table = None
-        self._table_period = None
+        self._table = self._periodic_load(
+            2.0 * np.pi * np.arange(self.period)[:, None] / self.period)
         self._next_k = 0
         self._phase = 0.0
         self._phase_next_k = 0
@@ -155,22 +166,14 @@ class DisturbanceModel:
 
     def _periodic_load(self, psi: np.ndarray) -> np.ndarray:
         """(n, 3) deterministic blade loads at the (n, 1) rotor phases psi."""
-        offs = 2.0 * np.pi * np.arange(N_BLADES)[None, :] / N_BLADES
-        return (self.amp_1p[None, :] * np.sin(psi + self.phase_1p[None, :] + offs)
-                + self.amp_2p[None, :] * np.sin(2.0 * psi + self.phase_2p[None, :] + 2.0 * offs))
+        return (self.amp_1p * np.sin(psi + self.phase_1p + BLADE_OFFSETS)
+                + self.amp_2p * np.sin(2.0 * psi + self.phase_2p + 2.0 * BLADE_OFFSETS))
 
-    def periodic_table(self, period: int) -> np.ndarray:
-        """(P, 3) table of the deterministic component over one rotation."""
-        if self._table is None or self._table_period != period:
-            self._table = self._periodic_load(2.0 * np.pi * np.arange(period)[:, None] / period)
-            self._table_period = period
-        return self._table
-
-    def periodic_block(self, k: int, n: int, period: int) -> np.ndarray:
+    def periodic_block(self, k: int, n: int) -> np.ndarray:
+        """(n, 3) periodic loads of samples k .. k + n - 1."""
+        period = self.period
         if self.period_jitter == 0.0:
-            table = self.periodic_table(period)
-            idx = (k + np.arange(n)) % period
-            return table[idx]
+            return self._table[(k + np.arange(n)) % period]
         # Jittered rotor speed: the disturbance phase advances at a rate
         # redrawn once per nominal rotation, while the controller's azimuth
         # schedule stays on the nominal grid. Sequential access only.
@@ -223,13 +226,13 @@ class SurrogatePlant:
     l_obs: np.ndarray
     dt: float
     period_samples: int
+    # Construction parameters, kept so blade faults can rebuild a channel.
+    nat_freq_hz: np.ndarray
+    damping: float
+    dc_gain: float
+    predictor_poles: tuple
     x: np.ndarray = field(default_factory=lambda: np.zeros(6))
     dist_gain: np.ndarray = field(default_factory=lambda: np.ones(N_BLADES))
-    # Construction parameters, kept so blade faults can rebuild a channel.
-    nat_freq_hz: np.ndarray = field(default_factory=lambda: np.full(N_BLADES, 7.0))
-    damping: float = 0.7
-    dc_gain: float = -1500.0
-    predictor_poles: tuple = (0.40, 0.35)
     # Operators derived from the matrices: the lifted operator of each
     # block length n under key n, and the per-blade float blocks of the
     # fused MBC loop under "blade_floats". Built at first use, cleared when

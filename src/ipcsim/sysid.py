@@ -21,10 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from .numerics import RlsState, rls_update_batch
+from .plant import N_BLADES
 
 __all__ = ["IdentificationEngine"]
-
-N_BLADES = 3
 
 
 class IdentificationEngine:

@@ -46,14 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ipcsim.baselines import MbcIpcState
+from ipcsim.baselines import KI, KP, LEAK, MbcIpcState
 from ipcsim.control import BasisProjection, RepetitiveController, project_output
 from ipcsim.numerics import DareNonConvergence, DareSolution, RlsState, pinv, rls_update_batch
-from ipcsim.plant import FaultScenario, _maybe_switch_blade_fault
-
-N_BLADES = 3
-
-_BLADE_OFFSETS = 2.0 * np.pi * np.arange(N_BLADES) / N_BLADES
+from ipcsim.plant import BLADE_OFFSETS, N_BLADES, FaultScenario, _maybe_switch_blade_fault
 
 _CHANNELS = {"u1": ("u", 0), "u2": ("u", 1), "u3": ("u", 2),
              "y1": ("y", 0), "y2": ("y", 1), "y3": ("y", 2)}
@@ -197,7 +193,7 @@ def advance_block_loop(plant, u_eff: np.ndarray, d: np.ndarray, e: np.ndarray) -
     return y
 
 
-def jittered_periodic_block_loop(dist, k: int, n: int, period: int) -> np.ndarray:
+def jittered_periodic_block_loop(dist, k: int, n: int) -> np.ndarray:
     """Jittered periodic disturbance stepped one sample at a time.
 
     Sample-by-sample twin of `DisturbanceModel.periodic_block` with
@@ -207,6 +203,7 @@ def jittered_periodic_block_loop(dist, k: int, n: int, period: int) -> np.ndarra
     """
     if k != dist._phase_next_k:
         raise ValueError(f"jittered disturbance is sequential: expected k={dist._phase_next_k}")
+    period = dist.period
     phases = np.empty(n)
     for t in range(n):
         if (k + t) % period == 0:
@@ -216,9 +213,8 @@ def jittered_periodic_block_loop(dist, k: int, n: int, period: int) -> np.ndarra
         dist._phase += 2.0 * np.pi * dist._rate_scale / period
     dist._phase_next_k = k + n
     ph = phases[:, None]
-    return (dist.amp_1p[None, :] * np.sin(ph + dist.phase_1p[None, :] + _BLADE_OFFSETS)
-            + dist.amp_2p[None, :] * np.sin(2.0 * ph + dist.phase_2p[None, :]
-                                             + 2.0 * _BLADE_OFFSETS))
+    return (dist.amp_1p * np.sin(ph + dist.phase_1p + BLADE_OFFSETS)
+            + dist.amp_2p * np.sin(2.0 * ph + dist.phase_2p + 2.0 * BLADE_OFFSETS))
 
 
 def unrestricted_block_loop(noise, k: int, n: int) -> np.ndarray:
@@ -280,7 +276,7 @@ def step(plant, u_cmd, disturbance, fault, k: int) -> np.ndarray:
     """
     _maybe_switch_blade_fault(plant, fault, k)
     u_eff = apply_actuator_fault(np.asarray(u_cmd, dtype=float).reshape(N_BLADES), fault, k)
-    d = disturbance.periodic_block(k, 1, plant.period_samples)
+    d = disturbance.periodic_block(k, 1)
     e = disturbance.innovation_block(k, 1)
     return plant.advance_block(u_eff[None, :], d, e)[0]
 
@@ -289,7 +285,7 @@ def coleman_forward(y: np.ndarray, psi: float) -> tuple[float, float]:
     """Rotating blade quantities -> fixed-frame (tilt, yaw) components."""
     if not np.isfinite(psi):
         raise ValueError("azimuth must be finite")
-    angles = psi + _BLADE_OFFSETS
+    angles = psi + BLADE_OFFSETS
     y = np.asarray(y, dtype=float).reshape(3)
     tilt = (2.0 / 3.0) * float(y @ np.cos(angles))
     yaw = (2.0 / 3.0) * float(y @ np.sin(angles))
@@ -298,7 +294,7 @@ def coleman_forward(y: np.ndarray, psi: float) -> tuple[float, float]:
 
 def coleman_inverse(tilt: float, yaw: float, psi: float) -> np.ndarray:
     """Fixed-frame commands -> per-blade pitch (transpose convention)."""
-    angles = psi + _BLADE_OFFSETS
+    angles = psi + BLADE_OFFSETS
     return tilt * np.cos(angles) + yaw * np.sin(angles)
 
 
@@ -308,17 +304,15 @@ def mbc_ipc_step(state: MbcIpcState, y: np.ndarray, psi: float, dt: float):
     Per-sample twin of `ipcsim.baselines.mbc_ipc_rotation`'s controller.
     Returns (state, commanded pitch).
     """
-    tilt, yaw = coleman_forward(y, psi + state.psi_offset)
+    tilt, yaw = coleman_forward(y, psi)
     bound = state.authority_deg
-    state.tilt_int = float(np.clip(
-        state.tilt_int + dt * (state.ki * tilt - state.leak * state.tilt_int),
-        -bound, bound))
-    state.yaw_int = float(np.clip(
-        state.yaw_int + dt * (state.ki * yaw - state.leak * state.yaw_int),
-        -bound, bound))
-    u_tilt = state.kp * tilt + state.tilt_int
-    u_yaw = state.kp * yaw + state.yaw_int
-    u = coleman_inverse(u_tilt, u_yaw, psi + state.psi_offset)
+    state.tilt_int = float(np.clip(state.tilt_int + dt * (KI * tilt - LEAK * state.tilt_int),
+                                   -bound, bound))
+    state.yaw_int = float(np.clip(state.yaw_int + dt * (KI * yaw - LEAK * state.yaw_int),
+                                  -bound, bound))
+    u_tilt = KP * tilt + state.tilt_int
+    u_yaw = KP * yaw + state.yaw_int
+    u = coleman_inverse(u_tilt, u_yaw, psi)
     return state, np.clip(u, -bound, bound)
 
 

@@ -102,7 +102,7 @@ def rsd_of(metrics, group, controller, which, blade):
 def test_criterion_01_identification_oracle():
     t0 = time.perf_counter()
     plant = build_plant()
-    dist = DisturbanceModel(sigma_e=0.0, seed=3)  # noise-free
+    dist = DisturbanceModel(period=P, sigma_e=0.0, seed=3)  # noise-free
     fault = FaultScenario()
     tuning = ControllerTuning(warmup_rotations=51)  # excitation only, no control
     ctl = RepetitiveController(WINDOW, P, tuning, seed=12)
@@ -140,7 +140,7 @@ def test_criterion_02_predictor_fidelity():
     blocks = markov_blocks_from_xi(markov_oracle(plant, WINDOW), WINDOW)
     lifted = assemble_lifted(blocks, P, WINDOW)
     rng = np.random.default_rng(3)
-    dist = DisturbanceModel(sigma_e=0.0)
+    dist = DisturbanceModel(period=P, sigma_e=0.0)
     n = 4 * P
     us = rng.normal(0.0, 1.0, size=(n, 3))
     ys = np.empty((n, 3))

@@ -62,18 +62,23 @@ def test_mbc_collective_invariance():
 
 
 def test_mbc_integrator_anti_windup():
-    state = MbcIpcState(authority_deg=2.0)
-    for k in range(200000):
-        psi = 2 * np.pi * k / P
-        angles = psi + 2 * np.pi * np.arange(3) / 3
-        state, u = mbc_ipc_step(state, 1e6 * np.cos(angles), psi, 0.01)
-    assert abs(state.tilt_int) <= 2.0
+    # A 1e6 1P load for 2,000 rotations drives both integrators and the
+    # commands to the authority bound, and no further.
+    n_rot = 2000
+    state, plant = MbcIpcState(authority_deg=2.0), build_plant()
+    dist = DisturbanceModel(period=P, amp_1p=1e6)
+    u, y = np.empty((n_rot * P, 3)), np.empty((n_rot * P, 3))
+    for j in range(n_rot):
+        mbc_ipc_rotation(state, plant, FaultScenario(), dist, j * P, u, y)
+    assert abs(state.tilt_int) <= 2.0 and abs(state.yaw_int) <= 2.0
     assert np.all(np.abs(u) <= 2.0)
+    assert abs(state.tilt_int) == abs(state.yaw_int) == 2.0
+    assert np.max(np.abs(u)) == 2.0
 
 
 def closed_loop_run(controller, fault, n_rot, sigma_e=0.0, seed=0):
     plant = build_plant()
-    dist = DisturbanceModel(sigma_e=sigma_e, seed=seed)
+    dist = DisturbanceModel(period=P, sigma_e=sigma_e, seed=seed)
     n = n_rot * P
     ys = np.empty((n, 3))
     us = np.empty((n, 3))
@@ -158,7 +163,7 @@ def fused_and_oracle_runs(fault, sigma_e, jitter, n_rot, **state_fields):
     runs = []
     for advance in (mbc_ipc_rotation, oracle_rotation):
         plant = build_plant()
-        dist = DisturbanceModel(sigma_e=sigma_e, seed=5, period_jitter=jitter)
+        dist = DisturbanceModel(period=P, sigma_e=sigma_e, seed=5, period_jitter=jitter)
         state = MbcIpcState(**state_fields)
         u, y = np.empty((n_rot * P, 3)), np.empty((n_rot * P, 3))
         ends = []
@@ -199,7 +204,7 @@ def test_cached_blocks_are_rebuilt_at_a_mid_rotation_onset():
     runs = []
     for advance in (mbc_ipc_rotation, oracle_rotation):
         plant = build_plant()
-        dist = DisturbanceModel(sigma_e=20.0, seed=8)
+        dist = DisturbanceModel(period=P, sigma_e=20.0, seed=8)
         state = MbcIpcState()
         u, y = np.empty((6 * P, 3)), np.empty((6 * P, 3))
         for j in range(6):
@@ -216,38 +221,22 @@ def test_cached_blocks_are_rebuilt_at_a_mid_rotation_onset():
     assert plant._derived["blade_floats"] == faulted._blade_floats() != healthy
 
 
-def test_psi_offset_gets_its_own_coleman_rows():
-    # The zero-offset run goes first, so its rows are cached when the
-    # offset run starts. An azimuth offset only rotates the tilt/yaw frame,
-    # which the equal-gain PI commutes with; the per-axis integrator clamps
-    # do not, so at a 0.05 deg authority the offset shows in the commands.
-    commands = []
-    for offset in (0.0, 0.3):
-        (u, y, *_), (u_ref, y_ref, *_) = fused_and_oracle_runs(
-            PAS_FAULT, 20.0, 0.0, 6, psi_offset=offset, authority_deg=0.05)
-        assert np.max(np.abs(u - u_ref)) <= 1e-12
-        assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
-        commands.append(u)
-    assert np.max(np.abs(commands[0] - commands[1])) > 1e-3
-
-
 @pytest.mark.parametrize("jitter", [0.0, 0.1])
 def test_rotation_draws_equal_per_sample_draws_bitwise(jitter):
-    block = DisturbanceModel(sigma_e=30.0, seed=11, period_jitter=jitter)
-    single = DisturbanceModel(sigma_e=30.0, seed=11, period_jitter=jitter)
+    block = DisturbanceModel(period=P, sigma_e=30.0, seed=11, period_jitter=jitter)
+    single = DisturbanceModel(period=P, sigma_e=30.0, seed=11, period_jitter=jitter)
     n_rot = 12
     e_block = np.vstack([block.innovation_block(j * P, P) for j in range(n_rot)])
     e_single = np.vstack([single.innovation_block(k, 1) for k in range(n_rot * P)])
-    d_block = np.vstack([block.periodic_block(j * P, P, P) for j in range(n_rot)])
-    d_single = np.vstack([single.periodic_block(k, 1, P) for k in range(n_rot * P)])
+    d_block = np.vstack([block.periodic_block(j * P, P) for j in range(n_rot)])
+    d_single = np.vstack([single.periodic_block(k, 1) for k in range(n_rot * P)])
     assert np.array_equal(e_block, e_single)
     assert np.array_equal(d_block, d_single)
 
 
 @pytest.mark.parametrize("field, value", [
-    ("kp", np.nan), ("ki", np.inf), ("leak", np.nan), ("leak", -0.01),
     ("authority_deg", np.nan), ("authority_deg", np.inf), ("authority_deg", 0.0),
-    ("authority_deg", -1.0), ("psi_offset", np.nan),
+    ("authority_deg", -1.0),
 ])
 def test_mbc_state_rejects_nonfinite_or_out_of_range(field, value):
     with pytest.raises(ValueError):
@@ -261,7 +250,7 @@ def _one_rotation(state, plant=None, y_prev=None):
     if y_prev is not None:
         y[P - 1] = y_prev
         k0 = P
-    dist = DisturbanceModel(seed=1)
+    dist = DisturbanceModel(period=P, seed=1)
     dist.innovation_block(0, k0)  # the innovation stream is sequential
     mbc_ipc_rotation(state, plant, FaultScenario(), dist, k0, u, y)
 
@@ -283,16 +272,17 @@ def test_fused_rotation_reports_state_overflow():
 
 
 def test_run_load_case_reports_mbc_divergence(monkeypatch):
+    from ipcsim import harness
     from ipcsim.harness import LoadCaseConfig, run_load_case
 
-    def seeded(self):
-        plant = build_plant()
+    def seeded(**kw):
+        plant = build_plant(**kw)
         plant.x = np.full(6, 1.5e308)
         return plant
 
-    monkeypatch.setattr(LoadCaseConfig, "make_plant", seeded)
     cfg = LoadCaseConfig(id="overflow", controller="mbc_ipc", seed=0,
                          duration_s=4.0, fault_onset_s=2.0)
+    monkeypatch.setattr(harness, "build_plant", seeded)
     with pytest.raises(RuntimeError, match="diverged"):
         run_load_case(cfg)
 

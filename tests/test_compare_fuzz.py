@@ -3,8 +3,10 @@ campaign directory mutated, 200 times.
 
 Each mutation replaces or deletes one entry of the JSON object (often one
 that `compare` reads), damages its bytes, or swaps the file for an empty
-one, a directory or undecodable bytes. `ipcsim compare` must answer every case with exit code 0 (a table)
-or 1 (one logged error); a traceback or any other code is a program fault.
+one, a directory or undecodable bytes. `ipcsim compare` must answer every
+case with exit code 0 (a table) or 1 (one logged error); a traceback or any
+other code is a program fault. Every other case asks for `--json`, whose
+table must be standard JSON: no NaN or Infinity tokens.
 """
 
 import json
@@ -24,8 +26,10 @@ N_CASES = 200
 READ = (("id",), ("group",), ("controller",), ("faulty_blade",))
 READ += tuple(("faulty", f"blade{b}", key) for b in (1, 2, 3) for key in ("sd_y", "adc"))
 
-AWKWARD = (0, -1, 4, 0.0, -0.0, -1.0, 1e-300, 1e308, -1e308, math.nan, math.inf, True, None,
-           "", "x", "cpc", [], [1.0], {}, {"sd_y": 1.0}, 2**70, 10**307, 10**400)
+# A baseline load SD of 1e-310 (subnormal) overflows the rSD of any load
+# above about 2e-2.
+AWKWARD = (0, -1, 4, 0.0, -0.0, -1.0, 1e-300, 1e-310, 1e308, -1e308, math.nan, math.inf, True,
+           None, "", "x", "cpc", [], [1.0], {}, {"sd_y": 1.0}, 2**70, 10**307, 10**400)
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +81,11 @@ def mutate(metrics: dict, rng) -> bytes | None:
     return bytes(data)
 
 
-def test_fuzzed_metrics_files_exit_0_or_1(tmp_path, campaign_metrics):
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_fuzzed_metrics_files_exit_0_or_1(tmp_path, capsys, campaign_metrics):
     rng = np.random.default_rng(2024)
     codes = {0: 0, 1: 0}
     start = time.perf_counter()
@@ -92,8 +100,12 @@ def test_fuzzed_metrics_files_exit_0_or_1(tmp_path, campaign_metrics):
                 mfile.mkdir()
             else:
                 mfile.write_bytes(data)
-        code = cli_main(["compare", str(out_dir)])
+        as_json = case % 2 == 1
+        code = cli_main(["compare", str(out_dir)] + ["--json"] * as_json)
         assert code in codes, (case, code)
+        out = capsys.readouterr().out
+        if as_json and code == 0:
+            json.loads(out, parse_constant=reject_constant)
         codes[code] += 1
     # The seed reaches both endings, in well under the 5 s budget.
     assert all(codes.values()), codes

@@ -18,7 +18,7 @@ from ipcsim.control import (
     shifted_bases,
     update_theta,
 )
-from ipcsim.control import _BIT_BLOCK
+from ipcsim.control import _BIT_BLOCK, EXCITATION_POLE
 from ipcsim.numerics import DareNonConvergence, RlsState, pinv, solve_dare, welch_psd
 from ipcsim.metrics import band_energy_ratio
 from ipcsim.plant import (
@@ -166,7 +166,7 @@ def test_predictor_fidelity_with_oracle_parameters():
     blocks = markov_blocks_from_xi(markov_oracle(plant, WINDOW), WINDOW)
     lifted = assemble_lifted(blocks, P, WINDOW)
     rng = np.random.default_rng(3)
-    dist = DisturbanceModel(sigma_e=0.0)  # periodic disturbance active
+    dist = DisturbanceModel(period=P, sigma_e=0.0)  # periodic disturbance active
     n = 4 * P
     us = rng.normal(0.0, 1.0, size=(n, 3))
     ys = np.empty((n, 3))
@@ -503,9 +503,12 @@ def test_excitation_amplitude_cap():
 
 
 def test_excitation_streams_uncorrelated():
-    gen = ExcitationGenerator(amplitude=0.1, seed=7, filter_pole=0.0)
-    samples = np.array([gen.sample(j) for j in range(10000)])
-    corr = np.corrcoef(samples.T)
+    # Inverting the one-pole filter recovers each stream's +-1 bits.
+    gen = ExcitationGenerator(amplitude=1.0, seed=7)
+    z = np.array([gen.sample(j) for j in range(10000)])
+    bits = (z - EXCITATION_POLE * np.vstack([np.zeros(12), z[:-1]])) / (1.0 - EXCITATION_POLE)
+    assert np.allclose(np.abs(bits), 1.0, rtol=0.0, atol=1e-9)
+    corr = np.corrcoef(bits.T)
     off = corr - np.diag(np.diag(corr))
     assert np.max(np.abs(off)) < 0.05
 
@@ -525,7 +528,7 @@ def test_excitation_deterministic_per_seed():
     # The bits are drawn a block of rotations ahead; across two block
     # boundaries the values equal one draw per stream and rotation.
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(9).spawn(12)]
-    pole, z = 0.8, np.zeros(12)
+    pole, z = EXCITATION_POLE, np.zeros(12)
     for j in range(2 * _BIT_BLOCK + 3):
         bits = np.array([2.0 * rng.integers(0, 2, size=1)[0] - 1.0 for rng in rngs])
         z = pole * z + (1.0 - pole) * bits
@@ -547,7 +550,7 @@ def test_restricted_command_spectrum_concentrates_at_1p_2p():
 
 
 def test_unrestricted_mode_is_broadband_and_capped():
-    noise = UnrestrictedExcitation(0.25, cutoff_hz=1.0, seed=1, dt=0.01)
+    noise = UnrestrictedExcitation(0.25, seed=1, dt=0.01)
     block = noise.block(0, 40000)
     assert np.max(np.abs(block)) <= 0.25 + 1e-12
     psd = welch_psd(block[:, 0], fs=100.0, segment_length=2000)
@@ -555,15 +558,15 @@ def test_unrestricted_mode_is_broadband_and_capped():
     assert 1.0 - ratio >= 0.30  # at least 30% of energy outside 1P/2P bands
 
 
-@pytest.mark.parametrize("amplitude, bit_time_s", [(0.25, 1.0), (0.25, 0.37), (0.0, 0.37)])
-def test_unrestricted_block_matches_sample_loop(amplitude, bit_time_s):
-    # 0.37 s is a 37-sample bit, not a whole number of 100-sample rotations.
-    fast, slow = (UnrestrictedExcitation(amplitude, cutoff_hz=1.0, seed=3, dt=0.01,
-                                         bit_time_s=bit_time_s) for _ in range(2))
+@pytest.mark.parametrize("amplitude", [0.25, 0.0])
+def test_unrestricted_block_matches_sample_loop(amplitude):
+    fast, slow = (UnrestrictedExcitation(amplitude, seed=3, dt=0.01) for _ in range(2))
+    assert fast.bit_samples == 100
     k = 0
-    # Blocks of one sample (on a bit boundary at k = 0 and, for 1 s bits, at
-    # k = 100), blocks starting mid-bit, and blocks spanning several bits.
-    for n in (1, 1, 98, 1, 1, 37, 250, 1, 437):
+    # Blocks of one sample (on a bit boundary at k = 0, 100 and 200), blocks
+    # that start mid-bit and end on a boundary (at k = 100 and 200) or
+    # mid-bit, and blocks from mid-bit across several bit boundaries.
+    for n in (1, 1, 98, 1, 1, 37, 61, 1, 250, 37, 437, 76):
         got, want = fast.block(k, n), unrestricted_block_loop(slow, k, n)
         assert got.shape == (n, 3)
         assert np.array_equal(got, want), (k, n)
@@ -572,7 +575,7 @@ def test_unrestricted_block_matches_sample_loop(amplitude, bit_time_s):
 
 
 def test_unrestricted_zero_amplitude_is_exact_zero():
-    noise = UnrestrictedExcitation(0.0, cutoff_hz=1.0, seed=1, dt=0.01)
+    noise = UnrestrictedExcitation(0.0, seed=1, dt=0.01)
     assert np.all(noise.block(0, 1000) == 0.0)
 
 

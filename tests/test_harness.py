@@ -84,6 +84,15 @@ def test_config_validation_errors():
         short_cfg(plant={"seed": 1})
     with pytest.raises(ConfigError):
         LoadCaseConfig.from_dict({**short_cfg().to_dict(), "identification_log": True})
+    for key in ("uftipc_cutoff_hz", "uftipc_bit_time_s"):
+        with pytest.raises(ConfigError):
+            LoadCaseConfig.from_dict({**short_cfg().to_dict(), key: 1.0})
+    with pytest.raises(ConfigError):
+        short_cfg(tuning={"excitation_filter_pole": 0.8})
+    # Amplitudes and phases are one scalar for all blades.
+    for field in ("amp_1p", "phase_2p"):
+        with pytest.raises(ConfigError):
+            short_cfg(**{field: [1.0, 1.0, 1.0]})
     # Plant parameters the model cannot be built from, and values that used
     # to escape as OverflowError / ZeroDivisionError.
     for plant in ({"damping": np.nan}, {"coupling": np.inf}, {"dt": -0.01},
@@ -178,9 +187,9 @@ def test_controllers_share_disturbance_realization():
     cfg_b = short_cfg(controller="mbc_ipc")
     seeds_a = np.random.SeedSequence(cfg_a.seed).spawn(3)
     seeds_b = np.random.SeedSequence(cfg_b.seed).spawn(3)
-    da = cfg_a.make_disturbance(seeds_a[0])
-    db = cfg_b.make_disturbance(seeds_b[0])
-    assert np.array_equal(da.periodic_table(100), db.periodic_table(100))
+    da = cfg_a.make_disturbance(seeds_a[0], 100)
+    db = cfg_b.make_disturbance(seeds_b[0], 100)
+    assert np.array_equal(da.periodic_block(0, 100), db.periodic_block(0, 100))
     assert np.array_equal(da.innovation_block(0, 500), db.innovation_block(0, 500))
     # And end to end: at sample 0 every controller commands zero pitch, so
     # the first output sample is bit-identical across cpc and mbc.
@@ -302,8 +311,9 @@ def test_mid_rotation_blade_onset_matches_per_sample(advance_block_rows, kind, p
                     fault_kind=kind, fault_parameter=parameter, sigma_e=40.0)
     res = run_load_case(cfg)
     assert advance_block_rows == [100, 100, 37, 63, 100, 100]
-    plant = cfg.make_plant()
-    dist = cfg.make_disturbance(np.random.SeedSequence(cfg.seed).spawn(3)[0])
+    plant = harness.build_plant(**cfg.plant)
+    dist = cfg.make_disturbance(np.random.SeedSequence(cfg.seed).spawn(3)[0],
+                                plant.period_samples)
     fault = cfg.make_fault(plant.dt)
     assert fault.onset_sample == 237
     y_ref = np.array([step(plant, np.zeros(3), dist, fault, k) for k in range(len(res.y))])
@@ -486,6 +496,23 @@ def test_cli_compare_reads_loads_as_floats(tmp_path, capsys):
     m["faulty"]["blade1"]["sd_y"] = 10**400
     (tmp_path / m["id"] / "metrics.json").write_text(json.dumps(m))
     assert cli_main(["compare", str(tmp_path)]) == 1
+
+
+def test_cli_compare_rejects_an_overflowing_rsd(tmp_path, capsys, caplog):
+    # Both loads are finite, but the rSD of one against the other overflows:
+    # an error naming the group and the blade in both modes, and no table.
+    loads = {"cpc": 1e-300, "ftipc": 1e308}
+    for ctl, sd in loads.items():
+        faulty = {f"blade{b}": {"sd_y": sd, "adc": 0.1} for b in (1, 2, 3)}
+        (tmp_path / ctl).mkdir()
+        (tmp_path / ctl / "metrics.json").write_text(json.dumps(
+            {"id": ctl, "group": "g", "controller": ctl, "faulty_blade": None,
+             "faulty": faulty}))
+    for mode in ([], ["--json"]):
+        caplog.clear()
+        assert cli_main(["compare", str(tmp_path), *mode]) == 1
+        assert capsys.readouterr().out == ""
+        assert "group g" in caplog.text and "blade1" in caplog.text
 
 
 def test_cli_run_and_compare(tmp_path, capsys):

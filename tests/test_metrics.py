@@ -96,7 +96,7 @@ def windowed_metrics(y: np.ndarray) -> dict:
     on every blade, a constant zero command."""
     cfg = LoadCaseConfig(id="synthetic", controller="cpc", seed=0)
     series = np.column_stack([y] * 3)
-    return compute_metrics(cfg, np.zeros_like(series), series, 0.01)
+    return compute_metrics(cfg, np.zeros_like(series), series, 0.01, 100)
 
 
 def test_windowed_sd_constant_series():
@@ -117,3 +117,17 @@ def test_window_for_run_is_last_fifth_of_each_regime():
                                               "faulty": (1800.0, 2000.0)}
     assert windowed_metrics(np.zeros(200000))["windows"] == {"healthy": [800.0, 1000.0],
                                                              "faulty": [1800.0, 2000.0]}
+
+
+def test_band_ratio_follows_the_rotor_period():
+    # A 50-sample rotor period at dt = 0.01 s puts 1P at 2 Hz and 2P at
+    # 4 Hz: a pitch of pure 1P and 2P content scores a ratio near 1.
+    cfg = LoadCaseConfig(id="p50", controller="ftipc", seed=0, duration_s=200.0,
+                         fault_onset_s=100.0, plant={"period_samples": 50})
+    t = np.arange(20000) * 0.01
+    u = np.sin(2 * np.pi * 2.0 * t) + np.sin(2 * np.pi * 4.0 * t + 0.3)
+    series = np.column_stack([u] * 3)
+    m = compute_metrics(cfg, series, np.zeros_like(series), 0.01, 50)
+    for which in ("healthy", "faulty"):
+        for b in ("blade1", "blade2", "blade3"):
+            assert m[which][b]["band_ratio_u"] >= 0.99

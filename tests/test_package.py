@@ -68,6 +68,8 @@ TRACED_ENTRY_POINTS = (
     ("ipcsim.control", "RepetitiveController.finish_rotation"),
     ("ipcsim.control", "RepetitiveController.rotation_commands"),
     ("ipcsim.control", "ExcitationGenerator.sample"),
+    ("ipcsim.control", "projected_blocks"),
+    ("ipcsim.control", "update_theta"),
     ("ipcsim.harness", "compute_metrics"),
     ("ipcsim.harness", "run_load_case"),
     ("ipcsim.harness", "RunResult.save"),

@@ -27,7 +27,7 @@ from reference import (
 
 
 def quiet_disturbance(**kw):
-    base = dict(amp_1p=np.zeros(3), amp_2p=np.zeros(3), sigma_e=0.0, seed=0)
+    base = dict(period=100, amp_1p=0.0, amp_2p=0.0, sigma_e=0.0, seed=0)
     base.update(kw)
     return DisturbanceModel(**base)
 
@@ -165,7 +165,7 @@ def test_blade_fault_rebuilds_only_the_faulty_channel_in_place():
 
 def test_blade_fault_amplifies_disturbance_by_inverse_scale():
     fault = FaultScenario(kind="blade_stiffness", blade_index=3, onset_sample=0, parameter=0.2)
-    dist = DisturbanceModel(amp_1p=[200.0, 200.0, 200.0], amp_2p=np.zeros(3), sigma_e=0.0)
+    dist = DisturbanceModel(period=100, amp_1p=200.0, amp_2p=0.0, sigma_e=0.0)
     plant = build_plant()
     ys = run_plant(plant, lambda k: np.zeros(3), dist, fault, 400)
     tail = ys[-200:]  # integer number of rotations: RMS of a sinusoid is exact
@@ -220,22 +220,24 @@ def test_zero_everything_gives_zero_output():
 
 def test_output_disturbance_is_exact_sinusoid():
     # d enters at the output, so with zero input and zero noise the output
-    # IS the configured sinusoid sum, sample for sample.
+    # IS the configured sinusoid sum, sample for sample: a rotating pattern,
+    # blade i a third of a rotation behind blade i - 1.
     a1, a2 = 700.0, 150.0
-    dist = DisturbanceModel(amp_1p=[a1, 0, 0], amp_2p=[a2, 0, 0],
-                            phase_1p=[0.4, 0, 0], phase_2p=[1.1, 0, 0], sigma_e=0.0)
+    dist = DisturbanceModel(period=100, amp_1p=a1, amp_2p=a2, phase_1p=0.4, phase_2p=1.1,
+                            sigma_e=0.0)
     plant = build_plant()
     ys = run_plant(plant, lambda k: np.zeros(3), dist, HEALTHY, 250)
     k = np.arange(250)
     psi = 2 * np.pi * (k % 100) / 100
-    expected = a1 * np.sin(psi + 0.4) + a2 * np.sin(2 * psi + 1.1)
-    assert np.allclose(ys[:, 0], expected, atol=1e-12)
-    assert np.all(ys[:, 1:] == 0.0)
+    for i in range(3):
+        offset = 2 * np.pi * i / 3
+        expected = a1 * np.sin(psi + 0.4 + offset) + a2 * np.sin(2 * psi + 1.1 + 2 * offset)
+        assert np.allclose(ys[:, i], expected, atol=1e-12)
 
 
 def test_periodic_input_gives_periodic_output_geometrically():
     plant = build_plant()
-    dist = DisturbanceModel(sigma_e=0.0)
+    dist = DisturbanceModel(period=100, sigma_e=0.0)
     rng = np.random.default_rng(2)
     u_rot = rng.normal(size=(100, 3))
     ys = run_plant(plant, lambda k: u_rot[k % 100], dist, HEALTHY, 1200)
@@ -261,7 +263,7 @@ def test_superposition():
 
 def test_innovation_stream_is_seed_reproducible():
     def make():
-        return DisturbanceModel(sigma_e=25.0, seed=42)
+        return DisturbanceModel(period=100, sigma_e=25.0, seed=42)
     y1 = run_plant(build_plant(), lambda k: np.zeros(3), make(), HEALTHY, 120)
     y2 = run_plant(build_plant(), lambda k: np.zeros(3), make(), HEALTHY, 120)
     assert np.array_equal(y1, y2)
@@ -274,21 +276,20 @@ def test_jittered_block_matches_sample_loop():
     # mid-rotation and blocks spanning several boundaries: the disturbance,
     # the carried phase and rate, and the jitter stream all match the
     # per-sample loop bitwise.
-    period = 100
     lengths = [1, 37, 1, 61, 1, 100, 250, 49, 1, 1, 99, 149]
-    block = DisturbanceModel(sigma_e=0.0, seed=9, period_jitter=0.2)
-    loop = DisturbanceModel(sigma_e=0.0, seed=9, period_jitter=0.2)
+    block = DisturbanceModel(period=100, sigma_e=0.0, seed=9, period_jitter=0.2)
+    loop = DisturbanceModel(period=100, sigma_e=0.0, seed=9, period_jitter=0.2)
     k = 0
     for n in lengths:
-        d = block.periodic_block(k, n, period)
+        d = block.periodic_block(k, n)
         assert d.shape == (n, 3)
-        assert np.array_equal(d, jittered_periodic_block_loop(loop, k, n, period))
+        assert np.array_equal(d, jittered_periodic_block_loop(loop, k, n))
         assert block._phase == loop._phase
         assert block._rate_scale == loop._rate_scale
         k += n
     assert block._generators[1].uniform() == loop._generators[1].uniform()
     with pytest.raises(ValueError):
-        block.periodic_block(k + 1, 1, period)  # non-sequential block
+        block.periodic_block(k + 1, 1)  # non-sequential block
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def run_identification(plant, dist, fault, n_rotations, u_fn, engine=True, p=WIN
 
 def test_zero_excitation_estimate_stays_zero():
     plant = build_plant()
-    dist = DisturbanceModel(sigma_e=0.0)  # periodic disturbance only
+    dist = DisturbanceModel(period=P, sigma_e=0.0)  # periodic disturbance only
     eng, _, _ = run_identification(plant, dist, HEALTHY, 10, lambda k: np.zeros(3))
     assert np.all(eng.rows == 0.0)
 
@@ -151,7 +151,7 @@ def test_innovation_noise_pins_the_predictor_row():
         plant = build_plant(**plant_kwargs)
         oracle = np.vstack([markov_oracle_siso(plant, WINDOW, b) for b in (1, 2, 3)])
         rng = np.random.default_rng(11)
-        dist = DisturbanceModel(sigma_e=sigma_e, seed=5)
+        dist = DisturbanceModel(period=P, sigma_e=sigma_e, seed=5)
         eng, _, _ = run_identification(plant, dist, HEALTHY, n_rot,
                                        lambda k: rng.normal(0.0, 0.5, size=3))
         return relative_errors(eng, oracle)
@@ -171,7 +171,7 @@ def test_decoupled_noise_free_regression_is_degenerate_but_predictive():
     plant = build_plant(coupling=0.0)
     oracle = np.vstack([markov_oracle_siso(plant, WINDOW, b) for b in (1, 2, 3)])
     rng = np.random.default_rng(11)
-    dist = DisturbanceModel(sigma_e=0.0)
+    dist = DisturbanceModel(period=P, sigma_e=0.0)
     eng, us, ys = run_identification(plant, dist, HEALTHY, 30,
                                      lambda k: rng.normal(0.0, 0.5, size=3))
     assert np.all(relative_errors(eng, oracle) > 0.05)
@@ -192,7 +192,7 @@ def test_default_forgetting_factor_is_shipped_value():
 def test_engine_matches_per_sample_identify_step():
     plant = build_plant()
     rng = np.random.default_rng(5)
-    dist = DisturbanceModel(sigma_e=10.0, seed=3)
+    dist = DisturbanceModel(period=P, sigma_e=10.0, seed=3)
     n_rot = 4
     n = n_rot * P
     us = rng.normal(size=(n, 3))
@@ -257,7 +257,7 @@ def test_pad_fault_adaptation_of_cb_early_onset():
     onset_rot, post_rot = 10, 110
     fault = FaultScenario(kind="pad", blade_index=3, onset_sample=onset_rot * P, parameter=0.5)
     rng = np.random.default_rng(13)
-    dist = DisturbanceModel(sigma_e=0.0)
+    dist = DisturbanceModel(period=P, sigma_e=0.0)
     n = (onset_rot + post_rot) * P
     us = rng.normal(0.0, 0.5, size=(n, 3))
     ys = np.empty((n, 3))
