@@ -12,14 +12,11 @@ and maps the commands back to per-blade pitch. It reads loads only: faults
 are invisible to it, which is exactly the mechanism that degrades it in the
 faulty scenarios (the stuck/derated blade contaminates the transform).
 
-MBC-IPC feeds back every sample, so it cannot be lifted to the rotation
-level like the repetitive controller. `mbc_ipc_rotation` instead runs one
-rotation of controller, actuator fault map and plant as one loop over plain
-floats. The disturbance and innovations are drawn once per rotation and
-the affine fault map (`FaultScenario.actuator_map`) once per fault state;
-what does not change between rotations is built once: the Coleman cos/sin
-rows per P, and the plant's per-blade float blocks, cached by the plant
-until the blade-stiffness switch.
+MBC-IPC feeds back every sample, but between clamp events its loop is
+linear and periodic in the rotation: `mbc_ipc_rotation` lifts such a
+rotation (`_rotation_operator`, one operator per fault state), and runs a
+rotation in which a clamp would act, or which the fault onset splits, as
+one loop over plain floats (`_loop_rotation`) from the same state and draws.
 """
 
 from __future__ import annotations
@@ -42,6 +39,8 @@ __all__ = [
 KP = 3.5e-4
 KI = 6.0e-4
 LEAK = 0.05
+# Samples per block of the lifted rotation (`_rotation_operator`).
+_LIFT_BLOCK = 10
 
 
 @dataclass
@@ -84,25 +83,112 @@ def mbc_ipc_rotation(state: MbcIpcState, plant, fault, dist, k0: int,
     2 pi (s + 1) / P. Writes rows k0 .. k0 + P - 1 of u_cmd
     (the commanded pitch) and y, and advances `state`, `plant` and `dist`.
 
-    The rotation is split at the fault onset, so a blade-stiffness switch
-    lands on its exact sample. Raises ValueError on a non-finite command
+    A rotation in one fault state in which no clamp acts is lifted; any
+    other runs as a loop. Raises ValueError on a non-finite command
     and FloatingPointError when the plant state is non-finite.
     """
     period = plant.period_samples
-    dt = plant.dt
-    bound = state.authority_deg
+    d, e = dist.periodic_block(k0, period), dist.innovation_block(k0, period)
+    _maybe_switch_blade_fault(plant, fault, k0)
+    if len(fault.segments(k0, period)) > 1 or not _lifted_rotation(
+            state, plant, fault.actuator_map(k0), d, e, k0, u_cmd, y):
+        _loop_rotation(state, plant, fault, d, e, k0, u_cmd, y)
+
+
+def _rotation_operator(plant, amap: tuple) -> tuple:
+    """(forced, states, blocks): one rotation of the clamp-free loop under the
+    actuator map amap = (offset, scale), lifted over blocks of N = _LIFT_BLOCK
+    samples (Bittanti & Colaneri, Periodic Systems, 2009). State z = [x (6),
+    tilt_int, yaw_int, previous load row (3)], per-sample input v = [g .* d + e
+    (3), e (3), 1] and output [u (3), y (3), the updated integrators]. With V_b
+    block b's inputs (zero past the rotation's end), `forced` (nb, 11, 7 N) gives
+    its forced response f_b, `states` maps [z0; f] to z at each block start and
+    at the end, and `blocks` (nb, 8 N, 11 + 7 N) maps [z_b; V_b] to its outputs.
+    """
+    period, n = plant.period_samples, _LIFT_BLOCK
+    nb, eye3, (offset, scale) = -(-period // n), np.eye(N_BLADES), amap
+    to_blades = np.stack([np.array(rows) for rows in _coleman_rows(period)], axis=2)
+    to_fixed = (2.0 / 3.0) * to_blades.transpose(0, 2, 1)
+    decay, gain = 1.0 - plant.dt * LEAK, plant.dt * KI
+    # Output maps of z (psi) and v (dlt); a padded step's outputs are dropped.
+    psi, dlt = np.zeros((nb * n, 8, 11)), np.zeros((8, 7))
+    psi[:period, :3, 6:8] = decay * to_blades
+    psi[:period, :3, 8:] = (KP + gain) * to_blades @ to_fixed
+    psi[:, 3:6, :6] = np.einsum("ij,il->ijl", eye3, plant.c).reshape(3, 6)
+    psi[:, 6:, 6:8] = decay * np.eye(2)
+    psi[:period, 6:, 8:] = gain * to_fixed
+    dlt[3:6, :3] = eye3
+    # z' = phi z + gam v: x' = A x + B (scale .* u + offset) + L e; padded steps keep z.
+    route = np.zeros((11, 8))
+    route[:6, :3] = plant.b.reshape(6, 3) * scale
+    route[6:, 3:] = np.eye(5)[[3, 4, 0, 1, 2]]
+    phi, gam = route @ psi, route @ dlt
+    phi[:, :6, :6] += np.einsum("ij,ikl->ikjl", eye3, plant.a).reshape(6, 6)
+    phi[period:] = np.eye(11)
+    gam[:6, 3:6] = np.einsum("ij,ik->ikj", eye3, plant.l_obs).reshape(6, 3)
+    gam[:6, 6] = plant.b.reshape(6, 3) @ offset
+    phi, psi = phi.reshape(nb, n, 11, 11), psi.reshape(nb, n, 8, 11)
+    # Within the blocks, all at once: `step` maps [z_b; V_b] to z at sample t.
+    step = np.tile(np.eye(11, 11 + 7 * n), (nb, 1, 1))
+    blocks = np.empty((nb, n, 8, 11 + 7 * n))
+    for t in range(n):
+        cols = slice(11 + 7 * t, 18 + 7 * t)
+        blocks[:, t] = psi[:, t] @ step
+        blocks[:, t, :, cols] += dlt
+        step = phi[:, t] @ step
+        step[:, :, cols] += gam
+    # Across the blocks: [z0; f] to each block start, f_b = forced_b V_b.
+    states = np.tile(np.eye(11, 11 * nb + 11), (nb + 1, 1, 1))  # rows 1.. are overwritten
+    for b in range(nb):
+        states[b + 1] = step[b, :, :11] @ states[b]
+        states[b + 1, :, 11 * (b + 1):11 * (b + 2)] += np.eye(11)
+    return step[:, :, 11:], states.reshape(-1, 11 * nb + 11), blocks.reshape(nb, 8 * n, -1)
+
+
+def _lifted_rotation(state, plant, amap, d, e, k0, u_cmd, y) -> bool:
+    """Advance one rotation in one fault state by the lifted loop. Returns
+    False, writing nothing, if a clamp would act (a command or integrator
+    beyond the authority) or a value is non-finite, then the loop runs it."""
+    period, bound = plant.period_samples, state.authority_deg
+    y_prev = y[k0 - 1] if k0 else np.zeros(N_BLADES)
+    z0 = np.concatenate([plant.x, (state.tilt_int, state.yaw_int), y_prev])
+    with np.errstate(over="ignore", invalid="ignore"):  # an extreme plant overflows the operator
+        cached = plant._derived.get("mbc_rotation")  # one per plant, keyed by amap
+        if cached is None or cached[0] != amap:
+            cached = plant._derived["mbc_rotation"] = amap, _rotation_operator(plant, amap)
+        forced, states, blocks = cached[1]
+        nb = blocks.shape[0]
+        v = np.zeros((nb * _LIFT_BLOCK, 7))
+        v[:period] = np.concatenate([plant.dist_gain * d + e, e, np.ones((period, 1))], axis=1)
+        v = v.reshape(nb, -1)  # V_b, block by block
+        f = (forced @ v[:, :, None]).reshape(-1)
+        z = (states @ np.concatenate([z0, f])).reshape(-1, 11)
+        out = blocks @ np.concatenate([z[:nb], v], axis=1)[:, :, None]
+        out = out.reshape(-1, 8)[:period]
+        if not (np.abs(out[:, :3]).max() <= bound and np.abs(out[:, 6:]).max() <= bound
+                and np.isfinite(out).all() and np.isfinite(z[nb]).all()):
+            return False
+    u_cmd[k0:k0 + period], y[k0:k0 + period] = out[:, :3], out[:, 3:6]
+    state.tilt_int, state.yaw_int = float(z[nb, 6]), float(z[nb, 7])
+    plant.x = z[nb, :6].copy()
+    return True
+
+
+def _loop_rotation(state, plant, fault, d, e, k0, u_cmd, y) -> None:
+    """The rotation as one loop over plain floats, clamps included, from the
+    rotation's draws d and e; split at a fault onset inside it, so that a
+    blade-stiffness switch lands on its exact sample."""
+    period, dt, bound = plant.period_samples, plant.dt, state.authority_deg
     kp, ki, leak = KP, KI, LEAK
     cos_rows, sin_rows = _coleman_rows(period)
-    d = dist.periodic_block(k0, period)
-    e = dist.innovation_block(k0, period)
     e_rows = e.tolist()
-
     x0, x1, x2, x3, x4, x5 = plant.x.tolist()
     y0, y1, y2 = y[k0 - 1].tolist() if k0 else (0.0, 0.0, 0.0)
     ti, yi = state.tilt_int, state.yaw_int
     u_out, y_out = [], []
     for lo, hi in fault.segments(k0, period):
-        _maybe_switch_blade_fault(plant, fault, k0 + lo)
+        if lo:  # the switch at k0 itself has been made by mbc_ipc_rotation
+            _maybe_switch_blade_fault(plant, fault, k0 + lo)
         a, c, l, b = plant._blade_floats()
         (a0, a1, a2, a3), (a4, a5, a6, a7), (a8, a9, a10, a11) = a
         (c0, c1), (c2, c3), (c4, c5) = c

@@ -27,6 +27,7 @@ until the next blade-fault switch.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -137,8 +138,11 @@ class DisturbanceModel:
     period_jitter: float = 0.0  # robustness mode: +-fraction rotor-speed wobble
 
     def __post_init__(self):
-        for name in ("amp_1p", "phase_1p", "amp_2p", "phase_2p"):
-            setattr(self, name, float(getattr(self, name)))
+        for name in ("amp_1p", "phase_1p", "amp_2p", "phase_2p", "sigma_e", "period_jitter"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            setattr(self, name, float(value))
         values = (self.amp_1p, self.phase_1p, self.amp_2p, self.phase_2p, self.sigma_e)
         if not all(np.isfinite(v) for v in values):
             raise ValueError("disturbance amplitudes, phases and sigma_e must be finite")
@@ -233,10 +237,10 @@ class SurrogatePlant:
     predictor_poles: tuple
     x: np.ndarray = field(default_factory=lambda: np.zeros(6))
     dist_gain: np.ndarray = field(default_factory=lambda: np.ones(N_BLADES))
-    # Operators derived from the matrices: the lifted operator of each
-    # block length n under key n, and the per-blade float blocks of the
-    # fused MBC loop under "blade_floats". Built at first use, cleared when
-    # a blade fault changes a, c and l_obs (`_maybe_switch_blade_fault`).
+    # Operators derived from the matrices, built at first use and cleared
+    # when a blade fault changes a, c and l_obs: the lifted operator of each
+    # block length n under n, the MBC loop's float blocks under "blade_floats"
+    # and its lifted rotation under "mbc_rotation" as (offset, scale), operator.
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _lifted_operator(self, n: int) -> np.ndarray:

@@ -4,6 +4,7 @@ closed-loop direction checks on the surrogate."""
 import numpy as np
 import pytest
 
+from ipcsim import baselines
 from ipcsim.baselines import MbcIpcState, mbc_ipc_rotation
 from ipcsim.control import build_basis
 from ipcsim.plant import DisturbanceModel, FaultScenario, _maybe_switch_blade_fault, build_plant
@@ -133,10 +134,11 @@ def test_mbc_pas_fault_degrades_a_healthy_blade():
 def oracle_rotation(state, plant, fault, dist, k0, u_cmd, y):
     """One rotation of the per-sample oracle, with the harness's azimuth
     convention psi = 2 pi (s + 1) / P."""
+    period = plant.period_samples
     y_prev = y[k0 - 1] if k0 else np.zeros(3)
-    for s in range(P):
+    for s in range(period):
         k = k0 + s
-        state, u_cmd[k] = mbc_ipc_step(state, y_prev, 2.0 * np.pi * (s + 1) / P, plant.dt)
+        state, u_cmd[k] = mbc_ipc_step(state, y_prev, 2.0 * np.pi * (s + 1) / period, plant.dt)
         y[k] = step(plant, u_cmd[k], dist, fault, k)
         y_prev = y[k]
 
@@ -154,39 +156,74 @@ CASES = {
                                       parameter=0.2), 75.0, 0.1, 4.0),
     # A 0.05 deg authority: the command and both integrators hit their clamps.
     "saturating": (PAS_FAULT, 20.0, 0.0, 0.05),
+    # Clamped too, with the stiffness switch on the first sample of rotation 10.
+    "saturating_switch": (FaultScenario(kind="blade_stiffness", blade_index=1, onset_sample=1000,
+                                        parameter=0.5), 20.0, 0.0, 0.05),
 }
 
 
-def fused_and_oracle_runs(fault, sigma_e, jitter, n_rot, **state_fields):
+def fused_and_oracle_runs(fault, sigma_e, jitter, n_rot, period=P, **state_fields):
     """(u, y, state, plant, per-rotation integrator ends) of the fused loop,
     then of the per-sample oracle, from identical fresh plants."""
     runs = []
     for advance in (mbc_ipc_rotation, oracle_rotation):
-        plant = build_plant()
-        dist = DisturbanceModel(period=P, sigma_e=sigma_e, seed=5, period_jitter=jitter)
+        plant = build_plant(period_samples=period)
+        dist = DisturbanceModel(period=period, sigma_e=sigma_e, seed=5, period_jitter=jitter)
         state = MbcIpcState(**state_fields)
-        u, y = np.empty((n_rot * P, 3)), np.empty((n_rot * P, 3))
+        u, y = np.empty((n_rot * period, 3)), np.empty((n_rot * period, 3))
         ends = []
         for j in range(n_rot):
-            advance(state, plant, fault, dist, j * P, u, y)
+            advance(state, plant, fault, dist, j * period, u, y)
             ends.append((state.tilt_int, state.yaw_int))
         runs.append((u, y, state, plant, np.array(ends)))
     return runs
 
 
+def serving_paths(monkeypatch) -> list:
+    """Spy on the fused rotation's two paths: the returned list gets
+    "lifted" for each rotation the lifted step accepts and "loop" for each
+    rotation the scalar loop runs."""
+    paths = []
+    lifted, loop = baselines._lifted_rotation, baselines._loop_rotation
+
+    def lifted_spy(*args):
+        accepted = lifted(*args)
+        if accepted:
+            paths.append("lifted")
+        return accepted
+
+    def loop_spy(*args):
+        paths.append("loop")
+        loop(*args)
+
+    monkeypatch.setattr(baselines, "_lifted_rotation", lifted_spy)
+    monkeypatch.setattr(baselines, "_loop_rotation", loop_spy)
+    return paths
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_fused_rotation_matches_per_sample_oracle(case):
+def test_fused_rotation_matches_per_sample_oracle(monkeypatch, case):
     fault, sigma_e, jitter, bound = CASES[case]
+    paths = serving_paths(monkeypatch)
     (u, y, state, plant, ends), (u_ref, y_ref, state_ref, plant_ref, _) = fused_and_oracle_runs(
         fault, sigma_e, jitter, 14, authority_deg=bound)
-    if case == "saturating":
+    # Every rotation in one fault state is lifted unless a clamp acts; the
+    # onset at sample 1050 splits rotation 10, which the loop runs.
+    expected = ["lifted"] * 14
+    if case.startswith("saturating"):
+        expected = ["loop"] * 14
+    elif case != "healthy":
+        expected[10] = "loop"
+    assert paths == expected
+    if case.startswith("saturating"):
         # The clamps assign the bound itself, so a bound clamp reads exactly
         # +-bound: in the commands, and in the integrators at rotation ends.
         assert np.any(np.abs(u) == bound)
         assert np.any(np.abs(ends[:, 0]) == bound)
         assert np.any(np.abs(ends[:, 1]) == bound)
-    # The fused loop sums the Coleman dot products and the plant's matrix
-    # products in its own order, so the series agree to rounding: commands
+    # The lifted step and the loop sum the Coleman dot products and the
+    # plant's matrix products in their own orders, so the series agree to
+    # rounding: commands
     # (bounded by the pitch authority) within 1e-12 deg absolute, loads
     # within 1e-12 of the largest load magnitude.
     assert np.max(np.abs(u - u_ref)) <= 1e-12
@@ -197,10 +234,74 @@ def test_fused_rotation_matches_per_sample_oracle(case):
     assert np.array_equal(plant.dist_gain, plant_ref.dist_gain)
 
 
+def test_an_integrator_clamp_alone_sends_the_rotation_to_the_loop(monkeypatch):
+    # A tilt integrator just beyond the 1 deg authority is clamped at the
+    # first sample, while no command, clamped or not, reaches the bound:
+    # the loop must run the rotation.
+    paths = serving_paths(monkeypatch)
+    runs = []
+    for advance in (mbc_ipc_rotation, oracle_rotation):
+        state, plant = MbcIpcState(authority_deg=1.0, tilt_int=1.001), build_plant()
+        dist = DisturbanceModel(period=P, amp_1p=0.0, amp_2p=0.0)
+        u, y = np.empty((P, 3)), np.empty((P, 3))
+        advance(state, plant, FaultScenario(), dist, 0, u, y)
+        runs.append((u, y, state))
+    (u, y, state), (u_ref, y_ref, state_ref) = runs
+    assert paths == ["loop"]
+    assert np.max(np.abs(u_ref)) < 1.0
+    assert np.max(np.abs(u - u_ref)) <= 1e-12
+    assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
+    assert state.tilt_int == pytest.approx(state_ref.tilt_int, abs=1e-12)
+
+
+def test_an_overflowing_operator_sends_every_rotation_to_the_loop(monkeypatch):
+    # A 1e300 DC gain overflows the lifted operator as it is built. That must
+    # raise no RuntimeWarning (pytest makes one an error): the non-finite
+    # outputs send each rotation to the loop, which clamps the commands.
+    from ipcsim.harness import LoadCaseConfig, run_load_case
+
+    paths = serving_paths(monkeypatch)
+    result = run_load_case(LoadCaseConfig(id="overflow", controller="mbc_ipc", seed=1,
+                                          duration_s=4.0, fault_onset_s=2.0, sigma_e=10.0,
+                                          plant={"dc_gain": 1e300}))
+    assert paths == ["loop"] * 4
+    assert np.max(np.abs(result.u_cmd)) == 4.0
+
+
+def test_lifted_rotation_with_a_ragged_last_block_matches_oracle(monkeypatch):
+    # 45 samples per rotation: four full lifting blocks and a padded fifth.
+    period = 45
+    assert period % baselines._LIFT_BLOCK
+    paths = serving_paths(monkeypatch)
+    fault = FaultScenario(kind="pas", blade_index=2, onset_sample=5 * period, parameter=0.5)
+    (u, y, state, _, _), (u_ref, y_ref, state_ref, _, _) = fused_and_oracle_runs(
+        fault, 20.0, 0.0, 12, period=period)
+    assert paths == ["lifted"] * 12
+    assert np.max(np.abs(u - u_ref)) <= 1e-12
+    assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
+    assert state.tilt_int == pytest.approx(state_ref.tilt_int, abs=1e-12)
+    assert state.yaw_int == pytest.approx(state_ref.yaw_int, abs=1e-12)
+
+
+def test_lc18_run_matches_the_scalar_loop_alone(monkeypatch):
+    from ipcsim.harness import default_campaign, run_load_case
+
+    cfg = next(c for c in default_campaign() if c.id == "LC18-lvlB-bld-tiiec-mbc_ipc")
+    paths = serving_paths(monkeypatch)
+    lifted = run_load_case(cfg)
+    assert paths == ["lifted"] * 2000  # the onset at 1000 s starts a rotation
+    monkeypatch.setattr(baselines, "_lifted_rotation", lambda *args: False)
+    loop = run_load_case(cfg)
+    assert np.max(np.abs(lifted.u_cmd - loop.u_cmd)) <= 1e-12
+    assert np.max(np.abs(lifted.y - loop.y)) <= 1e-12 * np.max(np.abs(loop.y))
+
+
 def test_cached_blocks_are_rebuilt_at_a_mid_rotation_onset():
     # The stiffness switch lands at s = 37 of rotation 3, after rotations
-    # 0-2 have cached the healthy plant's float blocks.
+    # 0-2 have cached the healthy plant's lifted rotation.
     fault = FaultScenario(kind="blade_stiffness", blade_index=2, onset_sample=337, parameter=0.3)
+    faulted = build_plant()
+    _maybe_switch_blade_fault(faulted, fault, fault.onset_sample)
     runs = []
     for advance in (mbc_ipc_rotation, oracle_rotation):
         plant = build_plant()
@@ -208,17 +309,27 @@ def test_cached_blocks_are_rebuilt_at_a_mid_rotation_onset():
         state = MbcIpcState()
         u, y = np.empty((6 * P, 3)), np.empty((6 * P, 3))
         for j in range(6):
-            if j == 3 and advance is mbc_ipc_rotation:
-                healthy = plant._derived["blade_floats"]
-                assert healthy == build_plant()._blade_floats()
+            fused = advance is mbc_ipc_rotation
+            if fused and j == 3:
+                healthy_map, healthy_op = plant._derived["mbc_rotation"]
+                healthy_floats = plant._blade_floats()
+                assert healthy_floats == build_plant()._blade_floats()
             advance(state, plant, fault, dist, j * P, u, y)
+            if fused and j == 3:
+                # The switch dropped both caches; the loop rebuilt the float blocks.
+                assert "mbc_rotation" not in plant._derived
+                assert plant._derived["blade_floats"] == faulted._blade_floats() != healthy_floats
         runs.append((u, y, plant))
     (u, y, plant), (u_ref, y_ref, _) = runs
     assert np.max(np.abs(u - u_ref)) <= 1e-12
     assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
-    faulted = build_plant()
-    _maybe_switch_blade_fault(faulted, fault, fault.onset_sample)
-    assert plant._derived["blade_floats"] == faulted._blade_floats() != healthy
+    # Rotations 4 and 5 rebuilt the lifted rotation from the faulted plant.
+    amap, op = plant._derived["mbc_rotation"]
+    assert amap == healthy_map
+    for part, faulted_part, healthy_part in zip(
+            op, baselines._rotation_operator(faulted, amap), healthy_op):
+        assert np.array_equal(part, faulted_part)
+        assert not np.array_equal(part, healthy_part)
 
 
 @pytest.mark.parametrize("jitter", [0.0, 0.1])

@@ -106,6 +106,16 @@ def test_config_validation_errors():
     short_cfg(tuning={"excitation_amplitude": 0.0})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("amp_1p", "500"), ("amp_2p", "150"), ("phase_1p", "0"), ("phase_2p", True),
+    ("sigma_e", "1"), ("sigma_e", True), ("period_jitter", "0.1"), ("period_jitter", False),
+])
+def test_disturbance_settings_must_be_real_numbers(field, value):
+    # A string or a bool is neither converted nor stored: the error names the field.
+    with pytest.raises(ConfigError, match=field):
+        short_cfg(**{field: value})
+
+
 def test_run_length_is_bounded():
     # A run allocates its histories up front, so its length is checked
     # when the config is built: 2,000,000 samples (20000 s) at most.
