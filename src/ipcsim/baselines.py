@@ -13,21 +13,22 @@ are invisible to it, which is exactly the mechanism that degrades it in the
 faulty scenarios (the stuck/derated blade contaminates the transform).
 
 MBC-IPC feeds back every sample, but between clamp events its loop is
-linear and periodic in the rotation: `mbc_ipc_rotation` lifts such a
-rotation (`_rotation_operator`, one operator per fault state), and runs a
-rotation in which a clamp would act, or which the fault onset splits, as
-one loop over plain floats (`_loop_rotation`) from the same state and draws.
+linear and periodic in the rotation: `mbc_ipc_rotation` walks the
+rotation's fault regimes (`FaultScenario.regimes`), lifts a regime that
+spans the whole rotation (`_rotation_operator`, one operator per fault
+state), and runs a regime in which a clamp would act, or one of the two
+that a fault onset cuts the rotation into, as one loop over plain floats
+(`_loop_rotation`) from the same state and draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .plant import BLADE_OFFSETS, N_BLADES, _maybe_switch_blade_fault, azimuth
+from .plant import BLADE_OFFSETS, N_BLADES, azimuth
 
 __all__ = [
     "MbcIpcState",
@@ -64,12 +65,11 @@ class MbcIpcState:
                              f"got {self.authority_deg!r}")
 
 
-@lru_cache(maxsize=8)
 def _coleman_rows(period: int) -> tuple:
-    """(cos_rows, sin_rows) of one rotation: row s holds the three blade
-    angles of azimuth 2 pi (s + 1) / P, as tuples of floats."""
+    """(cos_rows, sin_rows), two (P, 3) arrays: row s holds the cosines and
+    sines of the three blade angles at azimuth 2 pi (s + 1) / P."""
     angles = azimuth(period)[:, None] + BLADE_OFFSETS
-    return tuple(map(tuple, np.cos(angles).tolist())), tuple(map(tuple, np.sin(angles).tolist()))
+    return np.cos(angles), np.sin(angles)
 
 
 def mbc_ipc_rotation(state: MbcIpcState, plant, fault, dist, k0: int,
@@ -84,15 +84,14 @@ def mbc_ipc_rotation(state: MbcIpcState, plant, fault, dist, k0: int,
     (the commanded pitch) and y, and advances `state`, `plant` and `dist`.
 
     A rotation in one fault state in which no clamp acts is lifted; any
-    other runs as a loop. Raises ValueError on a non-finite command
-    and FloatingPointError when the plant state is non-finite.
+    other fault regime runs as a loop. Raises ValueError on a non-finite
+    command and FloatingPointError when the plant state is non-finite.
     """
     period = plant.period_samples
     d, e = dist.periodic_block(k0, period), dist.innovation_block(k0, period)
-    _maybe_switch_blade_fault(plant, fault, k0)
-    if len(fault.segments(k0, period)) > 1 or not _lifted_rotation(
-            state, plant, fault.actuator_map(k0), d, e, k0, u_cmd, y):
-        _loop_rotation(state, plant, fault, d, e, k0, u_cmd, y)
+    for lo, hi, amap in fault.regimes(plant, k0, period):
+        if hi - lo < period or not _lifted_rotation(state, plant, amap, d, e, k0, u_cmd, y):
+            _loop_rotation(state, plant, amap, d, e, k0, lo, hi, u_cmd, y)
 
 
 def _rotation_operator(plant, amap: tuple) -> tuple:
@@ -107,7 +106,7 @@ def _rotation_operator(plant, amap: tuple) -> tuple:
     """
     period, n = plant.period_samples, _LIFT_BLOCK
     nb, eye3, (offset, scale) = -(-period // n), np.eye(N_BLADES), amap
-    to_blades = np.stack([np.array(rows) for rows in _coleman_rows(period)], axis=2)
+    to_blades = np.stack(_coleman_rows(period), axis=2)
     to_fixed = (2.0 / 3.0) * to_blades.transpose(0, 2, 1)
     decay, gain = 1.0 - plant.dt * LEAK, plant.dt * KI
     # Output maps of z (psi) and v (dlt); a padded step's outputs are dropped.
@@ -174,61 +173,57 @@ def _lifted_rotation(state, plant, amap, d, e, k0, u_cmd, y) -> bool:
     return True
 
 
-def _loop_rotation(state, plant, fault, d, e, k0, u_cmd, y) -> None:
-    """The rotation as one loop over plain floats, clamps included, from the
-    rotation's draws d and e; split at a fault onset inside it, so that a
-    blade-stiffness switch lands on its exact sample."""
-    period, dt, bound = plant.period_samples, plant.dt, state.authority_deg
+def _loop_rotation(state, plant, amap, d, e, k0, lo, hi, u_cmd, y) -> None:
+    """Rows lo .. hi - 1 of the rotation from k0, one fault regime under the
+    actuator map amap = (offset, scale), as one loop over plain floats,
+    clamps included, from the rotation's draws d and e."""
+    dt, bound = plant.dt, state.authority_deg
     kp, ki, leak = KP, KI, LEAK
-    cos_rows, sin_rows = _coleman_rows(period)
-    e_rows = e.tolist()
+    (a0, a1, a2, a3), (a4, a5, a6, a7), (a8, a9, a10, a11) = plant.a.reshape(N_BLADES, -1).tolist()
+    (c0, c1), (c2, c3), (c4, c5) = plant.c.tolist()
+    (l0, l1), (l2, l3), (l4, l5) = plant.l_obs.tolist()
+    (b0, b1, b2, b3, b4, b5), (b6, b7, b8, b9, b10, b11), (b12, b13, b14, b15, b16, b17) = (
+        plant.b.reshape(N_BLADES, -1).tolist())
+    (o0, o1, o2), (s0, s1, s2) = amap
     x0, x1, x2, x3, x4, x5 = plant.x.tolist()
-    y0, y1, y2 = y[k0 - 1].tolist() if k0 else (0.0, 0.0, 0.0)
+    y0, y1, y2 = y[k0 + lo - 1].tolist() if k0 + lo else (0.0, 0.0, 0.0)
     ti, yi = state.tilt_int, state.yaw_int
+    cos_rows, sin_rows = _coleman_rows(plant.period_samples)
+    # Per sample: the Coleman rows, e, and the output offset g .* d + e as the plant adds it.
+    rows = np.concatenate([cos_rows[lo:hi], sin_rows[lo:hi], e[lo:hi],
+                           plant.dist_gain * d[lo:hi] + e[lo:hi]], axis=1).tolist()
     u_out, y_out = [], []
-    for lo, hi in fault.segments(k0, period):
-        if lo:  # the switch at k0 itself has been made by mbc_ipc_rotation
-            _maybe_switch_blade_fault(plant, fault, k0 + lo)
-        a, c, l, b = plant._blade_floats()
-        (a0, a1, a2, a3), (a4, a5, a6, a7), (a8, a9, a10, a11) = a
-        (c0, c1), (c2, c3), (c4, c5) = c
-        (l0, l1), (l2, l3), (l4, l5) = l
-        (b0, b1, b2, b3, b4, b5), (b6, b7, b8, b9, b10, b11), (b12, b13, b14, b15, b16, b17) = b
-        (o0, o1, o2), (s0, s1, s2) = fault.actuator_map(k0 + lo)
-        # Output offset g .* d + e, as the plant adds it.
-        w_rows = (plant.dist_gain * d[lo:hi] + e[lo:hi]).tolist()
-        for (cb0, cb1, cb2), (sb0, sb1, sb2), (e0, e1, e2), (w0, w1, w2) in zip(
-                cos_rows[lo:hi], sin_rows[lo:hi], e_rows[lo:hi], w_rows):
-            tilt = (2.0 / 3.0) * (y0 * cb0 + y1 * cb1 + y2 * cb2)
-            yaw = (2.0 / 3.0) * (y0 * sb0 + y1 * sb1 + y2 * sb2)
-            ti += dt * (ki * tilt - leak * ti)
-            ti = bound if ti > bound else (-bound if ti < -bound else ti)
-            yi += dt * (ki * yaw - leak * yi)
-            yi = bound if yi > bound else (-bound if yi < -bound else yi)
-            ut, uy = kp * tilt + ti, kp * yaw + yi
-            u0, u1, u2 = ut * cb0 + uy * sb0, ut * cb1 + uy * sb1, ut * cb2 + uy * sb2
-            u0 = bound if u0 > bound else (-bound if u0 < -bound else u0)
-            u1 = bound if u1 > bound else (-bound if u1 < -bound else u1)
-            u2 = bound if u2 > bound else (-bound if u2 < -bound else u2)
-            if u0 != u0 or u1 != u1 or u2 != u2:  # NaN survives the clamp
-                if not all(map(math.isfinite, (x0, x1, x2, x3, x4, x5))):
-                    raise FloatingPointError("plant state diverged (non-finite)")
-                raise ValueError("u_cmd contains non-finite entries")
-            u_out += u0, u1, u2
-            m0, m1, m2 = u0 * s0 + o0, u1 * s1 + o1, u2 * s2 + o2
-            y0 = (c0 * x0 + c1 * x1) + w0
-            y1 = (c2 * x2 + c3 * x3) + w1
-            y2 = (c4 * x4 + c5 * x5) + w2
-            y_out += y0, y1, y2
-            x0, x1 = (a0 * x0 + a1 * x1 + ((m0 * b0 + m1 * b1 + m2 * b2) + e0 * l0),
-                      a2 * x0 + a3 * x1 + ((m0 * b3 + m1 * b4 + m2 * b5) + e0 * l1))
-            x2, x3 = (a4 * x2 + a5 * x3 + ((m0 * b6 + m1 * b7 + m2 * b8) + e1 * l2),
-                      a6 * x2 + a7 * x3 + ((m0 * b9 + m1 * b10 + m2 * b11) + e1 * l3))
-            x4, x5 = (a8 * x4 + a9 * x5 + ((m0 * b12 + m1 * b13 + m2 * b14) + e2 * l4),
-                      a10 * x4 + a11 * x5 + ((m0 * b15 + m1 * b16 + m2 * b17) + e2 * l5))
-        plant.x = np.array([x0, x1, x2, x3, x4, x5])
-        if not np.all(np.isfinite(plant.x)):
-            raise FloatingPointError("plant state diverged (non-finite)")
+    for cb0, cb1, cb2, sb0, sb1, sb2, e0, e1, e2, w0, w1, w2 in rows:
+        tilt = (2.0 / 3.0) * (y0 * cb0 + y1 * cb1 + y2 * cb2)
+        yaw = (2.0 / 3.0) * (y0 * sb0 + y1 * sb1 + y2 * sb2)
+        ti += dt * (ki * tilt - leak * ti)
+        ti = bound if ti > bound else (-bound if ti < -bound else ti)
+        yi += dt * (ki * yaw - leak * yi)
+        yi = bound if yi > bound else (-bound if yi < -bound else yi)
+        ut, uy = kp * tilt + ti, kp * yaw + yi
+        u0, u1, u2 = ut * cb0 + uy * sb0, ut * cb1 + uy * sb1, ut * cb2 + uy * sb2
+        u0 = bound if u0 > bound else (-bound if u0 < -bound else u0)
+        u1 = bound if u1 > bound else (-bound if u1 < -bound else u1)
+        u2 = bound if u2 > bound else (-bound if u2 < -bound else u2)
+        if u0 != u0 or u1 != u1 or u2 != u2:  # NaN survives the clamp
+            if not all(map(math.isfinite, (x0, x1, x2, x3, x4, x5))):
+                raise FloatingPointError("plant state diverged (non-finite)")
+            raise ValueError("u_cmd contains non-finite entries")
+        u_out += u0, u1, u2
+        m0, m1, m2 = u0 * s0 + o0, u1 * s1 + o1, u2 * s2 + o2
+        y0 = (c0 * x0 + c1 * x1) + w0
+        y1 = (c2 * x2 + c3 * x3) + w1
+        y2 = (c4 * x4 + c5 * x5) + w2
+        y_out += y0, y1, y2
+        x0, x1 = (a0 * x0 + a1 * x1 + ((m0 * b0 + m1 * b1 + m2 * b2) + e0 * l0),
+                  a2 * x0 + a3 * x1 + ((m0 * b3 + m1 * b4 + m2 * b5) + e0 * l1))
+        x2, x3 = (a4 * x2 + a5 * x3 + ((m0 * b6 + m1 * b7 + m2 * b8) + e1 * l2),
+                  a6 * x2 + a7 * x3 + ((m0 * b9 + m1 * b10 + m2 * b11) + e1 * l3))
+        x4, x5 = (a8 * x4 + a9 * x5 + ((m0 * b12 + m1 * b13 + m2 * b14) + e2 * l4),
+                  a10 * x4 + a11 * x5 + ((m0 * b15 + m1 * b16 + m2 * b17) + e2 * l5))
+    plant.x = np.array([x0, x1, x2, x3, x4, x5])
+    if not np.all(np.isfinite(plant.x)):
+        raise FloatingPointError("plant state diverged (non-finite)")
     state.tilt_int, state.yaw_int = ti, yi
-    u_cmd[k0:k0 + period] = np.array(u_out).reshape(period, N_BLADES)
-    y[k0:k0 + period] = np.array(y_out).reshape(period, N_BLADES)
+    u_cmd[k0 + lo:k0 + hi] = np.array(u_out).reshape(-1, N_BLADES)
+    y[k0 + lo:k0 + hi] = np.array(y_out).reshape(-1, N_BLADES)

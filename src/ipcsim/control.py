@@ -23,12 +23,11 @@ pitch only ever carries 1P and 2P content.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .numerics import DareNonConvergence, _is_int, pinv, solve_dare
+from .numerics import DareNonConvergence, _is_int, _real, pinv, solve_dare
 from .plant import N_BLADES, azimuth
 from .sysid import IdentificationEngine
 
@@ -318,10 +317,7 @@ class ControllerTuning:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-                    or not np.isfinite(value)):
-                raise ValueError(f"tuning.{f.name} must be a finite number, got {value!r}")
+            _real(f"tuning.{f.name}", getattr(self, f.name))
         for name in ("warmup_rotations", "dare_max_iter"):
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"tuning.{name} must be an integer, got {getattr(self, name)!r}")

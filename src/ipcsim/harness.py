@@ -29,8 +29,8 @@ import numpy as np
 from .baselines import MbcIpcState, mbc_ipc_rotation
 from .control import LOG_COLUMNS, ControllerTuning, RepetitiveController, UnrestrictedExcitation
 from .metrics import DEFAULT_RATE_LIMIT_DEG_S, adc, band_energy_ratio, metric_windows, rsd
-from .numerics import _is_int, welch_psd
-from .plant import DisturbanceModel, FaultScenario, _maybe_switch_blade_fault, azimuth, build_plant
+from .numerics import _is_int, _real, welch_psd
+from .plant import DisturbanceModel, FaultScenario, azimuth, build_plant
 
 __all__ = [
     "ConfigError",
@@ -104,18 +104,22 @@ class LoadCaseConfig:
             raise ConfigError("seed is mandatory (no ambient randomness)")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not (np.isfinite(self.duration_s) and 0.0 < self.fault_onset_s < self.duration_s):
-            raise ConfigError("duration must be finite, with the fault onset strictly inside it")
+        for name in ("duration_s", "fault_onset_s", "fault_parameter", "uftipc_amplitude_deg"):
+            _real(name, getattr(self, name))
+        if not 0.0 < self.fault_onset_s < self.duration_s:
+            raise ConfigError("the fault onset must lie strictly inside the run")
         if not self.group:
             self.group = self.id
         # Validate the nested sub-configurations eagerly so campaign setup fails fast.
         plant = build_plant(**self.plant)
-        self.make_fault(plant.dt)
+        fault = self.make_fault(plant.dt)
+        # Make the onset's stiffness switch, whose channel a tiny scale leaves singular.
+        list(fault.regimes(plant, fault.onset_sample, 1))
         self.make_disturbance(0, plant.period_samples)
         ControllerTuning(**self.tuning)
-        amplitude = self.uftipc_amplitude_deg
-        if not (np.isfinite(amplitude) and amplitude >= 0.0):
-            raise ConfigError(f"uftipc_amplitude_deg must be finite and >= 0, got {amplitude!r}")
+        if self.uftipc_amplitude_deg < 0.0:
+            raise ConfigError(f"uftipc_amplitude_deg must be >= 0, "
+                              f"got {self.uftipc_amplitude_deg!r}")
         n = round(self.duration_s / plant.dt)
         if n > MAX_RUN_SAMPLES:
             raise ConfigError(f"duration_s={self.duration_s!r} is {n} samples; runs are "
@@ -219,18 +223,15 @@ class RunResult:
 def _advance_rotation(plant, fault, dist, u_cmd_rows, k0):
     """Advance one command block through fault map and plant.
 
-    One `advance_block` call per block; a fault onset inside the block
-    splits it in two, so the switch lands on its exact sample.
+    One `advance_block` call per fault regime of the block: a fault onset
+    inside it splits it in two, so the switch lands on its exact sample.
     """
     n = u_cmd_rows.shape[0]
     if not np.all(np.isfinite(u_cmd_rows)):
         raise ValueError("u_cmd contains non-finite entries")
-    d = dist.periodic_block(k0, n)
-    e = dist.innovation_block(k0, n)
+    d, e = dist.periodic_block(k0, n), dist.innovation_block(k0, n)
     y = np.empty((n, 3))
-    for lo, hi in fault.segments(k0, n):
-        _maybe_switch_blade_fault(plant, fault, k0 + lo)
-        offset, scale = fault.actuator_map(k0 + lo)
+    for lo, hi, (offset, scale) in fault.regimes(plant, k0, n):
         y[lo:hi] = plant.advance_block(u_cmd_rows[lo:hi] * scale + offset, d[lo:hi], e[lo:hi])
     return y
 

@@ -13,6 +13,8 @@ mutable state.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,13 @@ __all__ = [
 def _is_int(value) -> bool:
     """An int (Python or numpy), not a bool: the check for count-like settings."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _real(name: str, value) -> None:
+    """Raise ValueError, naming the setting, unless value is a finite real
+    number (Python or numpy) and not a bool: the check for float settings."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

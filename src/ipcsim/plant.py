@@ -27,13 +27,12 @@ until the next blade-fault switch.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .numerics import _is_int
+from .numerics import _is_int, _real
 
 __all__ = [
     "SurrogatePlant",
@@ -80,8 +79,7 @@ class FaultScenario:
             raise ValueError(f"unknown fault kind {self.kind!r}; choose from {FAULT_KINDS}")
         if isinstance(self.blade_index, bool) or self.blade_index not in (1, 2, 3):
             raise ValueError("blade_index must be 1, 2 or 3 (exactly one faulty blade)")
-        if not np.isfinite(self.parameter):
-            raise ValueError(f"fault parameter must be finite, got {self.parameter!r}")
+        _real("fault parameter", self.parameter)
         if self.kind == "pad" and not (0.0 < self.parameter <= 1.0):
             raise ValueError("PAD scale must satisfy 0 < parameter <= 1")
         if self.kind == "blade_stiffness" and not (0.0 < self.parameter <= 1.0):
@@ -104,12 +102,16 @@ class FaultScenario:
             scale[self.blade0] = 1.0 - self.parameter
         return tuple(offset), tuple(scale)
 
-    def segments(self, k0: int, n: int) -> tuple:
-        """The (lo, hi) ranges, relative to k0, of the n-sample block from k0:
-        cut at the onset when it falls strictly inside, so that each range
-        sees one fault state."""
+    def regimes(self, plant, k0: int, n: int):
+        """Yield (lo, hi, (offset, scale)) per fault state of the n-sample block
+        from k0: the range relative to k0, cut at an onset strictly inside, and
+        its actuator map. It makes the blade-stiffness switch on `plant` before
+        it yields the range that starts at the onset, so consume it in order."""
         cut = self.onset_sample - k0
-        return ((0, cut), (cut, n)) if self.kind != "healthy" and 0 < cut < n else ((0, n),)
+        bounds = (0, cut, n) if self.kind != "healthy" and 0 < cut < n else (0, n)
+        for lo, hi in zip(bounds, bounds[1:]):
+            _maybe_switch_blade_fault(plant, self, k0 + lo)
+            yield lo, hi, self.actuator_map(k0 + lo)
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +141,8 @@ class DisturbanceModel:
 
     def __post_init__(self):
         for name in ("amp_1p", "phase_1p", "amp_2p", "phase_2p", "sigma_e", "period_jitter"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            setattr(self, name, float(value))
-        values = (self.amp_1p, self.phase_1p, self.amp_2p, self.phase_2p, self.sigma_e)
-        if not all(np.isfinite(v) for v in values):
-            raise ValueError("disturbance amplitudes, phases and sigma_e must be finite")
+            _real(name, getattr(self, name))
+            setattr(self, name, float(getattr(self, name)))
         if self.sigma_e < 0.0:
             raise ValueError("sigma_e must be non-negative")
         if not (0.0 <= self.period_jitter < 0.5):
@@ -239,8 +236,8 @@ class SurrogatePlant:
     dist_gain: np.ndarray = field(default_factory=lambda: np.ones(N_BLADES))
     # Operators derived from the matrices, built at first use and cleared
     # when a blade fault changes a, c and l_obs: the lifted operator of each
-    # block length n under n, the MBC loop's float blocks under "blade_floats"
-    # and its lifted rotation under "mbc_rotation" as (offset, scale), operator.
+    # block length n under n, and MBC-IPC's lifted rotation under
+    # "mbc_rotation" as (offset, scale), operator.
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _lifted_operator(self, n: int) -> np.ndarray:
@@ -265,21 +262,6 @@ class SurrogatePlant:
                 op[:, t, :2 * t + 2] = obs[:, 0, 2 * (n - t):]
             self._derived[n] = op
         return op
-
-    def _blade_floats(self) -> tuple:
-        """The plant's matrices as per-blade tuples of Python floats.
-
-        Returns (a, c, l, b): for blade i, a[i] = (a00, a01, a10, a11),
-        c[i] and l[i] its output and observer pairs, and b[i] its two input
-        rows, row by row. Cached with the lifted operators.
-        """
-        floats = self._derived.get("blade_floats")
-        if floats is None:
-            floats = self._derived["blade_floats"] = tuple(
-                tuple(map(tuple, m.reshape(N_BLADES, -1).tolist()))
-                for m in (self.a, self.c, self.l_obs, self.b)
-            )
-        return floats
 
     def advance_block(self, u_eff: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
         """Advance n samples; returns the n output rows.
@@ -351,16 +333,18 @@ def build_plant(nat_freq_hz: float = 7.0, damping: float = 0.7, dc_gain: float =
     5% input cross-coupling, dt = 0.01 s, P = 100 (1 s rotor period).
     Raises ValueError for a parameter the model cannot be built from.
     """
-    for name, value in (("nat_freq_hz", nat_freq_hz), ("damping", damping), ("dt", dt)):
-        if not (np.isfinite(value) and value > 0.0):
-            raise ValueError(f"plant {name} must be finite and > 0, got {value!r}")
-    if not (np.isfinite(dc_gain) and dc_gain != 0.0):
-        raise ValueError(f"plant dc_gain must be finite and nonzero, got {dc_gain!r}")
-    if not np.isfinite(coupling):
-        raise ValueError(f"plant coupling must be finite, got {coupling!r}")
     poles = tuple(predictor_poles)
-    if not (len(poles) == 2 and all(np.isfinite(mu) and abs(mu) < 1.0 for mu in poles)):
-        raise ValueError(f"plant predictor_poles must be two finite values with |mu| < 1, "
+    for name, value in (("nat_freq_hz", nat_freq_hz), ("damping", damping), ("dc_gain", dc_gain),
+                        ("coupling", coupling), ("dt", dt),
+                        *(("predictor_poles", mu) for mu in poles)):
+        _real(f"plant {name}", value)
+    for name, value in (("nat_freq_hz", nat_freq_hz), ("damping", damping), ("dt", dt)):
+        if not value > 0.0:
+            raise ValueError(f"plant {name} must be > 0, got {value!r}")
+    if dc_gain == 0.0:
+        raise ValueError("plant dc_gain must be nonzero")
+    if not (len(poles) == 2 and all(abs(mu) < 1.0 for mu in poles)):
+        raise ValueError(f"plant predictor_poles must be two values with |mu| < 1, "
                          f"got {predictor_poles!r}")
     if not _is_int(period_samples) or period_samples < 8:
         raise ValueError(f"plant period_samples must be an integer >= 8, got {period_samples!r}")

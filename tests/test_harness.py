@@ -109,11 +109,27 @@ def test_config_validation_errors():
 @pytest.mark.parametrize("field, value", [
     ("amp_1p", "500"), ("amp_2p", "150"), ("phase_1p", "0"), ("phase_2p", True),
     ("sigma_e", "1"), ("sigma_e", True), ("period_jitter", "0.1"), ("period_jitter", False),
+    ("uftipc_amplitude_deg", True), ("fault_parameter", True), ("fault_onset_s", True),
+    ("plant", {"coupling": True}), ("fault_parameter", "0.5"), ("uftipc_amplitude_deg", "1"),
+    ("plant", {"dt": "0.01"}),
 ])
 def test_disturbance_settings_must_be_real_numbers(field, value):
-    # A string or a bool is neither converted nor stored: the error names the field.
-    with pytest.raises(ConfigError, match=field):
+    # A string or a bool is neither converted nor stored: the error names the
+    # field, and a plant parameter by its name in `plant`.
+    name = f"plant {next(iter(value))}" if field == "plant" else field
+    with pytest.raises(ConfigError, match=name):
         short_cfg(**{field: value})
+
+
+def test_a_stiffness_fault_the_plant_cannot_be_rebuilt_for_is_rejected():
+    # A stiffness scale of 1e-100 leaves the faulty blade's rebuilt channel
+    # with a zero output row, so its observer cannot be placed; the config
+    # is rejected when it is built, not at the onset mid-run. 1e-10 runs.
+    fields = dict(controller="cpc", duration_s=4.0, fault_onset_s=2.0,
+                  fault_kind="blade_stiffness")
+    with pytest.raises(ConfigError, match="[Ss]ingular"):
+        short_cfg(fault_parameter=1e-100, **fields)
+    run_load_case(short_cfg(fault_parameter=1e-10, **fields))
 
 
 def test_run_length_is_bounded():

@@ -55,6 +55,26 @@ def test_every_all_name_is_used_inside_the_package():
     assert not unused, sorted(unused)
 
 
+def test_every_import_is_used():
+    # Every name a module imports is loaded somewhere in that module, so a
+    # helper left imported after its last use goes. __init__.py imports only
+    # to re-export, and a `from __future__` import sets a compiler flag.
+    src = Path(importlib.import_module("ipcsim").__file__).parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        imported, loaded = set(), set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+        unused += [(path.name, name) for name in imported - loaded]
+    assert not unused, sorted(unused)
+
+
 # The program's entry points that perfbench/tracing.py hooks by name. The
 # benchmark reports a hook whose target is gone as absent and then reads
 # zero for its counters, so renaming or removing one of these breaks the

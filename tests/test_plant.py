@@ -100,22 +100,39 @@ def test_pad_scales_faulty_entry():
 
 def test_actuator_fault_block_matches_per_sample():
     # The affine map of each fault state equals the per-sample oracle bit
-    # for bit, before the onset, at it and after it, for every fault kind;
-    # a block cut by `segments` sees one fault state per range.
+    # for bit, before the onset, at it and after it, for every fault kind.
+    # The regime walk cuts a block at the onset, gives each range the map of
+    # its fault state, and makes a stiffness switch once, on the range that
+    # starts at the onset.
     rng = np.random.default_rng(0)
     u = rng.normal(size=(12, 3))
+    healthy = build_plant()
     for kind, parameter in (("healthy", 0.0), ("pas", 1.5), ("pad", 0.3),
                             ("blade_stiffness", 0.5)):
         fault = FaultScenario(kind=kind, blade_index=2, onset_sample=7, parameter=parameter)
         for k in (0, 6, 7, 8, 11):
             assert np.array_equal(mapped(fault, u[k], k), apply_actuator_fault(u[k], fault, k))
-        cut = ((0, 7), (7, 12)) if kind != "healthy" else ((0, 12),)
-        assert fault.segments(0, 12) == cut
-        block = np.vstack([mapped(fault, u[lo:hi], lo) for lo, hi in cut])
-        assert np.array_equal(block, apply_actuator_fault(u, fault, 0))
-    # An onset on a block boundary does not cut.
-    fault = FaultScenario(kind="pas", blade_index=2, onset_sample=7, parameter=1.5)
-    assert fault.segments(7, 5) == ((0, 5),) and fault.segments(0, 7) == ((0, 7),)
+        plant, ranges, blocks, switched = build_plant(), [], [], []
+        for lo, hi, (offset, scale) in fault.regimes(plant, 0, 12):
+            assert (offset, scale) == fault.actuator_map(lo)
+            ranges.append((lo, hi))
+            blocks.append(u[lo:hi] * scale + offset)
+            switched.append(not np.array_equal(plant.a, healthy.a))
+        cut = [(0, 7), (7, 12)] if kind != "healthy" else [(0, 12)]
+        assert ranges == cut
+        assert np.array_equal(np.vstack(blocks), apply_actuator_fault(u, fault, 0))
+        stiffness = kind == "blade_stiffness"
+        assert switched == [False] + [stiffness] * (len(cut) - 1)
+        factor = np.sqrt(parameter) if stiffness else 1.0
+        assert plant.nat_freq_hz[1] == healthy.nat_freq_hz[1] * factor  # scaled once
+    # An onset on a block boundary does not cut; the switch comes with the
+    # block that starts at it.
+    fault = FaultScenario(kind="blade_stiffness", blade_index=2, onset_sample=7, parameter=0.5)
+    plant = build_plant()
+    assert [(lo, hi) for lo, hi, _ in fault.regimes(plant, 0, 7)] == [(0, 7)]
+    assert np.array_equal(plant.a, healthy.a)
+    assert [(lo, hi) for lo, hi, _ in fault.regimes(plant, 7, 5)] == [(0, 5)]
+    assert not np.array_equal(plant.a, healthy.a)
 
 
 def test_fault_validation():
@@ -331,20 +348,16 @@ def test_blade_switch_clears_the_lifted_operators():
     plant = build_plant()
     plant.advance_block(*random_block(rng, 100))
     plant.advance_block(*random_block(rng, 37))
-    healthy = plant._blade_floats()  # the fused MBC loop's float blocks
-    assert set(plant._derived) == {37, 100, "blade_floats"}
+    assert set(plant._derived) == {37, 100}
     fault = FaultScenario(kind="blade_stiffness", blade_index=3, onset_sample=5, parameter=0.2)
     _maybe_switch_blade_fault(plant, fault, 4)  # not the onset: nothing changes
-    assert set(plant._derived) == {37, 100, "blade_floats"}
+    assert set(plant._derived) == {37, 100}
     _maybe_switch_blade_fault(plant, fault, 5)
     assert plant._derived == {}
     # The next block uses the restiffened blade, not a stale operator.
     ref = copy.deepcopy(plant)
     block = random_block(rng, 100)
     assert rel_err(plant.advance_block(*block), advance_block_loop(ref, *block)) <= 1e-12
-    a_blocks = plant._blade_floats()[0]
-    assert a_blocks[2] == tuple(plant.a[2].ravel().tolist()) != healthy[0][2]
-    assert a_blocks[:2] == healthy[0][:2]
 
 
 def test_lifted_block_reports_state_overflow():
