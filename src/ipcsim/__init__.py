@@ -13,7 +13,6 @@ from .control import (
     ControllerTuning,
     ExcitationGenerator,
     RepetitiveController,
-    UnrestrictedExcitation,
     build_basis,
     project_output,
     update_theta,

@@ -40,7 +40,6 @@ __all__ = [
     "projected_blocks",
     "update_theta",
     "ExcitationGenerator",
-    "UnrestrictedExcitation",
     "ControllerTuning",
     "LOG_COLUMNS",
     "RepetitiveController",
@@ -203,7 +202,7 @@ def update_theta(theta: np.ndarray, gain: np.ndarray, y_bar: np.ndarray,
 # Excitation
 # ---------------------------------------------------------------------------
 
-_BIT_BLOCK = 64  # rotations of excitation bits drawn per rng call
+_BIT_BLOCK = 64  # bits of each channel drawn per rng call
 EXCITATION_POLE = 0.8  # one-pole filter of the restricted excitation, per rotation
 # Broadband uftipc excitation: low-pass cutoff and bit hold time.
 UFTIPC_CUTOFF_HZ = 1.0
@@ -211,86 +210,65 @@ UFTIPC_BIT_TIME_S = 1.0
 
 
 class ExcitationGenerator:
-    """Filtered pseudo-random binary excitation in coefficient space.
+    """Filtered pseudo-random binary excitation, one rotation at a time.
 
-    One independent +-1 stream per coefficient (N_COEFF distinct child
-    seeds), smoothed across rotations by a one-pole filter at
-    EXCITATION_POLE so the per-rotation modulation stays slow and the
-    commanded spectrum stays near 1P/2P. The filter output of a +-1 input is bounded by 1, so
-    |eta| <= amplitude holds elementwise by construction. The stream is
-    sequential: rotations are sampled in order from 0.
+    One independent +-1 stream per channel (distinct child seeds of `seed`),
+    each bit held for `hold` steps counted from step 0 of the run and
+    smoothed by the one-pole filter z = pole z + (1 - pole) bit. Rounding is
+    monotone, so |z| <= 1 and |eta| <= amplitude hold exactly. The defaults
+    are the restricted excitation: one step per rotation in the N_COEFF
+    basis coefficients, slow enough that the commanded spectrum stays near
+    1P/2P. `broadband` builds the uftipc pitch noise. Rotations are sampled
+    in order from 0.
     """
 
-    def __init__(self, amplitude: float, seed: int):
+    def __init__(self, amplitude: float, seed, channels: int = N_COEFF, steps: int = 1,
+                 hold: int = 1, pole: float = EXCITATION_POLE):
         if amplitude < 0.0:
             raise ValueError("amplitude must be non-negative")
-        self.amplitude = amplitude
+        self.amplitude, self.steps, self.hold, self.pole = amplitude, steps, hold, pole
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(seed)
-        self._rngs = [np.random.default_rng(s) for s in seed.spawn(N_COEFF)]
-        self._z = np.zeros(N_COEFF)  # filter output of the last sampled rotation
-        self._bits = None  # (_BIT_BLOCK, N_COEFF), drawn at each block's first rotation
+        self._rngs = [np.random.default_rng(s) for s in seed.spawn(channels)]
+        self._z = [0.0] * channels  # filter output of the last sampled step
+        self._bits = None  # per channel, _BIT_BLOCK bits drawn at the block's first step
         self._next_j = 0
 
+    @classmethod
+    def broadband(cls, amplitude: float, seed, dt: float, period: int) -> ExcitationGenerator:
+        """uftipc per-sample pitch noise on the three blades: bits held for
+        UFTIPC_BIT_TIME_S, low-pass filtered at UFTIPC_CUTOFF_HZ."""
+        return cls(amplitude, seed, channels=N_BLADES, steps=period,
+                   hold=max(1, round(UFTIPC_BIT_TIME_S / dt)),
+                   pole=float(np.exp(-2.0 * np.pi * UFTIPC_CUTOFF_HZ * dt)))
+
     def sample(self, j: int) -> np.ndarray:
-        """Excitation vector for rotation j, which must be the next one."""
+        """(steps, channels) excitation of rotation j, which must be the next one."""
         if j != self._next_j:
             raise ValueError(f"excitation stream is sequential: expected j={self._next_j}")
-        row = j % _BIT_BLOCK
-        if row == 0:
-            # Drawing a stream in blocks gives the same bits as drawing it
-            # one rotation at a time.
-            self._bits = np.column_stack([2.0 * rng.integers(0, 2, size=_BIT_BLOCK) - 1.0
-                                          for rng in self._rngs])
-        a = EXCITATION_POLE
-        self._z = a * self._z + (1.0 - a) * self._bits[row]
         self._next_j += 1
-        return self.amplitude * self._z
-
-
-class UnrestrictedExcitation:
-    """Broadband per-sample pitch noise for the uFTIPC comparison mode.
-
-    A +-1 PRBS held for UFTIPC_BIT_TIME_S, low-pass filtered at
-    UFTIPC_CUTOFF_HZ and scaled to the amplitude cap; added directly to the
-    commanded pitch, bypassing the basis projection. Each blade's bit is
-    redrawn from its own generator at every multiple of bit_samples.
-    """
-
-    def __init__(self, amplitude_deg: float, seed: int, dt: float):
-        self.amplitude = amplitude_deg
-        self.bit_samples = max(1, int(round(UFTIPC_BIT_TIME_S / dt)))
-        self._alpha = float(np.exp(-2.0 * np.pi * UFTIPC_CUTOFF_HZ * dt))
-        if not isinstance(seed, np.random.SeedSequence):
-            seed = np.random.SeedSequence(seed)
-        seqs = seed.spawn(N_BLADES)
-        self._rngs = [np.random.default_rng(s) for s in seqs]
-        self._z = (0.0,) * N_BLADES
-        self._bits = (0.0,) * N_BLADES
-        self._next_k = 0
-
-    def block(self, k: int, n: int) -> np.ndarray:
-        if k != self._next_k:
-            raise ValueError(f"noise stream is sequential: expected k={self._next_k}")
-        self._next_k += n
-        if self.amplitude == 0.0:
-            return np.zeros((n, N_BLADES))
-        a = self._alpha
-        z0, z1, z2 = self._z
-        out = []
-        t = 0
-        while t < n:  # one stretch of held bits at a time
-            phase = (k + t) % self.bit_samples
-            if phase == 0:
-                self._bits = tuple(2.0 * float(r.integers(0, 2)) - 1.0 for r in self._rngs)
-            # (1 - a) * bit is the same product every sample of the stretch.
-            w0, w1, w2 = ((1.0 - a) * bit for bit in self._bits)
-            for _ in range(min(n - t, self.bit_samples - phase)):
-                z0, z1, z2 = a * z0 + w0, a * z1 + w1, a * z2 + w2
-                out += z0, z1, z2
-            t += self.bit_samples - phase
-        self._z = (z0, z1, z2)
-        return self.amplitude * np.clip(np.array(out).reshape(n, N_BLADES), -1.0, 1.0)
+        a, hold = self.pole, self.hold
+        out = np.empty((self.steps, len(self._z)))
+        k0, t = j * self.steps, 0
+        while t < self.steps:  # one stretch of held bits at a time
+            bit, phase = divmod(k0 + t, hold)
+            row = bit % _BIT_BLOCK
+            if row == 0 and phase == 0:
+                # Drawing a stream in blocks gives the same bits as drawing
+                # it one bit at a time.
+                self._bits = [(2 * rng.integers(0, 2, size=_BIT_BLOCK) - 1).tolist()
+                              for rng in self._rngs]
+            n = min(self.steps - t, hold - phase)
+            for c, z in enumerate(self._z):
+                w = (1.0 - a) * self._bits[c][row]
+                col = []
+                for _ in range(n):
+                    z = a * z + w
+                    col.append(z)
+                out[t:t + n, c] = col
+                self._z[c] = z
+            t += n
+        return self.amplitude * out
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +328,7 @@ class RepetitiveController:
     """
 
     def __init__(self, p: int, period: int, tuning: ControllerTuning, seed: int,
-                 unrestricted: UnrestrictedExcitation | None = None):
+                 broadband: ExcitationGenerator | None = None):
         self.p = p
         self.period = period
         self.tuning = tuning
@@ -358,7 +336,7 @@ class RepetitiveController:
         self._shifts = shifted_bases(self.basis.u_f, p)
         self.engine = IdentificationEngine(p, period, lam=tuning.forgetting)
         self.excitation = ExcitationGenerator(tuning.excitation_amplitude, seed)
-        self.unrestricted = unrestricted
+        self.broadband = broadband
         q = np.diag([tuning.q_y] * N_HARM + [tuning.q_dtheta] * N_HARM + [tuning.q_dy] * N_HARM)
         self.q = np.broadcast_to(q, (N_BLADES,) + q.shape)
         self.r = np.broadcast_to(tuning.r_scale * np.eye(N_HARM), (N_BLADES, N_HARM, N_HARM))
@@ -380,11 +358,10 @@ class RepetitiveController:
 
     def rotation_commands(self, j: int) -> np.ndarray:
         """(P, 3) commanded pitch for rotation j from the current theta."""
-        if self.unrestricted is None:
-            coeffs = self.theta + self.excitation.sample(j)
-            return rotation_commands(self.basis, coeffs)
+        if self.broadband is None:
+            return rotation_commands(self.basis, self.theta + self.excitation.sample(j)[0])
         u = rotation_commands(self.basis, self.theta)
-        u += self.unrestricted.block(j * self.period, self.period)
+        u += self.broadband.sample(j)
         return u
 
     def finish_rotation(self, j: int, u_hist: np.ndarray, y_hist: np.ndarray) -> None:

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .baselines import MbcIpcState, mbc_ipc_rotation
-from .control import LOG_COLUMNS, ControllerTuning, RepetitiveController, UnrestrictedExcitation
+from .control import LOG_COLUMNS, ControllerTuning, ExcitationGenerator, RepetitiveController
 from .metrics import DEFAULT_RATE_LIMIT_DEG_S, adc, band_energy_ratio, metric_windows, rsd
 from .numerics import _is_int, _real, welch_psd
 from .plant import DisturbanceModel, FaultScenario, azimuth, build_plant
@@ -94,8 +94,11 @@ class LoadCaseConfig:
             raise ConfigError(str(exc)) from exc
 
     def _validate(self) -> None:
-        if not self.id:
-            raise ConfigError("load case id must be non-empty")
+        # The id names the run's directory under the campaign's output.
+        if (not isinstance(self.id, str) or self.id in ("", ".", "..")
+                or any(c in self.id for c in "/\\\0")):
+            raise ConfigError(f"load case id must be a non-empty string that names one "
+                              f"directory, got {self.id!r}")
         if self.controller not in CONTROLLERS:
             raise ConfigError(
                 f"unknown controller {self.controller!r}; choose from {CONTROLLERS}"
@@ -108,6 +111,8 @@ class LoadCaseConfig:
             _real(name, getattr(self, name))
         if not 0.0 < self.fault_onset_s < self.duration_s:
             raise ConfigError("the fault onset must lie strictly inside the run")
+        if not isinstance(self.group, str):
+            raise ConfigError(f"group must be a string, got {self.group!r}")
         if not self.group:
             self.group = self.id
         # Validate the nested sub-configurations eagerly so campaign setup fails fast.
@@ -138,6 +143,8 @@ class LoadCaseConfig:
             if round(t1 / plant.dt) - round(t0 / plant.dt) < 4:
                 raise ConfigError(f"the {which} metric window [{t0:g}, {t1:g}] s is shorter "
                                   f"than 4 samples; lengthen the run or move the fault onset")
+        # A config that runs must also save: no numpy scalar, nothing non-finite.
+        json.dumps(self.to_dict(), allow_nan=False)
 
     def make_disturbance(self, seed, period: int) -> DisturbanceModel:
         return DisturbanceModel(
@@ -262,12 +269,10 @@ def run_load_case(cfg: LoadCaseConfig) -> RunResult:
     controller = None
     mbc_state = None
     if cfg.controller in ("ftipc", "uftipc"):
-        unrestricted = None
-        if cfg.controller == "uftipc":
-            unrestricted = UnrestrictedExcitation(cfg.uftipc_amplitude_deg, seeds[2], dt)
-        controller = RepetitiveController(
-            cfg.predictor_window, period, tuning, seeds[1], unrestricted=unrestricted,
-        )
+        broadband = (ExcitationGenerator.broadband(cfg.uftipc_amplitude_deg, seeds[2], dt, period)
+                     if cfg.controller == "uftipc" else None)
+        controller = RepetitiveController(cfg.predictor_window, period, tuning, seeds[1],
+                                          broadband=broadband)
     elif cfg.controller == "mbc_ipc":
         mbc_state = MbcIpcState(authority_deg=tuning.theta_cap_deg)
 

@@ -77,7 +77,7 @@ class FaultScenario:
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; choose from {FAULT_KINDS}")
-        if isinstance(self.blade_index, bool) or self.blade_index not in (1, 2, 3):
+        if not _is_int(self.blade_index) or self.blade_index not in (1, 2, 3):
             raise ValueError("blade_index must be 1, 2 or 3 (exactly one faulty blade)")
         _real("fault parameter", self.parameter)
         if self.kind == "pad" and not (0.0 < self.parameter <= 1.0):

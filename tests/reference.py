@@ -7,8 +7,8 @@ identification steps, the RLS fold on the estimate and R as two arrays
 (`apply_actuator_fault`), a one-sample plant step, the plant block advanced one
 sample at a time (`advance_block_loop`), the jittered periodic disturbance
 stepped one sample at a time (`jittered_periodic_block_loop`), the uftipc
-broadband excitation filtered one sample at a time
-(`unrestricted_block_loop`), the Coleman transform pair (`coleman_forward`,
+broadband excitation drawn and filtered one sample at a time from its seed
+(`broadband_loop`), the Coleman transform pair (`coleman_forward`,
 `coleman_inverse`) and one sample of MBC-IPC.
 The package folds a whole rotation at once (`IdentificationEngine.ingest`,
 `SurrogatePlant.advance_block`, `ipcsim.baselines.mbc_ipc_rotation`); these
@@ -47,7 +47,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ipcsim.baselines import KI, KP, LEAK, MbcIpcState
-from ipcsim.control import BasisProjection, RepetitiveController, project_output
+from ipcsim.control import (
+    UFTIPC_BIT_TIME_S,
+    UFTIPC_CUTOFF_HZ,
+    BasisProjection,
+    RepetitiveController,
+    project_output,
+)
 from ipcsim.numerics import DareNonConvergence, DareSolution, RlsState, pinv, rls_update_batch
 from ipcsim.plant import BLADE_OFFSETS, N_BLADES, FaultScenario, _maybe_switch_blade_fault
 
@@ -217,29 +223,27 @@ def jittered_periodic_block_loop(dist, k: int, n: int) -> np.ndarray:
             + dist.amp_2p * np.sin(2.0 * ph + dist.phase_2p + 2.0 * BLADE_OFFSETS))
 
 
-def unrestricted_block_loop(noise, k: int, n: int) -> np.ndarray:
-    """Broadband excitation filtered one sample at a time on numpy rows.
+def broadband_loop(amplitude: float, seed: int, dt: float, n: int) -> np.ndarray:
+    """The uftipc broadband excitation built from the seed alone, one sample
+    at a time on numpy rows.
 
-    Sample-by-sample twin of `UnrestrictedExcitation.block`, which runs the
-    filter over plain floats one stretch of held bits at a time. Reads and
-    advances the generator's filter state, bits and bit streams, so it
-    continues (and can be continued by) the package's blocks.
+    Twin of `ExcitationGenerator.broadband`, which draws its bits in blocks
+    and filters plain floats one stretch of held bits at a time: three child
+    streams of `seed`, one scalar `integers(0, 2)` draw per stream at every
+    multiple of the bit hold, the one-pole filter, and a clip to +-1 before
+    scaling. Returns the first n samples of the run as an (n, 3) array.
     """
-    if k != noise._next_k:
-        raise ValueError(f"noise stream is sequential: expected k={noise._next_k}")
-    noise._next_k += n
-    if noise.amplitude == 0.0:
-        return np.zeros((n, N_BLADES))
+    hold = max(1, round(UFTIPC_BIT_TIME_S / dt))
+    a = float(np.exp(-2.0 * np.pi * UFTIPC_CUTOFF_HZ * dt))
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(N_BLADES)]
     out = np.empty((n, N_BLADES))
-    a = noise._alpha
-    z, bits = np.array(noise._z), np.array(noise._bits)
-    for t in range(n):
-        if (k + t) % noise.bit_samples == 0:
-            bits = np.array([2.0 * r.integers(0, 2) - 1.0 for r in noise._rngs])
+    z = np.zeros(N_BLADES)
+    for k in range(n):
+        if k % hold == 0:
+            bits = np.array([2.0 * r.integers(0, 2) - 1.0 for r in rngs])
         z = a * z + (1.0 - a) * bits
-        out[t] = z
-    noise._z, noise._bits = tuple(z.tolist()), tuple(bits.tolist())
-    return noise.amplitude * np.clip(out, -1.0, 1.0)
+        out[k] = z
+    return amplitude * np.clip(out, -1.0, 1.0)
 
 
 def apply_actuator_fault(u_cmd: np.ndarray, fault: FaultScenario, k) -> np.ndarray:

@@ -3,7 +3,8 @@ awkward value, 200 times.
 
 Every case must end in one of three ways: a `ConfigError` when the config
 is built; a finished run whose metrics are all finite (a `band_ratio_u` of
-None, a constant command, counts as finite); or a `RuntimeError` that the
+None, a constant command, counts as finite) and recompute from its saved
+files; or a `RuntimeError` that the
 campaign runner reports as a failed run. Anything else is a program fault.
 """
 
@@ -16,7 +17,14 @@ import numpy as np
 import pytest
 
 from ipcsim.control import ControllerTuning
-from ipcsim.harness import CONTROLLERS, ConfigError, LoadCaseConfig, run_campaign, run_load_case
+from ipcsim.harness import (
+    CONTROLLERS,
+    ConfigError,
+    LoadCaseConfig,
+    recompute_metrics,
+    run_campaign,
+    run_load_case,
+)
 from ipcsim.plant import build_plant
 
 N_CASES = 200
@@ -63,10 +71,10 @@ def metrics_are_finite(metrics: dict) -> bool:
                for v in blade.values())
 
 
-def test_fuzzed_configs_end_in_one_of_three_ways():
+def test_fuzzed_configs_end_in_one_of_three_ways(tmp_path):
     outcomes = {"config_error": 0, "finished": 0, "failed_run": 0}
     faults = []
-    for name, value, case in fuzzed_cases(2024, N_CASES):
+    for i, (name, value, case) in enumerate(fuzzed_cases(2024, N_CASES)):
         try:
             cfg = LoadCaseConfig.from_dict(case)
         except ConfigError:
@@ -87,6 +95,13 @@ def test_fuzzed_configs_end_in_one_of_three_ways():
         else:
             if not metrics_are_finite(result.metrics):
                 faults.append(f"{name}={value!r}: finished with non-finite metrics")
+            # A finished run saves, and its metrics recompute from the files.
+            try:
+                result.save(tmp_path / str(i))
+                if recompute_metrics(tmp_path / str(i) / cfg.id) != result.metrics:
+                    faults.append(f"{name}={value!r}: saved metrics do not recompute")
+            except Exception as exc:
+                faults.append(f"{name}={value!r}: saving raised {type(exc).__name__}: {exc}")
             outcomes["finished"] += 1
     assert not faults, faults
     # The seed reaches all three endings.

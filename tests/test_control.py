@@ -10,7 +10,6 @@ from ipcsim.control import (
     ControllerTuning,
     ExcitationGenerator,
     RepetitiveController,
-    UnrestrictedExcitation,
     build_basis,
     project_output,
     projected_blocks,
@@ -30,6 +29,7 @@ from reference import (
     AllocatingController,
     assemble_lifted,
     bar_matrices,
+    broadband_loop,
     markov_blocks,
     markov_blocks_from_xi,
     markov_oracle,
@@ -41,7 +41,6 @@ from reference import (
     scatter_blades,
     spectral_radius,
     step,
-    unrestricted_block_loop,
 )
 
 P, WINDOW = 100, 21
@@ -497,15 +496,18 @@ def test_update_theta_per_blade_gain_acts_as_scattered_gain():
 # ---------------------------------------------------------------------------
 
 def test_excitation_amplitude_cap():
+    # The filter keeps |z| <= 1 exactly, so no margin is needed.
     gen = ExcitationGenerator(amplitude=0.1, seed=5)
     for j in range(500):
-        assert np.all(np.abs(gen.sample(j)) <= 0.1 + 1e-15)
+        row = gen.sample(j)
+        assert row.shape == (1, 12)
+        assert np.all(np.abs(row) <= 0.1)
 
 
 def test_excitation_streams_uncorrelated():
     # Inverting the one-pole filter recovers each stream's +-1 bits.
     gen = ExcitationGenerator(amplitude=1.0, seed=7)
-    z = np.array([gen.sample(j) for j in range(10000)])
+    z = np.array([gen.sample(j)[0] for j in range(10000)])
     bits = (z - EXCITATION_POLE * np.vstack([np.zeros(12), z[:-1]])) / (1.0 - EXCITATION_POLE)
     assert np.allclose(np.abs(bits), 1.0, rtol=0.0, atol=1e-9)
     corr = np.corrcoef(bits.T)
@@ -516,15 +518,15 @@ def test_excitation_streams_uncorrelated():
 def test_excitation_deterministic_per_seed():
     a = ExcitationGenerator(amplitude=0.1, seed=9)
     b = ExcitationGenerator(amplitude=0.1, seed=9)
-    drawn = [a.sample(j) for j in range(2000)]
-    assert all(np.array_equal(b.sample(j), drawn[j]) for j in range(2000))
+    drawn = [a.sample(j)[0] for j in range(2000)]
+    assert all(np.array_equal(b.sample(j)[0], drawn[j]) for j in range(2000))
     c = ExcitationGenerator(amplitude=0.1, seed=10)
-    assert not np.array_equal(drawn[0], c.sample(0))
+    assert not np.array_equal(drawn[0], c.sample(0)[0])
     # The stream is sequential: a rotation out of order is refused.
     for j in (2, 0, -1):
         with pytest.raises(ValueError, match="sequential"):
             c.sample(j)
-    assert c.sample(1).shape == (12,)
+    assert c.sample(1).shape == (1, 12)
     # The bits are drawn a block of rotations ahead; across two block
     # boundaries the values equal one draw per stream and rotation.
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(9).spawn(12)]
@@ -543,16 +545,17 @@ def test_restricted_command_spectrum_concentrates_at_1p_2p():
     theta = np.zeros(12)
     theta[0], theta[7] = 0.5, 0.3
     n_rot = 200
-    u = np.vstack([rotation_commands(basis, theta + gen.sample(j)) for j in range(n_rot)])
+    u = np.vstack([rotation_commands(basis, theta + gen.sample(j)[0]) for j in range(n_rot)])
     psd = welch_psd(u[:, 0], fs=100.0, segment_length=2000)
     ratio = band_energy_ratio(psd, [[0.9, 1.1], [1.8, 2.2]])
     assert ratio >= 0.99
 
 
 def test_unrestricted_mode_is_broadband_and_capped():
-    noise = UnrestrictedExcitation(0.25, seed=1, dt=0.01)
-    block = noise.block(0, 40000)
-    assert np.max(np.abs(block)) <= 0.25 + 1e-12
+    noise = ExcitationGenerator.broadband(0.25, seed=1, dt=0.01, period=P)
+    block = np.vstack([noise.sample(j) for j in range(400)])
+    assert block.shape == (40000, 3)
+    assert np.max(np.abs(block)) <= 0.25
     psd = welch_psd(block[:, 0], fs=100.0, segment_length=2000)
     ratio = band_energy_ratio(psd, [[0.9, 1.1], [1.8, 2.2]])
     assert 1.0 - ratio >= 0.30  # at least 30% of energy outside 1P/2P bands
@@ -560,23 +563,26 @@ def test_unrestricted_mode_is_broadband_and_capped():
 
 @pytest.mark.parametrize("amplitude", [0.25, 0.0])
 def test_unrestricted_block_matches_sample_loop(amplitude):
-    fast, slow = (UnrestrictedExcitation(amplitude, seed=3, dt=0.01) for _ in range(2))
-    assert fast.bit_samples == 100
-    k = 0
-    # Blocks of one sample (on a bit boundary at k = 0, 100 and 200), blocks
-    # that start mid-bit and end on a boundary (at k = 100 and 200) or
-    # mid-bit, and blocks from mid-bit across several bit boundaries.
-    for n in (1, 1, 98, 1, 1, 37, 61, 1, 250, 37, 437, 76):
-        got, want = fast.block(k, n), unrestricted_block_loop(slow, k, n)
-        assert got.shape == (n, 3)
-        assert np.array_equal(got, want), (k, n)
-        k += n
-    assert fast._z == slow._z and fast._bits == slow._bits
+    # The broadband rotations equal the oracle drawn from the seed alone.
+    # The 100-sample bit hold starts and ends on rotation boundaries at
+    # P = 100, and mid-rotation at P = 80 and 150. 7000 samples reach past
+    # the first 64 bits of each stream, where the next block is drawn.
+    for period in (100, 80, 150):
+        noise = ExcitationGenerator.broadband(amplitude, seed=3, dt=0.01, period=period)
+        assert noise.hold == 100
+        n_rot = -(-7000 // period)
+        got = np.vstack([noise.sample(j) for j in range(n_rot)])
+        want = broadband_loop(amplitude, 3, 0.01, n_rot * period)
+        assert got.shape == want.shape == (n_rot * period, 3)
+        assert np.array_equal(got, want), period
+        assert np.all(np.abs(got) <= amplitude)
+        with pytest.raises(ValueError, match="sequential"):
+            noise.sample(0)
 
 
 def test_unrestricted_zero_amplitude_is_exact_zero():
-    noise = UnrestrictedExcitation(0.0, seed=1, dt=0.01)
-    assert np.all(noise.block(0, 1000) == 0.0)
+    noise = ExcitationGenerator.broadband(0.0, seed=1, dt=0.01, period=P)
+    assert all(np.all(noise.sample(j) == 0.0) for j in range(10))
 
 
 def test_output_projection_scale_equivariance():

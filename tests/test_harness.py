@@ -121,6 +121,41 @@ def test_disturbance_settings_must_be_real_numbers(field, value):
         short_cfg(**{field: value})
 
 
+@pytest.mark.parametrize("kind", ["healthy", "pas", "pad", "blade_stiffness"])
+def test_the_faulty_blade_is_an_integer(kind):
+    # 3.0 equals 3 but cannot index a blade: rejected for every fault kind.
+    with pytest.raises(ConfigError, match="blade_index"):
+        short_cfg(fault_kind=kind, fault_blade=3.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("id", 5), ("id", "../escaped"), ("id", "a/b"), ("id", "a\\b"), ("id", "a\0b"),
+    ("id", "."), ("id", ".."), ("group", 7), ("group", None),
+])
+def test_a_load_case_id_names_one_directory(field, value):
+    # The id is the run's directory under --out, and both are strings.
+    with pytest.raises(ConfigError, match=field):
+        short_cfg(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", np.int64(1)), ("fault_blade", np.int64(3)), ("predictor_window", np.int64(21)),
+    ("plant", {"period_samples": np.int64(100)}), ("tuning", {"warmup_rotations": np.int64(8)}),
+    ("sigma_e", np.float32(10.0)),
+])
+def test_a_config_that_cannot_be_saved_is_rejected(field, value):
+    # These values run, but `config.json` could not be written after the run.
+    with pytest.raises(ConfigError, match="JSON serializable"):
+        short_cfg(**{field: value})
+
+
+def test_a_dotted_id_and_a_float64_setting_still_build():
+    # A dotted id is still one directory. np.float64 is a float and saves as
+    # one; the checks convert nothing.
+    cfg = short_cfg(id="..LC01.v2", sigma_e=np.float64(10.0))
+    assert cfg.id == "..LC01.v2" and type(cfg.sigma_e) is np.float64
+
+
 def test_a_stiffness_fault_the_plant_cannot_be_rebuilt_for_is_rejected():
     # A stiffness scale of 1e-100 leaves the faulty blade's rebuilt channel
     # with a zero output row, so its observer cannot be placed; the config

@@ -144,6 +144,9 @@ def test_fault_validation():
         FaultScenario(kind="nope")
     with pytest.raises(ValueError):
         FaultScenario(blade_index=4)
+    for blade in (3.0, True, "3"):
+        with pytest.raises(ValueError, match="blade_index"):
+            FaultScenario(blade_index=blade)
 
 
 # ---------------------------------------------------------------------------
