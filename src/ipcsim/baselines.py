@@ -13,12 +13,12 @@ are invisible to it, which is exactly the mechanism that degrades it in the
 faulty scenarios (the stuck/derated blade contaminates the transform).
 
 MBC-IPC feeds back every sample, but between clamp events its loop is
-linear and periodic in the rotation: `mbc_ipc_rotation` walks the
-rotation's fault regimes (`FaultScenario.regimes`), lifts a regime that
-spans the whole rotation (`_rotation_operator`, one operator per fault
-state), and runs a regime in which a clamp would act, or one of the two
-that a fault onset cuts the rotation into, as one loop over plain floats
-(`_loop_rotation`) from the same state and draws.
+linear and periodic in the rotation: `mbc_ipc_span` walks a run's fault
+regimes (`FaultScenario.regimes`) and lifts a regime's whole rotations in
+chunks (`_lifted_chunk`, one operator per fault state from
+`_rotation_operator`). A rotation in which a clamp would act, or one of
+the two that a fault onset cuts a rotation into, runs as one loop over
+plain floats (`_loop_rotation`) from the same state and draws.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .plant import BLADE_OFFSETS, N_BLADES, azimuth
 
 __all__ = [
     "MbcIpcState",
-    "mbc_ipc_rotation",
+    "mbc_ipc_span",
 ]
 
 # Tilt/yaw leaky-PI gains, frozen across scenarios: tuned once on the
@@ -42,6 +42,9 @@ KI = 6.0e-4
 LEAK = 0.05
 # Samples per block of the lifted rotation (`_rotation_operator`).
 _LIFT_BLOCK = 10
+# Most rotations lifted at once: at P = 100 a chunk's transient arrays stay
+# near 1 MB (`_lifted_chunk`).
+_CHUNK = 32
 
 
 @dataclass
@@ -72,26 +75,48 @@ def _coleman_rows(period: int) -> tuple:
     return np.cos(angles), np.sin(angles)
 
 
-def mbc_ipc_rotation(state: MbcIpcState, plant, fault, dist, k0: int,
-                     u_cmd: np.ndarray, y: np.ndarray) -> None:
-    """Run MBC-IPC in closed loop with the plant for the rotation starting at k0.
+def mbc_ipc_span(state: MbcIpcState, plant, fault, dist, k0: int, n: int,
+                 u_cmd: np.ndarray, y: np.ndarray) -> None:
+    """Run MBC-IPC in closed loop with the plant over samples k0 .. k0 + n - 1.
 
     Per sample: Coleman forward of the previous load row (y[k0 - 1], zero at
     k0 = 0), the leaky tilt/yaw PI with anti-windup, Coleman inverse, the
     clamp at the pitch authority, the actuator fault map, then one step of
-    the innovation-form plant. The azimuth of sample k0 + s is
-    2 pi (s + 1) / P. Writes rows k0 .. k0 + P - 1 of u_cmd
-    (the commanded pitch) and y, and advances `state`, `plant` and `dist`.
+    the innovation-form plant. The azimuth of sample k is 2 pi (k % P + 1) / P,
+    P being the rotor period in samples.
+    Writes rows k0 .. k0 + n - 1 of u_cmd (the commanded pitch) and y, and
+    advances `state`, `plant` and `dist`.
 
-    A rotation in one fault state in which no clamp acts is lifted; any
-    other fault regime runs as a loop. Raises ValueError on a non-finite
-    command and FloatingPointError when the plant state is non-finite.
+    Each fault regime's whole rotations are lifted in chunks of up to _CHUNK
+    rotations, drawn at once. A chunk keeps its longest prefix in which no
+    clamp acts; its next rotation runs as a loop from the same state and
+    draws, and lifting resumes with one rotation, doubling per fully lifted
+    chunk. A rotation that an onset splits runs as a loop per regime. Raises
+    ValueError on a non-finite command and FloatingPointError when the plant
+    state is non-finite.
     """
     period = plant.period_samples
-    d, e = dist.periodic_block(k0, period), dist.innovation_block(k0, period)
-    for lo, hi, amap in fault.regimes(plant, k0, period):
-        if hi - lo < period or not _lifted_rotation(state, plant, amap, d, e, k0, u_cmd, y):
-            _loop_rotation(state, plant, amap, d, e, k0, lo, hi, u_cmd, y)
+    for lo, hi, amap in fault.regimes(plant, k0, n):
+        k, end, size = k0 + lo, k0 + hi, _CHUNK
+        while k < end:
+            if k % period or end - k < period:  # part of a rotation, cut by the onset
+                stop = min(end, k - k % period + period)
+                _loop_rotation(state, plant, amap, dist.periodic_block(k, stop - k),
+                               dist.innovation_block(k, stop - k), k, u_cmd, y)
+                k = stop
+                continue
+            drawn = min(size, (end - k) // period) * period
+            d, e = dist.periodic_block(k, drawn), dist.innovation_block(k, drawn)
+            while len(d):  # the drawn rotations, lifted or, where a clamp acts, looped
+                m = min(size * period, len(d))
+                done = _lifted_chunk(state, plant, amap, d[:m], e[:m], k, u_cmd, y) * period
+                if done == m:
+                    size = min(2 * size, _CHUNK)
+                else:  # the rotation from k + done clamps: the loop runs it
+                    rows = slice(done, done + period)
+                    _loop_rotation(state, plant, amap, d[rows], e[rows], k + done, u_cmd, y)
+                    size, done = 1, done + period
+                k, d, e = k + done, d[done:], e[done:]
 
 
 def _rotation_operator(plant, amap: tuple) -> tuple:
@@ -99,7 +124,7 @@ def _rotation_operator(plant, amap: tuple) -> tuple:
     actuator map amap = (offset, scale), lifted over blocks of N = _LIFT_BLOCK
     samples (Bittanti & Colaneri, Periodic Systems, 2009). State z = [x (6),
     tilt_int, yaw_int, previous load row (3)], per-sample input v = [g .* d + e
-    (3), e (3), 1] and output [u (3), y (3), the updated integrators]. With V_b
+    (3), e (3), 1] and output [u (3), the updated integrators, y (3)]. With V_b
     block b's inputs (zero past the rotation's end), `forced` (nb, 11, 7 N) gives
     its forced response f_b, `states` maps [z0; f] to z at each block start and
     at the end, and `blocks` (nb, 8 N, 11 + 7 N) maps [z_b; V_b] to its outputs.
@@ -113,14 +138,14 @@ def _rotation_operator(plant, amap: tuple) -> tuple:
     psi, dlt = np.zeros((nb * n, 8, 11)), np.zeros((8, 7))
     psi[:period, :3, 6:8] = decay * to_blades
     psi[:period, :3, 8:] = (KP + gain) * to_blades @ to_fixed
-    psi[:, 3:6, :6] = np.einsum("ij,il->ijl", eye3, plant.c).reshape(3, 6)
-    psi[:, 6:, 6:8] = decay * np.eye(2)
-    psi[:period, 6:, 8:] = gain * to_fixed
-    dlt[3:6, :3] = eye3
+    psi[:, 3:5, 6:8] = decay * np.eye(2)
+    psi[:period, 3:5, 8:] = gain * to_fixed
+    psi[:, 5:, :6] = np.einsum("ij,il->ijl", eye3, plant.c).reshape(3, 6)
+    dlt[5:, :3] = eye3
     # z' = phi z + gam v: x' = A x + B (scale .* u + offset) + L e; padded steps keep z.
     route = np.zeros((11, 8))
     route[:6, :3] = plant.b.reshape(6, 3) * scale
-    route[6:, 3:] = np.eye(5)[[3, 4, 0, 1, 2]]
+    route[6:, 3:] = np.eye(5)
     phi, gam = route @ psi, route @ dlt
     phi[:, :6, :6] += np.einsum("ij,ikl->ikjl", eye3, plant.a).reshape(6, 6)
     phi[period:] = np.eye(11)
@@ -144,39 +169,58 @@ def _rotation_operator(plant, amap: tuple) -> tuple:
     return step[:, :, 11:], states.reshape(-1, 11 * nb + 11), blocks.reshape(nb, 8 * n, -1)
 
 
-def _lifted_rotation(state, plant, amap, d, e, k0, u_cmd, y) -> bool:
-    """Advance one rotation in one fault state by the lifted loop. Returns
-    False, writing nothing, if a clamp would act (a command or integrator
-    beyond the authority) or a value is non-finite, then the loop runs it."""
-    period, bound = plant.period_samples, state.authority_deg
-    y_prev = y[k0 - 1] if k0 else np.zeros(N_BLADES)
-    z0 = np.concatenate([plant.x, (state.tilt_int, state.yaw_int), y_prev])
+def _lifted_chunk(state, plant, amap, d, e, k, u_cmd, y) -> int:
+    """Advance whole rotations from sample k in one fault state by the lifted
+    loop, from their draws d and e. Returns how many it ran: the rotations
+    before the first in which a clamp would act (a command or integrator
+    beyond the authority) or a value is non-finite. State and rows are left
+    at the start of that rotation."""
+    period, bound, n = plant.period_samples, state.authority_deg, _LIFT_BLOCK
+    m = len(d) // period
+    z = np.concatenate([plant.x, (state.tilt_int, state.yaw_int),
+                        y[k - 1] if k else np.zeros(N_BLADES)])
     with np.errstate(over="ignore", invalid="ignore"):  # an extreme plant overflows the operator
         cached = plant._derived.get("mbc_rotation")  # one per plant, keyed by amap
         if cached is None or cached[0] != amap:
             cached = plant._derived["mbc_rotation"] = amap, _rotation_operator(plant, amap)
         forced, states, blocks = cached[1]
         nb = blocks.shape[0]
-        v = np.zeros((nb * _LIFT_BLOCK, 7))
-        v[:period] = np.concatenate([plant.dist_gain * d + e, e, np.ones((period, 1))], axis=1)
-        v = v.reshape(nb, -1)  # V_b, block by block
-        f = (forced @ v[:, :, None]).reshape(-1)
-        z = (states @ np.concatenate([z0, f])).reshape(-1, 11)
-        out = blocks @ np.concatenate([z[:nb], v], axis=1)[:, :, None]
-        out = out.reshape(-1, 8)[:period]
-        if not (np.abs(out[:, :3]).max() <= bound and np.abs(out[:, 6:]).max() <= bound
-                and np.isfinite(out).all() and np.isfinite(z[nb]).all()):
-            return False
-    u_cmd[k0:k0 + period], y[k0:k0 + period] = out[:, :3], out[:, 3:6]
-    state.tilt_int, state.yaw_int = float(z[nb, 6]), float(z[nb, 7])
-    plant.x = z[nb, :6].copy()
-    return True
+        v = np.zeros((m, nb * n, 7))  # each rotation's V_b, block by block
+        v[:, :period, :3] = (plant.dist_gain * d + e).reshape(m, period, N_BLADES)
+        v[:, :period, 3:6] = e.reshape(m, period, N_BLADES)
+        v[:, :period, 6] = 1.0
+        v = v.reshape(m, nb, 7 * n)
+        # Rows [z_r; f_r]: rotation r's start state, then its blocks' forced responses.
+        zf = np.empty((m, 11 + 11 * nb))
+        f = v.transpose(1, 0, 2) @ forced.transpose(0, 2, 1)  # (nb, m, 11)
+        zf[:, 11:] = f.transpose(1, 0, 2).reshape(m, -1)
+        to_end = states[-11:]
+        for r in range(m):  # only the end state is carried from rotation to rotation
+            zf[r, :11] = z
+            z = to_end @ zf[r]
+        starts = (zf @ states[:-11].T).reshape(m, nb, 11)
+        out = np.empty((m, nb, 8 * n))
+        np.matmul(np.concatenate([starts, v], axis=2).transpose(1, 0, 2),
+                  blocks.transpose(0, 2, 1), out=out.transpose(1, 0, 2))
+        out = out.reshape(m, nb * n, 8)[:, :period]
+        ends = np.vstack([zf[1:, :11], z])
+        # A NaN fails the bound too; the loads and the carried state must be finite.
+        ok = ((np.abs(out[:, :, :5]).max(axis=(1, 2)) <= bound)
+              & np.isfinite(out[:, :, 5:]).all(axis=(1, 2)) & np.isfinite(ends).all(axis=1))
+    done = m if ok.all() else int(ok.argmin())
+    if done:
+        u_cmd[k:k + done * period] = out[:done, :, :3].reshape(-1, N_BLADES)
+        y[k:k + done * period] = out[:done, :, 5:].reshape(-1, N_BLADES)
+        z = ends[done - 1]
+        state.tilt_int, state.yaw_int = float(z[6]), float(z[7])
+        plant.x = z[:6].copy()
+    return done
 
 
-def _loop_rotation(state, plant, amap, d, e, k0, lo, hi, u_cmd, y) -> None:
-    """Rows lo .. hi - 1 of the rotation from k0, one fault regime under the
-    actuator map amap = (offset, scale), as one loop over plain floats,
-    clamps included, from the rotation's draws d and e."""
+def _loop_rotation(state, plant, amap, d, e, k, u_cmd, y) -> None:
+    """Rows k .. k + len(d) - 1, inside one rotation and one fault regime,
+    under the actuator map amap = (offset, scale), as one loop over plain
+    floats, clamps included, from their draws d and e."""
     dt, bound = plant.dt, state.authority_deg
     kp, ki, leak = KP, KI, LEAK
     (a0, a1, a2, a3), (a4, a5, a6, a7), (a8, a9, a10, a11) = plant.a.reshape(N_BLADES, -1).tolist()
@@ -186,12 +230,13 @@ def _loop_rotation(state, plant, amap, d, e, k0, lo, hi, u_cmd, y) -> None:
         plant.b.reshape(N_BLADES, -1).tolist())
     (o0, o1, o2), (s0, s1, s2) = amap
     x0, x1, x2, x3, x4, x5 = plant.x.tolist()
-    y0, y1, y2 = y[k0 + lo - 1].tolist() if k0 + lo else (0.0, 0.0, 0.0)
+    y0, y1, y2 = y[k - 1].tolist() if k else (0.0, 0.0, 0.0)
     ti, yi = state.tilt_int, state.yaw_int
     cos_rows, sin_rows = _coleman_rows(plant.period_samples)
+    lo, hi = k % plant.period_samples, k % plant.period_samples + len(d)
     # Per sample: the Coleman rows, e, and the output offset g .* d + e as the plant adds it.
-    rows = np.concatenate([cos_rows[lo:hi], sin_rows[lo:hi], e[lo:hi],
-                           plant.dist_gain * d[lo:hi] + e[lo:hi]], axis=1).tolist()
+    rows = np.concatenate([cos_rows[lo:hi], sin_rows[lo:hi], e, plant.dist_gain * d + e],
+                          axis=1).tolist()
     u_out, y_out = [], []
     for cb0, cb1, cb2, sb0, sb1, sb2, e0, e1, e2, w0, w1, w2 in rows:
         tilt = (2.0 / 3.0) * (y0 * cb0 + y1 * cb1 + y2 * cb2)
@@ -225,5 +270,5 @@ def _loop_rotation(state, plant, amap, d, e, k0, lo, hi, u_cmd, y) -> None:
     if not np.all(np.isfinite(plant.x)):
         raise FloatingPointError("plant state diverged (non-finite)")
     state.tilt_int, state.yaw_int = ti, yi
-    u_cmd[k0 + lo:k0 + hi] = np.array(u_out).reshape(-1, N_BLADES)
-    y[k0 + lo:k0 + hi] = np.array(y_out).reshape(-1, N_BLADES)
+    u_cmd[k:k + len(d)] = np.array(u_out).reshape(-1, N_BLADES)
+    y[k:k + len(d)] = np.array(y_out).reshape(-1, N_BLADES)

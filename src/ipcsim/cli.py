@@ -126,10 +126,12 @@ def _read_metrics(mfile: Path) -> dict:
 
 def _cmd_compare(args) -> int:
     out_dir = Path(args.out_dir)
-    metrics = {}
+    metrics, files = {}, {}
     for mfile in sorted(out_dir.glob("*/metrics.json")):
         m = _read_metrics(mfile)
-        metrics[m["id"]] = m
+        if m["id"] in files:  # a copied run directory would replace the run's row
+            raise ConfigError(f"run id {m['id']!r} is in both {files[m['id']]} and {mfile}")
+        metrics[m["id"]], files[m["id"]] = m, mfile
     if not metrics:
         raise ConfigError(f"no run metrics found under {out_dir}")
     table = compare(metrics, baseline=args.baseline)

@@ -203,6 +203,7 @@ def update_theta(theta: np.ndarray, gain: np.ndarray, y_bar: np.ndarray,
 # ---------------------------------------------------------------------------
 
 _BIT_BLOCK = 64  # bits of each channel drawn per rng call
+_FILTER_AHEAD = 1024  # most excitation steps filtered per pass, rounded up to whole rotations
 EXCITATION_POLE = 0.8  # one-pole filter of the restricted excitation, per rotation
 # Broadband uftipc excitation: low-pass cutoff and bit hold time.
 UFTIPC_CUTOFF_HZ = 1.0
@@ -219,7 +220,9 @@ class ExcitationGenerator:
     are the restricted excitation: one step per rotation in the N_COEFF
     basis coefficients, slow enough that the commanded spectrum stays near
     1P/2P. `broadband` builds the uftipc pitch noise. Rotations are sampled
-    in order from 0.
+    in order from 0; whole rotations are filtered ahead, from _BIT_BLOCK
+    steps at a time doubling up to _FILTER_AHEAD, so each channel's loop
+    runs over many held bits per pass.
     """
 
     def __init__(self, amplitude: float, seed, channels: int = N_COEFF, steps: int = 1,
@@ -230,8 +233,10 @@ class ExcitationGenerator:
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(seed)
         self._rngs = [np.random.default_rng(s) for s in seed.spawn(channels)]
-        self._z = [0.0] * channels  # filter output of the last sampled step
-        self._bits = None  # per channel, _BIT_BLOCK bits drawn at the block's first step
+        self._z = [0.0] * channels  # filter output of the last filtered step
+        self._bits = [None] * channels  # per channel, the _BIT_BLOCK bits of the last drawn block
+        self._rows, self._next_row = np.empty((0, channels)), 0  # filtered, not yet sampled
+        self._ahead = _BIT_BLOCK  # steps to filter next; doubles, so a short run wastes little
         self._next_j = 0
 
     @classmethod
@@ -247,28 +252,42 @@ class ExcitationGenerator:
         if j != self._next_j:
             raise ValueError(f"excitation stream is sequential: expected j={self._next_j}")
         self._next_j += 1
+        if self._next_row == len(self._rows):  # whole rotations, at least self._ahead steps
+            n = self.steps * -(-self._ahead // self.steps)
+            self._rows, self._next_row = self._filter(j * self.steps, n), 0
+            self._ahead = min(2 * self._ahead, _FILTER_AHEAD)
+        self._next_row += self.steps
+        return self._rows[self._next_row - self.steps:self._next_row]
+
+    def _filter(self, k0: int, n: int) -> np.ndarray:
+        """(n, channels) filter outputs of steps k0 .. k0 + n - 1, one channel
+        at a time over plain floats."""
         a, hold = self.pole, self.hold
-        out = np.empty((self.steps, len(self._z)))
-        k0, t = j * self.steps, 0
-        while t < self.steps:  # one stretch of held bits at a time
-            bit, phase = divmod(k0 + t, hold)
-            row = bit % _BIT_BLOCK
-            if row == 0 and phase == 0:
-                # Drawing a stream in blocks gives the same bits as drawing
-                # it one bit at a time.
-                self._bits = [(2 * rng.integers(0, 2, size=_BIT_BLOCK) - 1).tolist()
-                              for rng in self._rngs]
-            n = min(self.steps - t, hold - phase)
-            for c, z in enumerate(self._z):
-                w = (1.0 - a) * self._bits[c][row]
-                col = []
-                for _ in range(n):
+        first, last = k0 // hold, (k0 + n - 1) // hold  # the bits these steps hold
+        counts = [hold] * (last - first + 1)  # steps per bit; the range cuts the ends
+        counts[0] -= k0 - first * hold
+        counts[-1] -= (last + 1) * hold - (k0 + n)
+        out = np.empty((n, len(self._z)))
+        for c, z in enumerate(self._z):
+            bits = []
+            for b in range(first - first % _BIT_BLOCK, last + 1, _BIT_BLOCK):
+                if b * hold >= k0:  # block b's first bit starts in the range
+                    # Drawing a stream in blocks gives the same bits as drawing
+                    # it one bit at a time.
+                    self._bits[c] = (2 * self._rngs[c].integers(0, 2, size=_BIT_BLOCK)
+                                     - 1).tolist()
+                bits += self._bits[c][max(first - b, 0):last + 1 - b]
+            col = []
+            for bit, count in zip(bits, counts):
+                w = (1.0 - a) * bit
+                for _ in range(count):
                     z = a * z + w
                     col.append(z)
-                out[t:t + n, c] = col
-                self._z[c] = z
-            t += n
-        return self.amplitude * out
+            out[:, c] = col
+            self._z[c] = z
+        out *= self.amplitude
+        out.flags.writeable = False  # `sample` hands out views of it
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ rotation at a time: the repetitive controller and the collective baseline
 fix a rotation of commands and push it through the fault map and the plant
 in one block, which the plant advances in closed form with its lifted
 per-blade operator (two blocks when a fault onset falls inside the
-rotation); MBC-IPC, which feeds back every sample, runs each rotation as one
-fused controller/fault/plant loop (`baselines.mbc_ipc_rotation`).
+rotation); MBC-IPC, which feeds back every sample, runs the whole run as one
+fused controller/fault/plant span (`baselines.mbc_ipc_span`), lifted over
+chunks of rotations between clamp events.
 
 Outputs per run: the sample series as one (n, 8) float64 `.npy` array
 (binary, so metrics recompute bit-for-bit from the file), the per-rotation
@@ -21,12 +22,11 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .baselines import MbcIpcState, mbc_ipc_rotation
+from .baselines import MbcIpcState, mbc_ipc_span
 from .control import LOG_COLUMNS, ControllerTuning, ExcitationGenerator, RepetitiveController
 from .metrics import DEFAULT_RATE_LIMIT_DEG_S, adc, band_energy_ratio, metric_windows, rsd
 from .numerics import _is_int, _real, welch_psd
@@ -267,27 +267,25 @@ def run_load_case(cfg: LoadCaseConfig) -> RunResult:
     y = np.empty((n, 3))
 
     controller = None
-    mbc_state = None
     if cfg.controller in ("ftipc", "uftipc"):
         broadband = (ExcitationGenerator.broadband(cfg.uftipc_amplitude_deg, seeds[2], dt, period)
                      if cfg.controller == "uftipc" else None)
         controller = RepetitiveController(cfg.predictor_window, period, tuning, seeds[1],
                                           broadband=broadband)
-    elif cfg.controller == "mbc_ipc":
-        mbc_state = MbcIpcState(authority_deg=tuning.theta_cap_deg)
 
     cpc_rows = np.zeros((period, 3))  # cpc: zero differential pitch, every rotation
     try:
-        for j in range(n_rot):
-            k0 = j * period
-            if mbc_state is not None:
-                mbc_ipc_rotation(mbc_state, plant, fault, dist, k0, u_cmd, y)
-                continue
-            rows = cpc_rows if controller is None else controller.rotation_commands(j)
-            u_cmd[k0:k0 + period] = rows
-            y[k0:k0 + period] = _advance_rotation(plant, fault, dist, rows, k0)
-            if controller is not None:
-                controller.finish_rotation(j, u_cmd, y)
+        if cfg.controller == "mbc_ipc":
+            mbc_ipc_span(MbcIpcState(authority_deg=tuning.theta_cap_deg), plant, fault, dist,
+                         0, n, u_cmd, y)
+        else:
+            for j in range(n_rot):
+                k0 = j * period
+                rows = cpc_rows if controller is None else controller.rotation_commands(j)
+                u_cmd[k0:k0 + period] = rows
+                y[k0:k0 + period] = _advance_rotation(plant, fault, dist, rows, k0)
+                if controller is not None:
+                    controller.finish_rotation(j, u_cmd, y)
     except FloatingPointError as exc:
         raise RuntimeError(f"run {cfg.id} diverged: {exc}") from exc
 
@@ -434,6 +432,9 @@ def run_campaign(configs, parallelism: int = 1, out_dir=None) -> CampaignReport:
     if workers <= 1:
         statuses = [_run_one(c.to_dict(), out) for c in configs]
     else:
+        # Imported here: multiprocessing costs every other command its import time.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             statuses = list(pool.map(_run_one, [c.to_dict() for c in configs],
                                      [out] * len(configs)))
@@ -486,12 +487,17 @@ def compare(metrics_by_id: dict, baseline: str = "cpc") -> ComparisonTable:
 
     Requires every group to contain a run of the baseline controller with
     matching seeds (guaranteed by the campaign builder). Negative rSD
-    entries (load increased) are flagged; a baseline blade with zero load
-    SD, or an rSD that overflows, raises ValueError.
+    entries (load increased) are flagged; a group with two runs of one
+    controller, a baseline blade with zero load SD, or an rSD that
+    overflows, raises ValueError.
     """
     groups: dict[str, dict[str, dict]] = {}
     for m in metrics_by_id.values():
-        groups.setdefault(m["group"], {})[m["controller"]] = m
+        by_ctl = groups.setdefault(m["group"], {})
+        if m["controller"] in by_ctl:
+            raise ValueError(f"group {m['group']} holds two {m['controller']} runs: "
+                             f"{by_ctl[m['controller']]['id']} and {m['id']}")
+        by_ctl[m["controller"]] = m
     rows = []
     for group, by_ctl in sorted(groups.items()):
         if baseline not in by_ctl:

@@ -11,7 +11,7 @@ broadband excitation drawn and filtered one sample at a time from its seed
 (`broadband_loop`), the Coleman transform pair (`coleman_forward`,
 `coleman_inverse`) and one sample of MBC-IPC.
 The package folds a whole rotation at once (`IdentificationEngine.ingest`,
-`SurrogatePlant.advance_block`, `ipcsim.baselines.mbc_ipc_rotation`); these
+`SurrogatePlant.advance_block`, `ipcsim.baselines.mbc_ipc_span`); these
 stay the oracles for the equivalence tests and the acceptance criteria.
 `projected_blocks_loop` is the sample-by-sample twin of the controller's
 blocked output recursion. `AllocatingController` is the controller's
@@ -305,7 +305,7 @@ def coleman_inverse(tilt: float, yaw: float, psi: float) -> np.ndarray:
 def mbc_ipc_step(state: MbcIpcState, y: np.ndarray, psi: float, dt: float):
     """One sample of MBC-IPC: Coleman forward, PI, Coleman inverse.
 
-    Per-sample twin of `ipcsim.baselines.mbc_ipc_rotation`'s controller.
+    Per-sample twin of `ipcsim.baselines.mbc_ipc_span`'s controller.
     Returns (state, commanded pitch).
     """
     tilt, yaw = coleman_forward(y, psi)

@@ -1,11 +1,13 @@
 """Baseline controllers: Coleman identities, PI behaviour, and the
 closed-loop direction checks on the surrogate."""
 
+from itertools import pairwise
+
 import numpy as np
 import pytest
 
 from ipcsim import baselines
-from ipcsim.baselines import MbcIpcState, mbc_ipc_rotation
+from ipcsim.baselines import MbcIpcState, mbc_ipc_span
 from ipcsim.control import build_basis
 from ipcsim.plant import DisturbanceModel, FaultScenario, _maybe_switch_blade_fault, build_plant
 from reference import (
@@ -69,8 +71,7 @@ def test_mbc_integrator_anti_windup():
     state, plant = MbcIpcState(authority_deg=2.0), build_plant()
     dist = DisturbanceModel(period=P, amp_1p=1e6)
     u, y = np.empty((n_rot * P, 3)), np.empty((n_rot * P, 3))
-    for j in range(n_rot):
-        mbc_ipc_rotation(state, plant, FaultScenario(), dist, j * P, u, y)
+    mbc_ipc_span(state, plant, FaultScenario(), dist, 0, n_rot * P, u, y)
     assert abs(state.tilt_int) <= 2.0 and abs(state.yaw_int) <= 2.0
     assert np.all(np.abs(u) <= 2.0)
     assert abs(state.tilt_int) == abs(state.yaw_int) == 2.0
@@ -131,14 +132,14 @@ def test_mbc_pas_fault_degrades_a_healthy_blade():
 # Fused rotation against the per-sample oracle
 # ---------------------------------------------------------------------------
 
-def oracle_rotation(state, plant, fault, dist, k0, u_cmd, y):
-    """One rotation of the per-sample oracle, with the harness's azimuth
-    convention psi = 2 pi (s + 1) / P."""
+def oracle_span(state, plant, fault, dist, k0, n, u_cmd, y):
+    """Samples k0 .. k0 + n - 1 of the per-sample oracle, with the harness's
+    azimuth convention psi = 2 pi (k % P + 1) / P."""
     period = plant.period_samples
     y_prev = y[k0 - 1] if k0 else np.zeros(3)
-    for s in range(period):
-        k = k0 + s
-        state, u_cmd[k] = mbc_ipc_step(state, y_prev, 2.0 * np.pi * (s + 1) / period, plant.dt)
+    for k in range(k0, k0 + n):
+        psi = 2.0 * np.pi * (k % period + 1) / period
+        state, u_cmd[k] = mbc_ipc_step(state, y_prev, psi, plant.dt)
         y[k] = step(plant, u_cmd[k], dist, fault, k)
         y_prev = y[k]
 
@@ -162,71 +163,31 @@ CASES = {
 }
 
 
-def fused_and_oracle_runs(fault, sigma_e, jitter, n_rot, period=P, **state_fields):
-    """(u, y, state, plant, per-rotation integrator ends) of the fused loop,
-    then of the per-sample oracle, from identical fresh plants."""
+def span_and_oracle_runs(fault, sigma_e, jitter, n_rot, period=P, **state_fields):
+    """(u, y, state, plant, integrator ends after each call) of the fused
+    span in one call, of the fused span one rotation per call, then of the
+    per-sample oracle one rotation per call, from identical fresh plants."""
     runs = []
-    for advance in (mbc_ipc_rotation, oracle_rotation):
+    for advance, calls in ((mbc_ipc_span, 1), (mbc_ipc_span, n_rot), (oracle_span, n_rot)):
         plant = build_plant(period_samples=period)
         dist = DisturbanceModel(period=period, sigma_e=sigma_e, seed=5, period_jitter=jitter)
         state = MbcIpcState(**state_fields)
-        u, y = np.empty((n_rot * period, 3)), np.empty((n_rot * period, 3))
+        n = n_rot * period
+        u, y = np.empty((n, 3)), np.empty((n, 3))
         ends = []
-        for j in range(n_rot):
-            advance(state, plant, fault, dist, j * period, u, y)
+        for k0 in range(0, n, n // calls):
+            advance(state, plant, fault, dist, k0, n // calls, u, y)
             ends.append((state.tilt_int, state.yaw_int))
         runs.append((u, y, state, plant, np.array(ends)))
     return runs
 
 
-def serving_paths(monkeypatch) -> list:
-    """Spy on the fused rotation's two paths: the returned list gets
-    "lifted" for each rotation the lifted step accepts and "loop" for each
-    rotation the scalar loop runs."""
-    paths = []
-    lifted, loop = baselines._lifted_rotation, baselines._loop_rotation
-
-    def lifted_spy(*args):
-        accepted = lifted(*args)
-        if accepted:
-            paths.append("lifted")
-        return accepted
-
-    def loop_spy(*args):
-        paths.append("loop")
-        loop(*args)
-
-    monkeypatch.setattr(baselines, "_lifted_rotation", lifted_spy)
-    monkeypatch.setattr(baselines, "_loop_rotation", loop_spy)
-    return paths
-
-
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_fused_rotation_matches_per_sample_oracle(monkeypatch, case):
-    fault, sigma_e, jitter, bound = CASES[case]
-    paths = serving_paths(monkeypatch)
-    (u, y, state, plant, ends), (u_ref, y_ref, state_ref, plant_ref, _) = fused_and_oracle_runs(
-        fault, sigma_e, jitter, 14, authority_deg=bound)
-    # Every rotation in one fault state is lifted unless a clamp acts; the
-    # onset at sample 1050 splits rotation 10 into two fault regimes, which
-    # the loop runs one after the other.
-    expected = ["lifted"] * 14
-    if case.startswith("saturating"):
-        expected = ["loop"] * 14
-    if fault.kind != "healthy" and fault.onset_sample % P:
-        expected[10:11] = ["loop", "loop"]
-    assert paths == expected
-    if case.startswith("saturating"):
-        # The clamps assign the bound itself, so a bound clamp reads exactly
-        # +-bound: in the commands, and in the integrators at rotation ends.
-        assert np.any(np.abs(u) == bound)
-        assert np.any(np.abs(ends[:, 0]) == bound)
-        assert np.any(np.abs(ends[:, 1]) == bound)
-    # The lifted step and the loop sum the Coleman dot products and the
+def assert_matches_oracle(run, oracle):
+    # The lifted chunks and the loop sum the Coleman dot products and the
     # plant's matrix products in their own orders, so the series agree to
-    # rounding: commands
-    # (bounded by the pitch authority) within 1e-12 deg absolute, loads
-    # within 1e-12 of the largest load magnitude.
+    # rounding: commands (bounded by the pitch authority) within 1e-12 deg
+    # absolute, loads within 1e-12 of the largest load magnitude.
+    (u, y, state, plant, _), (u_ref, y_ref, state_ref, plant_ref, _) = run, oracle
     assert np.max(np.abs(u - u_ref)) <= 1e-12
     assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
     assert state.tilt_int == pytest.approx(state_ref.tilt_int, abs=1e-12)
@@ -235,17 +196,112 @@ def test_fused_rotation_matches_per_sample_oracle(monkeypatch, case):
     assert np.array_equal(plant.dist_gain, plant_ref.dist_gain)
 
 
+def serving_paths(monkeypatch, chunks=None) -> list:
+    """Spy on the fused span's two paths: the returned list gets "lifted"
+    for each rotation a lifted chunk accepts and "loop" for each call of
+    the scalar loop (one per clamping rotation, one per fault regime of a
+    split rotation). `chunks`, if given, gets (rotations, accepted) per
+    lifted chunk."""
+    paths = []
+    lifted, loop = baselines._lifted_chunk, baselines._loop_rotation
+
+    def lifted_spy(state, plant, amap, d, e, k, u_cmd, y):
+        accepted = lifted(state, plant, amap, d, e, k, u_cmd, y)
+        paths.extend(["lifted"] * accepted)
+        if chunks is not None:
+            chunks.append((len(d) // plant.period_samples, accepted))
+        return accepted
+
+    def loop_spy(*args):
+        paths.append("loop")
+        loop(*args)
+
+    monkeypatch.setattr(baselines, "_lifted_chunk", lifted_spy)
+    monkeypatch.setattr(baselines, "_loop_rotation", loop_spy)
+    return paths
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_fused_rotation_matches_per_sample_oracle(monkeypatch, case):
+    fault, sigma_e, jitter, bound = CASES[case]
+    paths = serving_paths(monkeypatch)
+    span, rotations, oracle = span_and_oracle_runs(fault, sigma_e, jitter, 14, authority_deg=bound)
+    # Every rotation in one fault state is lifted unless a clamp acts; the
+    # onset at sample 1050 splits rotation 10 into two fault regimes, which
+    # the loop runs one after the other. The span in one call serves them
+    # as the span one rotation per call does.
+    expected = ["lifted"] * 14
+    if case.startswith("saturating"):
+        expected = ["loop"] * 14
+    if fault.kind != "healthy" and fault.onset_sample % P:
+        expected[10:11] = ["loop", "loop"]
+    assert paths == expected + expected
+    if case.startswith("saturating"):
+        # The clamps assign the bound itself, so a bound clamp reads exactly
+        # +-bound: in the commands, and in the integrators at rotation ends.
+        u, ends = rotations[0], rotations[4]
+        assert np.any(np.abs(u) == bound)
+        assert np.any(np.abs(ends[:, 0]) == bound)
+        assert np.any(np.abs(ends[:, 1]) == bound)
+    assert_matches_oracle(span, oracle)
+    assert_matches_oracle(rotations, oracle)
+
+
+C = baselines._CHUNK
+
+# Chunk edges: (fault, sigma_e, jitter, rotations, period, authority_deg,
+# (rotations, accepted) of each lifted chunk of the span in one call).
+CHUNK_EDGES = {
+    # Rotation 15 clamps in the middle of a 30-rotation chunk; lifting
+    # resumes with one rotation and doubles until the next clamp.
+    "clamp_mid_chunk": (FaultScenario(kind="pas", blade_index=3, onset_sample=10 * P,
+                                      parameter=0.0), 75.0, 0.0, 40, P, 0.65,
+                        [(10, 10), (30, 5), (1, 1), (2, 2), (4, 3), (1, 1), (2, 1), (1, 0),
+                         (1, 1), (2, 2), (4, 4), (6, 5)]),
+    # The stiffness switch at s = 37 of rotation 10 ends the first chunk
+    # after rotation 9; the loop runs rotation 10's two regimes, and the
+    # next chunk starts at rotation 11.
+    "onset_mid_rotation": (FaultScenario(kind="blade_stiffness", blade_index=2,
+                                         onset_sample=10 * P + 37, parameter=0.3),
+                           20.0, 0.1, 40, P, 4.0, [(10, 10), (29, 29)]),
+    "onset_on_chunk_boundary": (FaultScenario(kind="pad", blade_index=1, onset_sample=C * P,
+                                              parameter=0.5), 20.0, 0.0, C + 8, P, 4.0,
+                                [(C, C), (8, 8)]),
+    "shorter_than_a_chunk": (FaultScenario(), 20.0, 0.1, 5, P, 4.0, [(5, 5)]),
+    # Four full lifting blocks and a padded fifth per rotation, over two chunks.
+    "period_45": (FaultScenario(kind="pas", blade_index=2, onset_sample=3 * 45, parameter=0.5),
+                  20.0, 0.0, C + 8, 45, 4.0, [(3, 3), (C, C), (5, 5)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNK_EDGES))
+def test_chunk_edges_match_per_sample_oracle(monkeypatch, case):
+    fault, sigma_e, jitter, n_rot, period, bound, expected_chunks = CHUNK_EDGES[case]
+    chunks = []
+    paths = serving_paths(monkeypatch, chunks)
+    span, rotations, oracle = span_and_oracle_runs(fault, sigma_e, jitter, n_rot, period=period,
+                                                   authority_deg=bound)
+    # The span in one call lifts exactly these chunks; one rotation per call
+    # then serves each rotation as it does.
+    in_one_call = paths[:len(paths) // 2]
+    assert chunks[:len(expected_chunks)] == expected_chunks
+    assert in_one_call.count("lifted") == sum(done for _, done in expected_chunks)
+    assert paths[len(paths) // 2:] == in_one_call
+    assert_matches_oracle(span, oracle)
+    assert_matches_oracle(rotations, oracle)
+
+
 def test_an_integrator_clamp_alone_sends_the_rotation_to_the_loop(monkeypatch):
     # A tilt integrator just beyond the 1 deg authority is clamped at the
     # first sample, while no command, clamped or not, reaches the bound:
     # the loop must run the rotation.
     paths = serving_paths(monkeypatch)
     runs = []
-    for advance in (mbc_ipc_rotation, oracle_rotation):
+    for advance in (mbc_ipc_span, oracle_span):
         state, plant = MbcIpcState(authority_deg=1.0, tilt_int=1.001), build_plant()
         dist = DisturbanceModel(period=P, amp_1p=0.0, amp_2p=0.0)
         u, y = np.empty((P, 3)), np.empty((P, 3))
-        advance(state, plant, FaultScenario(), dist, 0, u, y)
+        advance(state, plant, FaultScenario(), dist, 0, P, u, y)
         runs.append((u, y, state))
     (u, y, state), (u_ref, y_ref, state_ref) = runs
     assert paths == ["loop"]
@@ -275,13 +331,11 @@ def test_lifted_rotation_with_a_ragged_last_block_matches_oracle(monkeypatch):
     assert period % baselines._LIFT_BLOCK
     paths = serving_paths(monkeypatch)
     fault = FaultScenario(kind="pas", blade_index=2, onset_sample=5 * period, parameter=0.5)
-    (u, y, state, _, _), (u_ref, y_ref, state_ref, _, _) = fused_and_oracle_runs(
-        fault, 20.0, 0.0, 12, period=period)
-    assert paths == ["lifted"] * 12
-    assert np.max(np.abs(u - u_ref)) <= 1e-12
-    assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
-    assert state.tilt_int == pytest.approx(state_ref.tilt_int, abs=1e-12)
-    assert state.yaw_int == pytest.approx(state_ref.yaw_int, abs=1e-12)
+    span, rotations, oracle = span_and_oracle_runs(fault, 20.0, 0.0, 12, period=period)
+    expected = ["lifted"] * 12
+    assert paths == expected + expected
+    assert_matches_oracle(span, oracle)
+    assert_matches_oracle(rotations, oracle)
 
 
 def test_lc18_run_matches_the_scalar_loop_alone(monkeypatch):
@@ -291,7 +345,7 @@ def test_lc18_run_matches_the_scalar_loop_alone(monkeypatch):
     paths = serving_paths(monkeypatch)
     lifted = run_load_case(cfg)
     assert paths == ["lifted"] * 2000  # the onset at 1000 s starts a rotation
-    monkeypatch.setattr(baselines, "_lifted_rotation", lambda *args: False)
+    monkeypatch.setattr(baselines, "_lifted_chunk", lambda *args: 0)
     loop = run_load_case(cfg)
     assert np.max(np.abs(lifted.u_cmd - loop.u_cmd)) <= 1e-12
     assert np.max(np.abs(lifted.y - loop.y)) <= 1e-12 * np.max(np.abs(loop.y))
@@ -304,16 +358,16 @@ def test_cached_blocks_are_rebuilt_at_a_mid_rotation_onset():
     faulted = build_plant()
     _maybe_switch_blade_fault(faulted, fault, fault.onset_sample)
     runs = []
-    for advance in (mbc_ipc_rotation, oracle_rotation):
+    for advance in (mbc_ipc_span, oracle_span):
         plant = build_plant()
         dist = DisturbanceModel(period=P, sigma_e=20.0, seed=8)
         state = MbcIpcState()
         u, y = np.empty((6 * P, 3)), np.empty((6 * P, 3))
         for j in range(6):
-            fused = advance is mbc_ipc_rotation
+            fused = advance is mbc_ipc_span
             if fused and j == 3:
                 healthy_map, healthy_op = plant._derived["mbc_rotation"]
-            advance(state, plant, fault, dist, j * P, u, y)
+            advance(state, plant, fault, dist, j * P, P, u, y)
             if fused and j == 3:
                 # The switch dropped the lifted rotation; the loop ran both regimes.
                 assert "mbc_rotation" not in plant._derived
@@ -332,8 +386,8 @@ def test_cached_blocks_are_rebuilt_at_a_mid_rotation_onset():
 
 @pytest.mark.parametrize("jitter", [0.0, 0.1])
 def test_rotation_draws_equal_per_sample_draws_bitwise(jitter):
-    block = DisturbanceModel(period=P, sigma_e=30.0, seed=11, period_jitter=jitter)
-    single = DisturbanceModel(period=P, sigma_e=30.0, seed=11, period_jitter=jitter)
+    block, single, chunked = (DisturbanceModel(period=P, sigma_e=30.0, seed=11,
+                                               period_jitter=jitter) for _ in range(3))
     n_rot = 12
     e_block = np.vstack([block.innovation_block(j * P, P) for j in range(n_rot)])
     e_single = np.vstack([single.innovation_block(k, 1) for k in range(n_rot * P)])
@@ -341,6 +395,12 @@ def test_rotation_draws_equal_per_sample_draws_bitwise(jitter):
     d_single = np.vstack([single.periodic_block(k, 1) for k in range(n_rot * P)])
     assert np.array_equal(e_block, e_single)
     assert np.array_equal(d_block, d_single)
+    # Chunks of several rotations, as the lifted MBC-IPC span draws them.
+    spans = [(k, k1 - k) for k, k1 in pairwise(np.cumsum([0, 1, 2, 4, 5]) * P)]
+    e_chunked = np.vstack([chunked.innovation_block(k, n) for k, n in spans])
+    d_chunked = np.vstack([chunked.periodic_block(k, n) for k, n in spans])
+    assert np.array_equal(e_chunked, e_single)
+    assert np.array_equal(d_chunked, d_single)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -361,7 +421,7 @@ def _one_rotation(state, plant=None, y_prev=None):
         k0 = P
     dist = DisturbanceModel(period=P, seed=1)
     dist.innovation_block(0, k0)  # the innovation stream is sequential
-    mbc_ipc_rotation(state, plant, FaultScenario(), dist, k0, u, y)
+    mbc_ipc_span(state, plant, FaultScenario(), dist, k0, P, u, y)
 
 
 def test_fused_rotation_rejects_nonfinite_command():

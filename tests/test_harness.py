@@ -1,6 +1,7 @@
 """Harness: config validation, determinism, persistence round-trips,
 campaign isolation and parallel equivalence, comparison table, CLI."""
 
+import concurrent.futures
 import csv
 import json
 import warnings
@@ -435,7 +436,8 @@ def test_campaign_forks_no_more_workers_than_cases(monkeypatch, tmp_path, caplog
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    # run_campaign imports the pool from concurrent.futures when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     report = run_campaign(two_tiny_cases(), parallelism=64)
     assert requested == [2]
     assert [s.ok for s in report.statuses] == [True, True]
@@ -490,6 +492,16 @@ def test_compare_requires_baseline_present():
         compare(only_ftipc, baseline="cpc")
 
 
+def test_compare_rejects_two_runs_of_one_controller_in_a_group():
+    # A second ftipc run of group g1 under another id would replace the
+    # first one's row without a word.
+    metrics = metrics_for_compare()
+    metrics["g1-ftipc-rerun"] = dict(metrics["g1-ftipc"], id="g1-ftipc-rerun")
+    with pytest.raises(ValueError, match="group g1 holds two ftipc runs: g1-ftipc and "
+                                         "g1-ftipc-rerun"):
+        compare(metrics, baseline="cpc")
+
+
 def test_compare_text_notes_faulty_blade():
     table = compare(metrics_for_compare(), baseline="cpc")
     text = table.to_text()
@@ -533,6 +545,23 @@ def test_cli_compare_rejects_malformed_metrics(tmp_path, caplog, content):
     mfile.write_text(json.dumps(content))
     assert cli_main(["compare", str(tmp_path)]) == 1
     assert len(caplog.records) == 1 and str(mfile) in caplog.text
+
+
+def test_cli_compare_rejects_a_repeated_run_id(tmp_path, capsys, caplog):
+    # A renamed copy of a run directory, its loads edited, keeps the run's id:
+    # which of the two gave the row would depend on the directory names.
+    for m in metrics_for_compare().values():
+        (tmp_path / m["id"]).mkdir()
+        (tmp_path / m["id"] / "metrics.json").write_text(json.dumps(m))
+    real = tmp_path / "g1-ftipc" / "metrics.json"
+    backup = json.loads(real.read_text())
+    backup["faulty"]["blade1"]["sd_y"] *= 0.5
+    (tmp_path / "zz-backup-ftipc").mkdir()
+    (tmp_path / "zz-backup-ftipc" / "metrics.json").write_text(json.dumps(backup))
+    assert cli_main(["compare", str(tmp_path)]) == 1
+    assert capsys.readouterr().out == ""
+    assert "'g1-ftipc'" in caplog.text and str(real) in caplog.text
+    assert str(tmp_path / "zz-backup-ftipc" / "metrics.json") in caplog.text
 
 
 def test_cli_compare_unreadable_metrics(tmp_path, caplog):

@@ -94,7 +94,7 @@ TRACED_ENTRY_POINTS = (
     ("ipcsim.harness", "run_load_case"),
     ("ipcsim.harness", "RunResult.save"),
     ("ipcsim.harness", "recompute_metrics"),
-    ("ipcsim.baselines", "mbc_ipc_rotation"),
+    ("ipcsim.baselines", "mbc_ipc_span"),
 )
 
 
