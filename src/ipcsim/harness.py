@@ -470,8 +470,9 @@ class ComparisonTable:
             note = ""
             if row.faulty_blade is not None:
                 note = f"  [blade {row.faulty_blade} not shown: faulty blade]"
-            if row.negative_blades:
-                note += f"  [load increased on: {', '.join(row.negative_blades)}]"
+            negative = [b for b in row.negative_blades if b in shown]
+            if negative:
+                note += f"  [load increased on: {', '.join(negative)}]"
             lines.append(f"{row.group:8s} {row.controller:8s} {cells}{note}")
         return "\n".join(lines)
 

@@ -1,7 +1,7 @@
 """Shared numerical kernels.
 
-Square-root (QR) recursive least squares with exponential forgetting on
-the augmented factor [R | z], one QR per fold; Moore-Penrose
+Information-form recursive least squares with exponential forgetting on
+the augmented matrix [S | b], one Gram product per fold; Moore-Penrose
 pseudo-inverse; a discrete algebraic Riccati solver based on the Riccati
 difference recursion; and Welch spectral estimation. The RLS fold and the
 Riccati solver accept stacks of independent problems along leading axes.
@@ -44,30 +44,28 @@ def _real(name: str, value) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Recursive least squares (square-root / QR form)
+# Recursive least squares (information form)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RlsState:
     """State of an exponentially weighted least-squares recursion.
 
-    The state is the augmented factor [R | z] of the QR-RLS array form
-    (Haykin, Adaptive Filter Theory): R is the upper-triangular square root
-    of the information matrix, R'R = lam^k * init_info * I +
-    sum_t lam^(k-t) x_t x_t', kept positive definite over arbitrarily long
-    runs, and R'z = sum_t lam^(k-t) x_t y_t'. The estimate is solved from
-    them only when it is read.
+    The state is the augmented information matrix [S | b] (Haykin, Adaptive
+    Filter Theory): S = lam^k * init_info * I + sum_t lam^(k-t) x_t x_t',
+    positive definite through the decayed ridge, and
+    b = sum_t lam^(k-t) x_t y_t'. The estimate solves S Theta' = b when read.
 
     Leading axes, if any, stack independent recursions that share lam (one
     per blade in the identification engine); they are folded together.
 
     Attributes:
-        factor: (..., n_reg, n_reg + n_out) the augmented factor [R | z].
+        info: (..., n_reg, n_reg + n_out) the augmented matrix [S | b].
         lam: forgetting factor. Values at or below 0.9 are rejected; the
             recursion is meant for near-unity forgetting.
     """
 
-    factor: np.ndarray
+    info: np.ndarray
     lam: float
 
     def __post_init__(self):
@@ -75,26 +73,23 @@ class RlsState:
             raise ValueError(
                 f"forgetting factor must satisfy 0.9 < lambda <= 1, got {self.lam}"
             )
-        if not np.isfinite(self.factor).all():
-            raise ValueError("factor contains non-finite entries")
 
     @property
     def n_reg(self) -> int:
-        return self.factor.shape[-2]
+        return self.info.shape[-2]
 
     @property
     def n_out(self) -> int:
-        return self.factor.shape[-1] - self.n_reg
-
-    @property
-    def sqrt_inv_cov(self) -> np.ndarray:
-        """(..., n_reg, n_reg) upper-triangular information square root R."""
-        return self.factor[..., :self.n_reg]
+        return self.info.shape[-1] - self.n_reg
 
     @property
     def estimate(self) -> np.ndarray:
-        """(..., n_out, n_reg) weighted least-squares solution, solved at each read."""
-        return np.linalg.solve(self.sqrt_inv_cov, self.factor[..., self.n_reg:]).mT
+        """(..., n_out, n_reg) weighted least-squares solution, solved at each
+        read; all NaN when S is not finite or not invertible."""
+        try:
+            return np.linalg.solve(self.info[..., :self.n_reg], self.info[..., self.n_reg:]).mT
+        except np.linalg.LinAlgError:
+            return np.full(self.info.shape[:-2] + (self.n_out, self.n_reg), np.nan)
 
     @staticmethod
     def fresh(n_out: int, n_reg: int, lam: float, init_info: float = 1e-3,
@@ -103,25 +98,26 @@ class RlsState:
         the independent recursions indexed by `stack`."""
         if init_info <= 0.0:
             raise ValueError("init_info must be positive")
-        factor = np.zeros(stack + (n_reg, n_reg + n_out))
-        factor[..., :n_reg] = np.sqrt(init_info) * np.eye(n_reg)
-        return RlsState(factor=factor, lam=float(lam))
+        info = np.zeros(stack + (n_reg, n_reg + n_out))
+        info[..., :n_reg] = init_info * np.eye(n_reg)
+        return RlsState(info=info, lam=float(lam))
 
 
 def rls_update_batch(state: RlsState, regressors: np.ndarray, targets: np.ndarray) -> RlsState:
-    """Fold a block of consecutive samples in one QR.
+    """Fold a block of consecutive samples with one batched Gram product.
 
     regressors (..., m, n_reg) and targets (..., m, n_out) carry the state's
     leading axes; rows are ordered oldest first. The result is the exact
     exponentially weighted least-squares solution over all data seen so far
     (including the init_info ridge decayed by lam^k); folding the rows one
-    at a time or in any split gives the same solution (QR stacking is
-    associative), and the covariance matrix is never formed: the new [R | z]
-    is the top n_reg rows of the QR of [lam^(m/2) [R | z]; lam^(age/2) [X | y]].
+    at a time or in any split gives the same solution up to rounding. With
+    the rows weighted once, A = W [X | y] with W = diag(lam^(age/2)), the
+    new [S | b] is lam^m [S | b] + (W X)' A. Rows finite but beyond about
+    1e154 overflow S; its estimate then reads NaN.
     """
     regressors = np.asarray(regressors, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    stack = state.factor.shape[:-2]
+    stack = state.info.shape[:-2]
     if regressors.ndim != len(stack) + 2 or targets.ndim != len(stack) + 2:
         raise ValueError(f"regressors and targets need shape {stack} + (rows, columns)")
     m = regressors.shape[-2]
@@ -134,22 +130,24 @@ def rls_update_batch(state: RlsState, regressors: np.ndarray, targets: np.ndarra
         return state
     weights, prior_scale = _fold_weights(state.lam, m)
     n_reg = state.n_reg
-    stacked = np.empty(stack + (n_reg + m, n_reg + state.n_out))
-    np.multiply(prior_scale, state.factor, out=stacked[..., :n_reg, :])
-    np.multiply(weights[:, None], regressors, out=stacked[..., n_reg:, :n_reg])
-    np.multiply(weights[:, None], targets, out=stacked[..., n_reg:, n_reg:])
-    if not np.isfinite(stacked[..., n_reg:, :]).all():  # so are the rows: 0 < weight <= 1
+    rows = np.empty(stack + (m, n_reg + state.n_out))
+    np.multiply(weights[:, None], regressors, out=rows[..., :n_reg])
+    np.multiply(weights[:, None], targets, out=rows[..., n_reg:])
+    if not np.isfinite(rows).all():  # so are the inputs: 0 < weight <= 1
         raise ValueError("batch contains non-finite entries")
-    return RlsState(factor=np.linalg.qr(stacked, mode="r")[..., :n_reg, :], lam=state.lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        info = rows[..., :n_reg].mT @ rows
+        info += prior_scale * state.info
+    return RlsState(info=info, lam=state.lam)
 
 
 @functools.lru_cache(maxsize=8)
 def _fold_weights(lam: float, m: int):
-    """Row weights lam^(age/2), newest row last, and the prior's lam^(m/2)
-    for a fold of m rows; the same for every full rotation, so cached."""
+    """Row weights lam^(age/2), newest row last, and the prior's lam^m for a
+    fold of m rows; the same for every full rotation, so cached."""
     weights = np.power(lam, np.arange(m - 1, -1, -1, dtype=float) / 2.0)
     weights.flags.writeable = False
-    return weights, lam ** (m / 2.0)
+    return weights, lam ** m
 
 
 # ---------------------------------------------------------------------------

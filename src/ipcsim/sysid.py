@@ -30,10 +30,10 @@ class IdentificationEngine:
     """Batched identification over full run history arrays.
 
     Consumes sample ranges of the recorded (u_cmd, y) series and folds each
-    range into the three blades' stacked RLS factors with a single weighted
-    QR. Folding per rotation gives the same exponentially weighted
-    least-squares solution as folding sample by sample (QR stacking is
-    associative); the equivalence is covered by tests.
+    range into the three blades' stacked information matrices with a single
+    weighted Gram product. Folding per rotation gives the same exponentially
+    weighted least-squares solution as folding sample by sample, up to
+    rounding; the equivalence is covered by tests.
     """
 
     def __init__(self, p: int, period: int, lam: float = 0.99999):
@@ -44,7 +44,7 @@ class IdentificationEngine:
 
     @property
     def rows(self) -> np.ndarray:
-        """(3, 2p) Markov rows, solved from the RLS factor at each read; row
+        """(3, 2p) Markov rows, solved from the RLS state at each read; row
         i is blade i's [C A~^(p-1) B ... C B | C A~^(p-1) L ... C L]."""
         return self.state.estimate[:, 0]
 

@@ -2,8 +2,8 @@
 
 Per-sample twins of the package's batched paths: a ring buffer serving
 rotor-period differences and per-blade regressors, one-sample RLS and
-identification steps, the RLS fold on the estimate and R as two arrays
-(`rls_fold_two_array`), the actuator fault map applied per sample
+identification steps, the square-root (QR) RLS fold on the factor [R | z]
+(`rls_fold_qr`), the actuator fault map applied per sample
 (`apply_actuator_fault`), a one-sample plant step, the plant block advanced one
 sample at a time (`advance_block_loop`), the jittered periodic disturbance
 stepped one sample at a time (`jittered_periodic_block_loop`), the uftipc
@@ -147,31 +147,32 @@ def identify_step(state: RlsState, regressors, dy) -> RlsState:
     """
     dy = np.asarray(dy, dtype=float).reshape(N_BLADES)
     blades = [
-        rls_update(RlsState(state.factor[i], state.lam), regressors[i], dy[i: i + 1])[0]
+        rls_update(RlsState(state.info[i], state.lam), regressors[i], dy[i: i + 1])[0]
         for i in range(N_BLADES)
     ]
-    return RlsState(factor=np.stack([b.factor for b in blades]), lam=state.lam)
+    return RlsState(info=np.stack([b.info for b in blades]), lam=state.lam)
 
 
-def rls_fold_two_array(estimate, sqrt_inv_cov, lam: float, regressors, targets):
-    """The two-array RLS fold: the state is the estimate and R, and z is
-    rebuilt as R @ estimate' before the QR, the estimate solved after it.
+def rls_fold_qr(factor, lam: float, regressors, targets):
+    """The square-root (QR) RLS fold, the oracle for `rls_update_batch`.
 
-    Twin of `rls_update_batch`, which carries [R | z] as one factor; takes
-    and returns (estimate (..., n_out, n_reg), R (..., n_reg, n_reg)).
+    Carries the augmented factor [R | z] of the QR-RLS array form (Haykin,
+    Adaptive Filter Theory), R upper triangular with R'R = S and R'z = b,
+    and never forms S: the new [R | z] is the top n_reg rows of the QR of
+    [lam^(m/2) [R | z]; lam^(age/2) [X | y]]. Read the estimate with
+    `qr_estimate`.
     """
-    n_reg, n_out, m = sqrt_inv_cov.shape[-1], estimate.shape[-2], regressors.shape[-2]
+    n_reg, m = factor.shape[-2], regressors.shape[-2]
     weights = np.power(lam, np.arange(m - 1, -1, -1, dtype=float) / 2.0)
-    prior_scale = lam ** (m / 2.0)
-    z = sqrt_inv_cov @ estimate.mT
-    stacked = np.empty(regressors.shape[:-2] + (n_reg + m, n_reg + n_out))
-    stacked[..., :n_reg, :n_reg] = prior_scale * sqrt_inv_cov
-    stacked[..., :n_reg, n_reg:] = prior_scale * z
-    stacked[..., n_reg:, :n_reg] = weights[:, None] * regressors
-    stacked[..., n_reg:, n_reg:] = weights[:, None] * targets
-    r_aug = np.linalg.qr(stacked, mode="r")
-    r_new = np.ascontiguousarray(r_aug[..., :n_reg, :n_reg])
-    return np.linalg.solve(r_new, r_aug[..., :n_reg, n_reg:]).mT, r_new
+    rows = weights[:, None] * np.concatenate([regressors, targets], axis=-1)
+    stacked = np.concatenate([lam ** (m / 2.0) * factor, rows], axis=-2)
+    return np.linalg.qr(stacked, mode="r")[..., :n_reg, :]
+
+
+def qr_estimate(factor):
+    """(..., n_out, n_reg) estimate R^-1 z of an augmented QR-RLS factor."""
+    n_reg = factor.shape[-2]
+    return np.linalg.solve(factor[..., :n_reg], factor[..., n_reg:]).mT
 
 
 def advance_block_loop(plant, u_eff: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -657,13 +658,13 @@ def bar_matrices(t_u, t_y, h_bar):
 
 
 def rls_fold_concatenating(state: RlsState, regressors, targets) -> RlsState:
-    """Twin of `rls_update_batch` that concatenates [R | z] and the weighted
-    [X | y] into the QR input instead of writing one preallocated array."""
-    m = regressors.shape[-2]
+    """Twin of `rls_update_batch` that concatenates the weighted [X | y]
+    and adds the Gram product to the decayed [S | b] instead of writing one
+    preallocated array."""
+    m, n_reg = regressors.shape[-2], state.n_reg
     weights = np.power(state.lam, np.arange(m - 1, -1, -1, dtype=float) / 2.0)
     rows = weights[:, None] * np.concatenate([regressors, targets], axis=-1)
-    stacked = np.concatenate([state.lam ** (m / 2.0) * state.factor, rows], axis=-2)
-    return RlsState(factor=np.linalg.qr(stacked, mode="r")[..., :state.n_reg, :],
+    return RlsState(info=state.lam ** m * state.info + rows[..., :n_reg].mT @ rows,
                     lam=state.lam)
 
 

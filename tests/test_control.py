@@ -300,12 +300,12 @@ def exploding_rotation(newest_y_tap):
     state = ctl.engine.state
     estimate = state.estimate[1].copy()
     estimate[0, -1] = newest_y_tap
-    # Blade 2's factor becomes [I | estimate'], which reads back the
-    # estimate exactly; solving z = R @ estimate' against its own R would
+    # Blade 2's [S | b] becomes [I | estimate'], which reads back the
+    # estimate exactly; solving b = S @ estimate' against its own S would
     # smear the huge tap over the other taps.
-    factor = state.factor.copy()
-    factor[1] = np.concatenate([np.eye(state.n_reg), estimate.mT], axis=-1)
-    ctl.engine.state = RlsState(factor=factor, lam=state.lam)
+    info = state.info.copy()
+    info[1] = np.concatenate([np.eye(state.n_reg), estimate.mT], axis=-1)
+    ctl.engine.state = RlsState(info=info, lam=state.lam)
     return ctl, u, y
 
 

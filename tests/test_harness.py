@@ -509,6 +509,26 @@ def test_compare_text_notes_faulty_blade():
     assert "blade3" not in text.split("\n")[1]  # column suppressed in rows
 
 
+def test_compare_text_does_not_name_the_hidden_faulty_blade():
+    # A stuck blade's load rising is expected: the note of increased loads
+    # follows the columns and leaves the hidden faulty blade out, while the
+    # JSON keeps every negative blade.
+    def run(controller, sd_y):
+        faulty = {f"blade{b}": {"sd_y": sd, "adc": 0.0} for b, sd in zip((1, 2, 3), sd_y)}
+        return {"id": f"g-{controller}", "group": "g", "controller": controller,
+                "faulty_blade": 3, "faulty": faulty}
+    metrics = {m["id"]: m for m in (run("cpc", (1.0, 1.0, 1.0)),
+                                    run("ftipc", (1.5, 0.5, 2.0)))}
+    table = compare(metrics, baseline="cpc")
+    row = next(line for line in table.to_text().split("\n") if " ftipc " in line)
+    assert "blade 3 not shown: faulty blade" in row
+    assert "load increased on: blade1]" in row
+    assert "blade3" not in row
+    rows = json.loads(table.to_json())["rows"]
+    assert next(r for r in rows if r["controller"] == "ftipc")["negative_blades"] == [
+        "blade1", "blade3"]
+
+
 def test_compare_rejects_zero_sd_baseline(tmp_path):
     metrics = metrics_for_compare()
     base = next(m for m in metrics.values() if m["controller"] == "cpc")
@@ -650,6 +670,50 @@ def test_cli_campaign_failure_exit_code(tmp_path, monkeypatch):
     cfg_path.write_text(json.dumps({"cases": [short_cfg(duration_s=20.0,
                                                         fault_onset_s=10.0).to_dict()]}))
     assert cli_main(["campaign", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
+def unexcited_cfg(case: str, **tuning) -> LoadCaseConfig:
+    """The default campaign's 200 s ftipc run of `case`, without excitation."""
+    cfg = next(c for c in default_campaign(duration_s=200.0, controllers=("ftipc",))
+               if c.id.startswith(case))
+    tuning = {"excitation_amplitude": 0.0, **tuning}
+    return LoadCaseConfig.from_dict(dict(cfg.to_dict(), tuning=tuning))
+
+
+@pytest.mark.parametrize("case", ["LC01", "LC18"])
+def test_zero_excitation_fails_every_dare_and_identifies_no_input_path(monkeypatch, case):
+    # Without excitation theta stays zero, so the periodic differences of
+    # the commanded pitch, the u-half of every regressor, are exactly zero:
+    # the u-half of each blade's estimate stays exactly zero, (A_bar, B_bar)
+    # is not stabilizable, and every post-warm-up DARE fails, with no numpy
+    # warning on the way.
+    cfg = unexcited_cfg(case)
+    controllers = []
+
+    class Recorded(harness.RepetitiveController):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            controllers.append(self)
+
+    monkeypatch.setattr(harness, "RepetitiveController", Recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_load_case(cfg)
+    assert result.metrics["dare_failures"] == 180
+    (ctl,) = controllers
+    assert np.all(ctl.engine.rows[:, :ctl.p] == 0.0)
+
+
+def test_underflowed_prior_is_a_counted_dare_failure():
+    # At forgetting 0.91 the prior ridge lam^k * init_info underflows to
+    # zero after about 7,800 samples. Without excitation the u-block of the
+    # RLS information matrix is then exactly zero, so the matrix is
+    # singular: its estimate reads NaN, and the run counts failed DAREs
+    # instead of raising LinAlgError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_load_case(unexcited_cfg("LC01", forgetting=0.91))
+    assert result.metrics["dare_failures"] == 180
 
 
 def test_nonfinite_metrics_fail_the_run(tmp_path, caplog):

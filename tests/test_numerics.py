@@ -1,6 +1,8 @@
 """Kernel-level checks: RLS vs batch weighted LS, Penrose conditions,
 Riccati residuals, and Parseval consistency of the Welch estimator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from ipcsim.numerics import (
     solve_dare,
     welch_psd,
 )
-from reference import rls_fold_two_array, rls_update, spectral_radius
+from reference import qr_estimate, rls_fold_qr, rls_update, spectral_radius
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +89,27 @@ def test_rls_matches_batch_on_every_prefix(n_reg, n_out, lam):
         assert np.linalg.norm(est - oracle) <= 1e-8 * max(1.0, np.linalg.norm(oracle))
 
 
-def test_rls_sqrt_factor_stays_upper_triangular():
+def test_rls_information_matrix_stays_symmetric_positive_definite():
     rng = np.random.default_rng(11)
     state = RlsState.fresh(1, 6, lam=0.999)
     for _ in range(50):
         state, _ = rls_update(state, rng.normal(size=6), rng.normal(size=1))
-        r = state.sqrt_inv_cov
-        assert np.all(np.isfinite(r))
-        assert np.allclose(r, np.triu(r))
+        s = state.info[..., :6]
+        assert np.all(np.isfinite(state.info))
+        assert np.array_equal(s, s.mT)
+        assert np.all(np.linalg.eigvalsh(s) > 0.0)
+
+
+def test_rls_overflowing_rows_read_as_nan_estimate():
+    # Finite rows beyond about 1e154 overflow the Gram product. The fold
+    # warns of nothing, and the estimate reads NaN, which the controller's
+    # model projection and Riccati solve then count as a failed DARE.
+    state = RlsState.fresh(1, 4, lam=0.999, stack=(3,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = rls_update_batch(state, np.full((3, 5, 4), 1e200), np.ones((3, 5, 1)))
+        assert not np.isfinite(state.info).all()
+        assert np.isnan(state.estimate).all()
 
 
 def test_rls_batch_equals_sequential():
@@ -112,8 +127,8 @@ def test_rls_batch_equals_sequential():
 
 
 def test_stacked_rls_batch_is_bitwise_separate_calls():
-    # Three blades' recursions folded in one stacked QR equal three
-    # separate folds bit for bit, block after block.
+    # Three blades' recursions folded in one stacked Gram product equal
+    # three separate folds bit for bit, block after block.
     rng = np.random.default_rng(31)
     n_reg = 42
     stacked = RlsState.fresh(1, n_reg, lam=0.99999, stack=(3,))
@@ -125,27 +140,67 @@ def test_stacked_rls_batch_is_bitwise_separate_calls():
         separate = [rls_update_batch(s, x, y) for s, x, y in zip(separate, xs, ys)]
         for i in range(3):
             assert np.array_equal(stacked.estimate[i], separate[i].estimate)
-            assert np.array_equal(stacked.sqrt_inv_cov[i], separate[i].sqrt_inv_cov)
+            assert np.array_equal(stacked.info[i], separate[i].info)
 
 
-def test_augmented_factor_fold_matches_two_array_fold():
-    # Carrying [R | z] as one factor equals the two-array fold, which
-    # rebuilds z = R @ estimate' before each QR and solves after it: over
-    # 1,000 stacked (3, 100, 42) folds R stays bitwise equal (the QR's left
-    # block never sees the z column) and the estimates agree within 1e-13
-    # relative (3.3e-15 measured).
+def random_folds(rng, n_folds, n_reg=42):
+    """Stacked (3, 100, n_reg) blocks of a noisy random regression."""
+    xi = rng.normal(size=(3, 1, n_reg))
+    for _ in range(n_folds):
+        xs = rng.normal(size=(3, 100, n_reg))
+        yield xs, xs @ xi.mT + 0.1 * rng.normal(size=(3, 100, 1))
+
+
+def hankel_folds(rng, n_folds, p=21):
+    """Stacked (3, 100, 2p) blocks of sliding windows [u | y] of a noise-free
+    second-order channel per blade, driven by a held random-sign input and
+    targeting the next y, like an LC01 (turbulence-free) run. Each window's
+    y-half is a linear function of its u-half and two initial states, so 19
+    of the 42 directions hold only the decayed prior: cond(S) passes 1e12."""
+    n = n_folds * 100 + p
+    u = rng.choice([-1.0, 1.0], size=(3, n // 10 + 1)).repeat(10, axis=1)[:, :n]
+    y = np.zeros((3, n))
+    for t in range(2, n):
+        y[:, t] = 1.6 * y[:, t - 1] - 0.8 * y[:, t - 2] + 6.0 * u[:, t - 1]
+    window = np.arange(100)[:, None] + np.arange(p)
+    for f in range(n_folds):
+        t0 = p + 100 * f
+        rows = window + (t0 - p)
+        yield (np.concatenate([u[:, rows], y[:, rows]], axis=-1),
+               y[:, t0:t0 + 100, None])
+
+
+@pytest.mark.parametrize("folds", [random_folds, hankel_folds])
+def test_information_fold_matches_qr_oracle(folds):
+    # The information fold against the square-root (QR) fold over 1,000
+    # stacked (3, 100, 42) folds. Tolerances, all relative:
+    # - [S | b] against [R'R | R'z]: 1e-12 (3e-14 measured);
+    # - random data, estimates: 1e-12 (1.2e-14 measured);
+    # - Hankel data, whose cond(S) reaches 1.6e12: estimates within
+    #   cond(S) * eps, the rounding bound of either solve (0.1 of it
+    #   measured, 3e-5), and one-step predictions X Theta' within 1e-12 of
+    #   |y| (1.5e-13 measured).
     rng = np.random.default_rng(5)
     n_reg, lam = 42, 0.99999
     state = RlsState.fresh(1, n_reg, lam=lam, stack=(3,))
-    estimate, r = state.estimate, state.sqrt_inv_cov.copy()
-    xi = rng.normal(size=(3, 1, n_reg))
-    for _ in range(1000):
-        xs = rng.normal(size=(3, 100, n_reg))
-        ys = xs @ xi.mT + 0.1 * rng.normal(size=(3, 100, 1))
+    factor = np.sqrt(state.info)  # [sqrt(init_info) I | 0], the fresh [R | z]
+    for xs, ys in folds(rng, 1000):
         state = rls_update_batch(state, xs, ys)
-        estimate, r = rls_fold_two_array(estimate, r, lam, xs, ys)
-        assert np.array_equal(state.sqrt_inv_cov, r)
-        assert np.linalg.norm(state.estimate - estimate) <= 1e-13 * np.linalg.norm(estimate)
+        factor = rls_fold_qr(factor, lam, xs, ys)
+        r = factor[..., :n_reg]
+        oracle_info = r.mT @ factor
+        assert np.linalg.norm(state.info - oracle_info) <= 1e-12 * np.linalg.norm(oracle_info)
+        estimate, oracle = state.estimate, qr_estimate(factor)
+        error = np.linalg.norm(estimate - oracle) / np.linalg.norm(oracle)
+        if folds is random_folds:
+            assert error <= 1e-12
+        else:
+            cond = np.linalg.cond(state.info[..., :n_reg]).max()
+            assert error <= cond * np.finfo(float).eps
+            prediction = xs @ (estimate - oracle).mT
+            assert np.linalg.norm(prediction) <= 1e-12 * np.linalg.norm(ys)
+    if folds is hankel_folds:
+        assert cond >= 1e12
 
 
 def test_stacked_rls_batch_rejects_mismatched_stack():

@@ -212,9 +212,9 @@ def test_engine_matches_per_sample_identify_step():
 
 
 def test_assembled_rows_are_bitwise_blade_states():
-    # Each rotation the engine folds all blades in one stacked QR; its rows
-    # equal, bit for bit, separate per-blade folds of the same rotation's
-    # regressors built sample by sample.
+    # Each rotation the engine folds all blades in one stacked Gram
+    # product; its rows equal, bit for bit, separate per-blade folds of the
+    # same rotation's regressors built sample by sample.
     rng = np.random.default_rng(8)
     p, n_rot = 4, 5
     us = rng.normal(size=(n_rot * P, 3))
