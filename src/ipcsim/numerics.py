@@ -1,7 +1,8 @@
 """Shared numerical kernels.
 
 Information-form recursive least squares with exponential forgetting on
-the augmented matrix [S | b], one Gram product per fold; Moore-Penrose
+the information matrix S beside the estimate, one Gram product and one
+solve per fold; Moore-Penrose
 pseudo-inverse; a discrete algebraic Riccati solver based on the Riccati
 difference recursion; and Welch spectral estimation. The RLS fold and the
 Riccati solver accept stacks of independent problems along leading axes.
@@ -51,16 +52,17 @@ def _real(name: str, value) -> None:
 class RlsState:
     """State of an exponentially weighted least-squares recursion.
 
-    The state is the augmented information matrix [S | b] (Haykin, Adaptive
-    Filter Theory): S = lam^k * init_info * I + sum_t lam^(k-t) x_t x_t',
-    positive definite through the decayed ridge, and
-    b = sum_t lam^(k-t) x_t y_t'. The estimate solves S Theta' = b when read.
+    The information matrix S = lam^k * init_info * I + sum_t lam^(k-t)
+    x_t x_t' (Haykin, Adaptive Filter Theory), positive definite through the
+    decayed ridge, beside the estimate Theta, which solves
+    S Theta' = sum_t lam^(k-t) x_t y_t' and is carried, not solved per read.
 
     Leading axes, if any, stack independent recursions that share lam (one
     per blade in the identification engine); they are folded together.
 
     Attributes:
-        info: (..., n_reg, n_reg + n_out) the augmented matrix [S | b].
+        info: (..., n_reg, n_reg + n_out) the augmented matrix [S | Theta'];
+            Theta is NaN for good once its S is not finite or invertible.
         lam: forgetting factor. Values at or below 0.9 are rejected; the
             recursion is meant for near-unity forgetting.
     """
@@ -84,12 +86,8 @@ class RlsState:
 
     @property
     def estimate(self) -> np.ndarray:
-        """(..., n_out, n_reg) weighted least-squares solution, solved at each
-        read; all NaN when S is not finite or not invertible."""
-        try:
-            return np.linalg.solve(self.info[..., :self.n_reg], self.info[..., self.n_reg:]).mT
-        except np.linalg.LinAlgError:
-            return np.full(self.info.shape[:-2] + (self.n_out, self.n_reg), np.nan)
+        """(..., n_out, n_reg) weighted least-squares solution Theta, a copy."""
+        return self.info[..., self.n_reg:].mT.copy()
 
     @staticmethod
     def fresh(n_out: int, n_reg: int, lam: float, init_info: float = 1e-3,
@@ -111,9 +109,15 @@ def rls_update_batch(state: RlsState, regressors: np.ndarray, targets: np.ndarra
     exponentially weighted least-squares solution over all data seen so far
     (including the init_info ridge decayed by lam^k); folding the rows one
     at a time or in any split gives the same solution up to rounding. With
-    the rows weighted once, A = W [X | y] with W = diag(lam^(age/2)), the
-    new [S | b] is lam^m [S | b] + (W X)' A. Rows finite but beyond about
-    1e154 overflow S; its estimate then reads NaN.
+    the rows weighted once by W = diag(lam^(age/2)) and their residuals
+    r = W (y - X Theta'), (W X)' [W X | r] gives S <- lam^m S + (W X)' W X
+    and the correction Theta' += S^-1 (W X)' r. Solving for the correction
+    from residuals, not for Theta from b, confines the rounding of S
+    (cond(S) nears 1/eps on noise-free runs) to the correction.
+
+    A recursion whose new S is not finite or invertible (rows beyond about
+    1e154 overflow it) gets an all-NaN estimate, kept by later folds; the
+    controller counts a failed DARE. The other stacked recursions keep theirs.
     """
     regressors = np.asarray(regressors, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -135,10 +139,24 @@ def rls_update_batch(state: RlsState, regressors: np.ndarray, targets: np.ndarra
     np.multiply(weights[:, None], targets, out=rows[..., n_reg:])
     if not np.isfinite(rows).all():  # so are the inputs: 0 < weight <= 1
         raise ValueError("batch contains non-finite entries")
+    theta = state.info[..., n_reg:]
     with np.errstate(over="ignore", invalid="ignore"):
+        rows[..., n_reg:] -= rows[..., :n_reg] @ theta
         info = rows[..., :n_reg].mT @ rows
-        info += prior_scale * state.info
+        info[..., :n_reg] += prior_scale * state.info[..., :n_reg]
+        info[..., n_reg:] = theta + _solve_or_nan(info[..., :n_reg], info[..., n_reg:])
     return RlsState(info=info, lam=state.lam)
+
+
+def _solve_or_nan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the stacked systems a x = b; all-NaN x for each one whose a is
+    singular or not finite, the others solved as if alone."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        if a.ndim == 2:
+            return np.full(b.shape, np.nan)
+        return np.stack([_solve_or_nan(ai, bi) for ai, bi in zip(a, b)])
 
 
 @functools.lru_cache(maxsize=8)

@@ -30,10 +30,11 @@ class IdentificationEngine:
     """Batched identification over full run history arrays.
 
     Consumes sample ranges of the recorded (u_cmd, y) series and folds each
-    range into the three blades' stacked information matrices with a single
-    weighted Gram product. Folding per rotation gives the same exponentially
-    weighted least-squares solution as folding sample by sample, up to
-    rounding; the equivalence is covered by tests.
+    range into the three blades' stacked information matrices and estimates
+    with a single weighted Gram product and one stacked solve. Folding per
+    rotation gives the same exponentially weighted least-squares solution as
+    folding sample by sample, up to rounding; the equivalence is covered by
+    tests.
     """
 
     def __init__(self, p: int, period: int, lam: float = 0.99999):
@@ -44,8 +45,8 @@ class IdentificationEngine:
 
     @property
     def rows(self) -> np.ndarray:
-        """(3, 2p) Markov rows, solved from the RLS state at each read; row
-        i is blade i's [C A~^(p-1) B ... C B | C A~^(p-1) L ... C L]."""
+        """(3, 2p) Markov rows, the RLS state's estimate; row i is blade
+        i's [C A~^(p-1) B ... C B | C A~^(p-1) L ... C L]."""
         return self.state.estimate[:, 0]
 
     def ingest(self, u_hist: np.ndarray, y_hist: np.ndarray, upto: int) -> None:

@@ -3,7 +3,8 @@
 Per-sample twins of the package's batched paths: a ring buffer serving
 rotor-period differences and per-blade regressors, one-sample RLS and
 identification steps, the square-root (QR) RLS fold on the factor [R | z]
-(`rls_fold_qr`), the actuator fault map applied per sample
+(`rls_fold_qr`, and `qr_rls_update_batch`, which runs a load case on it),
+the actuator fault map applied per sample
 (`apply_actuator_fault`), a one-sample plant step, the plant block advanced one
 sample at a time (`advance_block_loop`), the jittered periodic disturbance
 stepped one sample at a time (`jittered_periodic_block_loop`), the uftipc
@@ -173,6 +174,25 @@ def qr_estimate(factor):
     """(..., n_out, n_reg) estimate R^-1 z of an augmented QR-RLS factor."""
     n_reg = factor.shape[-2]
     return np.linalg.solve(factor[..., :n_reg], factor[..., n_reg:]).mT
+
+
+def qr_rls_update_batch():
+    """A stand-in for `rls_update_batch` that folds one recursion, started
+    fresh, with `rls_fold_qr`: it keeps that recursion's [R | z] and returns
+    states [R'R | Theta'] carrying the QR oracle's estimate. Patched into
+    `ipcsim.sysid`, it runs a whole load case on the square-root fold."""
+    factor = None
+
+    def update(state: RlsState, regressors, targets) -> RlsState:
+        nonlocal factor
+        if factor is None:
+            factor = np.sqrt(state.info)  # [sqrt(init_info) I | 0], the fresh [R | z]
+        factor = rls_fold_qr(factor, state.lam, regressors, targets)
+        r = factor[..., :state.n_reg]
+        return RlsState(info=np.concatenate([r.mT @ r, qr_estimate(factor).mT], axis=-1),
+                        lam=state.lam)
+
+    return update
 
 
 def advance_block_loop(plant, u_eff: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -658,13 +678,16 @@ def bar_matrices(t_u, t_y, h_bar):
 
 
 def rls_fold_concatenating(state: RlsState, regressors, targets) -> RlsState:
-    """Twin of `rls_update_batch` that concatenates the weighted [X | y]
-    and adds the Gram product to the decayed [S | b] instead of writing one
-    preallocated array."""
+    """Twin of `rls_update_batch` that concatenates the weighted [X | y],
+    the residuals and the new [S | Theta'] instead of writing in place."""
     m, n_reg = regressors.shape[-2], state.n_reg
     weights = np.power(state.lam, np.arange(m - 1, -1, -1, dtype=float) / 2.0)
     rows = weights[:, None] * np.concatenate([regressors, targets], axis=-1)
-    return RlsState(info=state.lam ** m * state.info + rows[..., :n_reg].mT @ rows,
+    theta = state.info[..., n_reg:]
+    residuals = rows[..., n_reg:] - rows[..., :n_reg] @ theta
+    gram = rows[..., :n_reg].mT @ np.concatenate([rows[..., :n_reg], residuals], axis=-1)
+    s = gram[..., :n_reg] + state.lam ** m * state.info[..., :n_reg]
+    return RlsState(info=np.concatenate([s, theta + np.linalg.solve(s, gram[..., n_reg:])], axis=-1),
                     lam=state.lam)
 
 

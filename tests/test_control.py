@@ -300,11 +300,10 @@ def exploding_rotation(newest_y_tap):
     state = ctl.engine.state
     estimate = state.estimate[1].copy()
     estimate[0, -1] = newest_y_tap
-    # Blade 2's [S | b] becomes [I | estimate'], which reads back the
-    # estimate exactly; solving b = S @ estimate' against its own S would
-    # smear the huge tap over the other taps.
+    # The state carries the estimate beside S: blade 2's Theta' column
+    # takes the edited estimate, which reads back exactly.
     info = state.info.copy()
-    info[1] = np.concatenate([np.eye(state.n_reg), estimate.mT], axis=-1)
+    info[1, :, state.n_reg:] = estimate.mT
     ctl.engine.state = RlsState(info=info, lam=state.lam)
     return ctl, u, y
 

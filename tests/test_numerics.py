@@ -112,6 +112,25 @@ def test_rls_overflowing_rows_read_as_nan_estimate():
         assert np.isnan(state.estimate).all()
 
 
+def test_rls_overflow_of_one_recursion_leaves_the_others():
+    # Only the blade whose S overflows loses its estimate, for good: the
+    # other two blades match separate folds bit for bit, and a later fold
+    # of ordinary rows keeps the overflowed blade at NaN.
+    rng = np.random.default_rng(3)
+    stacked = RlsState.fresh(1, 4, lam=0.999, stack=(3,))
+    separate = [RlsState.fresh(1, 4, lam=0.999) for _ in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e200, 1.0):
+            xs, ys = rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 5, 1))
+            xs[1] *= scale
+            stacked = rls_update_batch(stacked, xs, ys)
+            separate = [rls_update_batch(s, x, y) for s, x, y in zip(separate, xs, ys)]
+            assert np.isnan(stacked.estimate[1]).all()
+            for i in (0, 2):
+                assert np.array_equal(stacked.info[i], separate[i].info)
+
+
 def test_rls_batch_equals_sequential():
     rng = np.random.default_rng(21)
     n_reg, n_out = 10, 1
@@ -174,12 +193,12 @@ def hankel_folds(rng, n_folds, p=21):
 def test_information_fold_matches_qr_oracle(folds):
     # The information fold against the square-root (QR) fold over 1,000
     # stacked (3, 100, 42) folds. Tolerances, all relative:
-    # - [S | b] against [R'R | R'z]: 1e-12 (3e-14 measured);
-    # - random data, estimates: 1e-12 (1.2e-14 measured);
-    # - Hankel data, whose cond(S) reaches 1.6e12: estimates within
-    #   cond(S) * eps, the rounding bound of either solve (0.1 of it
-    #   measured, 3e-5), and one-step predictions X Theta' within 1e-12 of
-    #   |y| (1.5e-13 measured).
+    # - S against R'R: 1e-12 (2.8e-14 measured);
+    # - random data, estimates: 1e-12 (1.1e-14 measured);
+    # - Hankel data, whose cond(S) reaches 1.6e12: estimates within 1e-7
+    #   (1.0e-8 measured; solving S Theta' = b at each read instead of
+    #   carrying Theta reaches 3e-5), and one-step predictions X Theta'
+    #   within 1e-12 of |y| (7e-14 measured).
     rng = np.random.default_rng(5)
     n_reg, lam = 42, 0.99999
     state = RlsState.fresh(1, n_reg, lam=lam, stack=(3,))
@@ -188,19 +207,17 @@ def test_information_fold_matches_qr_oracle(folds):
         state = rls_update_batch(state, xs, ys)
         factor = rls_fold_qr(factor, lam, xs, ys)
         r = factor[..., :n_reg]
-        oracle_info = r.mT @ factor
-        assert np.linalg.norm(state.info - oracle_info) <= 1e-12 * np.linalg.norm(oracle_info)
+        assert np.linalg.norm(state.info[..., :n_reg] - r.mT @ r) <= 1e-12 * np.linalg.norm(r.mT @ r)
         estimate, oracle = state.estimate, qr_estimate(factor)
         error = np.linalg.norm(estimate - oracle) / np.linalg.norm(oracle)
         if folds is random_folds:
             assert error <= 1e-12
         else:
-            cond = np.linalg.cond(state.info[..., :n_reg]).max()
-            assert error <= cond * np.finfo(float).eps
+            assert error <= 1e-7
             prediction = xs @ (estimate - oracle).mT
             assert np.linalg.norm(prediction) <= 1e-12 * np.linalg.norm(ys)
     if folds is hankel_folds:
-        assert cond >= 1e12
+        assert np.linalg.cond(state.info[..., :n_reg]).max() >= 1e12
 
 
 def test_stacked_rls_batch_rejects_mismatched_stack():
