@@ -202,8 +202,6 @@ def update_theta(theta: np.ndarray, gain: np.ndarray, y_bar: np.ndarray,
 # Excitation
 # ---------------------------------------------------------------------------
 
-_BIT_BLOCK = 64  # bits of each channel drawn per rng call
-_FILTER_AHEAD = 1024  # most excitation steps filtered per pass, rounded up to whole rotations
 EXCITATION_POLE = 0.8  # one-pole filter of the restricted excitation, per rotation
 # Broadband uftipc excitation: low-pass cutoff and bit hold time.
 UFTIPC_CUTOFF_HZ = 1.0
@@ -211,7 +209,7 @@ UFTIPC_BIT_TIME_S = 1.0
 
 
 class ExcitationGenerator:
-    """Filtered pseudo-random binary excitation, one rotation at a time.
+    """Filtered pseudo-random binary excitation of a whole run.
 
     One independent +-1 stream per channel (distinct child seeds of `seed`),
     each bit held for `hold` steps counted from step 0 of the run and
@@ -219,75 +217,44 @@ class ExcitationGenerator:
     monotone, so |z| <= 1 and |eta| <= amplitude hold exactly. The defaults
     are the restricted excitation: one step per rotation in the N_COEFF
     basis coefficients, slow enough that the commanded spectrum stays near
-    1P/2P. `broadband` builds the uftipc pitch noise. Rotations are sampled
-    in order from 0; whole rotations are filtered ahead, from _BIT_BLOCK
-    steps at a time doubling up to _FILTER_AHEAD, so each channel's loop
-    runs over many held bits per pass.
+    1P/2P. `broadband` builds the uftipc pitch noise. The run's `rotations`
+    are drawn and filtered at construction, with one draw per channel and
+    one pass of the filter over plain floats; `sample(j)` reads rotation j.
     """
 
-    def __init__(self, amplitude: float, seed, channels: int = N_COEFF, steps: int = 1,
-                 hold: int = 1, pole: float = EXCITATION_POLE):
+    def __init__(self, amplitude: float, seed, rotations: int, channels: int = N_COEFF,
+                 steps: int = 1, hold: int = 1, pole: float = EXCITATION_POLE):
         if amplitude < 0.0:
             raise ValueError("amplitude must be non-negative")
-        self.amplitude, self.steps, self.hold, self.pole = amplitude, steps, hold, pole
+        self.steps, self.hold = steps, hold
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(seed)
-        self._rngs = [np.random.default_rng(s) for s in seed.spawn(channels)]
-        self._z = [0.0] * channels  # filter output of the last filtered step
-        self._bits = [None] * channels  # per channel, the _BIT_BLOCK bits of the last drawn block
-        self._rows, self._next_row = np.empty((0, channels)), 0  # filtered, not yet sampled
-        self._ahead = _BIT_BLOCK  # steps to filter next; doubles, so a short run wastes little
-        self._next_j = 0
+        n = rotations * steps
+        self._rows = np.empty((n, channels))
+        for c, s in enumerate(seed.spawn(channels)):
+            bits = 2 * np.random.default_rng(s).integers(0, 2, size=-(-n // hold)) - 1
+            z, col = 0.0, []
+            for bit in bits.tolist():
+                w = (1.0 - pole) * bit
+                for _ in range(hold):
+                    z = pole * z + w
+                    col.append(z)
+            self._rows[:, c] = col[:n]  # the last bit may be held past the run
+        self._rows *= amplitude
+        self._rows.flags.writeable = False  # `sample` hands out views of it
 
     @classmethod
-    def broadband(cls, amplitude: float, seed, dt: float, period: int) -> ExcitationGenerator:
+    def broadband(cls, amplitude: float, seed, dt: float, period: int,
+                  rotations: int) -> ExcitationGenerator:
         """uftipc per-sample pitch noise on the three blades: bits held for
         UFTIPC_BIT_TIME_S, low-pass filtered at UFTIPC_CUTOFF_HZ."""
-        return cls(amplitude, seed, channels=N_BLADES, steps=period,
+        return cls(amplitude, seed, rotations, channels=N_BLADES, steps=period,
                    hold=max(1, round(UFTIPC_BIT_TIME_S / dt)),
                    pole=float(np.exp(-2.0 * np.pi * UFTIPC_CUTOFF_HZ * dt)))
 
     def sample(self, j: int) -> np.ndarray:
-        """(steps, channels) excitation of rotation j, which must be the next one."""
-        if j != self._next_j:
-            raise ValueError(f"excitation stream is sequential: expected j={self._next_j}")
-        self._next_j += 1
-        if self._next_row == len(self._rows):  # whole rotations, at least self._ahead steps
-            n = self.steps * -(-self._ahead // self.steps)
-            self._rows, self._next_row = self._filter(j * self.steps, n), 0
-            self._ahead = min(2 * self._ahead, _FILTER_AHEAD)
-        self._next_row += self.steps
-        return self._rows[self._next_row - self.steps:self._next_row]
-
-    def _filter(self, k0: int, n: int) -> np.ndarray:
-        """(n, channels) filter outputs of steps k0 .. k0 + n - 1, one channel
-        at a time over plain floats."""
-        a, hold = self.pole, self.hold
-        first, last = k0 // hold, (k0 + n - 1) // hold  # the bits these steps hold
-        counts = [hold] * (last - first + 1)  # steps per bit; the range cuts the ends
-        counts[0] -= k0 - first * hold
-        counts[-1] -= (last + 1) * hold - (k0 + n)
-        out = np.empty((n, len(self._z)))
-        for c, z in enumerate(self._z):
-            bits = []
-            for b in range(first - first % _BIT_BLOCK, last + 1, _BIT_BLOCK):
-                if b * hold >= k0:  # block b's first bit starts in the range
-                    # Drawing a stream in blocks gives the same bits as drawing
-                    # it one bit at a time.
-                    self._bits[c] = (2 * self._rngs[c].integers(0, 2, size=_BIT_BLOCK)
-                                     - 1).tolist()
-                bits += self._bits[c][max(first - b, 0):last + 1 - b]
-            col = []
-            for bit, count in zip(bits, counts):
-                w = (1.0 - a) * bit
-                for _ in range(count):
-                    z = a * z + w
-                    col.append(z)
-            out[:, c] = col
-            self._z[c] = z
-        out *= self.amplitude
-        out.flags.writeable = False  # `sample` hands out views of it
-        return out
+        """(steps, channels) excitation of rotation j, read-only."""
+        return self._rows[j * self.steps:(j + 1) * self.steps]
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +310,20 @@ class RepetitiveController:
     Drives the identification engine on the recorded histories, rebuilds
     the projected model and gain once per rotation (warm-starting the
     Riccati recursion from the previous cost matrix), and updates the
-    coefficient vector. Excitation stays on for the entire run.
+    coefficient vector. Excitation stays on for the entire run of `rotations`:
+    the restricted excitation, or `broadband` in its place (uftipc).
     """
 
     def __init__(self, p: int, period: int, tuning: ControllerTuning, seed: int,
-                 broadband: ExcitationGenerator | None = None):
+                 rotations: int, broadband: ExcitationGenerator | None = None):
         self.p = p
         self.period = period
         self.tuning = tuning
         self.basis = build_basis(period)
         self._shifts = shifted_bases(self.basis.u_f, p)
         self.engine = IdentificationEngine(p, period, lam=tuning.forgetting)
-        self.excitation = ExcitationGenerator(tuning.excitation_amplitude, seed)
+        self.excitation = (ExcitationGenerator(tuning.excitation_amplitude, seed, rotations)
+                           if broadband is None else None)
         self.broadband = broadband
         q = np.diag([tuning.q_y] * N_HARM + [tuning.q_dtheta] * N_HARM + [tuning.q_dy] * N_HARM)
         self.q = np.broadcast_to(q, (N_BLADES,) + q.shape)

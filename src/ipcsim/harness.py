@@ -268,9 +268,10 @@ def run_load_case(cfg: LoadCaseConfig) -> RunResult:
 
     controller = None
     if cfg.controller in ("ftipc", "uftipc"):
-        broadband = (ExcitationGenerator.broadband(cfg.uftipc_amplitude_deg, seeds[2], dt, period)
+        broadband = (ExcitationGenerator.broadband(cfg.uftipc_amplitude_deg, seeds[2], dt,
+                                                   period, n_rot)
                      if cfg.controller == "uftipc" else None)
-        controller = RepetitiveController(cfg.predictor_window, period, tuning, seeds[1],
+        controller = RepetitiveController(cfg.predictor_window, period, tuning, seeds[1], n_rot,
                                           broadband=broadband)
 
     cpc_rows = np.zeros((period, 3))  # cpc: zero differential pitch, every rotation
@@ -420,7 +421,10 @@ def _run_one(cfg_dict: dict, out_dir: str | None) -> RunStatus:
 def run_campaign(configs, parallelism: int = 1, out_dir=None) -> CampaignReport:
     """Run every load case (independently; failures are isolated) on at most
     `parallelism` worker processes and no more than one per case (the pool
-    forks all of its workers at the first submit)."""
+    forks all of its workers at the first submit). A worker that dies
+    breaks the pool and every run in flight with it, so the runs at fault
+    cannot be named: each broken run is rerun alone in a fresh one-worker
+    pool, and a run that kills that pool too is reported as failed."""
     if not _is_int(parallelism) or parallelism < 1:
         raise ConfigError(f"parallelism (--jobs) must be an integer >= 1, got {parallelism!r}")
     configs = list(configs)
@@ -434,10 +438,21 @@ def run_campaign(configs, parallelism: int = 1, out_dir=None) -> CampaignReport:
     else:
         # Imported here: multiprocessing costs every other command its import time.
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
+        cases = [c.to_dict() for c in configs]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            statuses = list(pool.map(_run_one, [c.to_dict() for c in configs],
-                                     [out] * len(configs)))
+            futures = [pool.submit(_run_one, case, out) for case in cases]
+            statuses = [None if isinstance(f.exception(), BrokenProcessPool) else f.result()
+                        for f in futures]
+        for i, case in enumerate(cases):
+            if statuses[i] is None:
+                with ProcessPoolExecutor(max_workers=1) as pool:
+                    try:
+                        statuses[i] = pool.submit(_run_one, case, out).result()
+                    except BrokenProcessPool as exc:
+                        statuses[i] = RunStatus(id=case["id"], ok=False,
+                                                error=f"worker process died: {exc}")
     return CampaignReport(statuses=statuses, out_dir=out)
 
 

@@ -248,8 +248,8 @@ def broadband_loop(amplitude: float, seed: int, dt: float, n: int) -> np.ndarray
     """The uftipc broadband excitation built from the seed alone, one sample
     at a time on numpy rows.
 
-    Twin of `ExcitationGenerator.broadband`, which draws its bits in blocks
-    and filters plain floats one stretch of held bits at a time: three child
+    Twin of `ExcitationGenerator.broadband`, which draws each stream's bits
+    for the whole run at once and filters them over plain floats: three child
     streams of `seed`, one scalar `integers(0, 2)` draw per stream at every
     multiple of the bit hold, the one-pole filter, and a clip to +-1 before
     scaling. Returns the first n samples of the run as an (n, 3) array.

@@ -105,7 +105,7 @@ def test_criterion_01_identification_oracle():
     dist = DisturbanceModel(period=P, sigma_e=0.0, seed=3)  # noise-free
     fault = FaultScenario()
     tuning = ControllerTuning(warmup_rotations=51)  # excitation only, no control
-    ctl = RepetitiveController(WINDOW, P, tuning, seed=12)
+    ctl = RepetitiveController(WINDOW, P, tuning, seed=12, rotations=50)
     n = 50 * P
     u = np.empty((n, 3))
     y = np.empty((n, 3))

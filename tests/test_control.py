@@ -17,7 +17,7 @@ from ipcsim.control import (
     shifted_bases,
     update_theta,
 )
-from ipcsim.control import _BIT_BLOCK, EXCITATION_POLE
+from ipcsim.control import EXCITATION_POLE
 from ipcsim.numerics import DareNonConvergence, RlsState, pinv, solve_dare, welch_psd
 from ipcsim.metrics import band_energy_ratio
 from ipcsim.plant import (
@@ -291,7 +291,8 @@ def test_blocked_recursion_matches_sample_loop(p):
 def exploding_rotation(newest_y_tap):
     """A controller past warm-up whose blade-2 estimate has `newest_y_tap`
     as its newest-lag y coefficient; returns (controller, u, y)."""
-    ctl = RepetitiveController(WINDOW, P, ControllerTuning(warmup_rotations=2), seed=1)
+    ctl = RepetitiveController(WINDOW, P, ControllerTuning(warmup_rotations=2), seed=1,
+                               rotations=3)
     rng = np.random.default_rng(0)
     u = rng.normal(size=(3 * P, 3))
     y = rng.normal(size=(3 * P, 3))
@@ -407,7 +408,7 @@ def test_gain_fallback_on_degenerate_zero_model():
     a_bar, b_bar = project_state_space(lifted, basis)
     with pytest.raises(DareNonConvergence):
         solve_dare(a_bar, b_bar, np.eye(36), np.eye(12), max_iter=60)
-    gain = RepetitiveController(WINDOW, P, ControllerTuning(), seed=1).gain
+    gain = RepetitiveController(WINDOW, P, ControllerTuning(), seed=1, rotations=1).gain
     assert gain.shape == (3, 4, 12)
     assert np.all(np.isfinite(gain)) and np.all(gain == 0.0)
     assert spectral_radius(a_bar - b_bar @ scatter_blades(gain)) <= 1.0 + 1e-9
@@ -418,7 +419,7 @@ def test_first_failed_dare_keeps_zero_gain_and_is_counted():
     # iteration is a counted failure; with no earlier success the gain
     # stays zero, so theta stays at zero.
     tuning = ControllerTuning(warmup_rotations=2, dare_max_iter=1)
-    ctl = RepetitiveController(WINDOW, P, tuning, seed=1)
+    ctl = RepetitiveController(WINDOW, P, tuning, seed=1, rotations=4)
     rng = np.random.default_rng(0)
     u = rng.normal(size=(4 * P, 3))
     y = rng.normal(size=(4 * P, 3))
@@ -496,7 +497,7 @@ def test_update_theta_per_blade_gain_acts_as_scattered_gain():
 
 def test_excitation_amplitude_cap():
     # The filter keeps |z| <= 1 exactly, so no margin is needed.
-    gen = ExcitationGenerator(amplitude=0.1, seed=5)
+    gen = ExcitationGenerator(amplitude=0.1, seed=5, rotations=500)
     for j in range(500):
         row = gen.sample(j)
         assert row.shape == (1, 12)
@@ -505,7 +506,7 @@ def test_excitation_amplitude_cap():
 
 def test_excitation_streams_uncorrelated():
     # Inverting the one-pole filter recovers each stream's +-1 bits.
-    gen = ExcitationGenerator(amplitude=1.0, seed=7)
+    gen = ExcitationGenerator(amplitude=1.0, seed=7, rotations=10000)
     z = np.array([gen.sample(j)[0] for j in range(10000)])
     bits = (z - EXCITATION_POLE * np.vstack([np.zeros(12), z[:-1]])) / (1.0 - EXCITATION_POLE)
     assert np.allclose(np.abs(bits), 1.0, rtol=0.0, atol=1e-9)
@@ -515,22 +516,19 @@ def test_excitation_streams_uncorrelated():
 
 
 def test_excitation_deterministic_per_seed():
-    a = ExcitationGenerator(amplitude=0.1, seed=9)
-    b = ExcitationGenerator(amplitude=0.1, seed=9)
+    a = ExcitationGenerator(amplitude=0.1, seed=9, rotations=2000)
+    b = ExcitationGenerator(amplitude=0.1, seed=9, rotations=2000)
     drawn = [a.sample(j)[0] for j in range(2000)]
     assert all(np.array_equal(b.sample(j)[0], drawn[j]) for j in range(2000))
-    c = ExcitationGenerator(amplitude=0.1, seed=10)
+    c = ExcitationGenerator(amplitude=0.1, seed=10, rotations=2)
     assert not np.array_equal(drawn[0], c.sample(0)[0])
-    # The stream is sequential: a rotation out of order is refused.
-    for j in (2, 0, -1):
-        with pytest.raises(ValueError, match="sequential"):
-            c.sample(j)
     assert c.sample(1).shape == (1, 12)
-    # The bits are drawn a block of rotations ahead; across two block
-    # boundaries the values equal one draw per stream and rotation.
+    assert not c.sample(0).flags.writeable
+    # The whole run is drawn at construction, in one draw per stream; it
+    # equals one single-bit draw per stream and rotation.
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(9).spawn(12)]
     pole, z = EXCITATION_POLE, np.zeros(12)
-    for j in range(2 * _BIT_BLOCK + 3):
+    for j in range(2000):
         bits = np.array([2.0 * rng.integers(0, 2, size=1)[0] - 1.0 for rng in rngs])
         z = pole * z + (1.0 - pole) * bits
         assert np.array_equal(drawn[j], 0.1 * z), j
@@ -540,10 +538,10 @@ def test_restricted_command_spectrum_concentrates_at_1p_2p():
     # Fixed theta + slowly varying excitation: commanded pitch energy sits
     # in narrow bands around 1P and 2P.
     basis = build_basis(P)
-    gen = ExcitationGenerator(amplitude=0.1, seed=2)
+    n_rot = 200
+    gen = ExcitationGenerator(amplitude=0.1, seed=2, rotations=n_rot)
     theta = np.zeros(12)
     theta[0], theta[7] = 0.5, 0.3
-    n_rot = 200
     u = np.vstack([rotation_commands(basis, theta + gen.sample(j)[0]) for j in range(n_rot)])
     psd = welch_psd(u[:, 0], fs=100.0, segment_length=2000)
     ratio = band_energy_ratio(psd, [[0.9, 1.1], [1.8, 2.2]])
@@ -551,7 +549,7 @@ def test_restricted_command_spectrum_concentrates_at_1p_2p():
 
 
 def test_unrestricted_mode_is_broadband_and_capped():
-    noise = ExcitationGenerator.broadband(0.25, seed=1, dt=0.01, period=P)
+    noise = ExcitationGenerator.broadband(0.25, seed=1, dt=0.01, period=P, rotations=400)
     block = np.vstack([noise.sample(j) for j in range(400)])
     assert block.shape == (40000, 3)
     assert np.max(np.abs(block)) <= 0.25
@@ -564,23 +562,22 @@ def test_unrestricted_mode_is_broadband_and_capped():
 def test_unrestricted_block_matches_sample_loop(amplitude):
     # The broadband rotations equal the oracle drawn from the seed alone.
     # The 100-sample bit hold starts and ends on rotation boundaries at
-    # P = 100, and mid-rotation at P = 80 and 150. 7000 samples reach past
-    # the first 64 bits of each stream, where the next block is drawn.
+    # P = 100, and mid-rotation at P = 80 and 150, where the run of 88 and
+    # 47 rotations ends 40 and 50 samples into its last bit's hold.
     for period in (100, 80, 150):
-        noise = ExcitationGenerator.broadband(amplitude, seed=3, dt=0.01, period=period)
-        assert noise.hold == 100
         n_rot = -(-7000 // period)
+        noise = ExcitationGenerator.broadband(amplitude, seed=3, dt=0.01, period=period,
+                                              rotations=n_rot)
+        assert noise.hold == 100
         got = np.vstack([noise.sample(j) for j in range(n_rot)])
         want = broadband_loop(amplitude, 3, 0.01, n_rot * period)
         assert got.shape == want.shape == (n_rot * period, 3)
         assert np.array_equal(got, want), period
         assert np.all(np.abs(got) <= amplitude)
-        with pytest.raises(ValueError, match="sequential"):
-            noise.sample(0)
 
 
 def test_unrestricted_zero_amplitude_is_exact_zero():
-    noise = ExcitationGenerator.broadband(0.0, seed=1, dt=0.01, period=P)
+    noise = ExcitationGenerator.broadband(0.0, seed=1, dt=0.01, period=P, rotations=10)
     assert all(np.all(noise.sample(j) == 0.0) for j in range(10))
 
 

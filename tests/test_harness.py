@@ -4,6 +4,7 @@ campaign isolation and parallel equivalence, comparison table, CLI."""
 import concurrent.futures
 import csv
 import json
+import os
 import warnings
 
 import numpy as np
@@ -434,8 +435,10 @@ def test_campaign_forks_no_more_workers_than_cases(monkeypatch, tmp_path, caplog
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
     # run_campaign imports the pool from concurrent.futures when it needs one.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -468,6 +471,63 @@ def test_campaign_isolates_run_failures(monkeypatch):
     assert by_id["g1-cpc"].ok
     assert not by_id["g1-ftipc"].ok
     assert "synthetic failure" in by_id["g1-ftipc"].error
+
+
+_real_run_one = harness._run_one
+
+
+def _run_one_or_die(cfg_dict, out_dir):
+    """`harness._run_one`, except that the worker running "g1-die" exits."""
+    if cfg_dict["id"] == "g1-die":
+        os._exit(3)
+    return _real_run_one(cfg_dict, out_dir)
+
+
+def test_a_dead_worker_fails_only_its_own_run(monkeypatch, tmp_path):
+    # A worker that dies breaks the pool and every run in flight with it.
+    # The campaign keeps the statuses that came back, reruns each broken run
+    # alone in a fresh pool, and fails only the run that kills that one too.
+    # The forked workers see the patched `_run_one`.
+    cases = [short_cfg(id=f"g1-{name}", group="g1", controller=ctl, duration_s=4.0,
+                       fault_onset_s=2.0, tuning={"warmup_rotations": 2})
+             for name, ctl in (("cpc", "cpc"), ("die", "cpc"), ("ftipc", "ftipc"),
+                               ("mbc", "mbc_ipc"))]
+    serial = run_campaign([c for c in cases if c.id != "g1-die"], parallelism=1)
+    monkeypatch.setattr(harness, "_run_one", _run_one_or_die)
+    report = run_campaign(cases, parallelism=2, out_dir=tmp_path / "o")
+    assert [s.id for s in report.statuses] == [c.id for c in cases]
+    assert [s.id for s in report.failed] == ["g1-die"]
+    assert "worker process died" in report.failed[0].error
+    assert report.metrics_by_id() == serial.metrics_by_id()
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["g1-cpc", "g1-ftipc",
+                                                                  "g1-mbc"]
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"cases": [c.to_dict() for c in cases]}))
+    assert cli_main(["campaign", str(cfg_path), "--jobs", "2",
+                     "--out", str(tmp_path / "cli")]) == 2
+
+
+@pytest.mark.parametrize("case,controller,settings,counts", [
+    ("LC01", "ftipc", {"tuning": {"excitation_amplitude": 0.0}}, {"dare_failures": 20}),
+    ("LC18", "ftipc", {"tuning": {"dare_max_iter": 1}}, {"dare_failures": 20}),
+    ("LC18", "ftipc", {"tuning": {"theta_cap_deg": 0.05}}, {"clamp_events": 20}),
+    ("LC18", "mbc_ipc", {"tuning": {"theta_cap_deg": 0.05}}, {}),
+    ("LC18", "ftipc", {"period_jitter": 0.02}, {}),
+], ids=["no-excitation", "dare-non-convergence", "clamp-ftipc", "clamp-mbc_ipc", "jitter"])
+def test_degenerate_regimes_end_with_finite_metrics(case, controller, settings, counts):
+    # The degenerate regimes a run must survive, each a 40 s default case
+    # (20 rotations past warm-up): no excitation and a one-iteration
+    # Riccati recursion fail every post-warm-up DARE, a 0.05 deg cap clamps
+    # every post-warm-up theta update. A dead worker is the sixth regime
+    # (`test_a_dead_worker_fails_only_its_own_run`).
+    cfg = next(c for c in default_campaign(duration_s=40.0, controllers=(controller,))
+               if c.id.startswith(case + "-"))
+    result = run_load_case(LoadCaseConfig.from_dict(dict(cfg.to_dict(), **settings)))
+    values = [v for which in ("healthy", "faulty") for blade in result.metrics[which].values()
+              for v in blade.values() if v is not None]
+    assert values and all(np.isfinite(values))
+    for key, count in counts.items():
+        assert result.metrics[key] == count
 
 
 # ---------------------------------------------------------------------------
