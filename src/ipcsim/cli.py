@@ -20,6 +20,7 @@ from pathlib import Path
 from .harness import (
     CampaignReport,
     ConfigError,
+    clear_run_dir,
     compare,
     default_campaign,
     load_config_file,
@@ -72,6 +73,8 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     log.info("running %s (controller=%s, seed=%d)", cfg.id, cfg.controller, cfg.seed)
+    if args.out:  # a failed run leaves no directory, not an earlier run's
+        clear_run_dir(args.out, cfg.id)
     result = run_load_case(cfg)
     if args.out:
         result.save(args.out)

@@ -21,8 +21,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import shutil
 import time
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -38,6 +41,7 @@ __all__ = [
     "RunResult",
     "run_load_case",
     "run_campaign",
+    "clear_run_dir",
     "CampaignReport",
     "compare",
     "ComparisonTable",
@@ -59,9 +63,9 @@ class ConfigError(ValueError):
     """Invalid load-case or campaign configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoadCaseConfig:
-    """Everything one run depends on; runs are a pure function of this."""
+    """Everything one run depends on, immutable once validated: runs are a pure function of it."""
 
     id: str
     controller: str
@@ -84,6 +88,8 @@ class LoadCaseConfig:
     uftipc_amplitude_deg: float = 0.25
 
     def __post_init__(self):
+        if isinstance(self.group, str) and not self.group:
+            object.__setattr__(self, "group", self.id)
         # Any failure to validate is a bad config, whatever raised it (a
         # non-finite duration overflows, a zero period divides by zero).
         try:
@@ -113,8 +119,6 @@ class LoadCaseConfig:
             raise ConfigError("the fault onset must lie strictly inside the run")
         if not isinstance(self.group, str):
             raise ConfigError(f"group must be a string, got {self.group!r}")
-        if not self.group:
-            self.group = self.id
         # Validate the nested sub-configurations eagerly so campaign setup fails fast.
         plant = build_plant(**self.plant)
         fault = self.make_fault(plant.dt)
@@ -210,8 +214,6 @@ class RunResult:
     wall_time_s: float = 0.0
 
     def save(self, out_dir) -> None:
-        from pathlib import Path
-
         d = Path(out_dir) / self.config.id
         d.mkdir(parents=True, exist_ok=True)
         # One (n, 8) float64 array, columns in SERIES_COLUMNS order.
@@ -225,6 +227,12 @@ class RunResult:
             json.dump(self.metrics, fh, indent=1, sort_keys=True, allow_nan=False)
         with open(d / "config.json", "w") as fh:
             json.dump(self.config.to_dict(), fh, indent=1, sort_keys=True)
+
+
+def clear_run_dir(out_dir, run_id: str) -> None:
+    """Remove the run's directory, so that it holds no earlier attempt's outputs."""
+    with suppress(FileNotFoundError):
+        shutil.rmtree(Path(out_dir) / run_id)
 
 
 def _advance_rotation(plant, fault, dist, u_cmd_rows, k0):
@@ -357,8 +365,6 @@ def recompute_metrics(run_dir) -> dict:
     rows and one column per `SERIES_COLUMNS` entry (ValueError otherwise).
     A run directory without `series.npy` raises FileNotFoundError.
     """
-    from pathlib import Path
-
     d = Path(run_dir)
     cfg = LoadCaseConfig.from_dict(json.loads((d / "config.json").read_text()))
     plant = build_plant(**cfg.plant)
@@ -404,16 +410,17 @@ class CampaignReport:
         return {s.id: s.metrics for s in self.statuses if s.ok}
 
 
-def _run_one(cfg_dict: dict, out_dir: str | None) -> RunStatus:
-    cfg = LoadCaseConfig.from_dict(cfg_dict)
+def _run_one(cfg: LoadCaseConfig, out_dir: str | None) -> RunStatus:
+    """Run `cfg` as validated when built. Given `out_dir`, the run's directory
+    is removed first and written only if the run succeeds."""
     try:
+        if out_dir is not None:
+            clear_run_dir(out_dir, cfg.id)
         result = run_load_case(cfg)
         if out_dir is not None:
             result.save(out_dir)
         return RunStatus(id=cfg.id, ok=True, metrics=result.metrics,
                          wall_time_s=result.wall_time_s)
-    except ConfigError:
-        raise
     except Exception as exc:  # failure isolation: siblings keep running
         return RunStatus(id=cfg.id, ok=False, error=f"{type(exc).__name__}: {exc}")
 
@@ -421,10 +428,10 @@ def _run_one(cfg_dict: dict, out_dir: str | None) -> RunStatus:
 def run_campaign(configs, parallelism: int = 1, out_dir=None) -> CampaignReport:
     """Run every load case (independently; failures are isolated) on at most
     `parallelism` worker processes and no more than one per case (the pool
-    forks all of its workers at the first submit). A worker that dies
-    breaks the pool and every run in flight with it, so the runs at fault
-    cannot be named: each broken run is rerun alone in a fresh one-worker
-    pool, and a run that kills that pool too is reported as failed."""
+    forks all of its workers at the first submit), each config as built. A
+    worker that dies breaks the pool and every run in flight with it, so the
+    runs at fault cannot be named: each broken run is rerun alone in a fresh
+    one-worker pool, and a run that kills that pool too is reported failed."""
     if not _is_int(parallelism) or parallelism < 1:
         raise ConfigError(f"parallelism (--jobs) must be an integer >= 1, got {parallelism!r}")
     configs = list(configs)
@@ -434,24 +441,23 @@ def run_campaign(configs, parallelism: int = 1, out_dir=None) -> CampaignReport:
     out = str(out_dir) if out_dir is not None else None
     workers = min(parallelism, len(configs))
     if workers <= 1:
-        statuses = [_run_one(c.to_dict(), out) for c in configs]
+        statuses = [_run_one(c, out) for c in configs]
     else:
         # Imported here: multiprocessing costs every other command its import time.
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        cases = [c.to_dict() for c in configs]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_one, case, out) for case in cases]
+            futures = [pool.submit(_run_one, c, out) for c in configs]
             statuses = [None if isinstance(f.exception(), BrokenProcessPool) else f.result()
                         for f in futures]
-        for i, case in enumerate(cases):
+        for i, cfg in enumerate(configs):
             if statuses[i] is None:
                 with ProcessPoolExecutor(max_workers=1) as pool:
                     try:
-                        statuses[i] = pool.submit(_run_one, case, out).result()
+                        statuses[i] = pool.submit(_run_one, cfg, out).result()
                     except BrokenProcessPool as exc:
-                        statuses[i] = RunStatus(id=case["id"], ok=False,
+                        statuses[i] = RunStatus(id=cfg.id, ok=False,
                                                 error=f"worker process died: {exc}")
     return CampaignReport(statuses=statuses, out_dir=out)
 

@@ -3,6 +3,7 @@ campaign isolation and parallel equivalence, comparison table, CLI."""
 
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import os
 import warnings
@@ -107,6 +108,18 @@ def test_config_validation_errors():
         short_cfg(duration_s=np.inf)
     # No excitation is a degenerate regime the run reports, not a bad config.
     short_cfg(tuning={"excitation_amplitude": 0.0})
+
+
+def test_a_built_config_is_immutable():
+    # Validation runs once, at construction; a variant is a new config,
+    # validated in its turn.
+    cfg = short_cfg(group="")
+    assert cfg.group == cfg.id
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = -1
+    with pytest.raises(ConfigError):
+        dataclasses.replace(cfg, seed=-1)
+    assert dataclasses.replace(cfg, seed=7).seed == 7 and cfg.seed == 42
 
 
 @pytest.mark.parametrize("field, value", [
@@ -457,6 +470,46 @@ def test_campaign_forks_no_more_workers_than_cases(monkeypatch, tmp_path, caplog
     assert requested == [2] and not (tmp_path / "o").exists()
 
 
+def test_a_campaign_runs_its_configs_without_validating_them_again(monkeypatch):
+    # Each config was validated when it was built and cannot have changed
+    # since: the campaign hands the objects themselves to its runs.
+    cases = [short_cfg(id=f"g1-{ctl}", group="g1", controller=ctl, duration_s=4.0,
+                       fault_onset_s=2.0, tuning={"warmup_rotations": 2})
+             for ctl in ("cpc", "mbc_ipc", "ftipc")]
+    validated = []
+    real = LoadCaseConfig._validate
+    monkeypatch.setattr(LoadCaseConfig, "_validate",
+                        lambda self: validated.append(self.id) or real(self))
+    report = run_campaign(cases, parallelism=1)
+    assert [s.ok for s in report.statuses] == [True, True, True]
+    assert validated == []
+
+
+@pytest.mark.parametrize("via", ["run_campaign", "ipcsim run"])
+def test_a_failed_rerun_leaves_no_stale_outputs(tmp_path, capsys, via):
+    # A run's directory holds its latest attempt only: a rerun that fails
+    # removes the earlier run's files, so `compare` cannot report them.
+    good = two_tiny_cases()
+    bad = dataclasses.replace(good[1], plant={"coupling": -1e300})
+    out = tmp_path / "out"
+
+    def succeeds(cfg):
+        if via == "run_campaign":
+            return not run_campaign([cfg], out_dir=out).failed
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        return cli_main(["run", str(cfg_path), "--out", str(out)]) == 0
+
+    assert all(succeeds(cfg) for cfg in good)
+    assert (out / bad.id / "metrics.json").exists()
+    assert not succeeds(bad)
+    assert sorted(p.name for p in out.iterdir()) == ["g1-cpc"]
+    capsys.readouterr()
+    assert cli_main(["compare", str(out), "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["group"], r["controller"]) for r in rows] == [("g1", "cpc")]
+
+
 def test_campaign_isolates_run_failures(monkeypatch):
     real = harness.compute_metrics
 
@@ -476,11 +529,11 @@ def test_campaign_isolates_run_failures(monkeypatch):
 _real_run_one = harness._run_one
 
 
-def _run_one_or_die(cfg_dict, out_dir):
+def _run_one_or_die(cfg, out_dir):
     """`harness._run_one`, except that the worker running "g1-die" exits."""
-    if cfg_dict["id"] == "g1-die":
+    if cfg.id == "g1-die":
         os._exit(3)
-    return _real_run_one(cfg_dict, out_dir)
+    return _real_run_one(cfg, out_dir)
 
 
 def test_a_dead_worker_fails_only_its_own_run(monkeypatch, tmp_path):
