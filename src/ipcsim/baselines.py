@@ -15,8 +15,8 @@ faulty scenarios (the stuck/derated blade contaminates the transform).
 MBC-IPC feeds back every sample, but between clamp events its loop is
 linear and periodic in the rotation: `mbc_ipc_span` walks a run's fault
 regimes (`FaultScenario.regimes`) and lifts a regime's whole rotations in
-chunks (`_lifted_chunk`, one operator per fault state from
-`_rotation_operator`). A rotation in which a clamp would act, or one of
+chunks (`_lifted_chunk`) by one operator that it builds per regime
+(`_rotation_operator`). A rotation in which a clamp would act, or one of
 the two that a fault onset cuts a rotation into, runs as one loop over
 plain floats (`_loop_rotation`) from the same state and draws.
 """
@@ -88,7 +88,8 @@ def mbc_ipc_span(state: MbcIpcState, plant, fault, dist, k0: int, n: int,
     advances `state`, `plant` and `dist`.
 
     Each fault regime's whole rotations are lifted in chunks of up to _CHUNK
-    rotations, drawn at once. A chunk keeps its longest prefix in which no
+    rotations, drawn at once, by the regime's lifted rotation, built at its
+    first whole rotation. A chunk keeps its longest prefix in which no
     clamp acts; its next rotation runs as a loop from the same state and
     draws, and lifting resumes with one rotation, doubling per fully lifted
     chunk. A rotation that an onset splits runs as a loop per regime. Raises
@@ -97,7 +98,7 @@ def mbc_ipc_span(state: MbcIpcState, plant, fault, dist, k0: int, n: int,
     """
     period = plant.period_samples
     for lo, hi, amap in fault.regimes(plant, k0, n):
-        k, end, size = k0 + lo, k0 + hi, _CHUNK
+        k, end, size, op = k0 + lo, k0 + hi, _CHUNK, None
         while k < end:
             if k % period or end - k < period:  # part of a rotation, cut by the onset
                 stop = min(end, k - k % period + period)
@@ -105,11 +106,14 @@ def mbc_ipc_span(state: MbcIpcState, plant, fault, dist, k0: int, n: int,
                                dist.innovation_block(k, stop - k), k, u_cmd, y)
                 k = stop
                 continue
+            if op is None:  # the regime's first whole rotation; an extreme plant overflows op
+                with np.errstate(over="ignore", invalid="ignore"):
+                    op = _rotation_operator(plant, amap)
             drawn = min(size, (end - k) // period) * period
             d, e = dist.periodic_block(k, drawn), dist.innovation_block(k, drawn)
             while len(d):  # the drawn rotations, lifted or, where a clamp acts, looped
                 m = min(size * period, len(d))
-                done = _lifted_chunk(state, plant, amap, d[:m], e[:m], k, u_cmd, y) * period
+                done = _lifted_chunk(state, plant, op, d[:m], e[:m], k, u_cmd, y) * period
                 if done == m:
                     size = min(2 * size, _CHUNK)
                 else:  # the rotation from k + done clamps: the loop runs it
@@ -169,22 +173,19 @@ def _rotation_operator(plant, amap: tuple) -> tuple:
     return step[:, :, 11:], states.reshape(-1, 11 * nb + 11), blocks.reshape(nb, 8 * n, -1)
 
 
-def _lifted_chunk(state, plant, amap, d, e, k, u_cmd, y) -> int:
+def _lifted_chunk(state, plant, op, d, e, k, u_cmd, y) -> int:
     """Advance whole rotations from sample k in one fault state by the lifted
-    loop, from their draws d and e. Returns how many it ran: the rotations
-    before the first in which a clamp would act (a command or integrator
-    beyond the authority) or a value is non-finite. State and rows are left
-    at the start of that rotation."""
+    loop op (`_rotation_operator`), from their draws d and e. Returns how many
+    it ran: the rotations before the first in which a clamp would act (a
+    command or integrator beyond the authority) or a value is non-finite.
+    State and rows are left at the start of that rotation."""
     period, bound, n = plant.period_samples, state.authority_deg, _LIFT_BLOCK
     m = len(d) // period
     z = np.concatenate([plant.x, (state.tilt_int, state.yaw_int),
                         y[k - 1] if k else np.zeros(N_BLADES)])
+    forced, states, blocks = op
+    nb = blocks.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):  # an extreme plant overflows the operator
-        cached = plant._derived.get("mbc_rotation")  # one per plant, keyed by amap
-        if cached is None or cached[0] != amap:
-            cached = plant._derived["mbc_rotation"] = amap, _rotation_operator(plant, amap)
-        forced, states, blocks = cached[1]
-        nb = blocks.shape[0]
         v = np.zeros((m, nb * n, 7))  # each rotation's V_b, block by block
         v[:, :period, :3] = (plant.dist_gain * d + e).reshape(m, period, N_BLADES)
         v[:, :period, 3:6] = e.reshape(m, period, N_BLADES)

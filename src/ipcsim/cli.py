@@ -20,12 +20,10 @@ from pathlib import Path
 from .harness import (
     CampaignReport,
     ConfigError,
-    clear_run_dir,
     compare,
     default_campaign,
     load_config_file,
     run_campaign,
-    run_load_case,
 )
 
 log = logging.getLogger("ipcsim")
@@ -73,13 +71,13 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     log.info("running %s (controller=%s, seed=%d)", cfg.id, cfg.controller, cfg.seed)
-    if args.out:  # a failed run leaves no directory, not an earlier run's
-        clear_run_dir(args.out, cfg.id)
-    result = run_load_case(cfg)
+    (status,) = run_campaign([cfg], out_dir=args.out).statuses
+    if not status.ok:
+        log.error("run failed: %s", status.error)
+        return 2
     if args.out:
-        result.save(args.out)
         log.info("saved to %s", Path(args.out) / cfg.id)
-    print(json.dumps(result.metrics, indent=1, sort_keys=True))
+    print(json.dumps(status.metrics, indent=1, sort_keys=True))
     return 0
 
 
@@ -158,9 +156,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         log.error("%s", exc)
         return 1
-    except RuntimeError as exc:
-        log.error("run failed: %s", exc)
-        return 2
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ __all__ = [
     "RunResult",
     "run_load_case",
     "run_campaign",
-    "clear_run_dir",
     "CampaignReport",
     "compare",
     "ComparisonTable",
@@ -120,12 +119,9 @@ class LoadCaseConfig:
         if not isinstance(self.group, str):
             raise ConfigError(f"group must be a string, got {self.group!r}")
         # Validate the nested sub-configurations eagerly so campaign setup fails fast.
-        plant = build_plant(**self.plant)
-        fault = self.make_fault(plant.dt)
+        plant, fault, _, _ = self.build(0)
         # Make the onset's stiffness switch, whose channel a tiny scale leaves singular.
         list(fault.regimes(plant, fault.onset_sample, 1))
-        self.make_disturbance(0, plant.period_samples)
-        ControllerTuning(**self.tuning)
         if self.uftipc_amplitude_deg < 0.0:
             raise ConfigError(f"uftipc_amplitude_deg must be >= 0, "
                               f"got {self.uftipc_amplitude_deg!r}")
@@ -150,25 +146,20 @@ class LoadCaseConfig:
         # A config that runs must also save: no numpy scalar, nothing non-finite.
         json.dumps(self.to_dict(), allow_nan=False)
 
-    def make_disturbance(self, seed, period: int) -> DisturbanceModel:
-        return DisturbanceModel(
-            period=period,
-            amp_1p=self.amp_1p,
-            amp_2p=self.amp_2p,
-            phase_1p=self.phase_1p,
-            phase_2p=self.phase_2p,
-            sigma_e=self.sigma_e,
-            seed=seed,
-            period_jitter=self.period_jitter,
-        )
-
-    def make_fault(self, dt: float) -> FaultScenario:
-        return FaultScenario(
-            kind=self.fault_kind,
-            blade_index=self.fault_blade,
-            onset_sample=int(round(self.fault_onset_s / dt)),
-            parameter=self.fault_parameter,
-        )
+    def build(self, seed) -> tuple:
+        """(plant, fault, disturbance, tuning) of one run, the disturbance
+        drawing from `seed`."""
+        plant = build_plant(**self.plant)
+        period, dt = plant.period_samples, plant.dt
+        fault = FaultScenario(kind=self.fault_kind, blade_index=self.fault_blade,
+                              onset_sample=int(round(self.fault_onset_s / dt)),
+                              parameter=self.fault_parameter)
+        dist = DisturbanceModel(period=period, amp_1p=self.amp_1p, amp_2p=self.amp_2p,
+                                phase_1p=self.phase_1p, phase_2p=self.phase_2p,
+                                sigma_e=self.sigma_e, seed=seed,
+                                period_jitter=self.period_jitter,
+                                rotations=int(round(self.duration_s / dt)) // period)
+        return plant, fault, dist, ControllerTuning(**self.tuning)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -229,12 +220,6 @@ class RunResult:
             json.dump(self.config.to_dict(), fh, indent=1, sort_keys=True)
 
 
-def clear_run_dir(out_dir, run_id: str) -> None:
-    """Remove the run's directory, so that it holds no earlier attempt's outputs."""
-    with suppress(FileNotFoundError):
-        shutil.rmtree(Path(out_dir) / run_id)
-
-
 def _advance_rotation(plant, fault, dist, u_cmd_rows, k0):
     """Advance one command block through fault map and plant.
 
@@ -260,16 +245,11 @@ def run_load_case(cfg: LoadCaseConfig) -> RunResult:
     `band_ratio_u` of None, a constant command, is not a failure).
     """
     start = time.perf_counter()
-    plant = build_plant(**cfg.plant)
-    period = plant.period_samples
-    dt = plant.dt
-    n = int(round(cfg.duration_s / dt))
-    n_rot = n // period
-
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
-    dist = cfg.make_disturbance(seeds[0], period)
-    fault = cfg.make_fault(dt)
-    tuning = ControllerTuning(**cfg.tuning)
+    plant, fault, dist, tuning = cfg.build(seeds[0])
+    period, dt = plant.period_samples, plant.dt
+    n_rot = dist.rotations
+    n = n_rot * period
 
     u_cmd = np.empty((n, 3))
     y = np.empty((n, 3))
@@ -412,16 +392,20 @@ class CampaignReport:
 
 def _run_one(cfg: LoadCaseConfig, out_dir: str | None) -> RunStatus:
     """Run `cfg` as validated when built. Given `out_dir`, the run's directory
-    is removed first and written only if the run succeeds."""
+    is removed first, and again if the run or its save fails, so it holds
+    only a run that succeeded."""
     try:
         if out_dir is not None:
-            clear_run_dir(out_dir, cfg.id)
+            with suppress(FileNotFoundError):
+                shutil.rmtree(Path(out_dir) / cfg.id)
         result = run_load_case(cfg)
         if out_dir is not None:
             result.save(out_dir)
         return RunStatus(id=cfg.id, ok=True, metrics=result.metrics,
                          wall_time_s=result.wall_time_s)
     except Exception as exc:  # failure isolation: siblings keep running
+        if out_dir is not None:
+            shutil.rmtree(Path(out_dir) / cfg.id, ignore_errors=True)
         return RunStatus(id=cfg.id, ok=False, error=f"{type(exc).__name__}: {exc}")
 
 

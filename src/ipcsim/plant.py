@@ -127,7 +127,9 @@ class DisturbanceModel:
     the three blades), psi = 2 pi k / period at sample k. The periodic table
     is computed at construction and indexed modulo the period, so
     d[k] == d[k-P] holds bit-exactly. Innovations are drawn sequentially
-    from a generator spawned from `seed` at the first draw.
+    from a generator spawned from `seed` at the first draw. With
+    `period_jitter` > 0 the phase of the whole run of `rotations` rotor
+    periods is laid out at the first read, so blocks read in any order.
     """
 
     period: int
@@ -138,6 +140,7 @@ class DisturbanceModel:
     sigma_e: float = 0.0
     seed: int = 0
     period_jitter: float = 0.0  # robustness mode: +-fraction rotor-speed wobble
+    rotations: int = 0  # the run's length in rotor periods, >= 1 with jitter
 
     def __post_init__(self):
         for name in ("amp_1p", "phase_1p", "amp_2p", "phase_2p", "sigma_e", "period_jitter"):
@@ -147,12 +150,12 @@ class DisturbanceModel:
             raise ValueError("sigma_e must be non-negative")
         if not (0.0 <= self.period_jitter < 0.5):
             raise ValueError("period_jitter must lie in [0, 0.5)")
+        if not _is_int(self.rotations) or self.rotations < (self.period_jitter > 0.0):
+            raise ValueError(f"rotations must be an integer >= 0, and >= 1 with period_jitter, "
+                             f"got {self.rotations!r}")
         self._table = self._periodic_load(
             2.0 * np.pi * np.arange(self.period)[:, None] / self.period)
         self._next_k = 0
-        self._phase = 0.0
-        self._phase_next_k = 0
-        self._rate_scale = 1.0
 
     @cached_property
     def _generators(self):
@@ -170,31 +173,25 @@ class DisturbanceModel:
         return (self.amp_1p * np.sin(psi + self.phase_1p + BLADE_OFFSETS)
                 + self.amp_2p * np.sin(2.0 * psi + self.phase_2p + 2.0 * BLADE_OFFSETS))
 
-    def periodic_block(self, k: int, n: int) -> np.ndarray:
-        """(n, 3) periodic loads of samples k .. k + n - 1."""
-        period = self.period
-        if self.period_jitter == 0.0:
-            return self._table[(k + np.arange(n)) % period]
-        # Jittered rotor speed: the disturbance phase advances at a rate
-        # redrawn once per nominal rotation, while the controller's azimuth
-        # schedule stays on the nominal grid. Sequential access only.
-        if k != self._phase_next_k:
-            raise ValueError(
-                f"jittered disturbance is sequential: expected k={self._phase_next_k}"
-            )
-        # One uniform draw per rotation boundary inside the block; the rate
-        # before the first boundary carries over from the previous block.
-        first = (-k) % period
-        wobble = self._generators[1].uniform(-1.0, 1.0, size=len(range(first, n, period)))
-        scales = np.concatenate([[self._rate_scale], 1.0 + self.period_jitter * wobble])
-        rate = scales[(np.arange(n) - first + period) // period]
+    @cached_property
+    def _jittered_phases(self) -> np.ndarray:
+        """(rotations * period,) rotor phase of the run under jitter: the
+        phase advances at a rate redrawn once per nominal rotation, while the
+        controller's azimuth schedule stays on the nominal grid."""
+        wobble = self._generators[1].uniform(-1.0, 1.0, size=self.rotations)
+        steps = np.repeat(2.0 * np.pi * (1.0 + self.period_jitter * wobble) / self.period,
+                          self.period)
         # add.accumulate sums left to right, as the per-sample recursion does.
-        acc = np.add.accumulate(np.concatenate([[self._phase], 2.0 * np.pi * rate / period]))
-        phases = acc[:n]
-        self._phase = float(acc[n])
-        self._rate_scale = float(scales[-1])
-        self._phase_next_k = k + n
-        return self._periodic_load(phases[:, None])
+        return np.add.accumulate(np.concatenate([[0.0], steps[:-1]]))
+
+    def periodic_block(self, k: int, n: int) -> np.ndarray:
+        """(n, 3) periodic loads of samples k .. k + n - 1, in any order."""
+        if self.period_jitter == 0.0:
+            return self._table[(k + np.arange(n)) % self.period]
+        if not 0 <= k <= k + n <= len(self._jittered_phases):
+            raise ValueError(f"samples {k} .. {k + n - 1} lie outside the jittered run of "
+                             f"{self.rotations} rotations")
+        return self._periodic_load(self._jittered_phases[k:k + n, None])
 
     def innovation_block(self, k: int, n: int) -> np.ndarray:
         """Next n innovation rows; k must continue the stream."""
@@ -234,10 +231,8 @@ class SurrogatePlant:
     predictor_poles: tuple
     x: np.ndarray = field(default_factory=lambda: np.zeros(6))
     dist_gain: np.ndarray = field(default_factory=lambda: np.ones(N_BLADES))
-    # Operators derived from the matrices, built at first use and cleared
-    # when a blade fault changes a, c and l_obs: the lifted operator of each
-    # block length n under n, and MBC-IPC's lifted rotation under
-    # "mbc_rotation" as (offset, scale), operator.
+    # The lifted operator of each block length n under n, built at first use
+    # and cleared when a blade fault changes a, c and l_obs.
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _lifted_operator(self, n: int) -> np.ndarray:

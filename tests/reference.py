@@ -221,24 +221,24 @@ def advance_block_loop(plant, u_eff: np.ndarray, d: np.ndarray, e: np.ndarray) -
 
 
 def jittered_periodic_block_loop(dist, k: int, n: int) -> np.ndarray:
-    """Jittered periodic disturbance stepped one sample at a time.
+    """Jittered periodic disturbance of samples k .. k + n - 1, stepped one
+    sample at a time from sample 0.
 
-    Sample-by-sample twin of `DisturbanceModel.periodic_block` with
-    `period_jitter` > 0, which accumulates the block's phases in one call.
-    Reads and advances the model's phase, rate and jitter stream, so it
-    continues (and can be continued by) the package's blocks.
+    Per-sample twin of `DisturbanceModel.periodic_block` with
+    `period_jitter` > 0, which lays out the run's phase in one call. It reads
+    no state of the model: it draws one rate per rotation from its own
+    generator on the model's jitter stream (the second child spawned from
+    the model's integer seed) and carries its own phase.
     """
-    if k != dist._phase_next_k:
-        raise ValueError(f"jittered disturbance is sequential: expected k={dist._phase_next_k}")
     period = dist.period
-    phases = np.empty(n)
-    for t in range(n):
-        if (k + t) % period == 0:
-            wobble = dist._generators[1].uniform(-1.0, 1.0)
-            dist._rate_scale = 1.0 + dist.period_jitter * wobble
-        phases[t] = dist._phase
-        dist._phase += 2.0 * np.pi * dist._rate_scale / period
-    dist._phase_next_k = k + n
+    rng = np.random.default_rng(np.random.SeedSequence(dist.seed).spawn(2)[1])
+    phase, rate, phases = 0.0, 1.0, np.empty(n)
+    for t in range(k + n):
+        if t % period == 0:
+            rate = 1.0 + dist.period_jitter * rng.uniform(-1.0, 1.0)
+        if t >= k:
+            phases[t - k] = phase
+        phase += 2.0 * np.pi * rate / period
     ph = phases[:, None]
     return (dist.amp_1p * np.sin(ph + dist.phase_1p + BLADE_OFFSETS)
             + dist.amp_2p * np.sin(2.0 * ph + dist.phase_2p + 2.0 * BLADE_OFFSETS))

@@ -170,7 +170,8 @@ def span_and_oracle_runs(fault, sigma_e, jitter, n_rot, period=P, **state_fields
     runs = []
     for advance, calls in ((mbc_ipc_span, 1), (mbc_ipc_span, n_rot), (oracle_span, n_rot)):
         plant = build_plant(period_samples=period)
-        dist = DisturbanceModel(period=period, sigma_e=sigma_e, seed=5, period_jitter=jitter)
+        dist = DisturbanceModel(period=period, sigma_e=sigma_e, seed=5, period_jitter=jitter,
+                                rotations=n_rot)
         state = MbcIpcState(**state_fields)
         n = n_rot * period
         u, y = np.empty((n, 3)), np.empty((n, 3))
@@ -205,8 +206,8 @@ def serving_paths(monkeypatch, chunks=None) -> list:
     paths = []
     lifted, loop = baselines._lifted_chunk, baselines._loop_rotation
 
-    def lifted_spy(state, plant, amap, d, e, k, u_cmd, y):
-        accepted = lifted(state, plant, amap, d, e, k, u_cmd, y)
+    def lifted_spy(state, plant, op, d, e, k, u_cmd, y):
+        accepted = lifted(state, plant, op, d, e, k, u_cmd, y)
         paths.extend(["lifted"] * accepted)
         if chunks is not None:
             chunks.append((len(d) // plant.period_samples, accepted))
@@ -351,44 +352,49 @@ def test_lc18_run_matches_the_scalar_loop_alone(monkeypatch):
     assert np.max(np.abs(lifted.y - loop.y)) <= 1e-12 * np.max(np.abs(loop.y))
 
 
-def test_cached_blocks_are_rebuilt_at_a_mid_rotation_onset():
-    # The stiffness switch lands at s = 37 of rotation 3, after rotations
-    # 0-2 have cached the healthy plant's lifted rotation.
+def test_cached_blocks_are_rebuilt_at_a_mid_rotation_onset(monkeypatch):
+    # The stiffness switch lands at s = 37 of rotation 3. The span builds the
+    # lifted rotation once per fault regime with a whole rotation: for
+    # rotations 0-2 from the healthy plant, and for rotations 4 and 5 from
+    # the switched one; the loop runs rotation 3's two regimes.
     fault = FaultScenario(kind="blade_stiffness", blade_index=2, onset_sample=337, parameter=0.3)
     faulted = build_plant()
     _maybe_switch_blade_fault(faulted, fault, fault.onset_sample)
+    builds = []
+    real = baselines._rotation_operator
+
+    def build_spy(plant, amap):
+        op = real(plant, amap)
+        builds.append((plant.a.copy(), amap, op))
+        return op
+
+    monkeypatch.setattr(baselines, "_rotation_operator", build_spy)
     runs = []
     for advance in (mbc_ipc_span, oracle_span):
         plant = build_plant()
         dist = DisturbanceModel(period=P, sigma_e=20.0, seed=8)
-        state = MbcIpcState()
         u, y = np.empty((6 * P, 3)), np.empty((6 * P, 3))
-        for j in range(6):
-            fused = advance is mbc_ipc_span
-            if fused and j == 3:
-                healthy_map, healthy_op = plant._derived["mbc_rotation"]
-            advance(state, plant, fault, dist, j * P, P, u, y)
-            if fused and j == 3:
-                # The switch dropped the lifted rotation; the loop ran both regimes.
-                assert "mbc_rotation" not in plant._derived
+        advance(MbcIpcState(), plant, fault, dist, 0, 6 * P, u, y)
         runs.append((u, y, plant))
     (u, y, plant), (u_ref, y_ref, _) = runs
     assert np.max(np.abs(u - u_ref)) <= 1e-12
     assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
-    # Rotations 4 and 5 rebuilt the lifted rotation from the faulted plant.
-    amap, op = plant._derived["mbc_rotation"]
-    assert amap == healthy_map
-    for part, faulted_part, healthy_part in zip(
-            op, baselines._rotation_operator(faulted, amap), healthy_op):
+    (healthy_a, healthy_map, healthy_op), (a, amap, op) = builds
+    assert np.array_equal(healthy_a, build_plant().a)
+    assert np.array_equal(a, faulted.a) and amap == healthy_map
+    for part, faulted_part, healthy_part in zip(op, real(faulted, amap), healthy_op):
         assert np.array_equal(part, faulted_part)
         assert not np.array_equal(part, healthy_part)
+    # The plant caches only its own lifted blocks, keyed by their length.
+    assert all(type(key) is int for key in plant._derived)
 
 
 @pytest.mark.parametrize("jitter", [0.0, 0.1])
 def test_rotation_draws_equal_per_sample_draws_bitwise(jitter):
-    block, single, chunked = (DisturbanceModel(period=P, sigma_e=30.0, seed=11,
-                                               period_jitter=jitter) for _ in range(3))
     n_rot = 12
+    block, single, chunked = (DisturbanceModel(period=P, sigma_e=30.0, seed=11,
+                                               period_jitter=jitter, rotations=n_rot)
+                              for _ in range(3))
     e_block = np.vstack([block.innovation_block(j * P, P) for j in range(n_rot)])
     e_single = np.vstack([single.innovation_block(k, 1) for k in range(n_rot * P)])
     d_block = np.vstack([block.periodic_block(j * P, P) for j in range(n_rot)])

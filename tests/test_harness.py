@@ -4,6 +4,7 @@ campaign isolation and parallel equivalence, comparison table, CLI."""
 import concurrent.futures
 import csv
 import dataclasses
+import errno
 import json
 import os
 import warnings
@@ -264,8 +265,7 @@ def test_controllers_share_disturbance_realization():
     cfg_b = short_cfg(controller="mbc_ipc")
     seeds_a = np.random.SeedSequence(cfg_a.seed).spawn(3)
     seeds_b = np.random.SeedSequence(cfg_b.seed).spawn(3)
-    da = cfg_a.make_disturbance(seeds_a[0], 100)
-    db = cfg_b.make_disturbance(seeds_b[0], 100)
+    da, db = cfg_a.build(seeds_a[0])[2], cfg_b.build(seeds_b[0])[2]
     assert np.array_equal(da.periodic_block(0, 100), db.periodic_block(0, 100))
     assert np.array_equal(da.innovation_block(0, 500), db.innovation_block(0, 500))
     # And end to end: at sample 0 every controller commands zero pitch, so
@@ -388,10 +388,7 @@ def test_mid_rotation_blade_onset_matches_per_sample(advance_block_rows, kind, p
                     fault_kind=kind, fault_parameter=parameter, sigma_e=40.0)
     res = run_load_case(cfg)
     assert advance_block_rows == [100, 100, 37, 63, 100, 100]
-    plant = harness.build_plant(**cfg.plant)
-    dist = cfg.make_disturbance(np.random.SeedSequence(cfg.seed).spawn(3)[0],
-                                plant.period_samples)
-    fault = cfg.make_fault(plant.dt)
+    plant, fault, dist, _ = cfg.build(np.random.SeedSequence(cfg.seed).spawn(3)[0])
     assert fault.onset_sample == 237
     y_ref = np.array([step(plant, np.zeros(3), dist, fault, k) for k in range(len(res.y))])
     assert np.abs(res.y - y_ref).max() <= 1e-12 * np.abs(y_ref).max()
@@ -508,6 +505,33 @@ def test_a_failed_rerun_leaves_no_stale_outputs(tmp_path, capsys, via):
     assert cli_main(["compare", str(out), "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [(r["group"], r["controller"]) for r in rows] == [("g1", "cpc")]
+
+
+def test_a_failed_save_leaves_no_partial_directory(tmp_path, monkeypatch):
+    # The disk fills while metrics.json is written, after series.npy and
+    # controller_log.csv: the run is reported failed and its partial
+    # directory is removed, so `compare` never reads a truncated metrics file.
+    def full_disk(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(harness.json, "dump", full_disk)
+    cfg = short_cfg(controller="cpc", duration_s=4.0, fault_onset_s=2.0)
+    report = run_campaign([cfg], parallelism=1, out_dir=tmp_path)
+    assert [s.id for s in report.failed] == [cfg.id]
+    assert report.failed[0].error.startswith("OSError:")
+    assert not (tmp_path / cfg.id).exists()
+
+
+def test_cli_run_reports_an_output_error_as_a_failed_run(tmp_path, caplog):
+    # `ipcsim run` is a campaign of one: an --out that is a regular file
+    # fails the run (exit 2), as it does in a campaign, instead of raising.
+    cfg_path, not_a_dir = tmp_path / "c.json", tmp_path / "file"
+    cfg_path.write_text(json.dumps(short_cfg(controller="cpc", duration_s=4.0,
+                                             fault_onset_s=2.0).to_dict()))
+    not_a_dir.write_text("")
+    assert cli_main(["run", str(cfg_path), "--out", str(not_a_dir)]) == 2
+    assert "run failed: NotADirectoryError" in caplog.text
+    assert not_a_dir.read_text() == ""
 
 
 def test_campaign_isolates_run_failures(monkeypatch):

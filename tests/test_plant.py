@@ -293,23 +293,23 @@ def test_innovation_stream_is_seed_reproducible():
 
 def test_jittered_block_matches_sample_loop():
     # Blocks of length 1 (two on a rotation boundary), blocks that start
-    # mid-rotation and blocks spanning several boundaries: the disturbance,
-    # the carried phase and rate, and the jitter stream all match the
-    # per-sample loop bitwise.
-    lengths = [1, 37, 1, 61, 1, 100, 250, 49, 1, 1, 99, 149]
-    block = DisturbanceModel(period=100, sigma_e=0.0, seed=9, period_jitter=0.2)
-    loop = DisturbanceModel(period=100, sigma_e=0.0, seed=9, period_jitter=0.2)
-    k = 0
-    for n in lengths:
-        d = block.periodic_block(k, n)
+    # mid-rotation and blocks spanning several boundaries, read in a
+    # shuffled order: each equals the per-sample loop bitwise.
+    lengths = [1, 37, 1, 61, 1, 100, 250, 49, 1, 1, 99, 149, 50]
+    starts = np.cumsum([0, *lengths[:-1]])
+    order = np.random.default_rng(3).permutation(len(lengths))
+    assert list(order) != sorted(order)
+    dist = DisturbanceModel(period=100, sigma_e=0.0, seed=9, period_jitter=0.2, rotations=8)
+    for i in order:
+        k, n = int(starts[i]), lengths[i]
+        d = dist.periodic_block(k, n)
         assert d.shape == (n, 3)
-        assert np.array_equal(d, jittered_periodic_block_loop(loop, k, n))
-        assert block._phase == loop._phase
-        assert block._rate_scale == loop._rate_scale
-        k += n
-    assert block._generators[1].uniform() == loop._generators[1].uniform()
+        assert np.array_equal(d, jittered_periodic_block_loop(dist, k, n))
+    # The run's last sample reads; a block past it does not.
     with pytest.raises(ValueError):
-        block.periodic_block(k + 1, 1)  # non-sequential block
+        dist.periodic_block(799, 2)
+    with pytest.raises(ValueError):
+        DisturbanceModel(period=100, period_jitter=0.2)  # no rotations to lay out
 
 
 # ---------------------------------------------------------------------------
