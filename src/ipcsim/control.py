@@ -48,10 +48,11 @@ __all__ = [
 N_HARM = 4  # 1P sin, 1P cos, 2P sin, 2P cos
 N_COEFF = N_HARM * N_BLADES
 
-# One row of `RepetitiveController.log` per rotation, in this order.
+# One row of `RepetitiveController.log` per rotation, in this order;
+# `dare_iterations` comes last, so the y_bar block keeps its columns.
 LOG_COLUMNS = (("rotation", "theta_norm", "delta_theta_norm", "dare_residual",
                 "dare_failures", "clamp_events")
-               + tuple(f"y_bar_{i}" for i in range(N_COEFF)))
+               + tuple(f"y_bar_{i}" for i in range(N_COEFF)) + ("dare_iterations",))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +358,8 @@ class RepetitiveController:
 
         u_hist / y_hist are run-length history arrays holding samples
         [0, (j+1) P). A Riccati recursion that does not converge keeps the
-        previous gain (zero before the first success) and is counted.
+        previous gain (zero before the first success) and is counted. The
+        log records the rotation's Riccati iterations, 0 before warm-up.
         """
         upto = (j + 1) * self.period
         self.engine.ingest(u_hist, y_hist, upto)
@@ -365,6 +367,7 @@ class RepetitiveController:
         delta_y_bar = (np.zeros(N_COEFF) if self._y_bar_prev is None
                        else y_bar - self._y_bar_prev)
 
+        iterations = 0
         if j + 1 > self.tuning.warmup_rotations:
             t_u, t_y, h_bar = projected_blocks(self.engine.rows, self._shifts, self.basis)
             a_bar, b_bar, n = self._a_bar, self._b_bar, N_HARM
@@ -374,11 +377,13 @@ class RepetitiveController:
             try:
                 sol = solve_dare(a_bar, b_bar, self.q, self.r, tol=self.tuning.dare_tol,
                                  max_iter=self.tuning.dare_max_iter, p0=self._p_warm)
-            except DareNonConvergence:
+            except DareNonConvergence as exc:
                 self.dare_failures += 1
+                iterations = exc.iterations
             else:
                 self.gain, self._p_warm = sol.gain, sol.cost_matrix
                 self._last_residual = sol.residual
+                iterations = sol.iterations
             theta, clamped = update_theta(self.theta, self.gain, y_bar, self.delta_theta,
                                           delta_y_bar, self.tuning)
             self.theta, self.delta_theta = theta, theta - self.theta
@@ -388,5 +393,5 @@ class RepetitiveController:
         self.log.append([
             j, float(np.linalg.norm(self.theta)), float(np.linalg.norm(self.delta_theta)),
             float(self._last_residual), self.dare_failures, self.clamp_events,
-            *y_bar.tolist(),
+            *y_bar.tolist(), iterations,
         ])

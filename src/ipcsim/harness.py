@@ -11,7 +11,7 @@ rotation); MBC-IPC, which feeds back every sample, runs the whole run as one
 fused controller/fault/plant span (`baselines.mbc_ipc_span`), lifted over
 chunks of rotations between clamp events.
 
-Outputs per run: the sample series as one (n, 8) float64 `.npy` array
+Outputs per run: pitch and loads as one (n, 6) float64 `.npy` array
 (binary, so metrics recompute bit-for-bit from the file), the per-rotation
 controller log as CSV, and a metrics summary as JSON.
 """
@@ -51,7 +51,7 @@ __all__ = [
 
 CONTROLLERS = ("cpc", "mbc_ipc", "ftipc", "uftipc")
 
-SERIES_COLUMNS = ("t", "u1", "u2", "u3", "y1", "y2", "y3", "psi")
+SERIES_COLUMNS = ("u1", "u2", "u3", "y1", "y2", "y3")
 
 # Longest run, in samples: 10x the shipped 2000 s run. A run allocates its
 # (n, 3) command and output histories up front.
@@ -196,20 +196,28 @@ def load_config_file(path) -> list[LoadCaseConfig]:
 @dataclass
 class RunResult:
     config: LoadCaseConfig
-    t: np.ndarray
     u_cmd: np.ndarray
     y: np.ndarray
-    psi: np.ndarray
     rotation_log: list  # rows of control.LOG_COLUMNS; empty for cpc and mbc_ipc
     metrics: dict
     wall_time_s: float = 0.0
 
+    @property
+    def t(self) -> np.ndarray:
+        """(n,) sample times k * dt, rebuilt from the config."""
+        return np.arange(len(self.y)) * build_plant(**self.config.plant).dt
+
+    @property
+    def psi(self) -> np.ndarray:
+        """(n,) rotor azimuth, `azimuth(P)` once per rotation, rebuilt from the config."""
+        period = build_plant(**self.config.plant).period_samples
+        return np.tile(azimuth(period), len(self.y) // period)
+
     def save(self, out_dir) -> None:
         d = Path(out_dir) / self.config.id
         d.mkdir(parents=True, exist_ok=True)
-        # One (n, 8) float64 array, columns in SERIES_COLUMNS order.
-        data = np.column_stack([self.t, self.u_cmd, self.y, self.psi])
-        np.save(d / "series.npy", data, allow_pickle=False)
+        # One (n, 6) float64 array, columns in SERIES_COLUMNS order.
+        np.save(d / "series.npy", np.hstack([self.u_cmd, self.y]), allow_pickle=False)
         with open(d / "controller_log.csv", "w") as fh:
             writer = csv.writer(fh)
             writer.writerow(LOG_COLUMNS)
@@ -278,24 +286,28 @@ def run_load_case(cfg: LoadCaseConfig) -> RunResult:
     except FloatingPointError as exc:
         raise RuntimeError(f"run {cfg.id} diverged: {exc}") from exc
 
-    t = np.arange(n) * dt
-    psi = np.tile(azimuth(period), n_rot)
     # A non-finite metric is reported by the error below, which names the run.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         metrics = compute_metrics(cfg, u_cmd, y, dt, period)
-    bad = [f"{which}.{blade}.{name}" for which in ("healthy", "faulty")
-           for blade, values in metrics[which].items() for name, v in values.items()
-           if v is not None and not math.isfinite(v)]
+    bad = _nonfinite_metrics(metrics)
     if bad:
         raise RuntimeError(f"run {cfg.id} produced non-finite metrics: {', '.join(bad)}")
     if controller is not None:
         metrics["dare_failures"] = controller.dare_failures
         metrics["clamp_events"] = controller.clamp_events
     return RunResult(
-        config=cfg, t=t, u_cmd=u_cmd, y=y, psi=psi,
+        config=cfg, u_cmd=u_cmd, y=y,
         rotation_log=[] if controller is None else controller.log, metrics=metrics,
         wall_time_s=time.perf_counter() - start,
     )
+
+
+def _nonfinite_metrics(metrics: dict) -> list:
+    """Keys, as "faulty.blade1.sd_y", of the window metrics that are NaN or
+    infinite (a `band_ratio_u` of None, a constant command, is not)."""
+    return [f"{which}.{blade}.{name}" for which in ("healthy", "faulty")
+            for blade, values in metrics[which].items() for name, v in values.items()
+            if v is not None and not math.isfinite(v)]
 
 
 def compute_metrics(cfg: LoadCaseConfig, u_cmd: np.ndarray, y: np.ndarray, dt: float,
@@ -342,8 +354,9 @@ def recompute_metrics(run_dir) -> dict:
 
     The file comes from outside the program, so it is loaded without
     pickle support and must be a 2-D float64 array of `duration_s / dt`
-    rows and one column per `SERIES_COLUMNS` entry (ValueError otherwise).
-    A run directory without `series.npy` raises FileNotFoundError.
+    rows and one column per `SERIES_COLUMNS` entry, and its metrics must be
+    finite (ValueError otherwise, naming the file). A run directory without
+    `series.npy` raises FileNotFoundError.
     """
     d = Path(run_dir)
     cfg = LoadCaseConfig.from_dict(json.loads((d / "config.json").read_text()))
@@ -355,8 +368,12 @@ def recompute_metrics(run_dir) -> dict:
             f"{d / 'series.npy'} holds a {data.dtype} array of shape {data.shape}; "
             f"expected float64 of shape {shape}"
         )
-    u_cmd, y = data[:, 1:4], data[:, 4:7]
-    metrics = compute_metrics(cfg, u_cmd, y, plant.dt, plant.period_samples)
+    # A damaged series is reported by the error below, which names the file.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        metrics = compute_metrics(cfg, data[:, :3], data[:, 3:], plant.dt, plant.period_samples)
+    bad = _nonfinite_metrics(metrics)
+    if bad:
+        raise ValueError(f"{d / 'series.npy'} gives non-finite metrics: {', '.join(bad)}")
     saved = json.loads((d / "metrics.json").read_text())
     for key in ("dare_failures", "clamp_events"):
         if key in saved:

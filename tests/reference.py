@@ -774,17 +774,20 @@ class AllocatingController(RepetitiveController):
         self._ingest(u_hist, y_hist, upto)
         y_bar = project_output(y_hist[j * self.period: upto], self.basis)
         delta_y_bar = np.zeros(12) if self._y_bar_prev is None else y_bar - self._y_bar_prev
+        iterations = 0
         if j + 1 > self.tuning.warmup_rotations:
             blocks = projected_blocks_concatenating(self.engine.rows, self._shifts, self.basis)
             a_bar, b_bar = bar_matrices(*blocks)
             try:
                 sol = solve_dare_unshared(a_bar, b_bar, self.q, self.r, self.tuning.dare_tol,
                                           self.tuning.dare_max_iter, p0=self._p_warm)
-            except DareNonConvergence:
+            except DareNonConvergence as exc:
                 self.dare_failures += 1
+                iterations = exc.iterations
             else:
                 self.gain, self._p_warm = sol.gain, sol.cost_matrix
                 self._last_residual = sol.residual
+                iterations = sol.iterations
             theta, clamped = update_theta_concatenating(self.theta, self.gain, y_bar,
                                                         self.delta_theta, delta_y_bar,
                                                         self.tuning)
@@ -794,5 +797,5 @@ class AllocatingController(RepetitiveController):
         self.log.append([
             j, float(np.linalg.norm(self.theta)), float(np.linalg.norm(self.delta_theta)),
             float(self._last_residual), self.dare_failures, self.clamp_events,
-            *y_bar.tolist(),
+            *y_bar.tolist(), iterations,
         ])

@@ -429,6 +429,8 @@ def test_first_failed_dare_keeps_zero_gain_and_is_counted():
     assert np.all(ctl.gain == 0.0)
     assert np.all(ctl.theta == 0.0) and ctl.clamp_events == 0
     assert [row[LOG_COLUMNS.index("dare_failures")] for row in ctl.log] == [0, 0, 1, 2]
+    # Each failed solve ran its one allowed iteration; none ran before warm-up.
+    assert [row[LOG_COLUMNS.index("dare_iterations")] for row in ctl.log] == [0, 0, 1, 1]
     assert all(np.isnan(row[LOG_COLUMNS.index("dare_residual")]) for row in ctl.log)
 
 

@@ -26,6 +26,7 @@ from ipcsim.harness import (
     run_campaign,
     run_load_case,
 )
+from ipcsim.plant import azimuth
 from reference import qr_rls_update_batch, step
 
 
@@ -282,10 +283,13 @@ def test_save_and_metrics_round_trip(tmp_path):
     written = {f.name for f in d.iterdir()}
     assert written == {"series.npy", "controller_log.csv", "metrics.json", "config.json"}
     data = np.load(d / "series.npy", allow_pickle=False)
-    assert data.shape == (res.t.size, 8)  # t,u1,u2,u3,y1,y2,y3,psi
+    n = res.y.shape[0]
+    assert data.shape == (n, 6)
     assert data.dtype == np.float64 and data.flags.c_contiguous
-    assert np.array_equal(data[:, 0], res.t)
-    assert np.array_equal(data[:, 7], res.psi)
+    # The sample times and the azimuth are not persisted; the result
+    # rebuilds them from the config.
+    assert np.array_equal(res.t, np.arange(n) * 0.01)
+    assert np.array_equal(res.psi, np.tile(azimuth(100), n // 100))
     saved = json.loads((d / "metrics.json").read_text())
     recomputed = recompute_metrics(d)
     assert recomputed == saved
@@ -306,21 +310,36 @@ def test_controller_log_columns(tmp_path):
     assert len(rows) == 20 and all(len(row) == len(LOG_COLUMNS) for row in rows)
     basis = build_basis(100)
     first = LOG_COLUMNS.index("y_bar_0")
+    iterations = LOG_COLUMNS.index("dare_iterations")
     for j, row in enumerate(rows):
         assert int(row[0]) == j
         y_bar = project_output(res.y[j * 100:(j + 1) * 100], basis)
-        assert [float(v) for v in row[first:]] == y_bar.tolist()
+        assert [float(v) for v in row[first:first + 12]] == y_bar.tolist()
+        # One Riccati solve per rotation past the 8-rotation warm-up.
+        assert (int(row[iterations]) >= 1) == (j >= 8)
 
 
 def test_run_result_csv_full_precision(tmp_path):
     res = run_load_case(short_cfg(duration_s=20.0, fault_onset_s=10.0))
     res.save(tmp_path)
     data = np.load(tmp_path / "t-case" / "series.npy", allow_pickle=False)
-    assert np.array_equal(data[:, 4:7], res.y)
-    assert np.array_equal(data[:, 1:4], res.u_cmd)
+    assert harness.SERIES_COLUMNS == ("u1", "u2", "u3", "y1", "y2", "y3")
+    assert np.array_equal(data[:, :3], res.u_cmd)
+    assert np.array_equal(data[:, 3:], res.y)
 
 
-@pytest.mark.parametrize("kind", ["wrong_shape", "object_dtype", "legacy_csv_only"])
+def test_run_result_holds_no_recomputable_series():
+    # Only the commanded pitch and the loads are run-length arrays; the
+    # sample times and the azimuth are rebuilt from the config when read.
+    res = run_load_case(short_cfg(controller="cpc", duration_s=20.0, fault_onset_s=10.0))
+    run_length = {f.name for f in dataclasses.fields(res)
+                  if isinstance(getattr(res, f.name), np.ndarray)
+                  and getattr(res, f.name).shape[:1] == (2000,)}
+    assert run_length == {"u_cmd", "y"}
+
+
+@pytest.mark.parametrize("kind", ["wrong_shape", "legacy_eight_columns", "object_dtype",
+                                  "legacy_csv_only", "nonfinite_window"])
 def test_recompute_metrics_rejects_bad_series(tmp_path, kind):
     res = run_load_case(short_cfg(controller="cpc", duration_s=20.0, fault_onset_s=10.0))
     res.save(tmp_path)
@@ -330,6 +349,22 @@ def test_recompute_metrics_rejects_bad_series(tmp_path, kind):
         np.save(d / "series.npy", data[:-1])  # one row short of duration / dt
         with pytest.raises(ValueError, match="shape"):
             recompute_metrics(d)
+    elif kind == "legacy_eight_columns":
+        # t,u1,u2,u3,y1,y2,y3,psi, as runs were once saved: no legacy reader.
+        legacy = np.column_stack([res.t, res.u_cmd, res.y, res.psi])
+        np.save(d / "series.npy", legacy)
+        with pytest.raises(ValueError, match=r"shape \(2000, 8\); expected float64 of "
+                                             r"shape \(2000, 6\)"):
+            recompute_metrics(d)
+    elif kind == "nonfinite_window":
+        # Right shape and dtype, damaged inside both metric windows: the error
+        # names the file and the keys, and no numpy warning escapes.
+        data[850:900, 3] = 1e300
+        data[1900:1950, 0] = np.nan
+        np.save(d / "series.npy", data)
+        with pytest.raises(ValueError, match=r"series\.npy gives non-finite metrics: "
+                                             r"healthy\.blade1\.sd_y, faulty\.blade1\.adc"):
+            recompute_metrics(d)
     elif kind == "object_dtype":
         np.save(d / "series.npy", data.astype(object), allow_pickle=True)
         with pytest.raises(ValueError, match="allow_pickle"):
@@ -337,7 +372,7 @@ def test_recompute_metrics_rejects_bad_series(tmp_path, kind):
     else:
         (d / "series.npy").unlink()
         np.savetxt(d / "series.csv", data, fmt="%.17g", delimiter=",",
-                   header="t,u1,u2,u3,y1,y2,y3,psi", comments="")
+                   header="u1,u2,u3,y1,y2,y3", comments="")
         with pytest.raises(FileNotFoundError, match="series.npy"):
             recompute_metrics(d)
 
