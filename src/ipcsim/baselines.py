@@ -40,10 +40,8 @@ __all__ = [
 KP = 3.5e-4
 KI = 6.0e-4
 LEAK = 0.05
-# Samples per block of the lifted rotation (`_rotation_operator`).
-_LIFT_BLOCK = 10
 # Most rotations lifted at once: at P = 100 a chunk's transient arrays stay
-# near 1 MB (`_lifted_chunk`).
+# under 1 MB (`_lifted_chunk`).
 _CHUNK = 32
 
 
@@ -124,96 +122,79 @@ def mbc_ipc_span(state: MbcIpcState, plant, fault, dist, k0: int, n: int,
 
 
 def _rotation_operator(plant, amap: tuple) -> tuple:
-    """(forced, states, blocks): one rotation of the clamp-free loop under the
-    actuator map amap = (offset, scale), lifted over blocks of N = _LIFT_BLOCK
-    samples (Bittanti & Colaneri, Periodic Systems, 2009). State z = [x (6),
-    tilt_int, yaw_int, previous load row (3)], per-sample input v = [g .* d + e
-    (3), e (3), 1] and output [u (3), the updated integrators, y (3)]. With V_b
-    block b's inputs (zero past the rotation's end), `forced` (nb, 11, 7 N) gives
-    its forced response f_b, `states` maps [z0; f] to z at each block start and
-    at the end, and `blocks` (nb, 8 N, 11 + 7 N) maps [z_b; V_b] to its outputs.
+    """(steps, to_end, forced): one rotation of the clamp-free loop under the
+    actuator map amap = (offset, scale), lifted (Bittanti & Colaneri,
+    Periodic Systems, 2009). State z = [x (6), previous load row (3),
+    tilt_int, yaw_int], per-sample input v = [g .* d + e (3), e (3), 1]. All
+    three act on row vectors: steps[s] (P, 18, 14) maps [v; z] at sample s to
+    [z'; u], the next state and the command. Built backwards from the last
+    sample, `forced` (6 P, 11) maps the rotation's rows [g .* d + e, e] to its
+    forced response f, and `to_end` (23, 11) maps [z; f; 1] to its end state.
     """
-    period, n = plant.period_samples, _LIFT_BLOCK
-    nb, eye3, (offset, scale) = -(-period // n), np.eye(N_BLADES), amap
+    period, eye3, (offset, scale) = plant.period_samples, np.eye(N_BLADES), amap
     to_blades = np.stack(_coleman_rows(period), axis=2)
     to_fixed = (2.0 / 3.0) * to_blades.transpose(0, 2, 1)
     decay, gain = 1.0 - plant.dt * LEAK, plant.dt * KI
-    # Output maps of z (psi) and v (dlt); a padded step's outputs are dropped.
-    psi, dlt = np.zeros((nb * n, 8, 11)), np.zeros((8, 7))
-    psi[:period, :3, 6:8] = decay * to_blades
-    psi[:period, :3, 8:] = (KP + gain) * to_blades @ to_fixed
-    psi[:, 3:5, 6:8] = decay * np.eye(2)
-    psi[:period, 3:5, 8:] = gain * to_fixed
-    psi[:, 5:, :6] = np.einsum("ij,il->ijl", eye3, plant.c).reshape(3, 6)
-    dlt[5:, :3] = eye3
-    # z' = phi z + gam v: x' = A x + B (scale .* u + offset) + L e; padded steps keep z.
-    route = np.zeros((11, 8))
-    route[:6, :3] = plant.b.reshape(6, 3) * scale
-    route[6:, 3:] = np.eye(5)
-    phi, gam = route @ psi, route @ dlt
-    phi[:, :6, :6] += np.einsum("ij,ikl->ikjl", eye3, plant.a).reshape(6, 6)
-    phi[period:] = np.eye(11)
-    gam[:6, 3:6] = np.einsum("ij,ik->ikj", eye3, plant.l_obs).reshape(6, 3)
-    gam[:6, 6] = plant.b.reshape(6, 3) @ offset
-    phi, psi = phi.reshape(nb, n, 11, 11), psi.reshape(nb, n, 8, 11)
-    # Within the blocks, all at once: `step` maps [z_b; V_b] to z at sample t.
-    step = np.tile(np.eye(11, 11 + 7 * n), (nb, 1, 1))
-    blocks = np.empty((nb, n, 8, 11 + 7 * n))
-    for t in range(n):
-        cols = slice(11 + 7 * t, 18 + 7 * t)
-        blocks[:, t] = psi[:, t] @ step
-        blocks[:, t, :, cols] += dlt
-        step = phi[:, t] @ step
-        step[:, :, cols] += gam
-    # Across the blocks: [z0; f] to each block start, f_b = forced_b V_b.
-    states = np.tile(np.eye(11, 11 * nb + 11), (nb + 1, 1, 1))  # rows 1.. are overwritten
-    for b in range(nb):
-        states[b + 1] = step[b, :, :11] @ states[b]
-        states[b + 1, :, 11 * (b + 1):11 * (b + 2)] += np.eye(11)
-    return step[:, :, 11:], states.reshape(-1, 11 * nb + 11), blocks.reshape(nb, 8 * n, -1)
+    b = plant.b.reshape(6, 3)
+    # Column form, [z'; u] = step[s] @ [v; z]: the integrators, then u, from z.
+    step = np.zeros((period, 14, 18))
+    step[:, 9:11, 13:16], step[:, 9:11, 16:] = gain * to_fixed, decay * np.eye(2)
+    step[:, 11:, 13:16] = (KP + gain) * to_blades @ to_fixed
+    step[:, 11:, 16:] = decay * to_blades
+    # x' = A x + B (scale .* u + offset) + L e, and y = C x + g .* d + e.
+    step[:, :6, 7:] = (b * scale) @ step[:, 11:, 7:]
+    step[:, :6, 7:13] += np.einsum("ij,ikl->ikjl", eye3, plant.a).reshape(6, 6)
+    step[:, :6, 3:6] = np.einsum("ij,ik->ikj", eye3, plant.l_obs).reshape(6, 3)
+    step[:, :6, 6] = b @ offset
+    step[:, 6:9, :3] = eye3
+    step[:, 6:9, 7:13] = np.einsum("ij,il->ijl", eye3, plant.c).reshape(3, 6)
+    # `after` maps the state after sample s to the rotation's end.
+    after, to_input = np.eye(11), np.empty((period, 11, 7))
+    for s in range(period - 1, -1, -1):
+        to_input[s], after = np.hsplit(after @ step[s, :11], [7])
+    forced = to_input[:, :, :6].transpose(0, 2, 1).reshape(6 * period, 11)
+    to_end = np.vstack([after.T, np.eye(11), to_input[:, :, 6].sum(axis=0)])
+    return step.transpose(0, 2, 1).copy(), to_end, forced
 
 
 def _lifted_chunk(state, plant, op, d, e, k, u_cmd, y) -> int:
     """Advance whole rotations from sample k in one fault state by the lifted
-    loop op (`_rotation_operator`), from their draws d and e. Returns how many
-    it ran: the rotations before the first in which a clamp would act (a
-    command or integrator beyond the authority) or a value is non-finite.
-    State and rows are left at the start of that rotation."""
-    period, bound, n = plant.period_samples, state.authority_deg, _LIFT_BLOCK
+    loop op (`_rotation_operator`), from their draws d and e: the end map
+    takes each rotation's start state from the one before, and one product
+    per sample then steps all of them together. Returns how many it ran: the
+    rotations before the first in which a clamp would act (a command or
+    integrator beyond the authority) or a value is non-finite. State and
+    rows are left at the start of that rotation."""
+    period, bound = plant.period_samples, state.authority_deg
     m = len(d) // period
-    z = np.concatenate([plant.x, (state.tilt_int, state.yaw_int),
-                        y[k - 1] if k else np.zeros(N_BLADES)])
-    forced, states, blocks = op
-    nb = blocks.shape[0]
+    steps, to_end, forced = op
+    z = np.concatenate([plant.x, y[k - 1] if k else np.zeros(N_BLADES),
+                        (state.tilt_int, state.yaw_int)])
     with np.errstate(over="ignore", invalid="ignore"):  # an extreme plant overflows the operator
-        v = np.zeros((m, nb * n, 7))  # each rotation's V_b, block by block
-        v[:, :period, :3] = (plant.dist_gain * d + e).reshape(m, period, N_BLADES)
-        v[:, :period, 3:6] = e.reshape(m, period, N_BLADES)
-        v[:, :period, 6] = 1.0
-        v = v.reshape(m, nb, 7 * n)
-        # Rows [z_r; f_r]: rotation r's start state, then its blocks' forced responses.
-        zf = np.empty((m, 11 + 11 * nb))
-        f = v.transpose(1, 0, 2) @ forced.transpose(0, 2, 1)  # (nb, m, 11)
-        zf[:, 11:] = f.transpose(1, 0, 2).reshape(m, -1)
-        to_end = states[-11:]
+        we = np.hstack([plant.dist_gain * d + e, e]).reshape(m, period, 6)
+        buf = np.empty((period + 1, m, 21))  # row s: [v_s | z_s | u_(s-1)] of every rotation
+        buf[:period, :, :6], buf[:period, :, 6] = we.transpose(1, 0, 2), 1.0
+        # Rows [z_r; f_r; 1]: rotation r's start state, its forced response, 1.
+        zf = np.ones((m, 23))
+        zf[:, 11:22] = we.reshape(m, -1) @ forced
         for r in range(m):  # only the end state is carried from rotation to rotation
             zf[r, :11] = z
-            z = to_end @ zf[r]
-        starts = (zf @ states[:-11].T).reshape(m, nb, 11)
-        out = np.empty((m, nb, 8 * n))
-        np.matmul(np.concatenate([starts, v], axis=2).transpose(1, 0, 2),
-                  blocks.transpose(0, 2, 1), out=out.transpose(1, 0, 2))
-        out = out.reshape(m, nb * n, 8)[:, :period]
-        ends = np.vstack([zf[1:, :11], z])
+            z = zf[r] @ to_end
+        buf[0, :, 7:18] = zf[:, :11]
+        for s in range(period):
+            np.matmul(buf[s, :, :18], steps[s], out=buf[s + 1, :, 7:])
         # A NaN fails the bound too; the loads and the carried state must be finite.
-        ok = ((np.abs(out[:, :, :5]).max(axis=(1, 2)) <= bound)
-              & np.isfinite(out[:, :, 5:]).all(axis=(1, 2)) & np.isfinite(ends).all(axis=1))
+        peak = np.abs(buf[1:, :, 13:]).max(axis=0)  # loads, integrators, commands
+        ends = np.vstack([zf[1:, :11], z])
+        ok = ((peak[:, 3:].max(axis=1) <= bound) & np.isfinite(peak[:, :3]).all(axis=1)
+              & np.isfinite(ends).all(axis=1))
     done = m if ok.all() else int(ok.argmin())
     if done:
-        u_cmd[k:k + done * period] = out[:done, :, :3].reshape(-1, N_BLADES)
-        y[k:k + done * period] = out[:done, :, 5:].reshape(-1, N_BLADES)
+        out = buf[1:, :done].transpose(1, 0, 2)
+        u_cmd[k:k + done * period] = out[:, :, 18:].reshape(-1, N_BLADES)
+        y[k:k + done * period] = out[:, :, 13:16].reshape(-1, N_BLADES)
         z = ends[done - 1]
-        state.tilt_int, state.yaw_int = float(z[6]), float(z[7])
+        state.tilt_int, state.yaw_int = float(z[9]), float(z[10])
         plant.x = z[:6].copy()
     return done
 

@@ -62,6 +62,19 @@ class ConfigError(ValueError):
     """Invalid load-case or campaign configuration."""
 
 
+class _FrozenDict(dict):
+    """A built config's `plant` or `tuning`: a dict that refuses writes and
+    pickles as its items."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a built LoadCaseConfig cannot change; use dataclasses.replace")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return _FrozenDict, (dict(self),)
+
+
 @dataclass(frozen=True)
 class LoadCaseConfig:
     """Everything one run depends on, immutable once validated: runs are a pure function of it."""
@@ -92,6 +105,12 @@ class LoadCaseConfig:
         # Any failure to validate is a bad config, whatever raised it (a
         # non-finite duration overflows, a zero period divides by zero).
         try:
+            for name in ("plant", "tuning"):  # copies, so the caller's dict cannot change it
+                given = getattr(self, name)
+                if not isinstance(given, dict):
+                    raise ConfigError(f"{name} must be a dict, got {given!r}")
+                object.__setattr__(self, name, _FrozenDict(
+                    (key, tuple(v) if isinstance(v, list) else v) for key, v in given.items()))
             self._validate()
         except ConfigError:
             raise
@@ -162,7 +181,7 @@ class LoadCaseConfig:
         return plant, fault, dist, ControllerTuning(**self.tuning)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "plant": dict(self.plant), "tuning": dict(self.tuning)}
 
     @staticmethod
     def from_dict(data: dict) -> "LoadCaseConfig":
@@ -397,7 +416,6 @@ class RunStatus:
 @dataclass
 class CampaignReport:
     statuses: list
-    out_dir: str | None = None
 
     @property
     def failed(self) -> list:
@@ -460,7 +478,7 @@ def run_campaign(configs, parallelism: int = 1, out_dir=None) -> CampaignReport:
                     except BrokenProcessPool as exc:
                         statuses[i] = RunStatus(id=cfg.id, ok=False,
                                                 error=f"worker process died: {exc}")
-    return CampaignReport(statuses=statuses, out_dir=out)
+    return CampaignReport(statuses=statuses)
 
 
 # ---------------------------------------------------------------------------

@@ -269,7 +269,7 @@ CHUNK_EDGES = {
                                               parameter=0.5), 20.0, 0.0, C + 8, P, 4.0,
                                 [(C, C), (8, 8)]),
     "shorter_than_a_chunk": (FaultScenario(), 20.0, 0.1, 5, P, 4.0, [(5, 5)]),
-    # Four full lifting blocks and a padded fifth per rotation, over two chunks.
+    # 45 samples per rotation, over two chunks.
     "period_45": (FaultScenario(kind="pas", blade_index=2, onset_sample=3 * 45, parameter=0.5),
                   20.0, 0.0, C + 8, 45, 4.0, [(3, 3), (C, C), (5, 5)]),
 }
@@ -326,10 +326,9 @@ def test_an_overflowing_operator_sends_every_rotation_to_the_loop(monkeypatch):
     assert np.max(np.abs(result.u_cmd)) == 4.0
 
 
-def test_lifted_rotation_with_a_ragged_last_block_matches_oracle(monkeypatch):
-    # 45 samples per rotation: four full lifting blocks and a padded fifth.
+def test_lifted_rotation_at_period_45_matches_oracle(monkeypatch):
+    # An odd period: 45 samples per rotation.
     period = 45
-    assert period % baselines._LIFT_BLOCK
     paths = serving_paths(monkeypatch)
     fault = FaultScenario(kind="pas", blade_index=2, onset_sample=5 * period, parameter=0.5)
     span, rotations, oracle = span_and_oracle_runs(fault, 20.0, 0.0, 12, period=period)
@@ -337,6 +336,27 @@ def test_lifted_rotation_with_a_ragged_last_block_matches_oracle(monkeypatch):
     assert paths == expected + expected
     assert_matches_oracle(span, oracle)
     assert_matches_oracle(rotations, oracle)
+
+
+@pytest.mark.parametrize("period, fault", [
+    (P, FaultScenario()),
+    (P, FaultScenario(kind="pas", blade_index=2, onset_sample=0, parameter=1.5)),
+    (45, FaultScenario()),
+], ids=["healthy", "pas", "period_45"])
+def test_rotation_operator_steps_end_where_its_end_map_says(period, fault):
+    # Stepping the per-sample maps [v; z] -> [z'; u] over one rotation ends
+    # where the end map takes the start state and the forced response.
+    steps, to_end, forced = baselines._rotation_operator(build_plant(period_samples=period),
+                                                         fault.actuator_map(0))
+    rng = np.random.default_rng(3)
+    w, e = rng.normal(0.0, 500.0, (period, 3)), rng.normal(0.0, 20.0, (period, 3))
+    start = np.concatenate([rng.normal(0.0, 1.0, 6), rng.normal(0.0, 500.0, 3),
+                            rng.normal(0.0, 0.5, 2)])
+    z = start
+    for s in range(period):
+        z = (np.concatenate([w[s], e[s], [1.0], z]) @ steps[s])[:11]
+    end = np.concatenate([start, np.hstack([w, e]).ravel() @ forced, [1.0]]) @ to_end
+    assert np.max(np.abs(end - z)) <= 1e-12 * np.max(np.abs(z))
 
 
 def test_lc18_run_matches_the_scalar_loop_alone(monkeypatch):

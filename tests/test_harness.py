@@ -7,6 +7,7 @@ import dataclasses
 import errno
 import json
 import os
+import pickle
 import warnings
 
 import numpy as np
@@ -122,6 +123,54 @@ def test_a_built_config_is_immutable():
     with pytest.raises(ConfigError):
         dataclasses.replace(cfg, seed=-1)
     assert dataclasses.replace(cfg, seed=7).seed == 7 and cfg.seed == 42
+
+
+WRITES = {
+    "setitem": lambda d: d.__setitem__("beta", 7.0),
+    "delitem": lambda d: d.__delitem__(next(iter(d))),
+    "ior": lambda d: d.__ior__({"beta": 7.0}),
+    "clear": lambda d: d.clear(),
+    "pop": lambda d: d.pop(next(iter(d))),
+    "popitem": lambda d: d.popitem(),
+    "setdefault": lambda d: d.setdefault("beta", 7.0),
+    "update": lambda d: d.update(beta=7.0),
+}
+
+
+@pytest.mark.parametrize("write", sorted(WRITES))
+def test_a_built_config_refuses_writes_to_plant_and_tuning(write):
+    # A write would bypass validation: tuning.beta = 7 would fail the run,
+    # not the config.
+    cfg = short_cfg(plant={"coupling": 0.05})
+    for name in ("plant", "tuning"):
+        with pytest.raises(TypeError, match="cannot change"):
+            WRITES[write](getattr(cfg, name))
+    assert cfg == short_cfg(plant={"coupling": 0.05})
+    assert dataclasses.replace(cfg, seed=2).seed == 2
+
+
+def test_a_built_config_keeps_its_own_plant_and_tuning():
+    tuning, plant = {"warmup_rotations": 8}, {"predictor_poles": [0.4, 0.35]}
+    cfg = short_cfg(tuning=tuning, plant=plant)
+    # Editing the dicts it was built from leaves the config as validated.
+    tuning["beta"] = 7.0
+    plant["predictor_poles"][0] = 5.0
+    assert cfg.tuning == {"warmup_rotations": 8}
+    assert cfg.plant == {"predictor_poles": (0.4, 0.35)}
+    # It pickles to a pool worker as built, and still refuses writes there.
+    clone = pickle.loads(pickle.dumps(cfg))
+    assert clone == cfg
+    with pytest.raises(TypeError, match="cannot change"):
+        clone.tuning["beta"] = 7.0
+    # `to_dict` (and so config.json) holds plain dicts.
+    saved = cfg.to_dict()
+    assert type(saved["plant"]) is dict and type(saved["tuning"]) is dict
+    assert json.loads(json.dumps(saved))["plant"] == {"predictor_poles": [0.4, 0.35]}
+    saved["tuning"]["beta"] = 7.0
+    assert "beta" not in cfg.tuning
+    for given in (None, [("dt", 0.01)], "dt"):
+        with pytest.raises(ConfigError, match="plant must be a dict"):
+            short_cfg(plant=given)
 
 
 @pytest.mark.parametrize("field, value", [
