@@ -108,6 +108,9 @@ def _read_metrics(mfile: Path) -> dict:
         for key in ("id", "group", "controller"):  # TypeError on a non-object
             if not isinstance(m[key], str):
                 raise ValueError(f"{key} must be a string, got {m[key]!r}")
+        seed = m.get("seed", 0)  # absent from metrics saved before runs carried it
+        if not (type(seed) is int and seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         blade = m["faulty_blade"]
         if not (blade is None or (type(blade) is int and blade in (1, 2, 3))):
             raise ValueError(f"faulty_blade must be null or 1, 2 or 3, got {blade!r}")

@@ -107,8 +107,8 @@ def project_output(y_period: np.ndarray, basis: BasisProjection) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def shifted_bases(u_f: np.ndarray, p: int):
-    """(prev, curr, band, eye, taps): what `projected_blocks` needs of the
-    basis for a p-tap Markov row, built once per controller. Needs
+    """(prev, curr, band): what `projected_blocks` needs of the basis for a
+    p-tap Markov row, built once per controller and only read after. Needs
     1 <= p < P.
 
     prev, curr: (p, S, 4) copies of u_f aligned with an oldest-first row,
@@ -123,9 +123,6 @@ def shifted_bases(u_f: np.ndarray, p: int):
     of p samples. Entry [i, c] is the row entry that weighs column c of
     [previous block | this block] at sample i of this block, or p (a zero
     tap) where the recursion does not reach.
-
-    eye: the p x p identity. taps: (3, p + 1), each blade's y-row followed
-    by the zero tap; `projected_blocks` overwrites the rows on every call.
     """
     period = u_f.shape[0]
     if not 1 <= p < period:
@@ -136,8 +133,7 @@ def shifted_bases(u_f: np.ndarray, p: int):
     before = (k < 0)[..., None]
     lag = np.arange(2 * p)[None, :] - np.arange(p)[:, None]
     band = np.where((lag >= 0) & (lag < p), lag, p)
-    return (np.where(before, wrapped, 0.0), np.where(before, 0.0, wrapped), band, np.eye(p),
-            np.zeros((N_BLADES, p + 1)))
+    return np.where(before, wrapped, 0.0), np.where(before, 0.0, wrapped), band
 
 
 def projected_blocks(rows: np.ndarray, shifts, basis: BasisProjection):
@@ -153,7 +149,7 @@ def projected_blocks(rows: np.ndarray, shifts, basis: BasisProjection):
     across blocks a carry from the previous block. pinv(u_f) projects the
     result back to coefficients.
     """
-    prev, curr, band, eye, taps = shifts
+    prev, curr, band = shifts
     p, n_samples = prev.shape[:2]
     row_u, row_y = rows[:, :p], rows[:, p:]
     # x[b, s]: blade b, sample s, columns [T_u | T_y | H_bar] before projection.
@@ -161,10 +157,10 @@ def projected_blocks(rows: np.ndarray, shifts, basis: BasisProjection):
                         for row, shift in ((row_u, prev), (row_y, prev), (row_u, curr))],
                        axis=2)
     # band_taps[b]: blade b's recursion over [previous block | this block].
-    taps[:, :p] = row_y
+    taps = np.concatenate([row_y, np.zeros((N_BLADES, 1))], axis=1)  # zero tap at index p
     band_taps = np.take(taps, band, axis=1)
     try:
-        in_block = np.linalg.inv(eye - band_taps[:, :, p:])
+        in_block = np.linalg.inv(np.eye(p) - band_taps[:, :, p:])
     except np.linalg.LinAlgError:  # taps so large the elimination underflows
         in_block = np.full((N_BLADES, p, p), np.nan)
     carry = in_block @ band_taps[:, :, :p]
@@ -191,9 +187,8 @@ def update_theta(theta: np.ndarray, gain: np.ndarray, y_bar: np.ndarray,
     tuning.theta_cap_deg stands in for real actuator limits.
     """
     # blade_states[b] is blade b's 12-state column.
-    blade_states = np.empty((N_BLADES, 3 * N_HARM, 1))
-    blade_states[:, :, 0] = np.reshape((y_bar, delta_theta, delta_y_bar), (3 * N_HARM, N_BLADES)).T
-    feedback = (gain @ blade_states)[:, :, 0].T.reshape(-1)
+    blade_states = np.reshape((y_bar, delta_theta, delta_y_bar), (3 * N_HARM, N_BLADES)).T
+    feedback = (gain @ blade_states[:, :, None])[:, :, 0].T.reshape(-1)
     theta_next = tuning.alpha * theta - tuning.beta * feedback
     capped = np.clip(theta_next, -tuning.theta_cap_deg, tuning.theta_cap_deg)
     return capped, bool((capped != theta_next).any())
@@ -349,9 +344,7 @@ class RepetitiveController:
         """(P, 3) commanded pitch for rotation j from the current theta."""
         if self.broadband is None:
             return rotation_commands(self.basis, self.theta + self.excitation.sample(j)[0])
-        u = rotation_commands(self.basis, self.theta)
-        u += self.broadband.sample(j)
-        return u
+        return rotation_commands(self.basis, self.theta) + self.broadband.sample(j)
 
     def finish_rotation(self, j: int, u_hist: np.ndarray, y_hist: np.ndarray) -> None:
         """Identification + model + gain + theta update at a rotation boundary.

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import shutil
 import time
 from contextlib import suppress
@@ -50,6 +51,10 @@ __all__ = [
 ]
 
 CONTROLLERS = ("cpc", "mbc_ipc", "ftipc", "uftipc")
+
+# Under a campaign's output directory: runs being saved, each renamed into
+# place once whole. `compare`'s `*/metrics.json` never reaches into it.
+PARTIAL = ".partial"
 
 SERIES_COLUMNS = ("u1", "u2", "u3", "y1", "y2", "y3")
 
@@ -346,6 +351,7 @@ def compute_metrics(cfg: LoadCaseConfig, u_cmd: np.ndarray, y: np.ndarray, dt: f
         "id": cfg.id,
         "group": cfg.group,
         "controller": cfg.controller,
+        "seed": cfg.seed,
         "faulty_blade": None if cfg.fault_kind == "healthy" else cfg.fault_blade,
         "fault_kind": cfg.fault_kind,
         "windows": {which: list(bounds) for which, bounds in windows.items()},
@@ -427,20 +433,25 @@ class CampaignReport:
 
 def _run_one(cfg: LoadCaseConfig, out_dir: str | None) -> RunStatus:
     """Run `cfg` as validated when built. Given `out_dir`, the run's directory
-    is removed first, and again if the run or its save fails, so it holds
-    only a run that succeeded."""
+    and any leftover `<out_dir>/.partial/<id>` are removed first; the run is
+    saved into the latter and renamed into place once every file is written.
+    So `<out_dir>/<id>` holds a whole run that succeeded, or does not exist,
+    even when the save is interrupted."""
+    dirs = () if out_dir is None else (Path(out_dir) / cfg.id, Path(out_dir) / PARTIAL / cfg.id)
     try:
-        if out_dir is not None:
+        for d in dirs:
             with suppress(FileNotFoundError):
-                shutil.rmtree(Path(out_dir) / cfg.id)
+                shutil.rmtree(d)
         result = run_load_case(cfg)
-        if out_dir is not None:
-            result.save(out_dir)
+        if dirs:
+            run_dir, partial = dirs
+            result.save(partial.parent)
+            os.replace(partial, run_dir)  # one filesystem: atomic on POSIX
         return RunStatus(id=cfg.id, ok=True, metrics=result.metrics,
                          wall_time_s=result.wall_time_s)
     except Exception as exc:  # failure isolation: siblings keep running
-        if out_dir is not None:
-            shutil.rmtree(Path(out_dir) / cfg.id, ignore_errors=True)
+        for d in dirs:
+            shutil.rmtree(d, ignore_errors=True)
         return RunStatus(id=cfg.id, ok=False, error=f"{type(exc).__name__}: {exc}")
 
 
@@ -478,6 +489,9 @@ def run_campaign(configs, parallelism: int = 1, out_dir=None) -> CampaignReport:
                     except BrokenProcessPool as exc:
                         statuses[i] = RunStatus(id=cfg.id, ok=False,
                                                 error=f"worker process died: {exc}")
+    if out is not None:
+        with suppress(OSError):  # kept while it holds an interrupted run of another id
+            os.rmdir(Path(out) / PARTIAL)
     return CampaignReport(statuses=statuses)
 
 
@@ -526,11 +540,12 @@ class ComparisonTable:
 def compare(metrics_by_id: dict, baseline: str = "cpc") -> ComparisonTable:
     """Per-group, per-blade rSD (faulty window) and ADC against the baseline.
 
-    Requires every group to contain a run of the baseline controller with
-    matching seeds (guaranteed by the campaign builder). Negative rSD
-    entries (load increased) are flagged; a group with two runs of one
-    controller, a baseline blade with zero load SD, or an rSD that
-    overflows, raises ValueError.
+    Requires every group to contain a run of the baseline controller, and
+    each of its runs to have the baseline run's seed (as the campaign builder
+    makes them); a run without a `seed` entry, saved before metrics carried
+    it, is not checked. Negative rSD entries (load increased) are flagged; a
+    group with two runs of one controller or of two seeds, a baseline blade
+    with zero load SD, or an rSD that overflows, raises ValueError.
     """
     groups: dict[str, dict[str, dict]] = {}
     for m in metrics_by_id.values():
@@ -545,6 +560,9 @@ def compare(metrics_by_id: dict, baseline: str = "cpc") -> ComparisonTable:
             raise ValueError(f"group {group} is missing the baseline controller {baseline!r}")
         base = by_ctl[baseline]
         for ctl, m in sorted(by_ctl.items()):
+            if len({base.get("seed"), m.get("seed")} - {None}) > 1:
+                raise ValueError(f"group {group} mixes seeds: {base['id']} has seed "
+                                 f"{base['seed']}, {m['id']} has seed {m['seed']}")
             rsd_vals, adc_vals, neg = {}, {}, []
             for b in ("blade1", "blade2", "blade3"):
                 val = rsd(base["faulty"][b]["sd_y"], m["faulty"][b]["sd_y"])

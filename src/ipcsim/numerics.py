@@ -13,7 +13,6 @@ mutable state.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -132,18 +131,16 @@ def rls_update_batch(state: RlsState, regressors: np.ndarray, targets: np.ndarra
         raise ValueError("batch dimensions do not match the RLS state")
     if m == 0:
         return state
-    weights, prior_scale = _fold_weights(state.lam, m)
     n_reg = state.n_reg
-    rows = np.empty(stack + (m, n_reg + state.n_out))
-    np.multiply(weights[:, None], regressors, out=rows[..., :n_reg])
-    np.multiply(weights[:, None], targets, out=rows[..., n_reg:])
+    weights = np.power(state.lam, np.arange(m - 1, -1, -1, dtype=float) / 2.0)  # newest last
+    rows = weights[:, None] * np.concatenate([regressors, targets], axis=-1)
     if not np.isfinite(rows).all():  # so are the inputs: 0 < weight <= 1
         raise ValueError("batch contains non-finite entries")
     theta = state.info[..., n_reg:]
     with np.errstate(over="ignore", invalid="ignore"):
         rows[..., n_reg:] -= rows[..., :n_reg] @ theta
         info = rows[..., :n_reg].mT @ rows
-        info[..., :n_reg] += prior_scale * state.info[..., :n_reg]
+        info[..., :n_reg] += state.lam ** m * state.info[..., :n_reg]
         info[..., n_reg:] = theta + _solve_or_nan(info[..., :n_reg], info[..., n_reg:])
     return RlsState(info=info, lam=state.lam)
 
@@ -157,15 +154,6 @@ def _solve_or_nan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if a.ndim == 2:
             return np.full(b.shape, np.nan)
         return np.stack([_solve_or_nan(ai, bi) for ai, bi in zip(a, b)])
-
-
-@functools.lru_cache(maxsize=8)
-def _fold_weights(lam: float, m: int):
-    """Row weights lam^(age/2), newest row last, and the prior's lam^m for a
-    fold of m rows; the same for every full rotation, so cached."""
-    weights = np.power(lam, np.arange(m - 1, -1, -1, dtype=float) / 2.0)
-    weights.flags.writeable = False
-    return weights, lam ** m
 
 
 # ---------------------------------------------------------------------------

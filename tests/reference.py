@@ -751,6 +751,12 @@ class AllocatingController(RepetitiveController):
     ingest, the concatenating fold, the concatenating projection, a fresh
     (A_bar, B_bar) from `bar_matrices`, the concatenating theta update and
     the unshared Riccati step. The buffered step must match it bit for bit.
+
+    The shipped step still differs in four places: the engine's own
+    difference buffer and its window view, the fold's residuals subtracted
+    inside its weighted rows and its one Gram product, the controller's held
+    (A_bar, B_bar), and the Riccati step that forms B'P and A'P once. Its
+    projection and theta update compute as the twins here do.
     """
 
     def _ingest(self, u_hist, y_hist, upto: int) -> None:

@@ -18,7 +18,14 @@ from ipcsim.control import (
     update_theta,
 )
 from ipcsim.control import EXCITATION_POLE
-from ipcsim.numerics import DareNonConvergence, RlsState, pinv, solve_dare, welch_psd
+from ipcsim.numerics import (
+    DareNonConvergence,
+    RlsState,
+    pinv,
+    rls_update_batch,
+    solve_dare,
+    welch_psd,
+)
 from ipcsim.metrics import band_energy_ratio
 from ipcsim.plant import (
     DisturbanceModel,
@@ -340,20 +347,50 @@ def test_nonfinite_projected_model_is_a_counted_dare_failure():
     assert np.all(np.isfinite(ctl.theta))
 
 
-def test_projection_workspace_is_reused_without_aliasing_its_results():
-    # The workspace is overwritten on every call; the blocks a call returns
-    # are its own arrays, bitwise those of the allocating twin.
+def test_projection_results_outlive_later_calls_and_match_allocating_twin():
+    # The blocks a call returns are its own arrays: a later call on other
+    # rows leaves them as they were. They are bitwise those of the
+    # allocating twin.
     basis = build_basis(P)
-    ws = shifted_bases(basis.u_f, WINDOW)
+    shifts = shifted_bases(basis.u_f, WINDOW)
     rows = oracle_rows()
-    first = projected_blocks(rows, ws, basis)
+    first = projected_blocks(rows, shifts, basis)
     kept = [b.copy() for b in first]
-    again = projected_blocks(perturbed_rows(), ws, basis)
+    again = projected_blocks(perturbed_rows(), shifts, basis)
     for got, want, other in zip(first, kept, again):
         assert np.array_equal(got, want) and not np.array_equal(got, other)
-    for got, want in zip(projected_blocks(rows, ws, basis),
-                         projected_blocks_concatenating(rows, ws, basis)):
+    for got, want in zip(projected_blocks(rows, shifts, basis),
+                         projected_blocks_concatenating(rows, shifts, basis)):
         assert np.array_equal(got, want)
+
+
+def test_rotation_kernels_leave_their_inputs_unchanged():
+    # The per-rotation projection and RLS fold write into no array they are
+    # handed (the Markov rows, each array of the shifted bases, the state's
+    # [S | Theta'], the regressors and targets), and two calls return
+    # arrays that share no memory with each other or with their inputs.
+    basis = build_basis(P)
+    shifts = shifted_bases(basis.u_f, WINDOW)
+    rows = perturbed_rows()
+    handed = [rows, *shifts]
+    before = [a.copy() for a in handed]
+    first = projected_blocks(rows, shifts, basis)
+    second = projected_blocks(rows, shifts, basis)
+    assert all(np.array_equal(a, b) for a, b in zip(handed, before))
+    assert not any(np.shares_memory(a, b) for a in first for b in (*second, *handed))
+
+    rng = np.random.default_rng(5)
+    state = rls_update_batch(RlsState.fresh(1, 2 * WINDOW, lam=0.999, stack=(3,)),
+                             rng.normal(size=(3, P, 2 * WINDOW)), rng.normal(size=(3, P, 1)))
+    regressors = rng.normal(size=(3, P, 2 * WINDOW))
+    targets = rng.normal(size=(3, P, 1))
+    handed = [state.info, regressors, targets]
+    before = [a.copy() for a in handed]
+    first = rls_update_batch(state, regressors, targets)
+    second = rls_update_batch(state, regressors, targets)
+    assert all(np.array_equal(a, b) for a, b in zip(handed, before))
+    assert np.array_equal(first.info, second.info)
+    assert not any(np.shares_memory(first.info, b) for b in (second.info, *handed))
 
 
 @pytest.mark.parametrize("group", ["LC01-lvlA-pad-ti00", "LC18-lvlB-bld-tiiec"])

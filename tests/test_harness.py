@@ -606,6 +606,39 @@ def test_a_failed_save_leaves_no_partial_directory(tmp_path, monkeypatch):
     assert not (tmp_path / cfg.id).exists()
 
 
+def test_an_interrupted_save_leaves_no_run_directory(tmp_path, monkeypatch, capsys):
+    # A KeyboardInterrupt while a rerun writes metrics.json (a killed process
+    # would do the same): the rerun's files stay under .partial/, the earlier
+    # run of that id is gone, its sibling is whole and `compare` reads the
+    # campaign. Running the id again clears the leftover and .partial/.
+    cases = [short_cfg(id=f"g1-{ctl}", group="g1", controller=ctl, duration_s=4.0,
+                       fault_onset_s=2.0) for ctl in ("cpc", "mbc_ipc")]
+    out = tmp_path / "out"
+    assert not run_campaign(cases, out_dir=out).failed
+    assert sorted(p.name for p in out.iterdir()) == ["g1-cpc", "g1-mbc_ipc"]
+    whole = {p.name: p.read_bytes() for p in (out / "g1-cpc").iterdir()}
+    real_dump = json.dump
+
+    def interrupted(obj, fh, **kwargs):
+        if obj["id"] == "g1-mbc_ipc" and fh.name.endswith("metrics.json"):
+            fh.write('{"controller": "mbc')
+            raise KeyboardInterrupt
+        return real_dump(obj, fh, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness.json, "dump", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(cases, parallelism=1, out_dir=out)
+    assert sorted(p.name for p in out.iterdir()) == [".partial", "g1-cpc"]
+    assert {p.name: p.read_bytes() for p in (out / "g1-cpc").iterdir()} == whole
+    capsys.readouterr()
+    assert cli_main(["compare", str(out), "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["group"], r["controller"]) for r in rows] == [("g1", "cpc")]
+    assert not run_campaign(cases[1:], out_dir=out).failed
+    assert sorted(p.name for p in out.iterdir()) == ["g1-cpc", "g1-mbc_ipc"]
+
+
 def test_cli_run_reports_an_output_error_as_a_failed_run(tmp_path, caplog):
     # `ipcsim run` is a campaign of one: an --out that is a regular file
     # fails the run (exit 2), as it does in a campaign, instead of raising.
@@ -804,6 +837,42 @@ def test_cli_compare_rejects_a_repeated_run_id(tmp_path, capsys, caplog):
     assert capsys.readouterr().out == ""
     assert "'g1-ftipc'" in caplog.text and str(real) in caplog.text
     assert str(tmp_path / "zz-backup-ftipc" / "metrics.json") in caplog.text
+
+
+def test_cli_compare_refuses_a_group_of_two_seeds(tmp_path, capsys, caplog):
+    # A run saved beside a campaign under another seed (`ipcsim run --seed`)
+    # saw another disturbance realization, so its rSD against the group's
+    # baseline would mean nothing: an error naming the group and both seeds.
+    # A metrics.json without a seed, saved before runs recorded it, is not
+    # checked.
+    cases = [short_cfg(id=f"g1-{ctl}", group="g1", controller=ctl, duration_s=4.0,
+                       fault_onset_s=2.0) for ctl in ("cpc", "mbc_ipc")]
+    cfg_path, out = tmp_path / "c.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps({"cases": [c.to_dict() for c in cases]}))
+    assert cli_main(["campaign", str(cfg_path), "--out", str(out)]) == 0
+    assert json.loads((out / "g1-cpc" / "metrics.json").read_text())["seed"] == 42
+    assert cli_main(["compare", str(out)]) == 0
+    assert cli_main(["run", str(cfg_path), "--case", "g1-mbc_ipc", "--seed", "99",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    caplog.clear()
+    assert cli_main(["compare", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    assert "group g1 mixes seeds: g1-cpc has seed 42, g1-mbc_ipc has seed 99" in caplog.text
+    mfile = out / "g1-mbc_ipc" / "metrics.json"
+    older = json.loads(mfile.read_text())
+    del older["seed"]
+    mfile.write_text(json.dumps(older))
+    assert cli_main(["compare", str(out)]) == 0
+
+
+@pytest.mark.parametrize("seed", [True, -1, 42.0, None, "42"])
+def test_cli_compare_rejects_a_malformed_seed(tmp_path, caplog, seed):
+    (tmp_path / "a").mkdir()
+    mfile = tmp_path / "a" / "metrics.json"
+    mfile.write_text(json.dumps({**VALID_METRICS, "seed": seed}))
+    assert cli_main(["compare", str(tmp_path)]) == 1
+    assert len(caplog.records) == 1 and str(mfile) in caplog.text and "seed" in caplog.text
 
 
 def test_cli_compare_unreadable_metrics(tmp_path, caplog):
