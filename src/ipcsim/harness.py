@@ -310,9 +310,7 @@ def run_load_case(cfg: LoadCaseConfig) -> RunResult:
     except FloatingPointError as exc:
         raise RuntimeError(f"run {cfg.id} diverged: {exc}") from exc
 
-    # A non-finite metric is reported by the error below, which names the run.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        metrics = compute_metrics(cfg, u_cmd, y, dt, period)
+    metrics = compute_metrics(cfg, u_cmd, y, dt, period)
     bad = _nonfinite_metrics(metrics)
     if bad:
         raise RuntimeError(f"run {cfg.id} produced non-finite metrics: {', '.join(bad)}")
@@ -334,6 +332,7 @@ def _nonfinite_metrics(metrics: dict) -> list:
             if v is not None and not math.isfinite(v)]
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def compute_metrics(cfg: LoadCaseConfig, u_cmd: np.ndarray, y: np.ndarray, dt: float,
                     period: int) -> dict:
     """Windowed summary over `metric_windows`: per-blade load SD (population
@@ -341,7 +340,9 @@ def compute_metrics(cfg: LoadCaseConfig, u_cmd: np.ndarray, y: np.ndarray, dt: f
     +-10 % bands around 1P and 2P, 1P being 1 / (period * dt).
 
     Pure function of the series and the config scalars; the series is
-    persisted as binary float64, so this is reproducible bit-for-bit.
+    persisted as binary float64, so this is reproducible bit-for-bit. A
+    series that overflows gives NaN or infinite metrics without a numpy
+    warning; each caller reports them in its own terms.
     """
     windows = metric_windows(cfg.duration_s, cfg.fault_onset_s)
     fs = 1.0 / dt
@@ -393,9 +394,7 @@ def recompute_metrics(run_dir) -> dict:
             f"{d / 'series.npy'} holds a {data.dtype} array of shape {data.shape}; "
             f"expected float64 of shape {shape}"
         )
-    # A damaged series is reported by the error below, which names the file.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        metrics = compute_metrics(cfg, data[:, :3], data[:, 3:], plant.dt, plant.period_samples)
+    metrics = compute_metrics(cfg, data[:, :3], data[:, 3:], plant.dt, plant.period_samples)
     bad = _nonfinite_metrics(metrics)
     if bad:
         raise ValueError(f"{d / 'series.npy'} gives non-finite metrics: {', '.join(bad)}")
@@ -541,11 +540,12 @@ def compare(metrics_by_id: dict, baseline: str = "cpc") -> ComparisonTable:
     """Per-group, per-blade rSD (faulty window) and ADC against the baseline.
 
     Requires every group to contain a run of the baseline controller, and
-    each of its runs to have the baseline run's seed (as the campaign builder
-    makes them); a run without a `seed` entry, saved before metrics carried
-    it, is not checked. Negative rSD entries (load increased) are flagged; a
-    group with two runs of one controller or of two seeds, a baseline blade
-    with zero load SD, or an rSD that overflows, raises ValueError.
+    each of its runs to have the baseline run's seed and metric windows (as
+    the campaign builder makes them); a run without a `seed` or `windows`
+    entry, saved before metrics carried it, is not checked for it. Negative
+    rSD entries (load increased) are flagged; a group with two runs of one
+    controller, of two seeds or of two windows, a baseline blade with zero
+    load SD, or an rSD that overflows, raises ValueError.
     """
     groups: dict[str, dict[str, dict]] = {}
     for m in metrics_by_id.values():
@@ -563,6 +563,10 @@ def compare(metrics_by_id: dict, baseline: str = "cpc") -> ComparisonTable:
             if len({base.get("seed"), m.get("seed")} - {None}) > 1:
                 raise ValueError(f"group {group} mixes seeds: {base['id']} has seed "
                                  f"{base['seed']}, {m['id']} has seed {m['seed']}")
+            windows = base.get("windows"), m.get("windows")
+            if None not in windows and windows[0] != windows[1]:
+                raise ValueError(f"group {group} mixes windows: {base['id']} has windows "
+                                 f"{windows[0]}, {m['id']} has windows {windows[1]}")
             rsd_vals, adc_vals, neg = {}, {}, []
             for b in ("blade1", "blade2", "blade3"):
                 val = rsd(base["faulty"][b]["sd_y"], m["faulty"][b]["sd_y"])

@@ -8,6 +8,7 @@ import errno
 import json
 import os
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -424,6 +425,21 @@ def test_recompute_metrics_rejects_bad_series(tmp_path, kind):
                    header="u1,u2,u3,y1,y2,y3", comments="")
         with pytest.raises(FileNotFoundError, match="series.npy"):
             recompute_metrics(d)
+
+
+def test_compute_metrics_owns_its_floating_point_policy():
+    # Called directly, not through a caller's errstate: a series that
+    # overflows inside the healthy window gives a non-finite load SD and no
+    # numpy warning, and the other window is untouched.
+    cfg = short_cfg(controller="cpc", duration_s=20.0, fault_onset_s=10.0)
+    rng = np.random.default_rng(0)
+    u_cmd, y = rng.standard_normal((2000, 3)), rng.standard_normal((2000, 3))
+    y[850, 0] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        metrics = harness.compute_metrics(cfg, u_cmd, y, 0.01, 100)
+    assert not np.isfinite(metrics["healthy"]["blade1"]["sd_y"])
+    assert np.isfinite(metrics["faulty"]["blade1"]["sd_y"])
 
 
 def test_cpc_run_commands_zero_differential_pitch():
@@ -864,6 +880,35 @@ def test_cli_compare_refuses_a_group_of_two_seeds(tmp_path, capsys, caplog):
     del older["seed"]
     mfile.write_text(json.dumps(older))
     assert cli_main(["compare", str(out)]) == 0
+
+
+def test_compare_refuses_a_group_of_two_windows(tmp_path, capsys, caplog):
+    # A run of another duration, saved beside a campaign under its group's id,
+    # was measured over other windows, so its rSD against the group's
+    # baseline would mean nothing: `compare` and the CLI name the group and
+    # both windows. A metrics.json without windows is not checked.
+    cases = [short_cfg(id=f"g1-{ctl}", group="g1", controller=ctl, duration_s=4.0,
+                       fault_onset_s=2.0) for ctl in ("cpc", "mbc_ipc")]
+    cfg_path, out = tmp_path / "c.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps({"cases": [c.to_dict() for c in cases]}))
+    assert cli_main(["campaign", str(cfg_path), "--out", str(out)]) == 0
+    longer_path = tmp_path / "longer.json"
+    longer_path.write_text(json.dumps(dataclasses.replace(cases[1], duration_s=6.0).to_dict()))
+    assert cli_main(["run", str(longer_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    caplog.clear()
+    assert cli_main(["compare", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    message = ("group g1 mixes windows: g1-cpc has windows {'faulty': [3.6, 4.0], "
+               "'healthy': [1.6, 2.0]}, g1-mbc_ipc has windows {'faulty': [5.2, 6.0], "
+               "'healthy': [1.6, 2.0]}")
+    assert message in caplog.text
+    metrics = {m["id"]: m for m in (json.loads((out / c.id / "metrics.json").read_text())
+                                    for c in cases)}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        compare(metrics)
+    del metrics["g1-mbc_ipc"]["windows"]
+    assert len(compare(metrics).rows) == 2
 
 
 @pytest.mark.parametrize("seed", [True, -1, 42.0, None, "42"])
