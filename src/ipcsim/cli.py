@@ -1,10 +1,11 @@
 """Command-line interface.
 
-    ipcsim run CONFIG [--case ID] [--out DIR] [--seed N] [--log-level L]
-    ipcsim campaign CONFIG|--default [--jobs N] [--out DIR]
-    ipcsim compare OUT_DIR --baseline cpc
+    ipcsim [--log-level L] run CONFIG [--case ID] [--out DIR] [--seed N]
+    ipcsim [--log-level L] campaign CONFIG|--default [--jobs N] [--out DIR]
+    ipcsim [--log-level L] compare OUT_DIR [--baseline cpc] [--json]
 
-Exit codes: 0 success, 1 configuration error, 2 at least one run failed.
+Exit codes: 0 success (and after --help), 1 configuration or usage error,
+2 at least one run failed.
 """
 
 from __future__ import annotations
@@ -144,7 +145,10 @@ def _cmd_compare(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, which reads as a failed run
+        return 1 if exc.code else 0
     logging.basicConfig(level=getattr(logging, args.log_level),
                         format="%(levelname)s %(name)s: %(message)s")
     try:

@@ -52,6 +52,10 @@ __all__ = [
 
 CONTROLLERS = ("cpc", "mbc_ipc", "ftipc", "uftipc")
 
+# metrics.json entries a group's runs share with its baseline run, and their plurals.
+GROUP_LABELS = {"seed": "seeds", "windows": "windows", "fault_kind": "fault kinds",
+                "faulty_blade": "faulty blades"}
+
 # Under a campaign's output directory: runs being saved, each renamed into
 # place once whole. `compare`'s `*/metrics.json` never reaches into it.
 PARTIAL = ".partial"
@@ -124,7 +128,7 @@ class LoadCaseConfig:
 
     def _validate(self) -> None:
         # The id names the run's directory under the campaign's output.
-        if (not isinstance(self.id, str) or self.id in ("", ".", "..")
+        if (not isinstance(self.id, str) or self.id in ("", ".", "..", PARTIAL)
                 or any(c in self.id for c in "/\\\0")):
             raise ConfigError(f"load case id must be a non-empty string that names one "
                               f"directory, got {self.id!r}")
@@ -132,8 +136,6 @@ class LoadCaseConfig:
             raise ConfigError(
                 f"unknown controller {self.controller!r}; choose from {CONTROLLERS}"
             )
-        if self.seed is None:
-            raise ConfigError("seed is mandatory (no ambient randomness)")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         for name in ("duration_s", "fault_onset_s", "fault_parameter", "uftipc_amplitude_deg"):
@@ -540,12 +542,12 @@ def compare(metrics_by_id: dict, baseline: str = "cpc") -> ComparisonTable:
     """Per-group, per-blade rSD (faulty window) and ADC against the baseline.
 
     Requires every group to contain a run of the baseline controller, and
-    each of its runs to have the baseline run's seed and metric windows (as
-    the campaign builder makes them); a run without a `seed` or `windows`
-    entry, saved before metrics carried it, is not checked for it. Negative
-    rSD entries (load increased) are flagged; a group with two runs of one
-    controller, of two seeds or of two windows, a baseline blade with zero
-    load SD, or an rSD that overflows, raises ValueError.
+    each of its runs to share the baseline run's `GROUP_LABELS` entries
+    (seed, metric windows and fault, as the campaign builder makes them); an
+    entry that either run lacks, saved before metrics carried it, is not
+    checked. Negative rSD entries (load increased) are flagged; a group with
+    two runs of one controller or that mixes a label, a baseline blade with
+    zero load SD, or an rSD that overflows, raises ValueError.
     """
     groups: dict[str, dict[str, dict]] = {}
     for m in metrics_by_id.values():
@@ -560,15 +562,16 @@ def compare(metrics_by_id: dict, baseline: str = "cpc") -> ComparisonTable:
             raise ValueError(f"group {group} is missing the baseline controller {baseline!r}")
         base = by_ctl[baseline]
         for ctl, m in sorted(by_ctl.items()):
-            if len({base.get("seed"), m.get("seed")} - {None}) > 1:
-                raise ValueError(f"group {group} mixes seeds: {base['id']} has seed "
-                                 f"{base['seed']}, {m['id']} has seed {m['seed']}")
-            windows = base.get("windows"), m.get("windows")
-            if None not in windows and windows[0] != windows[1]:
-                raise ValueError(f"group {group} mixes windows: {base['id']} has windows "
-                                 f"{windows[0]}, {m['id']} has windows {windows[1]}")
+            for label, plural in GROUP_LABELS.items():
+                pair = base.get(label), m.get(label)
+                if None not in pair and pair[0] != pair[1]:
+                    raise ValueError(f"group {group} mixes {plural}: {base['id']} has {label} "
+                                     f"{pair[0]}, {m['id']} has {label} {pair[1]}")
             rsd_vals, adc_vals, neg = {}, {}, []
             for b in ("blade1", "blade2", "blade3"):
+                if base["faulty"][b]["sd_y"] <= 0.0:
+                    raise ValueError(f"group {group}: the {baseline} run {base['id']} has no "
+                                     f"positive load SD on {b}, so no rSD is defined against it")
                 val = rsd(base["faulty"][b]["sd_y"], m["faulty"][b]["sd_y"])
                 if not math.isfinite(val):
                     raise ValueError(f"group {group}: the {ctl} rSD of {b} is not finite "

@@ -129,8 +129,6 @@ def rls_update_batch(state: RlsState, regressors: np.ndarray, targets: np.ndarra
     if (regressors.shape[:-2] != stack or targets.shape[:-2] != stack
             or regressors.shape[-1] != state.n_reg or targets.shape[-1] != state.n_out):
         raise ValueError("batch dimensions do not match the RLS state")
-    if m == 0:
-        return state
     n_reg = state.n_reg
     weights = np.power(state.lam, np.arange(m - 1, -1, -1, dtype=float) / 2.0)  # newest last
     rows = weights[:, None] * np.concatenate([regressors, targets], axis=-1)
@@ -169,7 +167,7 @@ def pinv(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise ValueError("pinv requires a finite matrix")
-    if m.size == 0 or not m.any():
+    if m.size == 0:
         return np.zeros(m.T.shape)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     cutoff = 1e-12 * max(m.shape) * s[0]
@@ -206,12 +204,6 @@ class DareNonConvergence(RuntimeError):
         self.iterations = iterations
 
 
-def _dare_rhs(a, b, q, r, p):
-    bp, ap = b.mT @ p, a.mT @ p
-    gain = np.linalg.solve(r + bp @ b, bp @ a)
-    return q + ap @ a - ap @ b @ gain, gain
-
-
 def solve_dare(a, b, q, r, tol: float = 1e-9, max_iter: int = 500,
                p0: np.ndarray | None = None) -> DareSolution:
     """Solve P = A'PA - A'PB(R + B'PB)^-1 B'PA + Q by fixed-point iteration.
@@ -229,12 +221,14 @@ def solve_dare(a, b, q, r, tol: float = 1e-9, max_iter: int = 500,
     form; so the stack converges or fails as that one system would.
     """
     a, b, q, r = (np.asarray(m, dtype=float) for m in (a, b, q, r))
-    p = q.copy() if p0 is None else np.asarray(p0, dtype=float).copy()
+    p = q if p0 is None else np.asarray(p0, dtype=float)
     residual = np.inf
     # An iterate that overflows is reported by the non-finite check below.
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
-            p_next, gain = _dare_rhs(a, b, q, r, p)
+            bp, ap = b.mT @ p, a.mT @ p
+            gain = np.linalg.solve(r + bp @ b, bp @ a)
+            p_next = q + ap @ a - ap @ b @ gain
             p_next = 0.5 * (p_next + p_next.mT)
             denom = max(np.linalg.norm(p_next), 1e-300)
             residual = np.linalg.norm(p_next - p) / denom

@@ -80,10 +80,8 @@ class FaultScenario:
         if not _is_int(self.blade_index) or self.blade_index not in (1, 2, 3):
             raise ValueError("blade_index must be 1, 2 or 3 (exactly one faulty blade)")
         _real("fault parameter", self.parameter)
-        if self.kind == "pad" and not (0.0 < self.parameter <= 1.0):
-            raise ValueError("PAD scale must satisfy 0 < parameter <= 1")
-        if self.kind == "blade_stiffness" and not (0.0 < self.parameter <= 1.0):
-            raise ValueError("blade stiffness scale must satisfy 0 < parameter <= 1")
+        if self.kind in ("pad", "blade_stiffness") and not 0.0 < self.parameter <= 1.0:
+            raise ValueError(f"{self.kind} scale must satisfy 0 < parameter <= 1")
 
     @property
     def blade0(self) -> int:

@@ -23,7 +23,8 @@ N_CASES = 200
 
 # The entries `compare` reads; the faulty blade loads and duty cycles are
 # added per blade.
-READ = (("id",), ("group",), ("controller",), ("seed",), ("faulty_blade",))
+READ = (("id",), ("group",), ("controller",), ("seed",), ("windows",), ("fault_kind",),
+        ("faulty_blade",))
 READ += tuple(("faulty", f"blade{b}", key) for b in (1, 2, 3) for key in ("sd_y", "adc"))
 
 # A baseline load SD of 1e-310 (subnormal) overflows the rSD of any load

@@ -9,11 +9,16 @@ import json
 import os
 import pickle
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ipcsim
+import ipcsim.cli as cli
 import ipcsim.harness as harness
 import ipcsim.sysid as sysid
 from ipcsim.cli import main as cli_main
@@ -110,6 +115,8 @@ def test_config_validation_errors():
             short_cfg(plant=plant)
     with pytest.raises(ConfigError):
         short_cfg(duration_s=np.inf)
+    with pytest.raises(ConfigError, match="uftipc_amplitude_deg must be >= 0"):
+        short_cfg(controller="uftipc", uftipc_amplitude_deg=-0.25)
     # No excitation is a degenerate regime the run reports, not a bad config.
     short_cfg(tuning={"excitation_amplitude": 0.0})
 
@@ -198,10 +205,11 @@ def test_the_faulty_blade_is_an_integer(kind):
 
 @pytest.mark.parametrize("field, value", [
     ("id", 5), ("id", "../escaped"), ("id", "a/b"), ("id", "a\\b"), ("id", "a\0b"),
-    ("id", "."), ("id", ".."), ("group", 7), ("group", None),
+    ("id", "."), ("id", ".."), ("id", ".partial"), ("group", 7), ("group", None),
 ])
 def test_a_load_case_id_names_one_directory(field, value):
-    # The id is the run's directory under --out, and both are strings.
+    # The id is the run's directory under --out, and both are strings; the
+    # campaign's staging directory `.partial` is not a run's.
     with pytest.raises(ConfigError, match=field):
         short_cfg(**{field: value})
 
@@ -511,6 +519,14 @@ def two_tiny_cases():
     ]
 
 
+def test_a_campaign_refuses_two_configs_with_one_id(tmp_path):
+    # Both runs would be saved to one directory; nothing runs.
+    cfg = short_cfg(duration_s=4.0, fault_onset_s=2.0)
+    with pytest.raises(ConfigError, match="duplicate load case ids"):
+        run_campaign([cfg, dataclasses.replace(cfg, seed=7)], out_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_empty_campaign_is_fine():
     report = run_campaign([], parallelism=1)
     assert report.statuses == []
@@ -800,17 +816,20 @@ def test_compare_text_does_not_name_the_hidden_faulty_blade():
         "blade1", "blade3"]
 
 
-def test_compare_rejects_zero_sd_baseline(tmp_path):
+def test_compare_rejects_zero_sd_baseline(tmp_path, caplog):
     metrics = metrics_for_compare()
     base = next(m for m in metrics.values() if m["controller"] == "cpc")
     base["faulty"]["blade1"]["sd_y"] = 0.0
-    with pytest.raises(ValueError):
+    message = "group g1: the cpc run g1-cpc has no positive load SD on blade1"
+    with pytest.raises(ValueError, match=message):
         compare(metrics, baseline="cpc")
-    # The CLI reports it as an error (exit code 1), not a traceback.
+    # The CLI reports it as an error (exit code 1) naming them, not a traceback.
     for run_id, m in metrics.items():
         (tmp_path / run_id).mkdir()
         (tmp_path / run_id / "metrics.json").write_text(json.dumps(m))
+    caplog.clear()
     assert cli_main(["compare", str(tmp_path)]) == 1
+    assert message in caplog.text
 
 
 # ---------------------------------------------------------------------------
@@ -911,6 +930,39 @@ def test_compare_refuses_a_group_of_two_windows(tmp_path, capsys, caplog):
     assert len(compare(metrics).rows) == 2
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"fault_kind": "pas", "fault_parameter": 0.0},
+     "group g1 mixes fault kinds: g1-cpc has fault_kind pad, g1-mbc_ipc has fault_kind pas"),
+    ({"fault_blade": 2},
+     "group g1 mixes faulty blades: g1-cpc has faulty_blade 3, g1-mbc_ipc has faulty_blade 2"),
+], ids=["kind", "blade"])
+def test_compare_refuses_a_group_of_two_fault_scenarios(tmp_path, capsys, caplog, fields,
+                                                        message):
+    # A run under another fault, saved beside a campaign under its group's
+    # id, would be compared against a baseline that saw another fault:
+    # `compare` and the CLI name the group, both runs and both values. A
+    # metrics.json without `fault_kind` is not checked for it.
+    cases = [short_cfg(id=f"g1-{ctl}", group="g1", controller=ctl, duration_s=4.0,
+                       fault_onset_s=2.0) for ctl in ("cpc", "mbc_ipc")]
+    cfg_path, out = tmp_path / "c.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps({"cases": [c.to_dict() for c in cases]}))
+    assert cli_main(["campaign", str(cfg_path), "--out", str(out)]) == 0
+    other_path = tmp_path / "other.json"
+    other_path.write_text(json.dumps(dataclasses.replace(cases[1], **fields).to_dict()))
+    assert cli_main(["run", str(other_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    caplog.clear()
+    assert cli_main(["compare", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    assert message in caplog.text
+    metrics = {c.id: json.loads((out / c.id / "metrics.json").read_text()) for c in cases}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        compare(metrics)
+    if "fault_kind" in fields:
+        del metrics["g1-cpc"]["fault_kind"]
+        assert len(compare(metrics).rows) == 2
+
+
 @pytest.mark.parametrize("seed", [True, -1, 42.0, None, "42"])
 def test_cli_compare_rejects_a_malformed_seed(tmp_path, caplog, seed):
     (tmp_path / "a").mkdir()
@@ -993,6 +1045,57 @@ def test_cli_config_error_exit_code(tmp_path, caplog):
         caplog.clear()
         assert cli_main(["run", str(bad)]) == 1
         assert "configuration error:" in caplog.text
+
+
+@pytest.mark.parametrize("argv", [
+    ["campaign", "c.json", "--jobs", "x"],
+    ["run", "c.json", "--log-level", "DEBUG"],  # --log-level comes before the command
+    ["frobnicate"],
+], ids=["bad_value", "misplaced_option", "unknown_command"])
+def test_cli_usage_error_is_a_configuration_error(argv, capsys):
+    # argparse exits 2 on a usage error, the code of a failed run.
+    assert cli_main(argv) == 1
+    assert "usage: ipcsim" in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    assert cli_main(["--help"]) == 0
+    assert "usage: ipcsim" in capsys.readouterr().out
+    # The module entry point returns main's code as the process's.
+    src = Path(ipcsim.__file__).parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "ipcsim", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and "usage: ipcsim" in done.stdout
+    done = subprocess.run([sys.executable, "-m", "ipcsim", "campaign", "--jobs", "x"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1 and "invalid int value" in done.stderr
+
+
+def test_cli_error_paths_exit_1(tmp_path, caplog):
+    # A directory without runs, a campaign with neither CONFIG nor --default,
+    # and a two-case file run without --case: one logged error each.
+    cases = two_tiny_cases()
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"cases": [c.to_dict() for c in cases]}))
+    for argv, message in ((["compare", str(tmp_path)], "no run metrics found"),
+                          (["campaign"], "campaign needs a config file or --default"),
+                          (["run", str(cfg_path)], "select one with --case")):
+        caplog.clear()
+        assert cli_main(argv) == 1
+        assert len(caplog.records) == 1 and message in caplog.text
+
+
+def test_cli_default_campaign(tmp_path, monkeypatch, capsys):
+    # --default runs `default_campaign()`, here two 4 s cases.
+    cases = [short_cfg(id=f"g1-{ctl}", group="g1", controller=ctl, duration_s=4.0,
+                       fault_onset_s=2.0) for ctl in ("cpc", "mbc_ipc")]
+    monkeypatch.setattr(cli, "default_campaign", lambda: cases)
+    out = tmp_path / "out"
+    assert cli_main(["campaign", "--default", "--jobs", "2", "--out", str(out)]) == 0
+    assert "2/2 runs succeeded" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == ["g1-cpc", "g1-mbc_ipc"]
 
 
 def test_cli_campaign_failure_exit_code(tmp_path, monkeypatch):

@@ -131,6 +131,17 @@ def test_rls_overflow_of_one_recursion_leaves_the_others():
                 assert np.array_equal(stacked.info[i], separate[i].info)
 
 
+def test_rls_zero_row_fold_returns_the_state_unchanged():
+    # An empty block folds through the general path: lam^0 S plus an empty
+    # Gram product, and a zero correction, give back [S | Theta'] bit for bit.
+    rng = np.random.default_rng(5)
+    fresh = RlsState.fresh(1, 6, lam=0.999, stack=(3,))
+    folded = rls_update_batch(fresh, rng.normal(size=(3, 20, 6)), rng.normal(size=(3, 20, 1)))
+    for state in (fresh, folded):
+        same = rls_update_batch(state, np.zeros((3, 0, 6)), np.zeros((3, 0, 1)))
+        assert same.info.tobytes() == state.info.tobytes() and same.lam == state.lam
+
+
 def test_rls_batch_equals_sequential():
     rng = np.random.default_rng(21)
     n_reg, n_out = 10, 1
@@ -334,6 +345,20 @@ def test_dare_warm_start_agrees_with_cold_start():
     warm = solve_dare(a, b, np.eye(4), np.eye(2), p0=cold.cost_matrix + 1e-3)
     assert np.allclose(cold.cost_matrix, warm.cost_matrix, atol=1e-6)
     assert warm.iterations <= cold.iterations
+
+
+def test_dare_leaves_its_inputs_unchanged():
+    # The recursion starts from Q or P0 without copying them; it only rebinds
+    # its iterate, so neither input changes and the result is a new array.
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(4, 4))
+    a *= 0.8 / spectral_radius(a)
+    b, q, r = rng.normal(size=(4, 2)), np.eye(4), np.eye(2)
+    p0 = 2.0 * np.eye(4)
+    for warm in (None, p0):
+        sol = solve_dare(a, b, q, r, p0=warm)
+        assert sol.cost_matrix is not q and sol.cost_matrix is not p0
+    assert np.array_equal(q, np.eye(4)) and np.array_equal(p0, 2.0 * np.eye(4))
 
 
 def random_blade_stack(seed, n_stack=3, n=6, m=2):
