@@ -13,12 +13,12 @@ chunks of rotations between clamp events.
 
 Outputs per run: pitch and loads as one (n, 6) float64 `.npy` array
 (binary, so metrics recompute bit-for-bit from the file), the per-rotation
-controller log as CSV, and a metrics summary as JSON.
+controller log as one (rotations, 19) float64 `.npy` array, and a metrics
+summary as JSON.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -34,7 +34,7 @@ from .baselines import MbcIpcState, mbc_ipc_span
 from .control import LOG_COLUMNS, ControllerTuning, ExcitationGenerator, RepetitiveController
 from .metrics import DEFAULT_RATE_LIMIT_DEG_S, adc, band_energy_ratio, metric_windows, rsd
 from .numerics import _is_int, _real, welch_psd
-from .plant import DisturbanceModel, FaultScenario, azimuth, build_plant
+from .plant import DisturbanceModel, FaultScenario, build_plant
 
 __all__ = [
     "ConfigError",
@@ -228,26 +228,14 @@ class RunResult:
     metrics: dict
     wall_time_s: float = 0.0
 
-    @property
-    def t(self) -> np.ndarray:
-        """(n,) sample times k * dt, rebuilt from the config."""
-        return np.arange(len(self.y)) * build_plant(**self.config.plant).dt
-
-    @property
-    def psi(self) -> np.ndarray:
-        """(n,) rotor azimuth, `azimuth(P)` once per rotation, rebuilt from the config."""
-        period = build_plant(**self.config.plant).period_samples
-        return np.tile(azimuth(period), len(self.y) // period)
-
     def save(self, out_dir) -> None:
         d = Path(out_dir) / self.config.id
         d.mkdir(parents=True, exist_ok=True)
         # One (n, 6) float64 array, columns in SERIES_COLUMNS order.
         np.save(d / "series.npy", np.hstack([self.u_cmd, self.y]), allow_pickle=False)
-        with open(d / "controller_log.csv", "w") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(LOG_COLUMNS)
-            writer.writerows(self.rotation_log)
+        # One (rotations, 19) float64 array, columns in LOG_COLUMNS order; (0, 19) without a log.
+        log = np.array(self.rotation_log, dtype=np.float64).reshape(-1, len(LOG_COLUMNS))
+        np.save(d / "controller_log.npy", log, allow_pickle=False)
         with open(d / "metrics.json", "w") as fh:
             json.dump(self.metrics, fh, indent=1, sort_keys=True, allow_nan=False)
         with open(d / "config.json", "w") as fh:
@@ -383,8 +371,10 @@ def recompute_metrics(run_dir) -> dict:
     The file comes from outside the program, so it is loaded without
     pickle support and must be a 2-D float64 array of `duration_s / dt`
     rows and one column per `SERIES_COLUMNS` entry, and its metrics must be
-    finite (ValueError otherwise, naming the file). A run directory without
-    `series.npy` raises FileNotFoundError.
+    finite (ValueError otherwise, naming the file). The DARE failure and
+    clamp counts come from `metrics.json`, which must be a JSON object whose
+    counts are integers >= 0 (ValueError otherwise, naming the file). A run
+    directory without `series.npy` raises FileNotFoundError.
     """
     d = Path(run_dir)
     cfg = LoadCaseConfig.from_dict(json.loads((d / "config.json").read_text()))
@@ -401,8 +391,13 @@ def recompute_metrics(run_dir) -> dict:
     if bad:
         raise ValueError(f"{d / 'series.npy'} gives non-finite metrics: {', '.join(bad)}")
     saved = json.loads((d / "metrics.json").read_text())
+    if not isinstance(saved, dict):
+        raise ValueError(f"{d / 'metrics.json'} holds a {type(saved).__name__}, not an object")
     for key in ("dare_failures", "clamp_events"):
         if key in saved:
+            if not _is_int(saved[key]) or saved[key] < 0:
+                raise ValueError(f"{d / 'metrics.json'}: {key} must be an integer >= 0, "
+                                 f"got {saved[key]!r}")
             metrics[key] = saved[key]
     return metrics
 

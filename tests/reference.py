@@ -37,8 +37,10 @@ coupling), on which the helpers below work; `a_tilde` (the predictor-form
 transition A - L C) and `dc_gain_matrix` of a plant, the exact predictor
 Markov parameters `markov_oracle` and its per-blade row
 `markov_oracle_siso`, `relative_errors` of an identification engine against
-that oracle, `spectral_radius`, and `per_rotation_band_power`, the
-per-rotation 1P+2P load power of a series.
+that oracle, `spectral_radius`, `per_rotation_band_power`, the
+per-rotation 1P+2P load power of a series, and `series_time` and
+`series_azimuth`, a run result's sample times and rotor azimuth rebuilt
+from its config (a run stores neither).
 """
 
 from __future__ import annotations
@@ -56,7 +58,14 @@ from ipcsim.control import (
     project_output,
 )
 from ipcsim.numerics import DareNonConvergence, DareSolution, RlsState, pinv, rls_update_batch
-from ipcsim.plant import BLADE_OFFSETS, N_BLADES, FaultScenario, _maybe_switch_blade_fault
+from ipcsim.plant import (
+    BLADE_OFFSETS,
+    N_BLADES,
+    FaultScenario,
+    _maybe_switch_blade_fault,
+    azimuth,
+    build_plant,
+)
 
 _CHANNELS = {"u1": ("u", 0), "u2": ("u", 1), "u3": ("u", 2),
              "y1": ("y", 0), "y2": ("y", 1), "y3": ("y", 2)}
@@ -432,6 +441,17 @@ def per_rotation_band_power(y: np.ndarray, period: int, u_f: np.ndarray) -> np.n
     gram_inv = np.linalg.inv(u_f.T @ u_f)
     coeffs = np.einsum("hk,rkb->rhb", gram_inv @ u_f.T, y)
     return np.sum(coeffs**2, axis=1)
+
+
+def series_time(result) -> np.ndarray:
+    """(n,) sample times k * dt of a `RunResult`, rebuilt from its config."""
+    return np.arange(len(result.y)) * build_plant(**result.config.plant).dt
+
+
+def series_azimuth(result) -> np.ndarray:
+    """(n,) rotor azimuth of a `RunResult`, `azimuth(P)` once per rotation."""
+    period = build_plant(**result.config.plant).period_samples
+    return np.tile(azimuth(period), len(result.y) // period)
 
 
 # ---------------------------------------------------------------------------

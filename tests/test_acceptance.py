@@ -13,7 +13,6 @@ above the gate. The measured value is printed; the rest of the suite is
 independent of it.
 """
 
-import csv
 import json
 import time
 from pathlib import Path
@@ -51,6 +50,8 @@ from reference import (
     predict_lifted,
     relative_errors,
     rls_update,
+    series_azimuth,
+    series_time,
     spectral_radius,
     step,
 )
@@ -232,7 +233,7 @@ def test_criterion_05_adaptation_speed(campaign):
     details = []
     for run_dir in sorted(Path(out).glob("*-ftipc")):
         cfg = json.loads((run_dir / "config.json").read_text())
-        rows = np.loadtxt(run_dir / "controller_log.csv", delimiter=",", skiprows=1)
+        rows = np.load(run_dir / "controller_log.npy")
         power = blade_band_power(rows)
         # PAS leaves blade 3 uncontrollable; score the blades the actuator
         # system can still drive.
@@ -407,7 +408,7 @@ def test_criterion_09_determinism(tmp_path):
     a = run_load_case(make_cfg())
     b = run_load_case(make_cfg())
     same_series = (np.array_equal(a.u_cmd, b.u_cmd) and np.array_equal(a.y, b.y)
-                   and np.array_equal(a.psi, b.psi))
+                   and np.array_equal(series_azimuth(a), series_azimuth(b)))
     same_metrics = a.metrics == b.metrics
     a.save(tmp_path / "a")
     b.save(tmp_path / "b")
@@ -433,9 +434,10 @@ def test_criterion_10_performance(campaign):
     res = run_load_case(cfg)
     single = time.perf_counter() - t0
     camp = campaign["elapsed_s"]
-    ok = single < 60.0 and camp < 1800.0 and res.t.shape == (200000,)
+    t = series_time(res)
+    ok = single < 60.0 and camp < 1800.0 and t.shape == (200000,)
     report(10, ok, f"single 2000 s load case {single:.1f} s (< 60 s), "
-                   f"{res.t.shape[0]} samples; 54-run campaign at jobs=4 "
+                   f"{t.shape[0]} samples; 54-run campaign at jobs=4 "
                    f"{camp:.0f} s (< 1800 s)")
-    assert res.t.shape == (200000,)
+    assert t.shape == (200000,)
     assert ok

@@ -2,7 +2,6 @@
 campaign isolation and parallel equivalence, comparison table, CLI."""
 
 import concurrent.futures
-import csv
 import dataclasses
 import errno
 import json
@@ -34,7 +33,7 @@ from ipcsim.harness import (
     run_load_case,
 )
 from ipcsim.plant import azimuth
-from reference import qr_rls_update_batch, step
+from reference import qr_rls_update_batch, series_azimuth, series_time, step
 
 
 def short_cfg(**kw):
@@ -300,10 +299,11 @@ def test_default_campaign_structure():
 
 def test_run_sample_count_and_series_shapes():
     res = run_load_case(short_cfg(duration_s=40.0, fault_onset_s=20.0))
-    assert res.t.shape == (4000,)
+    t = series_time(res)
+    assert t.shape == (4000,)
     assert res.u_cmd.shape == (4000, 3)
     assert res.y.shape == (4000, 3)
-    assert res.t[1] - res.t[0] == pytest.approx(0.01)
+    assert t[1] - t[0] == pytest.approx(0.01)
 
 
 def test_run_is_bit_identical_per_seed():
@@ -339,15 +339,15 @@ def test_save_and_metrics_round_trip(tmp_path):
     res.save(tmp_path)
     d = tmp_path / "t-case"
     written = {f.name for f in d.iterdir()}
-    assert written == {"series.npy", "controller_log.csv", "metrics.json", "config.json"}
+    assert written == {"series.npy", "controller_log.npy", "metrics.json", "config.json"}
     data = np.load(d / "series.npy", allow_pickle=False)
     n = res.y.shape[0]
     assert data.shape == (n, 6)
     assert data.dtype == np.float64 and data.flags.c_contiguous
-    # The sample times and the azimuth are not persisted; the result
-    # rebuilds them from the config.
-    assert np.array_equal(res.t, np.arange(n) * 0.01)
-    assert np.array_equal(res.psi, np.tile(azimuth(100), n // 100))
+    # The sample times and the azimuth are not persisted; they are rebuilt
+    # from the config.
+    assert np.array_equal(series_time(res), np.arange(n) * 0.01)
+    assert np.array_equal(series_azimuth(res), np.tile(azimuth(100), n // 100))
     saved = json.loads((d / "metrics.json").read_text())
     recomputed = recompute_metrics(d)
     assert recomputed == saved
@@ -362,19 +362,31 @@ def test_shortest_metric_window_runs():
 def test_controller_log_columns(tmp_path):
     res = run_load_case(short_cfg(duration_s=20.0, fault_onset_s=10.0))
     res.save(tmp_path)
-    with open(tmp_path / "t-case" / "controller_log.csv") as fh:
-        header, *rows = list(csv.reader(fh))
-    assert tuple(header) == LOG_COLUMNS
-    assert len(rows) == 20 and all(len(row) == len(LOG_COLUMNS) for row in rows)
+    log = np.load(tmp_path / "t-case" / "controller_log.npy")
+    assert log.dtype == np.float64 and log.flags.c_contiguous
+    assert log.shape == (20, 19) == (20, len(LOG_COLUMNS))
+    assert np.array_equal(log, np.asarray(res.rotation_log, dtype=float), equal_nan=True)
     basis = build_basis(100)
     first = LOG_COLUMNS.index("y_bar_0")
+    residual = LOG_COLUMNS.index("dare_residual")
     iterations = LOG_COLUMNS.index("dare_iterations")
-    for j, row in enumerate(rows):
-        assert int(row[0]) == j
+    for j, row in enumerate(log):
+        assert row[0] == j
         y_bar = project_output(res.y[j * 100:(j + 1) * 100], basis)
-        assert [float(v) for v in row[first:first + 12]] == y_bar.tolist()
-        # One Riccati solve per rotation past the 8-rotation warm-up.
-        assert (int(row[iterations]) >= 1) == (j >= 8)
+        assert row[first:first + 12].tolist() == y_bar.tolist()
+        # One Riccati solve per rotation past the 8-rotation warm-up, and no
+        # residual to log before the first.
+        assert (row[iterations] >= 1) == (j >= 8)
+        assert np.isnan(row[residual]) == (j < 8)
+
+
+@pytest.mark.parametrize("controller", ["cpc", "mbc_ipc"])
+def test_a_run_without_a_rotation_log_writes_an_empty_one(tmp_path, controller):
+    # Every run writes the same four files; the baselines log no rotations.
+    res = run_load_case(short_cfg(controller=controller, duration_s=4.0, fault_onset_s=2.0))
+    res.save(tmp_path)
+    log = np.load(tmp_path / "t-case" / "controller_log.npy")
+    assert log.dtype == np.float64 and log.shape == (0, 19)
 
 
 def test_run_result_csv_full_precision(tmp_path):
@@ -409,7 +421,7 @@ def test_recompute_metrics_rejects_bad_series(tmp_path, kind):
             recompute_metrics(d)
     elif kind == "legacy_eight_columns":
         # t,u1,u2,u3,y1,y2,y3,psi, as runs were once saved: no legacy reader.
-        legacy = np.column_stack([res.t, res.u_cmd, res.y, res.psi])
+        legacy = np.column_stack([series_time(res), res.u_cmd, res.y, series_azimuth(res)])
         np.save(d / "series.npy", legacy)
         with pytest.raises(ValueError, match=r"shape \(2000, 8\); expected float64 of "
                                              r"shape \(2000, 6\)"):
@@ -433,6 +445,28 @@ def test_recompute_metrics_rejects_bad_series(tmp_path, kind):
                    header="u1,u2,u3,y1,y2,y3", comments="")
         with pytest.raises(FileNotFoundError, match="series.npy"):
             recompute_metrics(d)
+
+
+@pytest.mark.parametrize("saved, message", [
+    ({"dare_failures": -3}, "dare_failures must be an integer >= 0, got -3"),
+    ({"clamp_events": True}, "clamp_events must be an integer >= 0, got True"),
+    ({"dare_failures": "3"}, "dare_failures must be an integer >= 0, got '3'"),
+    ({"clamp_events": 2.0}, "clamp_events must be an integer >= 0, got 2.0"),
+    ({"dare_failures": None}, "dare_failures must be an integer >= 0, got None"),
+    ([1, 2], "holds a list, not an object"),
+], ids=["negative", "bool", "string", "float", "null", "list"])
+def test_recompute_metrics_checks_the_saved_counts(tmp_path, saved, message):
+    # metrics.json comes from outside the program too: the counts it carries
+    # into the recomputed metrics must be integers >= 0 in a JSON object.
+    res = run_load_case(short_cfg(duration_s=4.0, fault_onset_s=2.0,
+                                  tuning={"warmup_rotations": 1}))
+    res.save(tmp_path)
+    path = tmp_path / "t-case" / "metrics.json"
+    assert recompute_metrics(path.parent) == json.loads(path.read_text())
+    path.write_text(json.dumps({**res.metrics, **saved} if isinstance(saved, dict) else saved))
+    with pytest.raises(ValueError, match=re.escape(message)) as raised:
+        recompute_metrics(path.parent)
+    assert str(raised.value).startswith(str(path))
 
 
 def test_compute_metrics_owns_its_floating_point_policy():
@@ -625,7 +659,7 @@ def test_a_failed_rerun_leaves_no_stale_outputs(tmp_path, capsys, via):
 
 def test_a_failed_save_leaves_no_partial_directory(tmp_path, monkeypatch):
     # The disk fills while metrics.json is written, after series.npy and
-    # controller_log.csv: the run is reported failed and its partial
+    # controller_log.npy: the run is reported failed and its partial
     # directory is removed, so `compare` never reads a truncated metrics file.
     def full_disk(*args, **kwargs):
         raise OSError(errno.ENOSPC, "No space left on device")
