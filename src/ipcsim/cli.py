@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +23,7 @@ from .harness import (
     compare,
     default_campaign,
     load_config_file,
+    read_metrics,
     run_campaign,
 )
 
@@ -102,38 +102,14 @@ def _cmd_campaign(args) -> int:
     return 2 if n_fail else 0
 
 
-def _read_metrics(mfile: Path) -> dict:
-    """A run's metrics.json; ConfigError unless it holds what `compare` reads."""
-    try:
-        m = json.loads(mfile.read_text())
-        for key in ("id", "group", "controller"):  # TypeError on a non-object
-            if not isinstance(m[key], str):
-                raise ValueError(f"{key} must be a string, got {m[key]!r}")
-        seed = m.get("seed", 0)  # absent from metrics saved before runs carried it
-        if not (type(seed) is int and seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-        blade = m["faulty_blade"]
-        if not (blade is None or (type(blade) is int and blade in (1, 2, 3))):
-            raise ValueError(f"faulty_blade must be null or 1, 2 or 3, got {blade!r}")
-        for b in ("blade1", "blade2", "blade3"):
-            faulty = m["faulty"][b]
-            for key in ("sd_y", "adc"):  # OverflowError on an int past the float range
-                if type(faulty[key]) not in (int, float) or not math.isfinite(faulty[key]):
-                    raise ValueError(f"faulty {b} {key} must be finite, got {faulty[key]!r}")
-                faulty[key] = float(faulty[key])
-    except OSError as exc:
-        raise ConfigError(f"cannot read {mfile}: {exc}") from exc
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"{mfile} is not a run's metrics object "
-                          f"({type(exc).__name__}: {exc})") from exc
-    return m
-
-
 def _cmd_compare(args) -> int:
     out_dir = Path(args.out_dir)
     metrics, files = {}, {}
     for mfile in sorted(out_dir.glob("*/metrics.json")):
-        m = _read_metrics(mfile)
+        try:
+            m = read_metrics(mfile)
+        except ValueError as exc:  # it names the file
+            raise ConfigError(str(exc)) from exc
         if m["id"] in files:  # a copied run directory would replace the run's row
             raise ConfigError(f"run id {m['id']!r} is in both {files[m['id']]} and {mfile}")
         metrics[m["id"]], files[m["id"]] = m, mfile

@@ -2,19 +2,14 @@
 persistence, and cross-controller comparison.
 
 A load case fully specifies one run (plant, disturbance, fault, controller,
-tuning, seed); a campaign is a list of load cases. A run advances one rotor
-rotation at a time: the repetitive controller and the collective baseline
-fix a rotation of commands and push it through the fault map and the plant
-in one block, which the plant advances in closed form with its lifted
-per-blade operator (two blocks when a fault onset falls inside the
-rotation); MBC-IPC, which feeds back every sample, runs the whole run as one
-fused controller/fault/plant span (`baselines.mbc_ipc_span`), lifted over
-chunks of rotations between clamp events.
+tuning, seed); a campaign is a list of load cases. The repetitive controller
+and the collective baseline advance a run one rotation at a time; MBC-IPC,
+which feeds back every sample, runs it as one span (`baselines.mbc_ipc_span`).
 
 Outputs per run: pitch and loads as one (n, 6) float64 `.npy` array
 (binary, so metrics recompute bit-for-bit from the file), the per-rotation
-controller log as one (rotations, 19) float64 `.npy` array, and a metrics
-summary as JSON.
+controller log as one (rotations, 19) float64 `.npy` array, the config, and
+a metrics summary as JSON, which `read_metrics` alone decodes.
 """
 
 from __future__ import annotations
@@ -26,6 +21,7 @@ import shutil
 import time
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +43,7 @@ __all__ = [
     "ComparisonTable",
     "default_campaign",
     "load_config_file",
+    "read_metrics",
     "recompute_metrics",
 ]
 
@@ -201,9 +198,8 @@ class LoadCaseConfig:
 def load_config_file(path) -> list[LoadCaseConfig]:
     """Read a campaign (or single case) JSON file."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     cases = data["cases"] if isinstance(data, dict) and "cases" in data else [data]
     if not (isinstance(cases, list) and cases):
@@ -364,20 +360,60 @@ def compute_metrics(cfg: LoadCaseConfig, u_cmd: np.ndarray, y: np.ndarray, dt: f
     return out
 
 
-def recompute_metrics(run_dir) -> dict:
-    """Round-trip check helper: metrics from the persisted `series.npy` +
-    config.
+def _finite(value) -> bool:
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
 
-    The file comes from outside the program, so it is loaded without
-    pickle support and must be a 2-D float64 array of `duration_s / dt`
-    rows and one column per `SERIES_COLUMNS` entry, and its metrics must be
-    finite (ValueError otherwise, naming the file). The DARE failure and
-    clamp counts come from `metrics.json`, which must be a JSON object whose
-    counts are integers >= 0 (ValueError otherwise, naming the file). A run
-    directory without `series.npy` raises FileNotFoundError.
-    """
+
+_COUNT = (False, lambda v: _is_int(v) and v >= 0, "an integer >= 0")  # not in every file
+# Every metrics.json entry that a reader uses, by key path: (whether every run's file holds it,
+# its rule, or None for a label that `compare` only matches between runs, that rule in words).
+METRICS_KEYS = {
+    **dict.fromkeys([("id",), ("group",), ("controller",)],
+                    (True, lambda v: isinstance(v, str), "a string")),
+    ("seed",): _COUNT, ("dare_failures",): _COUNT, ("clamp_events",): _COUNT,
+    **dict.fromkeys([("windows",), ("fault_kind",)], (False, None, "")),
+    ("faulty_blade",): (True, lambda v: v is None or _is_int(v) and v in (1, 2, 3),
+                        "null or 1, 2 or 3"),
+    **dict.fromkeys([("faulty", f"blade{b}", key) for b in (1, 2, 3) for key in ("sd_y", "adc")],
+                    (True, _finite, "a finite number")),
+}
+
+
+def read_metrics(path) -> dict:
+    """A run's `metrics.json`, checked against `METRICS_KEYS`, with its faulty-window loads
+    and duty cycles as floats; the file's only decoder. ValueError names the file and key."""
+    try:
+        m = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(m, dict):
+        raise ValueError(f"{path} holds a {type(m).__name__}, not an object")
+    for keys, (required, check, wants) in METRICS_KEYS.items():
+        *parents, key = keys
+        owner = reduce(lambda o, part: o.get(part) if isinstance(o, dict) else None, parents, m)
+        if not (isinstance(owner, dict) and key in owner):
+            if required:
+                raise ValueError(f"{path}: {'.'.join(keys)} is missing")
+        elif check and not check(owner[key]):
+            raise ValueError(f"{path}: {'.'.join(keys)} must be {wants}, got {owner[key]!r}")
+        elif check is _finite:
+            owner[key] = float(owner[key])
+    return m
+
+
+def recompute_metrics(run_dir) -> dict:
+    """Round-trip check helper: a run's metrics from its `config.json`
+    (`load_config_file`) and `series.npy`, with the DARE failure and clamp
+    counts of its `metrics.json` (`read_metrics`). The series is loaded
+    without pickle support and must be a float64 array of `duration_s / dt`
+    rows by `SERIES_COLUMNS` whose metrics are finite. A JSON file that cannot
+    be read or a file that breaks these rules raises ValueError naming it; a
+    missing `series.npy` raises FileNotFoundError."""
     d = Path(run_dir)
-    cfg = LoadCaseConfig.from_dict(json.loads((d / "config.json").read_text()))
+    (cfg,) = load_config_file(d / "config.json")
     plant = build_plant(**cfg.plant)
     data = np.load(d / "series.npy", allow_pickle=False)
     shape = (int(round(cfg.duration_s / plant.dt)), len(SERIES_COLUMNS))
@@ -390,16 +426,8 @@ def recompute_metrics(run_dir) -> dict:
     bad = _nonfinite_metrics(metrics)
     if bad:
         raise ValueError(f"{d / 'series.npy'} gives non-finite metrics: {', '.join(bad)}")
-    saved = json.loads((d / "metrics.json").read_text())
-    if not isinstance(saved, dict):
-        raise ValueError(f"{d / 'metrics.json'} holds a {type(saved).__name__}, not an object")
-    for key in ("dare_failures", "clamp_events"):
-        if key in saved:
-            if not _is_int(saved[key]) or saved[key] < 0:
-                raise ValueError(f"{d / 'metrics.json'}: {key} must be an integer >= 0, "
-                                 f"got {saved[key]!r}")
-            metrics[key] = saved[key]
-    return metrics
+    saved = read_metrics(d / "metrics.json")
+    return {**metrics, **{k: saved[k] for k in ("dare_failures", "clamp_events") if k in saved}}
 
 
 # ---------------------------------------------------------------------------
@@ -562,24 +590,20 @@ def compare(metrics_by_id: dict, baseline: str = "cpc") -> ComparisonTable:
                 if None not in pair and pair[0] != pair[1]:
                     raise ValueError(f"group {group} mixes {plural}: {base['id']} has {label} "
                                      f"{pair[0]}, {m['id']} has {label} {pair[1]}")
-            rsd_vals, adc_vals, neg = {}, {}, []
+            rsd_vals = {}
             for b in ("blade1", "blade2", "blade3"):
                 if base["faulty"][b]["sd_y"] <= 0.0:
                     raise ValueError(f"group {group}: the {baseline} run {base['id']} has no "
                                      f"positive load SD on {b}, so no rSD is defined against it")
-                val = rsd(base["faulty"][b]["sd_y"], m["faulty"][b]["sd_y"])
+                rsd_vals[b] = val = rsd(base["faulty"][b]["sd_y"], m["faulty"][b]["sd_y"])
                 if not math.isfinite(val):
                     raise ValueError(f"group {group}: the {ctl} rSD of {b} is not finite "
                                      f"({val}); its load SD is out of scale with {baseline}'s")
-                rsd_vals[b] = val
-                adc_vals[b] = m["faulty"][b]["adc"]
-                if val < 0.0:
-                    neg.append(b)
             rows.append(ComparisonRow(
                 group=group, controller=ctl, faulty_blade=m["faulty_blade"],
-                rsd_faulty_window=rsd_vals, adc_faulty_window=adc_vals,
-                negative_blades=neg,
-            ))
+                rsd_faulty_window=rsd_vals,
+                adc_faulty_window={b: m["faulty"][b]["adc"] for b in rsd_vals},
+                negative_blades=[b for b, v in rsd_vals.items() if v < 0.0]))
     return ComparisonTable(baseline=baseline, rows=rows)
 
 

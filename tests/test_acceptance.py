@@ -13,6 +13,7 @@ above the gate. The measured value is printed; the rest of the suite is
 independent of it.
 """
 
+import importlib.util
 import json
 import time
 from pathlib import Path
@@ -441,3 +442,28 @@ def test_criterion_10_performance(campaign):
                    f"{camp:.0f} s (< 1800 s)")
     assert t.shape == (200000,)
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# acceptance values, pinned
+# ---------------------------------------------------------------------------
+
+ACCEPTANCE_GOLDEN = Path(__file__).with_name("acceptance_golden.json")
+GOLDEN_SEED = "2024"  # default_campaign's base seed
+
+
+def test_campaign_matches_the_acceptance_golden(campaign):
+    # The gates above leave the values behind them free to drift: every run
+    # of the shipped campaign is compared with its recorded summary through
+    # perfbench/check.py, floats within its RTOL (1e-6) and counts exactly.
+    # A change that moves a value records the file again and says why.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_check", Path(__file__).resolve().parent.parent / "perfbench" / "check.py")
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    expected = check.load_golden(ACCEPTANCE_GOLDEN)["default_campaign"][GOLDEN_SEED]
+    metrics = campaign["metrics"]
+    assert sorted(metrics) == sorted(expected)
+    bad = [f"{run_id} {d}" for run_id, m in sorted(metrics.items())
+           for d in check.mismatches(check.summarize(m), expected[run_id])]
+    assert bad == []

@@ -17,15 +17,12 @@ import numpy as np
 import pytest
 
 from ipcsim.cli import main as cli_main
-from ipcsim.harness import LoadCaseConfig, run_load_case
+from ipcsim.harness import METRICS_KEYS, LoadCaseConfig, run_load_case
 
 N_CASES = 200
 
-# The entries `compare` reads; the faulty blade loads and duty cycles are
-# added per blade.
-READ = (("id",), ("group",), ("controller",), ("seed",), ("windows",), ("fault_kind",),
-        ("faulty_blade",))
-READ += tuple(("faulty", f"blade{b}", key) for b in (1, 2, 3) for key in ("sd_y", "adc"))
+# The entries that readers use, as `read_metrics` checks them.
+READ = tuple(METRICS_KEYS)
 
 # A baseline load SD of 1e-310 (subnormal) overflows the rSD of any load
 # above about 2e-2.

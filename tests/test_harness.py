@@ -23,11 +23,13 @@ import ipcsim.sysid as sysid
 from ipcsim.cli import main as cli_main
 from ipcsim.control import LOG_COLUMNS, build_basis, project_output
 from ipcsim.harness import (
+    METRICS_KEYS,
     ConfigError,
     LoadCaseConfig,
     compare,
     default_campaign,
     load_config_file,
+    read_metrics,
     recompute_metrics,
     run_campaign,
     run_load_case,
@@ -389,7 +391,7 @@ def test_a_run_without_a_rotation_log_writes_an_empty_one(tmp_path, controller):
     assert log.dtype == np.float64 and log.shape == (0, 19)
 
 
-def test_run_result_csv_full_precision(tmp_path):
+def test_run_result_series_full_precision(tmp_path):
     res = run_load_case(short_cfg(duration_s=20.0, fault_onset_s=10.0))
     res.save(tmp_path)
     data = np.load(tmp_path / "t-case" / "series.npy", allow_pickle=False)
@@ -467,6 +469,66 @@ def test_recompute_metrics_checks_the_saved_counts(tmp_path, saved, message):
     with pytest.raises(ValueError, match=re.escape(message)) as raised:
         recompute_metrics(path.parent)
     assert str(raised.value).startswith(str(path))
+
+
+@pytest.mark.parametrize("name", ["metrics.json", "config.json"])
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}"], ids=["not_json", "not_utf8"])
+def test_recompute_metrics_names_a_corrupt_json_file(tmp_path, name, content):
+    # A JSON file of a run that is not JSON, or not UTF-8, is a ValueError
+    # that names the file, as a malformed one is.
+    res = run_load_case(short_cfg(controller="cpc", duration_s=4.0, fault_onset_s=2.0))
+    res.save(tmp_path)
+    path = tmp_path / "t-case" / name
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        recompute_metrics(path.parent)
+
+
+@pytest.fixture(scope="module")
+def saved_metrics():
+    """An ftipc run's metrics as saved: every key of METRICS_KEYS present."""
+    res = run_load_case(short_cfg(duration_s=4.0, fault_onset_s=2.0,
+                                  tuning={"warmup_rotations": 1}))
+    assert all(k[0] in res.metrics for k in METRICS_KEYS)
+    return json.loads(json.dumps(res.metrics))
+
+
+@pytest.mark.parametrize("keys", list(METRICS_KEYS), ids=".".join)
+def test_read_metrics_applies_its_key_table(tmp_path, saved_metrics, keys):
+    # Each entry of the table: deleting a required key and setting a checked
+    # one to a value of the wrong type are refused, naming the file and the
+    # key; an optional key may be absent, and a label only matched between
+    # runs takes any value.
+    required, check, _ = METRICS_KEYS[keys]
+    path = tmp_path / "metrics.json"
+    for value in ("delete", True, []):
+        m = json.loads(json.dumps(saved_metrics))
+        *parents, key = keys
+        owner = m
+        for part in parents:
+            owner = owner[part]
+        if value == "delete":
+            del owner[key]
+            refused = required
+        else:
+            owner[key] = value
+            refused = check is not None
+        path.write_text(json.dumps(m))
+        if refused:
+            with pytest.raises(ValueError) as raised:
+                read_metrics(path)
+            assert str(raised.value).startswith(f"{path}: {'.'.join(keys)} "), (value, raised)
+        else:
+            assert read_metrics(path) == m
+
+
+def test_read_metrics_accepts_every_run_of_the_default_campaign(tmp_path):
+    report = run_campaign(default_campaign(duration_s=40.0), parallelism=2, out_dir=tmp_path)
+    assert report.failed == []
+    files = sorted(tmp_path.glob("*/metrics.json"))
+    assert len(files) == 54
+    for path in files:
+        assert read_metrics(path) == json.loads(path.read_text())
 
 
 def test_compute_metrics_owns_its_floating_point_policy():
@@ -1004,6 +1066,16 @@ def test_cli_compare_rejects_a_malformed_seed(tmp_path, caplog, seed):
     mfile.write_text(json.dumps({**VALID_METRICS, "seed": seed}))
     assert cli_main(["compare", str(tmp_path)]) == 1
     assert len(caplog.records) == 1 and str(mfile) in caplog.text and "seed" in caplog.text
+
+
+def test_cli_compare_rejects_a_malformed_count(tmp_path, caplog):
+    # The counts compare does not show are read by the same rules.
+    (tmp_path / "a").mkdir()
+    mfile = tmp_path / "a" / "metrics.json"
+    mfile.write_text(json.dumps({**VALID_METRICS, "dare_failures": -3}))
+    assert cli_main(["compare", str(tmp_path)]) == 1
+    assert len(caplog.records) == 1
+    assert f"{mfile}: dare_failures must be an integer >= 0, got -3" in caplog.text
 
 
 def test_cli_compare_unreadable_metrics(tmp_path, caplog):
